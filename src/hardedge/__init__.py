@@ -62,6 +62,7 @@ from .specfun import (
     bessel_entire,
     bessel_j_sqrt,
     laguerre,
+    laguerre_pair,
     laguerre_phi,
     log_gamma,
     reg_upper_gamma,
@@ -101,6 +102,7 @@ __all__ = [
     "ks_compare",
     "laguerre",
     "laguerre_kernel_entire",
+    "laguerre_pair",
     "laguerre_phi",
     "limit_cdf",
     "limit_density",

@@ -20,8 +20,10 @@ from .errors import DomainError, NumericError
 from .fredholm import (
     DeterminantResult,
     _check_m,
+    _det_and_log_derivative,
+    _det_result,
     _det_value,
-    log_derivative,
+    _richardson_derivative,
     nystrom_det,
 )
 from .kernels import bessel_spec, finite_spec
@@ -117,16 +119,23 @@ def limit_density(a, s, m=DEFAULT_NODES, method="resolvent") -> float:
     m = _check_m(m)
     spec = bessel_spec(a)
     if method == "resolvent":
-        value = _det_value(spec, s, m)
-        return value * log_derivative(spec, s, m, method="resolvent")
+        value, log_slope = _det_and_log_derivative(spec, s, m)
+        return value * log_slope
     if method == "finite_difference":
-
-        def central(h: float) -> float:
-            return (_det_value(spec, s + h, m) - _det_value(spec, s - h, m)) / (2.0 * h)
-
-        h = 1e-3 * s
-        return (4.0 * central(0.5 * h) - central(h)) / 3.0
+        return _richardson_derivative(lambda t: _det_value(spec, t, m), s)
     raise DomainError(f"density method must be one of {DENSITY_METHODS}, got {method!r}")
+
+
+def _limit_row(a, s, m) -> TableRow:
+    """F with its error estimate and f = dF/ds from the m and m+10 assemblies
+    only: the determinant and the resolvent solve share the one at m."""
+    a = require_order(a)
+    s = _check_s(s)
+    m = _check_m(m)
+    spec = bessel_spec(a)
+    value, log_slope = _det_and_log_derivative(spec, s, m)
+    det = _det_result(spec, s, m, value)
+    return TableRow(s=s, F=det.value, f=value * log_slope, F_err=det.error_estimate)
 
 
 def limit_table(a, s_values, m=DEFAULT_NODES, density=False, method="resolvent") -> DistributionTable:
@@ -137,6 +146,8 @@ def limit_table(a, s_values, m=DEFAULT_NODES, density=False, method="resolvent")
     """
 
     def one(s) -> TableRow:
+        if density and method == "resolvent":
+            return _limit_row(a, s, m)
         det = limit_cdf(a, s, m)
         f = limit_density(a, s, m, method=method) if density else None
         return TableRow(s=float(s), F=det.value, f=f, F_err=det.error_estimate)

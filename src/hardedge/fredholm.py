@@ -8,7 +8,9 @@ matrix A_ij = sqrt(w_i) Khat(x_i, x_j) sqrt(w_j); then
 
 with spectral accuracy because the kernel is entire.  The determinant is
 accumulated as a signed sum of log pivots (LU with row pivoting), so large
-intervals cannot underflow.
+intervals cannot underflow.  One assembly of I - A serves both the
+determinant and the resolvent solve wherever a caller needs the two at the
+same (kernel, s, m).
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, NumericError
 from .kernels import KernelSpec, hat_bessel_j, kernel_matrix
 from .quadrature import DEFAULT_NODES, MAX_NODES, gauss_jacobi, scale_rule
-from .specfun import log_gamma
+from .specfun import _laguerre_terms, log_gamma
 
 # Error estimates compare m against m + 10 nodes, so m itself must leave
 # room below the quadrature cap.
@@ -59,11 +61,30 @@ def _check_m(m) -> int:
     return int(m)
 
 
-def _det_value(spec: KernelSpec, s: float, m: int) -> float:
+def _assemble(spec: KernelSpec, s: float, m: int, kernel_override=None):
+    """(I - A, b) on the m-node rule for (0, s).
+
+    b_i = sqrt(w_i) hat_j_a(x_i) is the resolvent right-hand side; it comes
+    out of the limit-kernel assembly (None for the finite family).
+    kernel_override (a nodes -> matrix callable) replaces the kernel.
+    """
     rule = _rule(m, spec.a, s)
     sqrt_w = np.sqrt(rule.weights)
-    a_mat = sqrt_w[:, None] * kernel_matrix(spec, rule.nodes) * sqrt_w[None, :]
-    sign, log_abs = np.linalg.slogdet(np.eye(m) - a_mat)
+    hat_j = None
+    if kernel_override is not None:
+        kernel = np.asarray(kernel_override(rule.nodes), dtype=float)
+        hat_j = hat_bessel_j(spec.a, rule.nodes)
+    elif spec.family == "bessel":
+        hat_j = np.empty(m)
+        kernel = kernel_matrix(spec, rule.nodes, hat_j_out=hat_j)
+    else:
+        kernel = kernel_matrix(spec, rule.nodes)
+    system = np.eye(m) - sqrt_w[:, None] * kernel * sqrt_w[None, :]
+    return system, None if hat_j is None else sqrt_w * hat_j
+
+
+def _det_of(system: np.ndarray, s: float, m: int) -> float:
+    sign, log_abs = np.linalg.slogdet(system)
     if sign == 0.0:
         raise NumericError(f"discretized determinant is exactly singular at s={s!r}, m={m}")
     if sign < 0.0:
@@ -74,11 +95,32 @@ def _det_value(spec: KernelSpec, s: float, m: int) -> float:
     return math.exp(log_abs)
 
 
-def nystrom_det(spec: KernelSpec, s, m=DEFAULT_NODES) -> DeterminantResult:
-    """det(I - Khat on L^2((0,s); x^a dx)) with an m vs m+10 error estimate."""
-    s = _check_interval(s)
-    m = _check_m(m)
-    value = _det_value(spec, s, m)
+def _quadratic_form_of(system: np.ndarray, b: np.ndarray, s: float, m: int) -> float:
+    try:
+        v = np.linalg.solve(system, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"resolvent system is singular at s={s!r}, m={m}") from exc
+    value = float(b @ v)
+    if value <= 0.0:
+        raise NumericError(
+            f"resolvent quadratic form lost positivity at s={s!r}, m={m}: {value!r}"
+        )
+    return value
+
+
+def _det_value(spec: KernelSpec, s: float, m: int) -> float:
+    return _det_of(_assemble(spec, s, m)[0], s, m)
+
+
+def _det_and_log_derivative(spec: KernelSpec, s: float, m: int) -> tuple[float, float]:
+    """det(I - A) and the resolvent log-derivative from one assembly (limit kernel)."""
+    system, b = _assemble(spec, s, m)
+    value = _det_of(system, s, m)
+    return value, -_quadratic_form_of(system, b, s, m) / (4.0 * s)
+
+
+def _det_result(spec: KernelSpec, s: float, m: int, value: float) -> DeterminantResult:
+    """Attach the m vs m+10 error estimate to the determinant value at m nodes."""
     refined = _det_value(spec, s, m + 10)
     if not 0.0 < value <= 1.0 + 1e-8:
         raise NumericError(
@@ -86,6 +128,23 @@ def nystrom_det(spec: KernelSpec, s, m=DEFAULT_NODES) -> DeterminantResult:
             f"(refined value {refined!r}); kernel spec {spec!r}"
         )
     return DeterminantResult(value=value, error_estimate=abs(value - refined), m=m)
+
+
+def _richardson_derivative(fn, s: float) -> float:
+    """Central difference of fn at s with step 1e-3 s and one Richardson refinement."""
+
+    def central(h: float) -> float:
+        return (fn(s + h) - fn(s - h)) / (2.0 * h)
+
+    h = 1e-3 * s
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
+
+
+def nystrom_det(spec: KernelSpec, s, m=DEFAULT_NODES) -> DeterminantResult:
+    """det(I - Khat on L^2((0,s); x^a dx)) with an m vs m+10 error estimate."""
+    s = _check_interval(s)
+    m = _check_m(m)
+    return _det_result(spec, s, m, _det_value(spec, s, m))
 
 
 def gram_det(a, n, t, m) -> float:
@@ -114,16 +173,7 @@ def gram_det(a, n, t, m) -> float:
     decay = np.exp(-0.5 * x)
     basis = np.empty((n, m))
     norm = math.exp(-0.5 * log_gamma(a + 1.0))  # sqrt(k!/Gamma(k+a+1)) at k=0
-    prev = np.ones(m)
-    curr = 1.0 + a - x
-    for k in range(n):
-        if k == 0:
-            lk = prev
-        elif k == 1:
-            lk = curr
-        else:
-            prev, curr = curr, ((2.0 * (k - 1) + 1.0 + a - x) * curr - (k - 1 + a) * prev) / k
-            lk = curr
+    for k, lk in enumerate(_laguerre_terms(n - 1, a, x)):
         basis[k] = norm * decay * lk
         norm *= math.sqrt((k + 1.0) / (k + a + 1.0))
     gram = (basis * rule.weights) @ basis.T
@@ -145,24 +195,8 @@ def resolvent_quadratic_form(spec: KernelSpec, s, m=DEFAULT_NODES, kernel_overri
         raise DomainError("resolvent_quadratic_form is defined for the limit kernel")
     s = _check_interval(s)
     m = _check_m(m)
-    rule = _rule(m, spec.a, s)
-    sqrt_w = np.sqrt(rule.weights)
-    if kernel_override is None:
-        kernel = kernel_matrix(spec, rule.nodes)
-    else:
-        kernel = np.asarray(kernel_override(rule.nodes), dtype=float)
-    a_mat = sqrt_w[:, None] * kernel * sqrt_w[None, :]
-    b = sqrt_w * np.array([hat_bessel_j(spec.a, xi) for xi in rule.nodes])
-    try:
-        v = np.linalg.solve(np.eye(m) - a_mat, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"resolvent system is singular at s={s!r}, m={m}") from exc
-    value = float(b @ v)
-    if value <= 0.0:
-        raise NumericError(
-            f"resolvent quadratic form lost positivity at s={s!r}, m={m}: {value!r}"
-        )
-    return value
+    system, b = _assemble(spec, s, m, kernel_override)
+    return _quadratic_form_of(system, b, s, m)
 
 
 def log_derivative(spec: KernelSpec, s, m=DEFAULT_NODES, method="resolvent") -> float:
@@ -178,12 +212,5 @@ def log_derivative(spec: KernelSpec, s, m=DEFAULT_NODES, method="resolvent") -> 
         return -resolvent_quadratic_form(spec, s, m) / (4.0 * s)
     if method == "finite_difference":
         m = _check_m(m)
-
-        def central(h: float) -> float:
-            upper = _det_value(spec, s + h, m)
-            lower = _det_value(spec, s - h, m)
-            return (math.log(upper) - math.log(lower)) / (2.0 * h)
-
-        h = 1e-3 * s
-        return (4.0 * central(0.5 * h) - central(h)) / 3.0
+        return _richardson_derivative(lambda t: math.log(_det_value(spec, t, m)), s)
     raise DomainError(f"unknown derivative method {method!r}")

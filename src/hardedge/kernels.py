@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import Z_MAX, bessel_entire, laguerre, log_gamma, require_order
+from .specfun import Z_MAX, _laguerre_terms, bessel_entire, laguerre_pair, log_gamma, require_order
 
 # Relative |x - y| below which the confluent branch replaces the divided
 # difference (the closed forms lose roughly |x-y|^{-1} digits there).  The
@@ -107,10 +107,18 @@ def _check_range(a: float, x: float, y: float) -> None:
         raise DomainError(f"kernel arguments must lie in [0, {4.0 * Z_MAX:g}]")
 
 
-def _bessel_diag(a: float, u: float) -> float:
-    return 4.0 ** (-a - 1.0) * (
-        bessel_entire(a, u) ** 2 - bessel_entire(a - 1.0, u) * bessel_entire(a + 1.0, u)
-    )
+def _bessel_offdiag(a: float, ja_u, jm_u, ja_v, jm_v, gap):
+    """Limit kernel from j_a, j_{a-1} at u = x/4 and v = y/4, gap = u - v.
+
+    Takes scalars or broadcasting arrays, so the pointwise kernel and
+    kernel_matrix share this one formula.
+    """
+    return 4.0 ** (-a - 1.0) * (ja_u * jm_v - jm_u * ja_v) / gap
+
+
+def _bessel_confluent(a: float, ja, jm, jp):
+    """Confluent limit kernel from j_a, j_{a-1}, j_{a+1} at one point u."""
+    return 4.0 ** (-a - 1.0) * (ja * ja - jm * jp)
 
 
 def bessel_kernel_entire(a, x, y) -> float:
@@ -120,13 +128,16 @@ def bessel_kernel_entire(a, x, y) -> float:
     y = float(y)
     _check_range(a, x, y)
     if _near_diagonal(x, y):
-        return _bessel_diag(a, 0.125 * (x + y))
+        u = 0.125 * (x + y)
+        return _bessel_confluent(
+            a, bessel_entire(a, u), bessel_entire(a - 1.0, u), bessel_entire(a + 1.0, u)
+        )
     u = 0.25 * x
     v = 0.25 * y
-    num = bessel_entire(a, u) * bessel_entire(a - 1.0, v) - bessel_entire(
-        a - 1.0, u
-    ) * bessel_entire(a, v)
-    return 4.0 ** (-a - 1.0) * num / (u - v)
+    return _bessel_offdiag(
+        a, bessel_entire(a, u), bessel_entire(a - 1.0, u),
+        bessel_entire(a, v), bessel_entire(a - 1.0, v), u - v,
+    )
 
 
 def _finite_log_prefactor(a: float, n: int, rho: float) -> float:
@@ -134,29 +145,20 @@ def _finite_log_prefactor(a: float, n: int, rho: float) -> float:
     return log_gamma(n + 1.0) - log_gamma(n + a) + a * math.log(rho)
 
 
-def _finite_diag(spec: KernelSpec, x) -> np.ndarray:
-    """Diagonal of the order-n entire kernel at points x (vectorized).
+def _finite_diag(spec: KernelSpec, x):
+    """Diagonal of the order-n entire kernel at x (a float or an ndarray).
 
     Uses the exact sum of squares over all degrees below n; O(n) per point
     but unconditionally stable, and valid at x = 0.
     """
     a, n, rho = spec.a, spec.n, spec.scale
-    t = np.atleast_1d(np.asarray(x, dtype=float)) * rho
-    total = np.zeros_like(t)
+    t = x * rho
+    total = np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
     coeff = math.exp(-log_gamma(a + 1.0))  # k!/Gamma(k+a+1) at k = 0
-    prev = np.ones_like(t)
-    curr = 1.0 + a - t
-    for k in range(n):
-        if k == 0:
-            lk = prev
-        elif k == 1:
-            lk = curr
-        else:
-            prev, curr = curr, ((2.0 * (k - 1) + 1.0 + a - t) * curr - (k - 1 + a) * prev) / k
-            lk = curr
+    for k, lk in enumerate(_laguerre_terms(n - 1, a, t)):
         total += coeff * lk * lk
         coeff *= (k + 1.0) / (k + a + 1.0)
-    return rho ** (a + 1.0) * np.exp(-np.atleast_1d(np.asarray(x, dtype=float)) * rho) * total
+    return rho ** (a + 1.0) * np.exp(-x * rho) * total
 
 
 def laguerre_kernel_entire(spec: KernelSpec, x, y) -> float:
@@ -167,15 +169,14 @@ def laguerre_kernel_entire(spec: KernelSpec, x, y) -> float:
     y = float(y)
     _check_range(spec.a, x, y)
     if _near_diagonal(x, y):
-        return float(_finite_diag(spec, 0.5 * (x + y))[0])
+        return float(_finite_diag(spec, 0.5 * (x + y)))
     a, n, rho = spec.a, spec.n, spec.scale
-    tx = rho * x
-    ty = rho * y
-    pn_x = laguerre(n, a, tx)
-    pn_y = laguerre(n, a, ty)
+    # one recurrence pass per argument, in float arithmetic
+    pm_x, pn_x = laguerre_pair(n, a, rho * x)
+    pm_y, pn_y = laguerre_pair(n, a, rho * y)
     # contiguous relation: L_n^{a-1} = L_n^a - L_{n-1}^a
-    qn_x = pn_x - laguerre(n - 1, a, tx)
-    qn_y = pn_y - laguerre(n - 1, a, ty)
+    qn_x = pn_x - pm_x
+    qn_y = pn_y - pm_y
     pref = math.exp(_finite_log_prefactor(a, n, rho) - 0.5 * rho * (x + y))
     return pref * (pn_x * qn_y - qn_x * pn_y) / (x - y)
 
@@ -187,11 +188,16 @@ def kernel_value(spec: KernelSpec, x, y) -> float:
     return laguerre_kernel_entire(spec, x, y)
 
 
-def hat_bessel_j(a, x) -> float:
-    """x^{-a/2} J_a(sqrt(x)) continued through x = 0, i.e. 2^{-a} j_a(x/4)."""
+def hat_bessel_j(a, x):
+    """x^{-a/2} J_a(sqrt(x)) continued through x = 0, i.e. 2^{-a} j_a(x/4).
+
+    x may be a scalar or an array.
+    """
     a = require_order(a)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+        x = x if x.ndim else float(x)
+    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
         raise DomainError(f"hat_bessel_j requires finite x >= 0, got {x!r}")
     return 2.0 ** (-a) * bessel_entire(a, 0.25 * x)
 
@@ -217,12 +223,14 @@ def kernel_expansion_residual(a, n, c, x, y) -> float:
     )
 
 
-def kernel_matrix(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
+def kernel_matrix(spec: KernelSpec, nodes: np.ndarray, hat_j_out=None) -> np.ndarray:
     """Entire kernel sampled on a node set, as a dense symmetric matrix.
 
     Off-diagonal entries come from the closed forms; entries whose arguments
     fall inside the near-diagonal window (including the diagonal itself) use
-    the confluent branch at the pair midpoint.
+    the confluent branch at the pair midpoint.  For the limit family, an
+    array passed as hat_j_out receives hat_j_a at the nodes, which the
+    assembly has computed anyway (the resolvent right-hand side).
     """
     x = np.asarray(nodes, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -235,22 +243,28 @@ def kernel_matrix(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
 
     if spec.family == "bessel":
         a = spec.a
+        m = x.size
         u = 0.25 * x
-        ja = np.array([bessel_entire(a, ui) for ui in u])
-        jm = np.array([bessel_entire(a - 1.0, ui) for ui in u])
-        num = ja[:, None] * jm[None, :] - jm[:, None] * ja[None, :]
+        # At the diagonal the pair midpoint is the node itself; other pairs in
+        # the window add their midpoints to the points j is evaluated at.
+        rows, cols = np.nonzero(near & ~np.eye(m, dtype=bool))
+        points = np.concatenate((u, 0.125 * (x[rows] + x[cols])))
+        ja = bessel_entire(a, points)
+        jm = bessel_entire(a - 1.0, points)
+        jp = bessel_entire(a + 1.0, points)
         den = u[:, None] - u[None, :]
         den[near] = 1.0
-        matrix = 4.0 ** (-a - 1.0) * num / den
-        rows, cols = np.nonzero(near)
-        mids = 0.125 * (x[rows] + x[cols])
-        matrix[rows, cols] = [_bessel_diag(a, ui) for ui in mids]
+        matrix = _bessel_offdiag(a, ja[:m, None], jm[:m, None], ja[None, :m], jm[None, :m], den)
+        confluent = _bessel_confluent(a, ja, jm, jp)
+        np.fill_diagonal(matrix, confluent[:m])
+        matrix[rows, cols] = confluent[m:]
+        if hat_j_out is not None:
+            hat_j_out[:] = 2.0 ** (-a) * ja[:m]
         return matrix
 
     a, n, rho = spec.a, spec.n, spec.scale
-    t = rho * x
-    pn = laguerre(n, a, t)
-    qn = pn - laguerre(n - 1, a, t)
+    pm, pn = laguerre_pair(n, a, rho * x)
+    qn = pn - pm
     half = np.exp(_finite_log_prefactor(a, n, rho) / 2.0 - 0.5 * rho * x)
     num = pn[:, None] * qn[None, :] - qn[:, None] * pn[None, :]
     den = x[:, None] - x[None, :]

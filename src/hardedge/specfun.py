@@ -1,4 +1,4 @@
-"""Scalar special functions used by every kernel evaluation.
+"""Special functions used by every kernel evaluation.
 
 The central object is ``bessel_entire``: the power series
 
@@ -9,10 +9,17 @@ z, defined for any real order.  Writing kernels in terms of j_a removes all
 fractional powers of the arguments, which is what makes spectrally accurate
 quadrature possible for non-integer weight exponents.
 
+``bessel_entire`` takes a scalar or an array of arguments.  For z > 0 it
+evaluates the library Bessel function, J_a(2 sqrt(z)) exp(-(a/2) log z),
+one vectorized call per argument array.  The in-house series remains for
+what that route cannot do: z <= 0, and the corner near z = 0 where
+J_a(2 sqrt(z)) or z^{-a/2} leaves the normal double range (large orders, or
+negative orders at tiny z); there the series has no cancellation.
+
 The remaining routines are standard numerics: a Lanczos log-gamma, the
-generalized Laguerre recurrence, the orthonormal Laguerre functions with
-log-domain normalization, and the regularized upper incomplete gamma via
-series / continued fraction.
+generalized Laguerre recurrence (one pass yields L_{n-1}^a and L_n^a), the
+orthonormal Laguerre functions with log-domain normalization, and the
+regularized upper incomplete gamma via series / continued fraction.
 """
 
 import math
@@ -25,9 +32,14 @@ from .errors import AccuracyError, DomainError, NumericError, SingularPointError
 # Largest |z| accepted by bessel_entire; kernel arguments x = 4z stay <= 1600.
 Z_MAX = 400.0
 
-# Above this the alternating series cancellation costs more than ~3 digits in
-# double precision, so positive arguments are delegated to a library Bessel J.
-_Z_SERIES = 25.0
+# The library route forms J_a(2 sqrt(z)) and z^{-a/2} separately, so both must
+# stay inside the normal double range.  Near z = 0, J_a(2 sqrt(z)) follows its
+# leading term z^{nu/2} / Gamma(nu+1) (nu = |a| at negative integer orders,
+# where J_{-n} = (-1)^n J_n).  Scanned against a 60-digit series over orders
+# -2.9..50 and z in [1e-300, 400], the route failed only where the log of
+# that term or of z^{-a/2} had left [-660, 660] (subnormal results, or
+# overflow); this bound keeps a margin of e^60 inside.
+_LOG_RANGE = 600.0
 
 # Lanczos approximation, g = 7, 9 coefficients.
 _LANCZOS_G = 7.0
@@ -86,29 +98,62 @@ def _recip_gamma(v: float) -> float:
     return math.sin(math.pi * v) * math.exp(log_gamma(1.0 - v)) / math.pi
 
 
-def bessel_entire(a, z) -> float:
+def bessel_entire(a, z):
     """The entire function j_a(z) = sum_k (-1)^k z^k / (k! Gamma(a+k+1)).
 
     Equals z^{-a/2} J_a(2 sqrt(z)) for z > 0 and is defined for all real z
     and all real orders a (series terms sitting on Gamma poles vanish).
-    Refuses |z| > Z_MAX rather than return silently degraded values.
+    z may be a scalar (a float is returned) or an array (an array of the
+    same shape is returned).  Refuses |z| > Z_MAX, elementwise, rather than
+    return silently degraded values.
     """
     a = float(a)
-    z = float(z)
-    if not (math.isfinite(a) and math.isfinite(z)):
+    if not math.isfinite(a):
+        raise DomainError(f"bessel_entire requires a finite order, got a={a!r}")
+    if not isinstance(z, float):
+        z = np.asarray(z, dtype=float)
+        if z.ndim:
+            return _bessel_entire_array(a, z)
+        z = float(z)
+    _check_bessel_arguments(a, z, math.isfinite(z), abs(z))
+    if z > 0.0:
+        log_z = np.log(z)
+        if _library_route_safe(a, log_z):
+            return float(_library_route(a, z, log_z))
+    return _bessel_series(a, z)
+
+
+def _bessel_entire_array(a: float, z: np.ndarray) -> np.ndarray:
+    _check_bessel_arguments(a, z, np.all(np.isfinite(z)), np.max(np.abs(z), initial=0.0))
+    positive = z > 0.0
+    log_z = np.log(z, out=np.zeros_like(z), where=positive)
+    library = positive & _library_route_safe(a, log_z)
+    values = np.empty_like(z)
+    values[library] = _library_route(a, z[library], log_z[library])
+    for index in zip(*np.nonzero(~library)):
+        values[index] = _bessel_series(a, float(z[index]))
+    return values
+
+
+def _check_bessel_arguments(a: float, z, finite: bool, largest: float) -> None:
+    if not finite:
         raise DomainError(f"bessel_entire requires finite arguments, got a={a!r}, z={z!r}")
-    if abs(z) > Z_MAX:
+    if largest > Z_MAX:
         raise AccuracyError(
-            f"bessel_entire is validated only for |z| <= {Z_MAX:g}, got z={z!r}"
+            f"bessel_entire is validated only for |z| <= {Z_MAX:g}, got |z| up to {largest!r}"
         )
-    if z <= _Z_SERIES:
-        # For z <= 0 the series has no cancellation at all; for small positive
-        # z it loses at most ~3 digits.
-        return _bessel_series(a, z)
-    # Large positive z: the alternating series would cancel catastrophically,
-    # while J_a itself is well conditioned.  No 0^a issue since z > 0.
-    w = 2.0 * math.sqrt(z)
-    return float(_sp.jv(a, w)) * math.exp(-0.5 * a * math.log(z))
+
+
+def _library_route_safe(a: float, log_z):
+    """Where J_a(2 sqrt(z)) and z^{-a/2} both stay far inside the double range."""
+    nu = -a if a < 0.0 and a == math.floor(a) else a
+    leading = 0.5 * nu * log_z - math.lgamma(nu + 1.0)
+    return (abs(leading) <= _LOG_RANGE) & (abs(0.5 * a * log_z) <= _LOG_RANGE)
+
+
+def _library_route(a: float, z, log_z):
+    """j_a(z) = J_a(2 sqrt(z)) exp(-(a/2) log z) for z > 0, scalar or array."""
+    return _sp.jv(a, 2.0 * np.sqrt(z)) * np.exp(-0.5 * a * log_z)
 
 
 def _bessel_series(a: float, z: float) -> float:
@@ -159,10 +204,28 @@ def bessel_j_sqrt(a, x) -> float:
     return math.exp(0.5 * a * math.log(u)) * bessel_entire(a, u)
 
 
-def laguerre(n, a, x):
-    """Generalized Laguerre polynomial L_n^a(x) by the ascending recurrence.
+def _laguerre_terms(n, a, t):
+    """Yield L_0^a(t), ..., L_n^a(t) by the ascending three-term recurrence.
 
-    Seeded with L_0 = 1 and L_1 = 1 + a - x; x may be a scalar or ndarray.
+    t is a float or an ndarray; the same arithmetic runs on either, so a
+    value does not depend on how its argument was batched.  Arguments are
+    not validated here (see laguerre_pair).
+    """
+    prev = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    yield prev
+    if n == 0:
+        return
+    curr = 1.0 + a - t
+    yield curr
+    for k in range(1, n):
+        prev, curr = curr, ((2.0 * k + 1.0 + a - t) * curr - (k + a) * prev) / (k + 1.0)
+        yield curr
+
+
+def laguerre_pair(n, a, x):
+    """(L_{n-1}^a(x), L_n^a(x)) from one pass of the recurrence (L_{-1} = 0).
+
+    x may be a scalar (floats are returned) or an ndarray.
     """
     if n != int(n) or n < 0:
         raise DomainError(f"laguerre degree must be a nonnegative integer, got {n!r}")
@@ -171,15 +234,16 @@ def laguerre(n, a, x):
     arr = np.asarray(x, dtype=float)
     if not (math.isfinite(a) and np.all(np.isfinite(arr))):
         raise DomainError("laguerre requires finite arguments")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    prev = np.ones_like(arr)
-    if n == 0:
-        return float(prev[0]) if scalar else prev
-    curr = 1.0 + a - arr
-    for k in range(1, n):
-        prev, curr = curr, ((2.0 * k + 1.0 + a - arr) * curr - (k + a) * prev) / (k + 1.0)
-    return float(curr[0]) if scalar else curr
+    t = float(arr) if arr.ndim == 0 else arr
+    prev = curr = np.zeros_like(t) if arr.ndim else 0.0
+    for value in _laguerre_terms(n, a, t):
+        prev, curr = curr, value
+    return prev, curr
+
+
+def laguerre(n, a, x):
+    """Generalized Laguerre polynomial L_n^a(x); x may be a scalar or ndarray."""
+    return laguerre_pair(n, a, x)[1]
 
 
 def laguerre_phi(k, a, x):

@@ -10,11 +10,27 @@ from hardedge import (
     limit_cdf,
     limit_density,
     limit_table,
+    log_derivative,
     reg_upper_gamma,
     resolvent_quadratic_form,
 )
+from hardedge import fredholm
 from hardedge.distributions import DistributionTable, TableRow
 from hardedge.errors import NumericError
+from hardedge.kernels import kernel_matrix
+
+
+@pytest.fixture
+def assemblies(monkeypatch):
+    """Node counts of the kernel assemblies made from here on in a test."""
+    sizes = []
+
+    def counting(spec, nodes, **kwargs):
+        sizes.append(nodes.size)
+        return kernel_matrix(spec, nodes, **kwargs)
+
+    monkeypatch.setattr(fredholm, "kernel_matrix", counting)
+    return sizes
 
 
 class TestLimitCdf:
@@ -102,6 +118,14 @@ class TestLimitDensity:
         with pytest.raises(DomainError):
             limit_density(0.5, 1.0, 40, method="magic")
 
+    @pytest.mark.parametrize("a,s", [(0.5, 2.0), (3.0, 25.0)])
+    def test_one_assembly(self, a, s, assemblies):
+        # determinant and resolvent solve share one assembly of I - A
+        value = limit_density(a, s, 50)
+        assert assemblies == [50]
+        reference = limit_cdf(a, s, 50).value * log_derivative(bessel_spec(a), s, 50)
+        assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
+
 
 class TestResolventIdentity:
     @pytest.mark.parametrize("a,s", [(0.5, 2.0), (2.0, 6.0)])
@@ -122,6 +146,15 @@ class TestTables:
             assert row.F == limit_cdf(1.0, row.s, 40).value
             assert row.f <= 0.0
             assert row.F_err < 1e-12
+
+    def test_density_table_shares_assemblies(self, assemblies):
+        # F, F_err and f of a row come from the m and m + 10 assemblies only
+        table = limit_table(2.0, [0.5, 3.0, 9.0], m=40, density=True)
+        assert sorted(assemblies) == [40] * 3 + [50] * 3
+        for row in table.rows:
+            det = limit_cdf(2.0, row.s, 40)
+            assert (row.F, row.F_err) == (det.value, det.error_estimate)
+            assert row.f == limit_density(2.0, row.s, 40)
 
     def test_finite_table_ordering_and_range(self):
         table = finite_table(0.5, 8, [1.0, 2.0, 4.0, 8.0], m=40)

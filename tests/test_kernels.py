@@ -7,6 +7,7 @@ from scipy import special as sp
 from hardedge import (
     DomainError,
     KernelSpec,
+    bessel_entire,
     bessel_kernel_entire,
     bessel_spec,
     correction_kernel,
@@ -16,6 +17,7 @@ from hardedge import (
     kernel_matrix,
     laguerre_kernel_entire,
 )
+from hardedge import kernels
 from hardedge.kernels import kernel_value
 from hardedge.quadrature import gauss_jacobi, scale_rule
 
@@ -229,13 +231,47 @@ class TestKernelExpansion:
 
 
 class TestKernelMatrix:
-    @pytest.mark.parametrize("spec", [bessel_spec(0.7), finite_spec(0.7, 12)])
-    def test_matches_pointwise(self, spec):
-        rule = scale_rule(gauss_jacobi(12, spec.a), 6.0)
+    @pytest.mark.parametrize("spec,s", [
+        pytest.param(bessel_spec(0.7), 6.0, id="spec0"),
+        pytest.param(finite_spec(0.7, 12), 6.0, id="spec1"),
+        *(
+            pytest.param(spec, s, id=f"{spec.family}-{spec.a}-{s}")
+            for a in (-0.5, 0.0, 1.0, 3.0)
+            for spec in (bessel_spec(a), finite_spec(a, 12))
+            for s in (1e-3, 6.0, 40.0)
+        ),
+    ])
+    def test_matches_pointwise(self, spec, s):
+        rule = scale_rule(gauss_jacobi(12, spec.a), s)
         matrix = kernel_matrix(spec, rule.nodes)
         for i, x in enumerate(rule.nodes):
             for j, y in enumerate(rule.nodes):
                 assert matrix[i, j] == pytest.approx(kernel_value(spec, x, y), rel=1e-13)
+
+    @pytest.mark.parametrize("s", [1e-12, 6.0])
+    def test_bessel_assembly_is_three_vector_calls(self, s, monkeypatch):
+        # j_a, j_{a-1} and j_{a+1}, each once over the nodes (plus the
+        # midpoints of any clustered pairs, as at s = 1e-12)
+        calls = []
+
+        def counting(a, z):
+            calls.append(np.shape(z))
+            return bessel_entire(a, z)
+
+        monkeypatch.setattr(kernels, "bessel_entire", counting)
+        nodes = scale_rule(gauss_jacobi(50, 0.5), s).nodes
+        kernel_matrix(bessel_spec(0.5), nodes)
+        assert len(calls) == 3
+        assert all(len(shape) == 1 and shape[0] >= 50 for shape in calls)
+
+    def test_hat_j_out_is_the_pointwise_hat_j(self):
+        rule = scale_rule(gauss_jacobi(20, 1.5), 30.0)
+        hat_j = np.empty(20)
+        matrix = kernel_matrix(bessel_spec(1.5), rule.nodes, hat_j_out=hat_j)
+        assert np.array_equal(matrix, kernel_matrix(bessel_spec(1.5), rule.nodes))
+        for x, value in zip(rule.nodes, hat_j):
+            assert value == pytest.approx(hat_bessel_j(1.5, x), rel=1e-14)
+        assert np.array_equal(hat_bessel_j(1.5, rule.nodes), hat_j)
 
     def test_exact_symmetry(self):
         for spec in (bessel_spec(-0.5), finite_spec(1.5, 30)):

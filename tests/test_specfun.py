@@ -12,6 +12,7 @@ from hardedge import (
     bessel_entire,
     bessel_j_sqrt,
     laguerre,
+    laguerre_pair,
     laguerre_phi,
     log_gamma,
     reg_upper_gamma,
@@ -121,6 +122,52 @@ class TestBesselEntire:
         with pytest.raises(DomainError):
             bessel_entire(0.0, math.nan)
 
+    @pytest.mark.parametrize("a", [-2.5, -1.0, -0.5, 0.0, 0.7, 2.5, 7.0, 20.0])
+    def test_array_against_series_oracle(self, a):
+        # one call over a mixed array: negative arguments and the origin take
+        # the series, tiny to maximal positive ones the library route
+        z = np.array([3.0, -50.0, 1e-12, 399.9, 0.0, 1e-6, -1.3, 0.3, 24.0, 60.0, 150.0, 400.0])
+        values = bessel_entire(a, z)
+        assert values.shape == z.shape
+        for zi, value in zip(z, values):
+            ref = bessel_series_oracle(a, zi)
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (a, zi)
+            # an array element is the value of the scalar call
+            assert abs(value - bessel_entire(a, float(zi))) <= 1e-15 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("a,z", [
+        (20.0, 1e-12), (30.0, 1e-18), (50.0, 1e-9), (50.0, 1e-3),
+        (-2.9, 1e-230), (-2.5, 1e-260), (-2.0, 1e-200), (3.0, 1e-215),
+    ])
+    def test_relative_accuracy_near_origin(self, a, z):
+        # where J_a(2 sqrt z) or z^{-a/2} leaves the double range the series
+        # must take over; an absolute tolerance could not see that, since
+        # j_a(z) is tiny at large orders
+        ref = bessel_series_oracle(a, z)
+        for value in (bessel_entire(a, z), bessel_entire(a, np.array([z, 1.0]))[0]):
+            assert math.isfinite(value)
+            assert abs(value - ref) <= 1e-12 * abs(ref), (a, z)
+
+    def test_array_shapes(self):
+        z = np.linspace(0.0, 30.0, 12).reshape(3, 4)
+        values = bessel_entire(0.5, z)
+        assert values.shape == (3, 4)
+        assert values[2, 3] == bessel_entire(0.5, np.array([30.0]))[0]
+        assert bessel_entire(0.5, np.array([])).shape == (0,)
+        assert isinstance(bessel_entire(0.5, np.float64(2.0)), float)
+
+    def test_array_refusals(self):
+        with pytest.raises(AccuracyError):
+            bessel_entire(0.0, np.array([1.0, 400.5, 2.0]))
+        with pytest.raises(AccuracyError):
+            bessel_entire(1.5, np.array([-401.0, 0.0]))
+        with pytest.raises(DomainError):
+            bessel_entire(0.0, np.array([1.0, math.nan]))
+        with pytest.raises(DomainError):
+            bessel_entire(0.0, np.array([math.inf, 1.0]))
+        with pytest.raises(DomainError):
+            bessel_entire(math.nan, np.array([1.0]))
+
 
 class TestBesselJSqrt:
     def test_at_zero(self):
@@ -179,6 +226,25 @@ class TestLaguerre:
         vals = laguerre(3, 0.5, x)
         assert vals.shape == x.shape
         assert vals[0] == pytest.approx(laguerre(3, 0.5, 0.0))
+
+    def test_pair_is_one_pass_of_the_recurrence(self):
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            n = int(rng.integers(1, 120))
+            a = float(rng.uniform(-0.9, 5.0))
+            x = rng.uniform(0.0, 20.0, size=5)
+            prev, curr = laguerre_pair(n, a, x)
+            assert np.array_equal(prev, laguerre(n - 1, a, x))
+            assert np.array_equal(curr, laguerre(n, a, x))
+        assert laguerre_pair(0, 0.5, 2.0) == (0.0, 1.0)
+
+    def test_scalar_equals_array_element(self):
+        # the recurrence runs in float or ndarray arithmetic, with the same
+        # operations in the same order, so batching cannot change a value
+        x = np.linspace(0.0, 40.0, 9)
+        for n in (1, 2, 7, 400):
+            batch = laguerre(n, 1.3, x)
+            assert [laguerre(n, 1.3, float(xi)) for xi in x] == batch.tolist()
 
     def test_domain(self):
         with pytest.raises(DomainError):

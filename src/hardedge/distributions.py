@@ -80,9 +80,7 @@ def _check_s(s) -> float:
 
 def limit_cdf(a, s, m=DEFAULT_NODES) -> DeterminantResult:
     """Gap probability F(s) of the hard-edge limit law."""
-    a = require_order(a)
-    s = _check_s(s)
-    return nystrom_det(bessel_spec(a), s, m)
+    return nystrom_det(*_limit_point(a, s, m))
 
 
 def _finite_kernel_spec(a, n, scaling, c):
@@ -106,6 +104,19 @@ def finite_cdf(a, n, s, scaling="standard", m=DEFAULT_NODES, c=None) -> Determin
     return nystrom_det(_finite_kernel_spec(a, n, scaling, c), s, m)
 
 
+def _limit_point(a, s, m):
+    """(kernel spec, s, m) of the limit law, after the public argument checks."""
+    return bessel_spec(require_order(a)), _check_s(s), _check_m(m)
+
+
+def _finite_value(a, n, s, scaling, m) -> float:
+    """finite_cdf(a, n, s, scaling, m).value from the one assembly at m nodes,
+    without the m+10 error estimate."""
+    a = require_order(a)
+    s = _check_s(s)
+    return _det_value(_finite_kernel_spec(a, n, scaling, None), s, _check_m(m))
+
+
 def limit_density(a, s, m=DEFAULT_NODES, method="resolvent") -> float:
     """Derivative f(s) = dF/ds of the limit law (nonpositive).
 
@@ -114,10 +125,7 @@ def limit_density(a, s, m=DEFAULT_NODES, method="resolvent") -> float:
     finite_difference:  central differences of the determinant itself with
                         one Richardson refinement (validation path).
     """
-    a = require_order(a)
-    s = _check_s(s)
-    m = _check_m(m)
-    spec = bessel_spec(a)
+    spec, s, m = _limit_point(a, s, m)
     if method == "resolvent":
         value, log_slope = _det_and_log_derivative(spec, s, m)
         return value * log_slope
@@ -129,10 +137,7 @@ def limit_density(a, s, m=DEFAULT_NODES, method="resolvent") -> float:
 def _limit_row(a, s, m) -> TableRow:
     """F with its error estimate and f = dF/ds from the m and m+10 assemblies
     only: the determinant and the resolvent solve share the one at m."""
-    a = require_order(a)
-    s = _check_s(s)
-    m = _check_m(m)
-    spec = bessel_spec(a)
+    spec, s, m = _limit_point(a, s, m)
     value, log_slope = _det_and_log_derivative(spec, s, m)
     det = _det_result(spec, s, m, value)
     return TableRow(s=s, F=det.value, f=value * log_slope, F_err=det.error_estimate)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import finite_cdf, limit_cdf, limit_density
+from .distributions import _finite_value, _limit_point
 from .errors import DomainError
+from .fredholm import _det_and_log_derivative, _det_value
 from .kernels import kernel_expansion_residual
 from .specfun import bessel_entire, laguerre
 
@@ -103,22 +104,21 @@ def conjecture_residual(a, n, s, m=STUDY_NODES) -> float:
     The second-order remainder of the corrected expansion; without the
     (a/2n) s f(s) term the difference |F_n - F| only decays like 1/n.
     """
-    value_n = finite_cdf(a, n, s, scaling="standard", m=m).value
-    value = limit_cdf(a, s, m).value
-    slope = limit_density(a, s, m, method="resolvent")
-    return abs(value_n - value - (a / (2.0 * n)) * s * slope)
+    value_n = _finite_value(a, n, s, "standard", m)
+    value, log_slope = _det_and_log_derivative(*_limit_point(a, s, m))
+    return abs(value_n - value - (a / (2.0 * n)) * s * (value * log_slope))
 
 
 def uncorrected_difference(a, n, s, m=STUDY_NODES) -> float:
     """|F_n(s) - F(s)|, the first-order benchmark for conjecture_residual."""
-    value_n = finite_cdf(a, n, s, scaling="standard", m=m).value
-    return abs(value_n - limit_cdf(a, s, m).value)
+    value_n = _finite_value(a, n, s, "standard", m)
+    return abs(value_n - _det_value(*_limit_point(a, s, m)))
 
 
 def optimal_scaling_residual(a, n, s, m=STUDY_NODES) -> float:
     """|F_n under the optimally tuned scaling - F(s)|; decays like n^-2."""
-    value_n = finite_cdf(a, n, s, scaling="optimal", m=m).value
-    return abs(value_n - limit_cdf(a, s, m).value)
+    value_n = _finite_value(a, n, s, "optimal", m)
+    return abs(value_n - _det_value(*_limit_point(a, s, m)))
 
 
 def taylor_step_residual(a, n, s, m=STUDY_NODES) -> float:
@@ -128,10 +128,9 @@ def taylor_step_residual(a, n, s, m=STUDY_NODES) -> float:
     the corrected expansion at the plain scaling; also O(n^-2).
     """
     stretched = s / (1.0 - a / (2.0 * n))
-    value_stretched = limit_cdf(a, stretched, m).value
-    value = limit_cdf(a, s, m).value
-    slope = limit_density(a, s, m, method="resolvent")
-    return abs(value_stretched - value - (a / (2.0 * n)) * s * slope)
+    value_stretched = _det_value(*_limit_point(a, stretched, m))
+    value, log_slope = _det_and_log_derivative(*_limit_point(a, s, m))
+    return abs(value_stretched - value - (a / (2.0 * n)) * s * (value * log_slope))
 
 
 def mehler_heine_residual(a, n, z) -> float:

@@ -92,7 +92,10 @@ def _det_of(system: np.ndarray, s: float, m: int) -> float:
             f"discretized determinant came out negative (s={s!r}, m={m}); "
             "the projection-kernel range invariant 0 < det <= 1 is violated"
         )
-    return math.exp(log_abs)
+    value = math.exp(log_abs)
+    if not 0.0 < value <= 1.0 + 1e-8:
+        raise NumericError(f"determinant {value!r} escaped (0, 1] at s={s!r}, m={m}")
+    return value
 
 
 def _quadratic_form_of(system: np.ndarray, b: np.ndarray, s: float, m: int) -> float:
@@ -122,11 +125,6 @@ def _det_and_log_derivative(spec: KernelSpec, s: float, m: int) -> tuple[float, 
 def _det_result(spec: KernelSpec, s: float, m: int, value: float) -> DeterminantResult:
     """Attach the m vs m+10 error estimate to the determinant value at m nodes."""
     refined = _det_value(spec, s, m + 10)
-    if not 0.0 < value <= 1.0 + 1e-8:
-        raise NumericError(
-            f"determinant {value!r} escaped (0, 1] at s={s!r}, m={m} "
-            f"(refined value {refined!r}); kernel spec {spec!r}"
-        )
     return DeterminantResult(value=value, error_estimate=abs(value - refined), m=m)
 
 

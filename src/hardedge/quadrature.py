@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .specfun import log_gamma, require_order
+from .specfun import require_order
 
 DEFAULT_NODES = 50
 MAX_NODES = 500
@@ -78,9 +78,7 @@ def gauss_jacobi(m, a) -> QuadratureRule:
     """
     if m != int(m) or not 1 <= int(m) <= MAX_NODES:
         raise DomainError(f"node count must be an integer in [1, {MAX_NODES}], got {m!r}")
-    a = require_order(a)
-    nodes, weights = _reference_rule(int(m), a)
-    return _checked(nodes, weights, 1.0, a)
+    return _reference_rule(int(m), require_order(a))
 
 
 def scale_rule(rule: QuadratureRule, s) -> QuadratureRule:
@@ -97,7 +95,9 @@ def scale_rule(rule: QuadratureRule, s) -> QuadratureRule:
 
 
 @lru_cache(maxsize=512)
-def _reference_rule(m: int, a: float):
+def _reference_rule(m: int, a: float) -> QuadratureRule:
+    """The checked rule on (0, 1).  Every caller shares the cached object, so
+    its arrays are write-protected and the check runs once, at the build."""
     diag, off, mass = _jacobi_coefficients(m, a)
     t, first_sq = _tridiag_eigen(diag, off)
     # map (-1, 1) -> (0, 1): x = (1+t)/2 absorbs 2^{-(a+1)} into the weights
@@ -105,7 +105,7 @@ def _reference_rule(m: int, a: float):
     weights = mass * first_sq * 0.5 ** (a + 1.0)
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return nodes, weights
+    return _checked(nodes, weights, 1.0, a)
 
 
 def _jacobi_coefficients(m: int, a: float):
@@ -113,8 +113,8 @@ def _jacobi_coefficients(m: int, a: float):
     diag = np.empty(m)
     off = np.empty(m - 1) if m > 1 else np.empty(0)
     diag[0] = a / (a + 2.0)
-    # total mass integral_{-1}^{1} (1+t)^a dt = 2^{a+1} / (a+1)
-    mass = 2.0 ** (a + 1.0) * math.exp(log_gamma(a + 1.0) - log_gamma(a + 2.0))
+    # total mass integral_{-1}^{1} (1+t)^a dt
+    mass = 2.0 ** (a + 1.0) / (a + 1.0)
     if m > 1:
         off[0] = math.sqrt(4.0 * (a + 1.0) / ((a + 2.0) ** 2 * (a + 3.0)))
     for k in range(1, m):

@@ -16,10 +16,11 @@ what that route cannot do: z <= 0, and the corner near z = 0 where
 J_a(2 sqrt(z)) or z^{-a/2} leaves the normal double range (large orders, or
 negative orders at tiny z); there the series has no cancellation.
 
-The remaining routines are standard numerics: a Lanczos log-gamma, the
-generalized Laguerre recurrence (one pass yields L_{n-1}^a and L_n^a), the
-orthonormal Laguerre functions with log-domain normalization, and the
-regularized upper incomplete gamma via series / continued fraction.
+The remaining routines are standard numerics: the generalized Laguerre
+recurrence (one pass yields L_{n-1}^a and L_n^a) and the orthonormal
+Laguerre functions with log-domain normalization.  Log-gamma, 1/Gamma and
+the regularized upper incomplete gamma are the library functions behind
+argument checks.
 """
 
 import math
@@ -41,22 +42,6 @@ Z_MAX = 400.0
 # overflow); this bound keeps a margin of e^60 inside.
 _LOG_RANGE = 600.0
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def require_order(a) -> float:
     """Validate the weight/order parameter a > -1 shared by the whole library."""
@@ -67,35 +52,11 @@ def require_order(a) -> float:
 
 
 def log_gamma(x) -> float:
-    """ln Gamma(x) for x > 0 (Lanczos approximation).
-
-    Arguments below 0.5 are lifted with the recurrence
-    ln Gamma(x) = ln Gamma(x+1) - ln x so the rational core stays on the
-    well-conditioned range.
-    """
+    """ln Gamma(x) for x > 0."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    shift = 0.0
-    while x < 0.5:
-        shift -= math.log(x)
-        x += 1.0
-    xm = x - 1.0
-    series = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        series += _LANCZOS_C[i] / (xm + i)
-    t = xm + _LANCZOS_G + 0.5
-    return shift + _LOG_SQRT_TWO_PI + (xm + 0.5) * math.log(t) - t + math.log(series)
-
-
-def _recip_gamma(v: float) -> float:
-    """1 / Gamma(v) for any real v; zero at the poles v = 0, -1, -2, ..."""
-    if v > 0.0:
-        return math.exp(-log_gamma(v))
-    if v == math.floor(v):
-        return 0.0
-    # reflection: 1/Gamma(v) = sin(pi v) Gamma(1 - v) / pi
-    return math.sin(math.pi * v) * math.exp(log_gamma(1.0 - v)) / math.pi
+    return math.lgamma(x)
 
 
 def bessel_entire(a, z):
@@ -164,11 +125,12 @@ def _bessel_series(a: float, z: float) -> float:
     factorial = 1.0
     sign = 1.0
     for k in range(k0):
-        total += sign * zk * _recip_gamma(a + k + 1.0) / factorial
+        # 1/Gamma vanishes at the poles a + k + 1 = 0, -1, -2, ...
+        total += sign * zk * float(_sp.rgamma(a + k + 1.0)) / factorial
         zk *= z
         factorial *= k + 1.0
         sign = -sign
-    term = sign * zk * _recip_gamma(a + k0 + 1.0) / factorial
+    term = sign * zk * float(_sp.rgamma(a + k0 + 1.0)) / factorial
     k = k0
     consecutive_small = 0
     while True:
@@ -270,55 +232,9 @@ def laguerre_phi(k, a, x):
 
 
 def reg_upper_gamma(p, t) -> float:
-    """Regularized upper incomplete gamma Q(p, t) = Gamma(p, t) / Gamma(p).
-
-    Power series for the lower function when t < p + 1, Lentz continued
-    fraction otherwise.
-    """
+    """Regularized upper incomplete gamma Q(p, t) = Gamma(p, t) / Gamma(p)."""
     p = float(p)
     t = float(t)
     if not (math.isfinite(p) and math.isfinite(t)) or p <= 0.0 or t < 0.0:
         raise DomainError(f"reg_upper_gamma requires p > 0 and t >= 0, got p={p!r}, t={t!r}")
-    if t == 0.0:
-        return 1.0
-    if t < p + 1.0:
-        return 1.0 - _reg_lower_series(p, t)
-    return _reg_upper_contfrac(p, t)
-
-
-def _reg_lower_series(p: float, t: float) -> float:
-    # P(p, t) = t^p e^{-t} / Gamma(p+1) * sum_k t^k / ((p+1)...(p+k))
-    term = 1.0
-    total = 1.0
-    denom = p
-    for _ in range(500):
-        denom += 1.0
-        term *= t / denom
-        total += term
-        if abs(term) < 1e-16 * abs(total):
-            return total * math.exp(p * math.log(t) - t - log_gamma(p + 1.0))
-    raise NumericError(f"incomplete gamma series did not converge at p={p!r}, t={t!r}")
-
-
-def _reg_upper_contfrac(p: float, t: float) -> float:
-    # modified Lentz evaluation of the standard continued fraction for Q
-    tiny = 1e-300
-    b = t + 1.0 - p
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - p)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h * math.exp(p * math.log(t) - t - log_gamma(p))
-    raise NumericError(f"incomplete gamma continued fraction stalled at p={p!r}, t={t!r}")
+    return float(_sp.gammaincc(p, t))

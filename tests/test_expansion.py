@@ -6,8 +6,11 @@ import pytest
 from hardedge import (
     DomainError,
     conjecture_residual,
+    finite_cdf,
     fit_slope,
     kernel_expansion_rate,
+    limit_cdf,
+    limit_density,
     log_gamma,
     mehler_heine_residual,
     optimal_scaling_residual,
@@ -15,7 +18,9 @@ from hardedge import (
     taylor_step_residual,
     uncorrected_difference,
 )
-from hardedge.expansion import make_grid
+from hardedge import fredholm
+from hardedge.expansion import STUDY_NODES, make_grid
+from hardedge.kernels import kernel_matrix
 
 ORDERS = (50, 100, 200, 400)
 SECOND_ORDER = (-2.3, -1.7)
@@ -64,6 +69,48 @@ class TestRateReport:
         assert not report.degenerate
         assert report.residuals == tuple(3.0 * n ** -2.0 for n in ORDERS)
         assert report.fitted_slope == pytest.approx(-2.0, abs=1e-12)
+
+
+def _corrected(value_n, value, slope, a, n, s):
+    return abs(value_n - value - (a / (2.0 * n)) * s * slope)
+
+
+# Each residual as the public functions give it: every term from a full
+# evaluation with its m + 10 error estimate, which the residual discards.
+PUBLIC_FORMULAS = {
+    conjecture_residual: lambda a, n, s, m: _corrected(
+        finite_cdf(a, n, s, scaling="standard", m=m).value,
+        limit_cdf(a, s, m).value, limit_density(a, s, m), a, n, s),
+    uncorrected_difference: lambda a, n, s, m: abs(
+        finite_cdf(a, n, s, scaling="standard", m=m).value - limit_cdf(a, s, m).value),
+    optimal_scaling_residual: lambda a, n, s, m: abs(
+        finite_cdf(a, n, s, scaling="optimal", m=m).value - limit_cdf(a, s, m).value),
+    taylor_step_residual: lambda a, n, s, m: _corrected(
+        limit_cdf(a, s / (1.0 - a / (2.0 * n)), m).value,
+        limit_cdf(a, s, m).value, limit_density(a, s, m), a, n, s),
+}
+
+
+class TestResidualAssemblies:
+    @pytest.mark.parametrize("residual", list(PUBLIC_FORMULAS), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("a,n,s", [(1.0, 100, 4.0), (0.5, 50, 10.0)])
+    def test_two_assemblies_and_public_value(self, residual, a, n, s, monkeypatch):
+        sizes = []
+
+        def counting(spec, nodes, **kwargs):
+            sizes.append(nodes.size)
+            return kernel_matrix(spec, nodes, **kwargs)
+
+        monkeypatch.setattr(fredholm, "kernel_matrix", counting)
+        value = residual(a, n, s)
+        assert sizes == [STUDY_NODES, STUDY_NODES]
+        assert value == PUBLIC_FORMULAS[residual](a, n, s, STUDY_NODES)
+
+    @pytest.mark.parametrize("residual", list(PUBLIC_FORMULAS), ids=lambda f: f.__name__)
+    def test_domain_checks_kept(self, residual):
+        for args in [(-1.0, 100, 4.0), (1.0, 100, 0.0), (1.0, 100, 1601.0), (1.0, 100, 4.0, 4)]:
+            with pytest.raises(DomainError):
+                residual(*args)
 
 
 class TestConjectureResidual:

@@ -18,6 +18,7 @@ from hardedge import (
     reg_upper_gamma,
     resolvent_quadratic_form,
 )
+from hardedge import NumericError, fredholm
 from hardedge.quadrature import gauss_jacobi, scale_rule
 
 E_INV = math.exp(-1.0)
@@ -50,6 +51,18 @@ class TestNystromDet:
         for s in [0.5, 5.0, 20.0, 40.0]:
             value = nystrom_det(bessel_spec(1.5), s, 40).value
             assert 0.0 < value <= 1.0 + 1e-12
+
+    def test_range_checked_on_every_determinant(self, monkeypatch):
+        # det(I + A) > 1 breaks the range invariant 0 < det <= 1; the
+        # difference path, which reads bare determinants, must refuse it too
+        def negated(spec, nodes, **kwargs):
+            return -kernel_matrix(spec, nodes, **kwargs)
+
+        monkeypatch.setattr(fredholm, "kernel_matrix", negated)
+        with pytest.raises(NumericError):
+            nystrom_det(bessel_spec(1.0), 4.0, 30)
+        with pytest.raises(NumericError):
+            log_derivative(bessel_spec(1.0), 4.0, 30, method="finite_difference")
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hardedge import DomainError, gauss_jacobi, reg_upper_gamma, scale_rule
+from hardedge import DomainError, NumericError, gauss_jacobi, reg_upper_gamma, scale_rule
+from hardedge import quadrature
 from hardedge.quadrature import MAX_NODES, _jacobi_coefficients
 
 
@@ -101,6 +102,27 @@ def test_scaled_rule_against_incomplete_gamma():
     value = rule.integrate(np.exp(-rule.nodes))
     expected = math.gamma(a + 1.0) * (1.0 - reg_upper_gamma(a + 1.0, s))
     assert value == pytest.approx(expected, rel=1e-12)
+
+
+def test_cached_rule_is_checked_when_built(monkeypatch):
+    # the check runs once, inside the cached build: a rule that fails it
+    # raises and is not cached, so no later call can return it unchecked
+    quadrature._reference_rule.cache_clear()
+    eigen = quadrature._tridiag_eigen
+
+    def zero_first_weight(diag, off):
+        t, first_sq = eigen(diag, off)
+        return t, np.concatenate(([0.0], first_sq[1:]))
+
+    monkeypatch.setattr(quadrature, "_tridiag_eigen", zero_first_weight)
+    for _ in range(2):
+        with pytest.raises(NumericError):
+            gauss_jacobi(12, 0.5)
+    assert quadrature._reference_rule.cache_info().currsize == 0
+    monkeypatch.undo()
+    rule = gauss_jacobi(12, 0.5)
+    assert np.all(rule.weights > 0.0)
+    assert gauss_jacobi(12, 0.5) is rule
 
 
 def test_domain_errors():

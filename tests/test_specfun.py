@@ -45,10 +45,11 @@ class TestLogGamma:
         assert log_gamma(0.5) == pytest.approx(LN_SQRT_PI, abs=1e-13)
         assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
 
-    def test_against_stdlib(self):
-        for x in np.geomspace(1e-3, 1e6, 400):
-            ref = math.lgamma(x)
-            assert abs(log_gamma(x) - ref) <= 1e-13 * max(1.0, abs(ref)), x
+    def test_against_mpmath(self):
+        with mp.workdps(30):
+            for x in np.geomspace(1e-3, 1e6, 400):
+                ref = float(mp.loggamma(x))
+                assert abs(log_gamma(x) - ref) <= 1e-13 * max(1.0, abs(ref)), x
 
     def test_recurrence(self):
         for x in np.linspace(0.1, 100.0, 211):
@@ -155,6 +156,9 @@ class TestBesselEntire:
         assert values[2, 3] == bessel_entire(0.5, np.array([30.0]))[0]
         assert bessel_entire(0.5, np.array([])).shape == (0,)
         assert isinstance(bessel_entire(0.5, np.float64(2.0)), float)
+        # the series route too: z <= 0, and the range corner near z = 0
+        assert isinstance(bessel_entire(0.5, -3.0), float)
+        assert isinstance(bessel_entire(50.0, 1e-9), float)
 
     def test_array_refusals(self):
         with pytest.raises(AccuracyError):
@@ -296,11 +300,14 @@ class TestRegUpperGamma:
         assert reg_upper_gamma(2.0, 1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
         assert reg_upper_gamma(2.0, 1.0) == pytest.approx(0.7357588823428847, rel=1e-12)
 
-    def test_against_scipy(self):
-        for p in [0.3, 1.0, 2.5, 7.0, 40.0]:
-            for t in [0.0, 0.2, 1.0, 3.0, 10.0, 80.0]:
-                ref = float(sp.gammaincc(p, t))
-                assert reg_upper_gamma(p, t) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+    def test_against_mpmath(self):
+        # past t = 400, the largest argument of the order-one law Q(a+1, s/4)
+        # on the accepted s <= 1600, and over large and small orders
+        with mp.workdps(40):
+            for p in [0.3, 1.0, 2.5, 7.0, 40.0, 150.0, 400.0]:
+                for t in [0.0, 0.2, 1.0, 3.0, 10.0, 80.0, 150.0, 400.0, 420.0, 800.0, 1600.0]:
+                    ref = float(mp.gammainc(p, t, regularized=True))
+                    assert reg_upper_gamma(p, t) == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,35 +1,6 @@
-"""Ordered parallel map, capped by the HARDEDGE_THREADS environment variable."""
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-from .errors import DomainError
-
-_ENV_VAR = "HARDEDGE_THREADS"
-
-
-def thread_budget() -> int:
-    raw = os.environ.get(_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(f"{_ENV_VAR} must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise DomainError(f"{_ENV_VAR} must be a positive integer, got {raw!r}")
-    return value
+"""Ordered map over table rows and Monte Carlo samples."""
 
 
 def ordered_map(fn, items) -> list:
-    """map(fn, items) with results in input order, possibly thread-parallel.
-
-    Work items must not depend on execution order; callers guarantee that by
-    keying any randomness to the item index.
-    """
-    items = list(items)
-    workers = min(thread_budget(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """[fn(item) for item in items], evaluated sequentially in input order."""
+    return [fn(item) for item in items]

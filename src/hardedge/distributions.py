@@ -33,10 +33,6 @@ from .specfun import Z_MAX, require_order
 SCALINGS = ("standard", "optimal", "custom")
 DENSITY_METHODS = ("resolvent", "finite_difference")
 
-# s range over which the numerics have been validated end to end; larger
-# endpoints are accepted by the kernels but are not covered by the tests.
-VALIDATED_S_MAX = 40.0
-
 
 @dataclass(frozen=True)
 class TableRow:
@@ -144,11 +140,8 @@ def _limit_row(a, s, m) -> TableRow:
 
 
 def limit_table(a, s_values, m=DEFAULT_NODES, density=False, method="resolvent") -> DistributionTable:
-    """Tabulate the limit law (and optionally its derivative) over a grid.
-
-    Rows may be evaluated in parallel (HARDEDGE_THREADS) but always come back
-    in input order.
-    """
+    """Tabulate the limit law (and optionally its derivative) over a grid,
+    one row per s value in input order."""
 
     def one(s) -> TableRow:
         if density and method == "resolvent":

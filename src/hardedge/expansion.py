@@ -16,8 +16,8 @@ import numpy as np
 from .distributions import _finite_value, _limit_point
 from .errors import DomainError
 from .fredholm import _det_and_log_derivative, _det_value
-from .kernels import kernel_expansion_residual
-from .specfun import bessel_entire, laguerre
+from .kernels import _require_n, kernel_expansion_residual
+from .specfun import bessel_entire, laguerre, require_order
 
 # Quadrature order for rate studies: determinant errors (~1e-14 at m=60)
 # must stay far below the smallest residuals being measured (~1e-7).
@@ -68,11 +68,11 @@ def fit_slope(pairs) -> tuple[float, float]:
 
 
 def _check_orders(n_list) -> tuple[int, ...]:
-    orders = tuple(int(n) for n in n_list)
+    orders = tuple(_require_n(n) for n in n_list)
     if len(orders) < 4:
         raise DomainError("rate measurement needs at least 4 orders")
-    if any(n < 1 for n in orders) or any(b <= a for a, b in zip(orders, orders[1:])):
-        raise DomainError("orders must be strictly increasing positive integers")
+    if any(b <= a for a, b in zip(orders, orders[1:])):
+        raise DomainError("orders must be strictly increasing")
     if orders[-1] < 8 * orders[0]:
         raise DomainError("orders must span at least a factor of 8")
     return orders
@@ -125,9 +125,14 @@ def taylor_step_residual(a, n, s, m=STUDY_NODES) -> float:
     """|F((1 - a/2n)^{-1} s) - F(s) - (a/2n) s f(s)| for the limit law alone.
 
     Isolates the Taylor step that converts the tuned-scaling statement into
-    the corrected expansion at the plain scaling; also O(n^-2).
+    the corrected expansion at the plain scaling; also O(n^-2).  Needs
+    1 - a/2n > 0, so that the stretched endpoint is positive.
     """
-    stretched = s / (1.0 - a / (2.0 * n))
+    a, n = require_order(a), _require_n(n)
+    shrink = 1.0 - a / (2.0 * n)
+    if shrink <= 0.0:
+        raise DomainError(f"taylor_step_residual needs 1 - a/(2n) > 0, got a={a!r}, n={n}")
+    stretched = s / shrink
     value_stretched = _det_value(*_limit_point(a, stretched, m))
     value, log_slope = _det_and_log_derivative(*_limit_point(a, s, m))
     return abs(value_stretched - value - (a / (2.0 * n)) * s * (value * log_slope))
@@ -143,9 +148,7 @@ def mehler_heine_residual(a, n, z) -> float:
     z = float(z)
     if not 0.0 <= z <= 10.0:
         raise DomainError(f"mehler_heine_residual is validated for z in [0, 10], got {z!r}")
-    if n != int(n) or n < 1:
-        raise DomainError(f"order n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _require_n(n)
     a = float(a)
     scaled = math.exp(-a * math.log(n + a)) * laguerre(n, a, z / (n + a))
     return abs(scaled - bessel_entire(a, z) + bessel_entire(a - 2.0, z) / (2.0 * n))

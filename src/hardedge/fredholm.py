@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError, NumericError
-from .kernels import KernelSpec, hat_bessel_j, kernel_matrix
+from .kernels import KernelSpec, _require_n, kernel_matrix
 from .quadrature import DEFAULT_NODES, MAX_NODES, gauss_jacobi, scale_rule
 from .specfun import _laguerre_terms, log_gamma
 
@@ -61,20 +61,16 @@ def _check_m(m) -> int:
     return int(m)
 
 
-def _assemble(spec: KernelSpec, s: float, m: int, kernel_override=None):
+def _assemble(spec: KernelSpec, s: float, m: int):
     """(I - A, b) on the m-node rule for (0, s).
 
     b_i = sqrt(w_i) hat_j_a(x_i) is the resolvent right-hand side; it comes
     out of the limit-kernel assembly (None for the finite family).
-    kernel_override (a nodes -> matrix callable) replaces the kernel.
     """
     rule = _rule(m, spec.a, s)
     sqrt_w = np.sqrt(rule.weights)
     hat_j = None
-    if kernel_override is not None:
-        kernel = np.asarray(kernel_override(rule.nodes), dtype=float)
-        hat_j = hat_bessel_j(spec.a, rule.nodes)
-    elif spec.family == "bessel":
+    if spec.family == "bessel":
         hat_j = np.empty(m)
         kernel = kernel_matrix(spec, rule.nodes, hat_j_out=hat_j)
     else:
@@ -153,9 +149,7 @@ def gram_det(a, n, t, m) -> float:
     nystrom_det.  The x^{a/2} factors of the phi's are absorbed into the
     x^a quadrature weight, so the sampled factors are entire.
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"gram_det needs integer n >= 1, got {n!r}")
-    n = int(n)
+    n = _require_n(n)
     t = _check_interval(t)
     if m != int(m) or m > MAX_NODES:
         raise DomainError(f"node count must be an integer <= {MAX_NODES}, got {m!r}")
@@ -181,19 +175,18 @@ def gram_det(a, n, t, m) -> float:
     return math.exp(log_abs)
 
 
-def resolvent_quadratic_form(spec: KernelSpec, s, m=DEFAULT_NODES, kernel_override=None) -> float:
+def resolvent_quadratic_form(spec: KernelSpec, s, m=DEFAULT_NODES) -> float:
     """<(I - K)^{-1} phi_a, phi_a> on L^2(0,s) with phi_a(x) = J_a(sqrt(x)).
 
     Realized in the x^a dx space, where phi_a becomes the entire hat_j_a:
     solve (I - A) v = b with b_i = sqrt(w_i) hat_j_a(x_i) and return b.v.
-    Restricted to the limit kernel; kernel_override (a nodes -> matrix
-    callable) is a hook for testing against explicitly known operators.
+    Restricted to the limit kernel.
     """
-    if kernel_override is None and spec.family != "bessel":
+    if spec.family != "bessel":
         raise DomainError("resolvent_quadratic_form is defined for the limit kernel")
     s = _check_interval(s)
     m = _check_m(m)
-    system, b = _assemble(spec, s, m, kernel_override)
+    system, b = _assemble(spec, s, m)
     return _quadratic_form_of(system, b, s, m)
 
 

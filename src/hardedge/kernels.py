@@ -90,9 +90,17 @@ def bessel_spec(a) -> KernelSpec:
     return KernelSpec(a=float(a), family="bessel")
 
 
+def _require_n(n) -> int:
+    """Validate an order n; integral floats such as 100.0 pass as ints."""
+    if not math.isfinite(n) or n != int(n) or n < 1:
+        raise DomainError(f"order n must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 def finite_spec(a, n, c=None) -> KernelSpec:
     """Spec for the order-n kernel; c=None selects the plain scaling x/(4n)."""
-    return KernelSpec(a=float(a), family="finite", n=int(n), c=None if c is None else float(c))
+    c = None if c is None else float(c)
+    return KernelSpec(a=float(a), family="finite", n=_require_n(n), c=c)
 
 
 def _near_diagonal(x: float, y: float) -> bool:

@@ -4,8 +4,8 @@ Samples the smallest eigenvalue of W = X X* where X is an n x (n+a) matrix
 of independent standard complex Gaussians (real and imaginary parts each
 with variance 1/2), i.e. the integer-a ensemble whose eigenvalue density
 the determinants describe.  Each sample draws from its own counter-based
-stream keyed by (seed, sample index), so batches are reproducible no matter
-how the work is scheduled.
+stream keyed by (seed, sample index), so sample i is the same whatever the
+batch size.
 
 Restricted to integer a on purpose: the Gaussian-matrix construction is the
 only sampler whose law is beyond doubt, and an oracle must never be less
@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import ordered_map
+from .distributions import _finite_value
 from .errors import DomainError, NumericError
+from .specfun import Z_MAX
 
 MAX_SAMPLER_ORDER = 200
 MIN_KS_COUNT = 1000
@@ -94,10 +96,9 @@ def analytic_smallest_cdf(a, n, m=50):
     Returns a callable suitable for ks_compare.  Unscaled eigenvalues t map
     to the hard-edge axis via s = 4 n t; beyond the kernels' validated axis
     the survival probability is below 1e-170 (it decays like e^{-n t}), so
-    the CDF is clamped to 1 there.
+    the CDF is clamped to 1 there.  Each value is the determinant at m
+    nodes alone, without the m+10 error estimate.
     """
-    from .distributions import finite_cdf
-    from .specfun import Z_MAX
 
     def cdf(t: float) -> float:
         s = 4.0 * n * float(t)
@@ -105,6 +106,6 @@ def analytic_smallest_cdf(a, n, m=50):
             return 0.0
         if s > 4.0 * Z_MAX:
             return 1.0
-        return 1.0 - finite_cdf(a, n, s, scaling="standard", m=m).value
+        return 1.0 - _finite_value(a, n, s, "standard", m)
 
     return cdf

@@ -39,13 +39,11 @@ class TestLimitCdf:
         assert format(float(cell), ".17g") == cell
         assert len(cell.replace("-", "").replace(".", "").lstrip("0").replace("e", "")) >= 15
 
-    def test_byte_stability(self, tmp_path, monkeypatch):
+    def test_byte_stability(self, tmp_path):
         first = tmp_path / "one.csv"
         second = tmp_path / "two.csv"
         argv = ["limit-cdf", "--a", "1.5", "--s-grid", "1:5:1", "--m", "40"]
-        monkeypatch.delenv("HARDEDGE_THREADS", raising=False)
         run_cli(argv + ["--output", str(first)])
-        monkeypatch.setenv("HARDEDGE_THREADS", "3")
         run_cli(argv + ["--output", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
@@ -156,7 +154,3 @@ class TestUsageAndErrors:
         # the bad value sits at the end of the grid: nothing may be computed
         code = run_cli(["limit-cdf", "--a", "0", "--s", "1,2,0"])
         assert code == 2
-
-    def test_invalid_thread_cap_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("HARDEDGE_THREADS", "many")
-        assert run_cli(["limit-cdf", "--a", "0", "--s", "4", "--m", "30"]) == 2

@@ -97,6 +97,15 @@ class TestFiniteCdf:
         with pytest.raises(DomainError):
             finite_cdf(1.0, 5, 2.0, scaling="standard", c=0.5)
 
+    def test_order_validation(self):
+        # a non-integral n is refused, not truncated to int(n)
+        for n in (2.5, 100.5, 0, -3, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                finite_cdf(1.0, n, 4.0)
+        assert finite_cdf(1.0, 100.0, 4.0) == finite_cdf(1.0, 100, 4.0)
+        assert finite_cdf(1.0, 100.0, 4.0, scaling="optimal") == finite_cdf(
+            1.0, 100, 4.0, scaling="optimal")
+
 
 class TestLimitDensity:
     def test_exponential_law_derivative(self):

@@ -59,6 +59,15 @@ class TestRateReport:
         with pytest.raises(DomainError):
             rate_report(1.0, 4.0, (50, 100, 100, 400), lambda n: 1.0 / n)
 
+    def test_orders_must_be_integers(self):
+        with pytest.raises(DomainError):
+            rate_report(1.0, 4.0, (50.5, 100, 200, 400), lambda n: 1.0 / n)
+        with pytest.raises(DomainError):
+            rate_report(1.0, 4.0, (0, 100, 200, 400), lambda n: 1.0 / n)
+        report = rate_report(1.0, 4.0, (50.0, 100.0, 200.0, 400.0), lambda n: 1.0 / n)
+        assert report.n_list == ORDERS
+        assert all(type(n) is int for n in report.n_list)
+
     def test_degenerate_flag_on_solver_noise(self):
         report = rate_report(0.0, 4.0, ORDERS, lambda n: conjecture_residual(0.0, n, 4.0, 40))
         assert report.degenerate
@@ -108,9 +117,20 @@ class TestResidualAssemblies:
 
     @pytest.mark.parametrize("residual", list(PUBLIC_FORMULAS), ids=lambda f: f.__name__)
     def test_domain_checks_kept(self, residual):
-        for args in [(-1.0, 100, 4.0), (1.0, 100, 0.0), (1.0, 100, 1601.0), (1.0, 100, 4.0, 4)]:
+        # a non-integral n must not be truncated, nor a bad one divide by zero
+        for args in [(-1.0, 100, 4.0), (1.0, 100, 0.0), (1.0, 100, 1601.0), (1.0, 100, 4.0, 4),
+                     (1.0, 2.5, 4.0), (1.0, 0, 4.0), (1.0, -3, 4.0)]:
             with pytest.raises(DomainError):
                 residual(*args)
+
+    @pytest.mark.parametrize("residual", list(PUBLIC_FORMULAS), ids=lambda f: f.__name__)
+    def test_integral_float_order(self, residual):
+        assert residual(1.0, 100.0, 4.0) == residual(1.0, 100, 4.0)
+
+    @pytest.mark.parametrize("a,n", [(2.0, 1), (3.0, 1), (5.0, 2)])
+    def test_taylor_step_needs_positive_stretch(self, a, n):
+        with pytest.raises(DomainError, match=r"1 - a/\(2n\) > 0"):
+            taylor_step_residual(a, n, 4.0)
 
 
 class TestConjectureResidual:

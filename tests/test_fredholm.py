@@ -112,12 +112,16 @@ class TestGramOracle:
 
 
 class TestResolventQuadraticForm:
-    def test_zero_kernel_hook(self):
-        # with K = 0 the functional collapses to integral_0^s J_a(sqrt x)^2 dx
+    def test_zero_kernel(self, monkeypatch):
+        # with K = 0 the functional collapses to integral_0^s J_a(sqrt x)^2 dx;
+        # the real assembly still runs, so the production hat_j_out fills b
         a, s = 0.5, 4.0
-        value = resolvent_quadratic_form(
-            bessel_spec(a), s, 40, kernel_override=lambda nodes: np.zeros((nodes.size,) * 2)
-        )
+
+        def zero_kernel(spec, nodes, **kwargs):
+            return np.zeros_like(kernel_matrix(spec, nodes, **kwargs))
+
+        monkeypatch.setattr(fredholm, "kernel_matrix", zero_kernel)
+        value = resolvent_quadratic_form(bessel_spec(a), s, 40)
         # substitute x = w^2 so the oracle integrand is smooth at the origin
         reference, err = sint.quad(
             lambda w: 2.0 * w * sp.jv(a, w) ** 2, 0.0, math.sqrt(s), limit=200

@@ -6,9 +6,12 @@ import pytest
 from hardedge import (
     DomainError,
     analytic_smallest_cdf,
+    finite_cdf,
     ks_compare,
     sample_smallest,
 )
+from hardedge import fredholm
+from hardedge.kernels import kernel_matrix
 from hardedge.montecarlo import SampleBatch
 
 
@@ -19,13 +22,6 @@ class TestSampler:
         assert np.array_equal(first.values, second.values)
         different = sample_smallest(1, 6, 300, seed=43)
         assert not np.array_equal(first.values, different.values)
-
-    def test_thread_count_does_not_change_values(self, monkeypatch):
-        monkeypatch.delenv("HARDEDGE_THREADS", raising=False)
-        serial = sample_smallest(0, 4, 400, seed=7)
-        monkeypatch.setenv("HARDEDGE_THREADS", "4")
-        threaded = sample_smallest(0, 4, 400, seed=7)
-        assert np.array_equal(serial.values, threaded.values)
 
     def test_scalar_case_is_unit_exponential(self):
         # a 1x1 draw is |CN(0,1)|^2 ~ Exp(1); the mean over 1e5 draws sits
@@ -113,3 +109,17 @@ class TestAnalyticCdf:
         assert all(b > a for a, b in zip(values, values[1:]))
         assert cdf(1e9) == 1.0
         assert cdf(0.0) == 0.0
+
+    def test_one_assembly_per_value(self, monkeypatch):
+        # the m + 10 error estimate of finite_cdf is not needed for a CDF value
+        sizes = []
+
+        def counting(spec, nodes, **kwargs):
+            sizes.append(nodes.size)
+            return kernel_matrix(spec, nodes, **kwargs)
+
+        monkeypatch.setattr(fredholm, "kernel_matrix", counting)
+        grid = [0.005, 0.02, 0.1]
+        values = [analytic_smallest_cdf(1, 20, m=50)(t) for t in grid]
+        assert sizes == [50] * len(grid)
+        assert values == [1.0 - finite_cdf(1, 20, 4.0 * 20 * t, m=50).value for t in grid]

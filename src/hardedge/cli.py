@@ -25,7 +25,6 @@ from .expansion import (
     STUDY_NODES,
     conjecture_residual,
     kernel_expansion_rate,
-    make_grid,
     mehler_heine_residual,
     optimal_scaling_residual,
     rate_report,
@@ -137,7 +136,7 @@ def _cmd_finite_cdf(args):
 def _cmd_density(args):
     a = require_order(args.a)
     s_values = _parse_s_values(args)
-    table = limit_table(a, s_values, m=args.m, density=True, method=args.method)
+    table = limit_table(a, s_values, m=args.m, density=True)
     label = "pdf" if args.pdf else "f"
     rows = [[row.s, row.F, -row.f if args.pdf else row.f] for row in table.rows]
     _emit(args, _meta("density", a=_fmt(a), m=args.m, scaling="limit"),
@@ -224,8 +223,10 @@ def _cmd_kernel_check(args):
     a = require_order(args.a)
     c = float(args.c)
     orders = _parse_orders(args.n_list)
-    grid = make_grid(limit=args.grid_max, count=args.grid_points)
-    report = kernel_expansion_rate(a, orders, c, grid)
+    if args.grid_points < 1:
+        raise DomainError(f"--grid-points must be >= 1, got {args.grid_points}")
+    axis = np.linspace(0.0, args.grid_max, args.grid_points)
+    report = kernel_expansion_rate(a, orders, c, axis)
     rows = [
         [n, report.residuals[i], report.fitted_slope, report.slope_stderr]
         for i, n in enumerate(orders)
@@ -314,8 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--a", type=float, required=True)
     _add_s_flags(sub)
     sub.add_argument("--m", type=int, default=DEFAULT_NODES)
-    sub.add_argument("--method", choices=("resolvent", "finite_difference"),
-                     default="resolvent")
     sub.add_argument("--pdf", action="store_true",
                      help="emit -f, the probability density, instead of f")
     _add_output(sub)

@@ -23,15 +23,13 @@ from .fredholm import (
     _det_and_log_derivative,
     _det_result,
     _det_value,
-    _richardson_derivative,
     nystrom_det,
 )
 from .kernels import bessel_spec, finite_spec
 from .quadrature import DEFAULT_NODES
-from .specfun import Z_MAX, require_order
+from .specfun import Z_MAX, _require_integer, require_order
 
 SCALINGS = ("standard", "optimal", "custom")
-DENSITY_METHODS = ("resolvent", "finite_difference")
 
 
 @dataclass(frozen=True)
@@ -113,57 +111,51 @@ def _finite_value(a, n, s, scaling, m) -> float:
     return _det_value(_finite_kernel_spec(a, n, scaling, None), s, _check_m(m))
 
 
-def limit_density(a, s, m=DEFAULT_NODES, method="resolvent") -> float:
+def limit_density(a, s, m=DEFAULT_NODES) -> float:
     """Derivative f(s) = dF/ds of the limit law (nonpositive).
 
-    resolvent:          f = F * d/ds log F with the log-derivative from the
-                        resolvent quadratic form (smooth, no step tuning);
-    finite_difference:  central differences of the determinant itself with
-                        one Richardson refinement (validation path).
+    f = F * d/ds log F, with F and the log-derivative (the resolvent
+    quadratic form) from one assembly of I - A at m nodes.
     """
+    value, log_slope = _det_and_log_derivative(*_limit_point(a, s, m))
+    return value * log_slope
+
+
+def _limit_row(a, s, m, density) -> TableRow:
+    """F with its m vs m+10 error estimate, and f = dF/ds if density, from
+    the m and m+10 assemblies only: f shares the one at m with F."""
     spec, s, m = _limit_point(a, s, m)
-    if method == "resolvent":
+    if density:
         value, log_slope = _det_and_log_derivative(spec, s, m)
-        return value * log_slope
-    if method == "finite_difference":
-        return _richardson_derivative(lambda t: _det_value(spec, t, m), s)
-    raise DomainError(f"density method must be one of {DENSITY_METHODS}, got {method!r}")
-
-
-def _limit_row(a, s, m) -> TableRow:
-    """F with its error estimate and f = dF/ds from the m and m+10 assemblies
-    only: the determinant and the resolvent solve share the one at m."""
-    spec, s, m = _limit_point(a, s, m)
-    value, log_slope = _det_and_log_derivative(spec, s, m)
+        f = value * log_slope
+    else:
+        value, f = _det_value(spec, s, m), None
     det = _det_result(spec, s, m, value)
-    return TableRow(s=s, F=det.value, f=value * log_slope, F_err=det.error_estimate)
+    return TableRow(s=s, F=det.value, f=f, F_err=det.error_estimate)
 
 
-def limit_table(a, s_values, m=DEFAULT_NODES, density=False, method="resolvent") -> DistributionTable:
-    """Tabulate the limit law (and optionally its derivative) over a grid,
-    one row per s value in input order."""
+def limit_table(a, s_values, m=DEFAULT_NODES, density=False) -> DistributionTable:
+    """Tabulate the limit law over a grid, one row per s value in input order.
 
-    def one(s) -> TableRow:
-        if density and method == "resolvent":
-            return _limit_row(a, s, m)
-        det = limit_cdf(a, s, m)
-        f = limit_density(a, s, m, method=method) if density else None
-        return TableRow(s=float(s), F=det.value, f=f, F_err=det.error_estimate)
-
-    rows = ordered_map(one, s_values)
-    table = DistributionTable(a=float(a), n=None, scaling="limit", m=int(m), rows=tuple(rows))
+    Each row takes F and its error estimate from the m and m+10 assemblies;
+    with density, f = dF/ds (as limit_density) comes from the one at m too.
+    """
+    a, m = require_order(a), _check_m(m)
+    rows = ordered_map(lambda s: _limit_row(a, s, m, density), s_values)
+    table = DistributionTable(a=a, n=None, scaling="limit", m=m, rows=tuple(rows))
     table.validate()
     return table
 
 
 def finite_table(a, n, s_values, scaling="standard", m=DEFAULT_NODES, c=None) -> DistributionTable:
     """Tabulate the order-n law over a grid under the requested scaling."""
+    a, n, m = require_order(a), _require_integer(n, "order n", 1), _check_m(m)
 
     def one(s) -> TableRow:
         det = finite_cdf(a, n, s, scaling=scaling, m=m, c=c)
         return TableRow(s=float(s), F=det.value, f=None, F_err=det.error_estimate)
 
     rows = ordered_map(one, s_values)
-    table = DistributionTable(a=float(a), n=int(n), scaling=scaling, m=int(m), rows=tuple(rows))
+    table = DistributionTable(a=a, n=n, scaling=scaling, m=m, rows=tuple(rows))
     table.validate()
     return table

@@ -16,8 +16,8 @@ import numpy as np
 from .distributions import _finite_value, _limit_point
 from .errors import DomainError
 from .fredholm import _det_and_log_derivative, _det_value
-from .kernels import _require_n, kernel_expansion_residual
-from .specfun import bessel_entire, laguerre, require_order
+from .kernels import bessel_spec, finite_spec, kernel_matrix
+from .specfun import _require_integer, bessel_entire, laguerre, require_order
 
 # Quadrature order for rate studies: determinant errors (~1e-14 at m=60)
 # must stay far below the smallest residuals being measured (~1e-7).
@@ -46,14 +46,14 @@ class ExpansionReport:
 def fit_slope(pairs) -> tuple[float, float]:
     """Ordinary least squares slope of ln(residual) against ln(n).
 
-    Returns (slope, standard error); needs >= 4 pairs with positive
-    residuals.
+    Returns (slope, standard error); needs >= 4 pairs with finite, strictly
+    positive orders and residuals.
     """
     pairs = [(float(n), float(r)) for n, r in pairs]
     if len(pairs) < 4:
         raise DomainError(f"slope fit needs at least 4 points, got {len(pairs)}")
-    if any(r <= 0.0 for _, r in pairs):
-        raise DomainError("slope fit needs strictly positive residuals")
+    if not all(0.0 < n < math.inf and 0.0 < r < math.inf for n, r in pairs):
+        raise DomainError("slope fit needs finite, strictly positive orders and residuals")
     x = np.log([n for n, _ in pairs])
     y = np.log([r for _, r in pairs])
     x_centered = x - x.mean()
@@ -68,7 +68,7 @@ def fit_slope(pairs) -> tuple[float, float]:
 
 
 def _check_orders(n_list) -> tuple[int, ...]:
-    orders = tuple(_require_n(n) for n in n_list)
+    orders = tuple(_require_integer(n, "order n", 1) for n in n_list)
     if len(orders) < 4:
         raise DomainError("rate measurement needs at least 4 orders")
     if any(b <= a for a, b in zip(orders, orders[1:])):
@@ -82,10 +82,12 @@ def rate_report(a, s, n_list, residual_fn) -> ExpansionReport:
     """Evaluate a residual over the orders and fit the decay slope.
 
     Residuals at solver precision mark the report degenerate (slope nan)
-    rather than fitting noise.
+    rather than fitting noise; a negative or non-finite residual is refused.
     """
     orders = _check_orders(n_list)
     residuals = tuple(float(residual_fn(n)) for n in orders)
+    if not all(0.0 <= r < math.inf for r in residuals):
+        raise DomainError(f"residuals must be finite and >= 0, got {residuals!r}")
     if min(residuals) <= DEGENERATE_FLOOR:
         return ExpansionReport(
             a=float(a), s=float(s), n_list=orders, residuals=residuals,
@@ -128,7 +130,7 @@ def taylor_step_residual(a, n, s, m=STUDY_NODES) -> float:
     the corrected expansion at the plain scaling; also O(n^-2).  Needs
     1 - a/2n > 0, so that the stretched endpoint is positive.
     """
-    a, n = require_order(a), _require_n(n)
+    a, n = require_order(a), _require_integer(n, "order n", 1)
     shrink = 1.0 - a / (2.0 * n)
     if shrink <= 0.0:
         raise DomainError(f"taylor_step_residual needs 1 - a/(2n) > 0, got a={a!r}, n={n}")
@@ -148,30 +150,25 @@ def mehler_heine_residual(a, n, z) -> float:
     z = float(z)
     if not 0.0 <= z <= 10.0:
         raise DomainError(f"mehler_heine_residual is validated for z in [0, 10], got {z!r}")
-    n = _require_n(n)
-    a = float(a)
+    n = _require_integer(n, "order n", 1)
+    a = require_order(a)
     scaled = math.exp(-a * math.log(n + a)) * laguerre(n, a, z / (n + a))
     return abs(scaled - bessel_entire(a, z) + bessel_entire(a - 2.0, z) / (2.0 * n))
 
 
-def make_grid(limit=8.0, count=9):
-    """Evaluation grid for kernel_expansion_rate: all (x, y) pairs from a
-    uniform mesh on [0, limit], diagonal included."""
-    axis = np.linspace(0.0, float(limit), int(count))
-    return [(float(x), float(y)) for x in axis for y in axis]
-
-
-def kernel_expansion_rate(a, n_list, c, grid=None) -> ExpansionReport:
-    """Worst-case pointwise kernel residual over a grid, per order, with the
-    fitted decay slope (expected near -2)."""
-    if grid is None:
-        grid = make_grid()
-    points = [(float(x), float(y)) for x, y in grid]
-    if not points:
-        raise DomainError("kernel_expansion_rate needs a non-empty grid")
-    extent = max(max(x, y) for x, y in points)
+def kernel_expansion_rate(a, n_list, c, axis=None) -> ExpansionReport:
+    """Worst kernel_expansion_residual over all (x, y) pairs of a mesh axis
+    (default: 9 points on [0, 8]) per order, with the fitted decay slope
+    (expected near -2): one kernel_matrix per order, against the limit kernel
+    and hat_j_a assembled once on the axis."""
+    c = float(c)
+    axis = np.linspace(0.0, 8.0, 9) if axis is None else np.asarray(axis, dtype=float)
+    hat_j = np.empty(axis.size)
+    limit = kernel_matrix(bessel_spec(a), axis, hat_j_out=hat_j)
+    correction = np.outer(hat_j, hat_j)
 
     def worst(n: int) -> float:
-        return max(abs(kernel_expansion_residual(a, n, c, x, y)) for x, y in points)
+        residual = kernel_matrix(finite_spec(a, n, c), axis) - limit + (c / (8.0 * n)) * correction
+        return float(np.max(np.abs(residual)))
 
-    return rate_report(a, extent, n_list, worst)
+    return rate_report(a, float(np.max(axis)), n_list, worst)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError, NumericError
-from .kernels import KernelSpec, _require_n, kernel_matrix
+from .kernels import KernelSpec, kernel_matrix
 from .quadrature import DEFAULT_NODES, MAX_NODES, gauss_jacobi, scale_rule
-from .specfun import _laguerre_terms, log_gamma
+from .specfun import _laguerre_terms, _require_integer, log_gamma
 
 # Error estimates compare m against m + 10 nodes, so m itself must leave
 # room below the quadrature cap.
@@ -54,11 +54,7 @@ def _check_interval(s) -> float:
 
 
 def _check_m(m) -> int:
-    if m != int(m) or not MIN_DET_NODES <= int(m) <= MAX_DET_NODES:
-        raise DomainError(
-            f"node count must be an integer in [{MIN_DET_NODES}, {MAX_DET_NODES}], got {m!r}"
-        )
-    return int(m)
+    return _require_integer(m, "node count", MIN_DET_NODES, MAX_DET_NODES)
 
 
 def _assemble(spec: KernelSpec, s: float, m: int):
@@ -124,16 +120,6 @@ def _det_result(spec: KernelSpec, s: float, m: int, value: float) -> Determinant
     return DeterminantResult(value=value, error_estimate=abs(value - refined), m=m)
 
 
-def _richardson_derivative(fn, s: float) -> float:
-    """Central difference of fn at s with step 1e-3 s and one Richardson refinement."""
-
-    def central(h: float) -> float:
-        return (fn(s + h) - fn(s - h)) / (2.0 * h)
-
-    h = 1e-3 * s
-    return (4.0 * central(0.5 * h) - central(h)) / 3.0
-
-
 def nystrom_det(spec: KernelSpec, s, m=DEFAULT_NODES) -> DeterminantResult:
     """det(I - Khat on L^2((0,s); x^a dx)) with an m vs m+10 error estimate."""
     s = _check_interval(s)
@@ -149,11 +135,9 @@ def gram_det(a, n, t, m) -> float:
     nystrom_det.  The x^{a/2} factors of the phi's are absorbed into the
     x^a quadrature weight, so the sampled factors are entire.
     """
-    n = _require_n(n)
+    n = _require_integer(n, "order n", 1)
     t = _check_interval(t)
-    if m != int(m) or m > MAX_NODES:
-        raise DomainError(f"node count must be an integer <= {MAX_NODES}, got {m!r}")
-    m = int(m)
+    m = _require_integer(m, "node count", 1, MAX_NODES)
     if m < n + 20:
         raise AccuracyError(
             f"gram_det needs m >= n + 20 nodes to resolve degree-2n integrands, "
@@ -196,12 +180,20 @@ def log_derivative(spec: KernelSpec, s, m=DEFAULT_NODES, method="resolvent") -> 
     The resolvent path uses the quadratic-form identity (limit kernel only);
     the finite_difference path differentiates log nystrom values centrally
     with step 1e-3 s and one Richardson refinement, and exists to validate
-    the resolvent path.
+    the resolvent path: it is the library's one finite-difference route.
     """
     s = _check_interval(s)
     if method == "resolvent":
         return -resolvent_quadratic_form(spec, s, m) / (4.0 * s)
     if method == "finite_difference":
         m = _check_m(m)
-        return _richardson_derivative(lambda t: math.log(_det_value(spec, t, m)), s)
+
+        def log_det(t: float) -> float:
+            return math.log(_det_value(spec, t, m))
+
+        def central(h: float) -> float:
+            return (log_det(s + h) - log_det(s - h)) / (2.0 * h)
+
+        h = 1e-3 * s
+        return (4.0 * central(0.5 * h) - central(h)) / 3.0
     raise DomainError(f"unknown derivative method {method!r}")

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import Z_MAX, _laguerre_terms, bessel_entire, laguerre_pair, log_gamma, require_order
+from .specfun import (Z_MAX, _laguerre_terms, _require_integer, bessel_entire, laguerre_pair,
+                      log_gamma, require_order)
 
 # Relative |x - y| below which the confluent branch replaces the divided
 # difference (the closed forms lose roughly |x-y|^{-1} digits there).  The
@@ -49,8 +50,8 @@ class KernelSpec:
 
       * c is None  -> rho = 1/(4n), the plain hard-edge scaling;
       * c given    -> rho = (1 - (a+c)/(2n)) / (4n), the modified family
-                      (c = 0 is the optimally tuned member, c = -a matches
-                      the plain scaling up to second order).
+                      (c = 0 is the optimally tuned member; c = -a gives
+                      exactly the plain scaling, since a + (-a) = 0.0).
     """
 
     a: float
@@ -63,8 +64,10 @@ class KernelSpec:
         if self.family not in _FAMILIES:
             raise DomainError(f"unknown kernel family {self.family!r}")
         if self.family == "finite":
-            if self.n is None or self.n != int(self.n) or self.n < 1:
-                raise DomainError(f"finite kernel needs integer order n >= 1, got {self.n!r}")
+            if self.n is None:
+                raise DomainError("finite kernel needs an order n")
+            # frozen: store an integral float such as 5.0 as the int 5
+            object.__setattr__(self, "n", _require_integer(self.n, "order n", 1))
             if self.c is not None and not math.isfinite(self.c):
                 raise DomainError(f"scaling parameter c must be finite, got {self.c!r}")
             if self.scale <= 0.0:
@@ -90,17 +93,10 @@ def bessel_spec(a) -> KernelSpec:
     return KernelSpec(a=float(a), family="bessel")
 
 
-def _require_n(n) -> int:
-    """Validate an order n; integral floats such as 100.0 pass as ints."""
-    if not math.isfinite(n) or n != int(n) or n < 1:
-        raise DomainError(f"order n must be an integer >= 1, got {n!r}")
-    return int(n)
-
-
 def finite_spec(a, n, c=None) -> KernelSpec:
     """Spec for the order-n kernel; c=None selects the plain scaling x/(4n)."""
     c = None if c is None else float(c)
-    return KernelSpec(a=float(a), family="finite", n=_require_n(n), c=c)
+    return KernelSpec(a=float(a), family="finite", n=n, c=c)
 
 
 def _near_diagonal(x: float, y: float) -> bool:
@@ -108,7 +104,7 @@ def _near_diagonal(x: float, y: float) -> bool:
     return abs(x - y) < NEAR_DIAGONAL_RTOL * max(1.0, abs(x), abs(y))
 
 
-def _check_range(a: float, x: float, y: float) -> None:
+def _check_range(x: float, y: float) -> None:
     if not (math.isfinite(x) and math.isfinite(y)) or x < 0.0 or y < 0.0:
         raise DomainError(f"kernel arguments must be finite and >= 0, got ({x!r}, {y!r})")
     if max(x, y) > 4.0 * Z_MAX:
@@ -134,7 +130,7 @@ def bessel_kernel_entire(a, x, y) -> float:
     a = require_order(a)
     x = float(x)
     y = float(y)
-    _check_range(a, x, y)
+    _check_range(x, y)
     if _near_diagonal(x, y):
         u = 0.125 * (x + y)
         return _bessel_confluent(
@@ -151,6 +147,23 @@ def bessel_kernel_entire(a, x, y) -> float:
 def _finite_log_prefactor(a: float, n: int, rho: float) -> float:
     # n! / Gamma(n+a) * rho^a, assembled in the log domain
     return log_gamma(n + 1.0) - log_gamma(n + a) + a * math.log(rho)
+
+
+def _finite_factors(spec: KernelSpec, x):
+    """(h, L_n^a(rho x), L_n^{a-1}(rho x)) at a float or an ndarray x, where
+    h(x) h(y) = n!/Gamma(n+a) rho^a e^{-rho(x+y)/2} is the kernel prefactor."""
+    a, n, rho = spec.a, spec.n, spec.scale
+    pm, pn = laguerre_pair(n, a, rho * x)
+    half = np.exp(_finite_log_prefactor(a, n, rho) / 2.0 - 0.5 * rho * x)
+    # contiguous relation: L_n^{a-1} = L_n^a - L_{n-1}^a
+    return half, pn, pn - pm
+
+
+def _finite_offdiag(h_x, p_x, q_x, h_y, p_y, q_y, gap):
+    """Order-n kernel from the _finite_factors at x and y, gap = x - y; on
+    scalars or broadcasting arrays, so the pointwise kernel and kernel_matrix
+    share this one formula."""
+    return h_x * h_y * (p_x * q_y - q_x * p_y) / gap
 
 
 def _finite_diag(spec: KernelSpec, x):
@@ -175,25 +188,11 @@ def laguerre_kernel_entire(spec: KernelSpec, x, y) -> float:
         raise DomainError("laguerre_kernel_entire needs a finite-family KernelSpec")
     x = float(x)
     y = float(y)
-    _check_range(spec.a, x, y)
+    _check_range(x, y)
     if _near_diagonal(x, y):
         return float(_finite_diag(spec, 0.5 * (x + y)))
-    a, n, rho = spec.a, spec.n, spec.scale
     # one recurrence pass per argument, in float arithmetic
-    pm_x, pn_x = laguerre_pair(n, a, rho * x)
-    pm_y, pn_y = laguerre_pair(n, a, rho * y)
-    # contiguous relation: L_n^{a-1} = L_n^a - L_{n-1}^a
-    qn_x = pn_x - pm_x
-    qn_y = pn_y - pm_y
-    pref = math.exp(_finite_log_prefactor(a, n, rho) - 0.5 * rho * (x + y))
-    return pref * (pn_x * qn_y - qn_x * pn_y) / (x - y)
-
-
-def kernel_value(spec: KernelSpec, x, y) -> float:
-    """Pointwise entire kernel for either family."""
-    if spec.family == "bessel":
-        return bessel_kernel_entire(spec.a, x, y)
-    return laguerre_kernel_entire(spec, x, y)
+    return float(_finite_offdiag(*_finite_factors(spec, x), *_finite_factors(spec, y), x - y))
 
 
 def hat_bessel_j(a, x):
@@ -270,14 +269,12 @@ def kernel_matrix(spec: KernelSpec, nodes: np.ndarray, hat_j_out=None) -> np.nda
             hat_j_out[:] = 2.0 ** (-a) * ja[:m]
         return matrix
 
-    a, n, rho = spec.a, spec.n, spec.scale
-    pm, pn = laguerre_pair(n, a, rho * x)
-    qn = pn - pm
-    half = np.exp(_finite_log_prefactor(a, n, rho) / 2.0 - 0.5 * rho * x)
-    num = pn[:, None] * qn[None, :] - qn[:, None] * pn[None, :]
+    half, pn, qn = _finite_factors(spec, x)
     den = x[:, None] - x[None, :]
     den[near] = 1.0
-    matrix = half[:, None] * half[None, :] * num / den
+    matrix = _finite_offdiag(
+        half[:, None], pn[:, None], qn[:, None], half[None, :], pn[None, :], qn[None, :], den
+    )
     rows, cols = np.nonzero(near)
     if rows.size:
         matrix[rows, cols] = _finite_diag(spec, 0.5 * (x[rows] + x[cols]))

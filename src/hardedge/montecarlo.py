@@ -20,7 +20,7 @@ import numpy as np
 from ._parallel import ordered_map
 from .distributions import _finite_value
 from .errors import DomainError, NumericError
-from .specfun import Z_MAX
+from .specfun import Z_MAX, _require_integer
 
 MAX_SAMPLER_ORDER = 200
 MIN_KS_COUNT = 1000
@@ -55,15 +55,10 @@ def _one_sample(a: int, n: int, seed: int, index: int) -> float:
 
 def sample_smallest(a, n, count, seed) -> SampleBatch:
     """Draw `count` independent smallest eigenvalues of the (n, a) ensemble."""
-    if a != int(a) or a < 0:
-        raise DomainError(f"sampler requires integer a >= 0, got {a!r}")
-    if n != int(n) or not 1 <= int(n) <= MAX_SAMPLER_ORDER:
-        raise DomainError(f"sampler requires 1 <= n <= {MAX_SAMPLER_ORDER}, got {n!r}")
-    if count != int(count) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    if seed != int(seed) or not 0 <= int(seed) < 2 ** 64:
-        raise DomainError(f"seed must be a 64-bit nonnegative integer, got {seed!r}")
-    a, n, count, seed = int(a), int(n), int(count), int(seed)
+    a = _require_integer(a, "sampler order a", 0)
+    n = _require_integer(n, "sampler order n", 1, MAX_SAMPLER_ORDER)
+    count = _require_integer(count, "count", 1)
+    seed = _require_integer(seed, "seed", 0, 2 ** 64 - 1)
     values = np.array(ordered_map(lambda i: _one_sample(a, n, seed, i), range(count)))
     if np.any(values <= 0.0):
         raise NumericError("sampler produced a non-positive eigenvalue")

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .specfun import require_order
+from .specfun import _require_integer, require_order
 
 DEFAULT_NODES = 50
 MAX_NODES = 500
@@ -76,9 +76,7 @@ def gauss_jacobi(m, a) -> QuadratureRule:
     -------
     QuadratureRule on (0, 1), exact for polynomials of degree <= 2m - 1.
     """
-    if m != int(m) or not 1 <= int(m) <= MAX_NODES:
-        raise DomainError(f"node count must be an integer in [1, {MAX_NODES}], got {m!r}")
-    return _reference_rule(int(m), require_order(a))
+    return _reference_rule(_require_integer(m, "node count", 1, MAX_NODES), require_order(a))
 
 
 def scale_rule(rule: QuadratureRule, s) -> QuadratureRule:

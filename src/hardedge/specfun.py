@@ -51,6 +51,16 @@ def require_order(a) -> float:
     return a
 
 
+def _require_integer(x, what: str, low: int, high=None) -> int:
+    """Validate an integer in [low, high] (high None: unbounded); integral floats
+    such as 100.0 pass as ints.  The chained comparison refuses nan and +-inf
+    and, unlike math.isfinite, takes ints beyond the float range."""
+    if not -math.inf < x < math.inf or x != int(x) or x < low or (high is not None and x > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise DomainError(f"{what} must be an integer {bounds}, got {x!r}")
+    return int(x)
+
+
 def log_gamma(x) -> float:
     """ln Gamma(x) for x > 0."""
     x = float(x)
@@ -189,9 +199,7 @@ def laguerre_pair(n, a, x):
 
     x may be a scalar (floats are returned) or an ndarray.
     """
-    if n != int(n) or n < 0:
-        raise DomainError(f"laguerre degree must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = _require_integer(n, "laguerre degree", 0)
     a = float(a)
     arr = np.asarray(x, dtype=float)
     if not (math.isfinite(a) and np.all(np.isfinite(arr))):
@@ -217,9 +225,7 @@ def laguerre_phi(k, a, x):
     10^4 evaluate without overflow.  Requires x > 0 (the x^{a/2} factor is
     singular at 0 for non-integer a); x may be a scalar or ndarray.
     """
-    if k != int(k) or k < 0:
-        raise DomainError(f"laguerre_phi degree must be a nonnegative integer, got {k!r}")
-    k = int(k)
+    k = _require_integer(k, "laguerre_phi degree", 0)
     a = require_order(a)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0

@@ -1,8 +1,12 @@
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from hardedge import cli, reg_upper_gamma
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(argv):
@@ -85,6 +89,12 @@ class TestDensity:
         assert header == ["s", "F", "pdf"]
         assert float(rows[0][2]) == pytest.approx(-f_value, abs=1e-12)
 
+    def test_one_density_route(self):
+        # f comes from the resolvent route only; there is no --method switch
+        with pytest.raises(SystemExit) as info:
+            run_cli(["density", "--a", "0", "--s", "4", "--method", "finite_difference"])
+        assert info.value.code == 1
+
 
 class TestChecks:
     def test_identity_check_passes(self, tmp_path, capsys):
@@ -134,6 +144,27 @@ class TestMcValidate:
         assert code == 2
 
 
+class TestReadmeCommands:
+    @staticmethod
+    def readme_commands():
+        """Argument lists of the `hardedge ...` lines in the README, comments dropped."""
+        lines = README.read_text().splitlines()
+        return [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("hardedge ")]
+
+    def test_every_line_parses(self):
+        parser = cli._build_parser()
+        commands = self.readme_commands()
+        assert len(commands) >= 10
+        for argv in commands:
+            assert callable(parser.parse_args(argv).handler), argv
+
+    def test_every_subcommand_documented(self):
+        subparsers = next(action for action in cli._build_parser()._actions
+                          if action.dest == "command")
+        assert {argv[0] for argv in self.readme_commands()} == set(subparsers.choices)
+
+
 class TestUsageAndErrors:
     def test_unknown_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -149,6 +180,10 @@ class TestUsageAndErrors:
         assert run_cli(["limit-cdf", "--a", "-2", "--s", "4"]) == 2
         assert run_cli(["limit-cdf", "--a", "0", "--s", "-4"]) == 2
         assert run_cli(["limit-cdf", "--a", "0", "--s-grid", "1:0:1"]) == 2
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_kernel_check_needs_grid_points(self, points, capsys):
+        assert run_cli(["kernel-check", "--a", "1", "--c", "0", "--grid-points", points]) == 2
 
     def test_grid_validated_before_compute(self, capsys):
         # the bad value sits at the end of the grid: nothing may be computed

@@ -53,6 +53,9 @@ class TestLimitCdf:
             limit_cdf(0.0, -1.0)
         with pytest.raises(DomainError):
             limit_cdf(0.0, 1601.0)
+        for m in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                limit_cdf(0.5, 4.0, m=m)
 
 
 class TestFiniteCdf:
@@ -113,8 +116,10 @@ class TestLimitDensity:
 
     @pytest.mark.parametrize("a,s", [(0.5, 2.0), (2.0, 6.0)])
     def test_methods_agree(self, a, s):
-        smooth = limit_density(a, s, 50, method="resolvent")
-        stepped = limit_density(a, s, 50, method="finite_difference")
+        # against F times the finite-difference log-derivative
+        smooth = limit_density(a, s, 50)
+        stepped = limit_cdf(a, s, 50).value * log_derivative(
+            bessel_spec(a), s, 50, "finite_difference")
         assert smooth < 0.0
         assert abs(smooth - stepped) < 1e-6
 
@@ -122,10 +127,6 @@ class TestLimitDensity:
         value = limit_density(2.0, 1e-4, 40)
         assert math.isfinite(value)
         assert -1.0 < value <= 0.0
-
-    def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            limit_density(0.5, 1.0, 40, method="magic")
 
     @pytest.mark.parametrize("a,s", [(0.5, 2.0), (3.0, 25.0)])
     def test_one_assembly(self, a, s, assemblies):
@@ -139,11 +140,10 @@ class TestLimitDensity:
 class TestResolventIdentity:
     @pytest.mark.parametrize("a,s", [(0.5, 2.0), (2.0, 6.0)])
     def test_quadratic_form_is_log_slope(self, a, s):
-        # -u/4 against s f/F with f from the independent difference route
+        # -u/4 against s f/F with f/F from the independent difference route
         quad = resolvent_quadratic_form(bessel_spec(a), s, 50)
-        value = limit_cdf(a, s, 50).value
-        slope = limit_density(a, s, 50, method="finite_difference")
-        assert abs(-0.25 * quad - s * slope / value) < 1e-8
+        log_slope = log_derivative(bessel_spec(a), s, 50, "finite_difference")
+        assert abs(-0.25 * quad - s * log_slope) < 1e-8
 
 
 class TestTables:
@@ -164,6 +164,18 @@ class TestTables:
             det = limit_cdf(2.0, row.s, 40)
             assert (row.F, row.F_err) == (det.value, det.error_estimate)
             assert row.f == limit_density(2.0, row.s, 40)
+
+    @pytest.mark.parametrize("build", [
+        lambda: limit_table(0.5, [], m=math.nan),
+        lambda: limit_table(math.nan, []),
+        lambda: finite_table(0.5, math.nan, []),
+        lambda: finite_table(0.5, 2.5, []),
+        lambda: finite_table(0.5, 2, [], m=math.inf),
+    ])
+    def test_empty_grid_arguments_checked(self, build):
+        # with no rows to evaluate, the table itself refuses a bad a, n or m
+        with pytest.raises(DomainError):
+            build()
 
     def test_finite_table_ordering_and_range(self):
         table = finite_table(0.5, 8, [1.0, 2.0, 4.0, 8.0], m=40)

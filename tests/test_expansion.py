@@ -9,6 +9,7 @@ from hardedge import (
     finite_cdf,
     fit_slope,
     kernel_expansion_rate,
+    kernel_expansion_residual,
     limit_cdf,
     limit_density,
     log_gamma,
@@ -19,7 +20,7 @@ from hardedge import (
     uncorrected_difference,
 )
 from hardedge import fredholm
-from hardedge.expansion import STUDY_NODES, make_grid
+from hardedge.expansion import STUDY_NODES
 from hardedge.kernels import kernel_matrix
 
 ORDERS = (50, 100, 200, 400)
@@ -48,6 +49,12 @@ class TestFitSlope:
             fit_slope([(n, 0.0) for n in ORDERS])
         with pytest.raises(DomainError):
             fit_slope([(n, -1.0) for n in ORDERS])
+        # nan slips past a bare r <= 0 check and would make the slope nan
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                fit_slope([(1, 1.0), (2, bad), (4, 0.1), (8, 0.01)])
+            with pytest.raises(DomainError):
+                fit_slope([(1, 1.0), (bad, 0.5), (4, 0.1), (8, 0.01)])
 
 
 class TestRateReport:
@@ -67,6 +74,13 @@ class TestRateReport:
         report = rate_report(1.0, 4.0, (50.0, 100.0, 200.0, 400.0), lambda n: 1.0 / n)
         assert report.n_list == ORDERS
         assert all(type(n) is int for n in report.n_list)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+    def test_refuses_bad_residuals(self, bad):
+        # also where a residual at solver noise would mark the report degenerate
+        for tail in (1e-2, 1e-13):
+            with pytest.raises(DomainError):
+                rate_report(1.0, 4.0, ORDERS, lambda n: {100: bad, 400: tail}.get(n, 1.0 / n))
 
     def test_degenerate_flag_on_solver_noise(self):
         report = rate_report(0.0, 4.0, ORDERS, lambda n: conjecture_residual(0.0, n, 4.0, 40))
@@ -207,17 +221,35 @@ class TestMehlerHeine:
             mehler_heine_residual(1.0, 100, -0.1)
         with pytest.raises(DomainError):
             mehler_heine_residual(1.0, 0, 1.0)
+        # a <= -1 lies outside the weight domain, whatever n + a does
+        for a, n in [(-1.5, 1), (-5.0, 2), (-1.5, 50), (-1.0, 50)]:
+            with pytest.raises(DomainError):
+                mehler_heine_residual(a, n, 3.0)
 
 
 class TestKernelExpansionRate:
-    def test_grid_helper(self):
-        grid = make_grid(limit=8.0, count=9)
-        assert len(grid) == 81
-        assert (0.0, 0.0) in grid and (8.0, 8.0) in grid
+    @pytest.mark.parametrize("a,c,axis", [
+        (1.0, 0.0, None),
+        (1.0, -1.0, np.linspace(0.0, 8.0, 5)),
+        (2.5, 3.0, np.linspace(0.0, 20.0, 17)),
+        (0.0, 0.0, np.linspace(0.0, 1.0, 4)),
+        (-0.5, 0.7, [0.3, 2.0, 2.0 + 1e-9, 7.5]),  # a near-diagonal pair
+    ])
+    def test_matches_pointwise_max(self, a, c, axis):
+        # one kernel_matrix per order gives the pointwise residuals bit for bit
+        orders = (7, 50, 100, 1000)
+        report = kernel_expansion_rate(a, orders, c, axis)
+        points = np.linspace(0.0, 8.0, 9) if axis is None else axis
+        expected = tuple(
+            max(abs(kernel_expansion_residual(a, n, c, x, y)) for x in points for y in points)
+            for n in orders
+        )
+        assert report.residuals == expected
+        assert report.s == max(points)
 
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_slope_window(self, c):
-        report = kernel_expansion_rate(1.0, ORDERS, c, make_grid(8.0, 5))
+        report = kernel_expansion_rate(1.0, ORDERS, c, np.linspace(0.0, 8.0, 5))
         assert SECOND_ORDER[0] <= report.fitted_slope <= SECOND_ORDER[1], (c, report)
 
     def test_empty_grid(self):

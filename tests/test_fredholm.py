@@ -87,6 +87,11 @@ class TestGramOracle:
     def test_tiny_interval(self):
         assert gram_det(1.0, 5, 1e-10, 40) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_non_finite_node_count(self, m):
+        with pytest.raises(DomainError):
+            gram_det(1.0, 2, 1.0, m)
+
     def test_needs_enough_nodes(self):
         with pytest.raises(AccuracyError):
             gram_det(1.0, 30, 1.0, 45)

@@ -18,7 +18,6 @@ from hardedge import (
     laguerre_kernel_entire,
 )
 from hardedge import kernels
-from hardedge.kernels import kernel_value
 from hardedge.quadrature import gauss_jacobi, scale_rule
 
 
@@ -55,6 +54,16 @@ class TestKernelSpec:
             finite_spec(2.0, 1, c=0.0)  # tuned factor 1 - a/(2n) hits zero
         with pytest.raises(DomainError):
             bessel_spec(0.0).scale
+        for n in (math.nan, math.inf, 2.5, None):
+            with pytest.raises(DomainError):
+                KernelSpec(a=0.0, family="finite", n=n)
+
+    def test_integral_float_order(self):
+        # stored as an int, so the Laguerre recurrences can count with it
+        spec = KernelSpec(a=0.5, family="finite", n=5.0)
+        assert type(spec.n) is int and spec == finite_spec(0.5, 5)
+        nodes = scale_rule(gauss_jacobi(10, 0.5), 4.0).nodes
+        assert np.array_equal(kernel_matrix(spec, nodes), kernel_matrix(finite_spec(0.5, 5), nodes))
 
 
 class TestBesselKernel:
@@ -242,11 +251,16 @@ class TestKernelMatrix:
         ),
     ])
     def test_matches_pointwise(self, spec, s):
+        def pointwise(x, y):
+            if spec.family == "bessel":
+                return bessel_kernel_entire(spec.a, x, y)
+            return laguerre_kernel_entire(spec, x, y)
+
         rule = scale_rule(gauss_jacobi(12, spec.a), s)
         matrix = kernel_matrix(spec, rule.nodes)
         for i, x in enumerate(rule.nodes):
             for j, y in enumerate(rule.nodes):
-                assert matrix[i, j] == pytest.approx(kernel_value(spec, x, y), rel=1e-13)
+                assert matrix[i, j] == pytest.approx(pointwise(x, y), rel=1e-13)
 
     @pytest.mark.parametrize("s", [1e-12, 6.0])
     def test_bessel_assembly_is_three_vector_calls(self, s, monkeypatch):

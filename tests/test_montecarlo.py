@@ -59,6 +59,12 @@ class TestSampler:
             sample_smallest(0, 5, 0, 0)
         with pytest.raises(DomainError):
             sample_smallest(0, 5, 10, -1)
+        with pytest.raises(DomainError):
+            sample_smallest(0, 5, 10, 2 ** 64)
+        for bad in (math.nan, math.inf):
+            for args in [(bad, 20, 10, 1), (1, bad, 10, 1), (1, 20, bad, 1), (1, 20, 10, bad)]:
+                with pytest.raises(DomainError):
+                    sample_smallest(*args)
 
 
 class TestKsCompare:

@@ -132,6 +132,9 @@ def test_domain_errors():
         gauss_jacobi(MAX_NODES + 1, 0.0)
     with pytest.raises(DomainError):
         gauss_jacobi(10, -1.0)
+    for m in (math.inf, math.nan, 10.5):
+        with pytest.raises(DomainError):
+            gauss_jacobi(m, 0.0)
     with pytest.raises(DomainError):
         scale_rule(gauss_jacobi(5, 0.0), 0.0)
     with pytest.raises(DomainError):

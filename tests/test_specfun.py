@@ -255,6 +255,9 @@ class TestLaguerre:
             laguerre(-1, 0.0, 1.0)
         with pytest.raises(DomainError):
             laguerre(2, 0.0, math.nan)
+        for n in (math.nan, math.inf, 2.5):
+            with pytest.raises(DomainError):
+                laguerre_pair(n, 0.5, 1.0)
 
 
 class TestLaguerrePhi:
@@ -289,6 +292,9 @@ class TestLaguerrePhi:
             laguerre_phi(1, 0.5, 0.0)
         with pytest.raises(DomainError):
             laguerre_phi(1, 0.5, -1.0)
+        for k in (math.inf, math.nan, -1, 1.5):
+            with pytest.raises(DomainError):
+                laguerre_phi(k, 0.5, 1.0)
 
 
 class TestRegUpperGamma:

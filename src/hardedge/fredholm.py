@@ -21,7 +21,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, NumericError
 from .kernels import KernelSpec, kernel_matrix
 from .quadrature import DEFAULT_NODES, MAX_NODES, gauss_jacobi, scale_rule
-from .specfun import _laguerre_terms, _require_integer, log_gamma
+from .specfun import _laguerre_pass, _laguerre_weights, _require_integer
 
 # Error estimates compare m against m + 10 nodes, so m itself must leave
 # room below the quadrature cap.
@@ -146,12 +146,10 @@ def gram_det(a, n, t, m) -> float:
     a = float(a)
     rule = _rule(m, a, t)
     x = rule.nodes
-    decay = np.exp(-0.5 * x)
+    # phi_k(x) x^{-a/2} = sqrt(w_k) e^{-x/2} p_k(x), k < n
     basis = np.empty((n, m))
-    norm = math.exp(-0.5 * log_gamma(a + 1.0))  # sqrt(k!/Gamma(k+a+1)) at k=0
-    for k, lk in enumerate(_laguerre_terms(n - 1, a, x)):
-        basis[k] = norm * decay * lk
-        norm *= math.sqrt((k + 1.0) / (k + a + 1.0))
+    _laguerre_pass(n, a, x, rows=basis)
+    basis *= np.sqrt(_laguerre_weights(n - 1, a))[:, None] * np.exp(-0.5 * x)
     gram = (basis * rule.weights) @ basis.T
     sign, log_abs = np.linalg.slogdet(np.eye(n) - gram)
     if sign <= 0.0:

@@ -17,10 +17,17 @@ whose confluent (diagonal) value follows from d/du j_a(u) = -j_{a+1}(u):
 Order-n kernel under the hard-edge change of variables X = rho * x:
 
     Khat_n(x, y) = n!/Gamma(n+a) * rho^a e^{-rho(x+y)/2}
-                   [L_n^a(rho x) L_n^{a-1}(rho y) - L_n^{a-1}(rho x) L_n^a(rho y)] / (x - y)
+                   [L_n^a(rho x) L_n^{a-1}(rho y) - L_n^{a-1}(rho x) L_n^a(rho y)] / (x - y).
 
-with L_n^{a-1} = L_n^a - L_{n-1}^a, and the diagonal evaluated through the
-exact sum of squares rho^{a+1} e^{-rho x} sum_{k<n} k!/Gamma(k+a+1) L_k^a(rho x)^2.
+With p_k = L_k^a / binom(k+a, k), d_k = p_k - p_{k-1} and
+w_k = binom(k+a, k) / Gamma(a+1) (see specfun), L_n^a = binom(n+a, n) p_n and
+L_n^{a-1} = binom(n+a, n) (a/(n+a) p_{n-1} + d_n), so the constant in front
+becomes n!/Gamma(n+a) binom(n+a, n)^2 = (n+a) w_n and no gamma ratio is
+formed.  The diagonal is the exact sum of squares
+
+    Khat_n(x, x) = rho^{a+1} e^{-rho x} sum_{k<n} w_k p_k(rho x)^2.
+
+One recurrence pass over a node vector yields p_n, p_{n-1}, d_n and the sum.
 """
 
 import math
@@ -29,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import (Z_MAX, _laguerre_terms, _require_integer, bessel_entire, laguerre_pair,
-                      log_gamma, require_order)
+from .specfun import (Z_MAX, _binomials, _laguerre_pass, _laguerre_weights, _require_integer,
+                      bessel_entire, require_order)
 
 # Relative |x - y| below which the confluent branch replaces the divided
 # difference (the closed forms lose roughly |x-y|^{-1} digits there).  The
@@ -144,19 +151,23 @@ def bessel_kernel_entire(a, x, y) -> float:
     )
 
 
-def _finite_log_prefactor(a: float, n: int, rho: float) -> float:
-    # n! / Gamma(n+a) * rho^a, assembled in the log domain
-    return log_gamma(n + 1.0) - log_gamma(n + a) + a * math.log(rho)
+def _finite_factors(spec: KernelSpec, x, diagonal: bool):
+    """(h, P, Q, D) at a float or an ndarray x from one recurrence pass at rho x.
 
-
-def _finite_factors(spec: KernelSpec, x):
-    """(h, L_n^a(rho x), L_n^{a-1}(rho x)) at a float or an ndarray x, where
-    h(x) h(y) = n!/Gamma(n+a) rho^a e^{-rho(x+y)/2} is the kernel prefactor."""
+    The off-diagonal kernel is h(x) h(y) [P(x) Q(y) - Q(x) P(y)] / (x - y),
+    with P = p_n, Q = a/(n+a) p_{n-1} + d_n and
+    h(x) = sqrt((n+a) w_n rho^a) e^{-rho x/2}; D is the diagonal Khat_n(x, x),
+    summed only if diagonal (else None), so an off-diagonal pass forms no
+    squares.
+    """
     a, n, rho = spec.a, spec.n, spec.scale
-    pm, pn = laguerre_pair(n, a, rho * x)
-    half = np.exp(_finite_log_prefactor(a, n, rho) / 2.0 - 0.5 * rho * x)
-    # contiguous relation: L_n^{a-1} = L_n^a - L_{n-1}^a
-    return half, pn, pn - pm
+    weights = _laguerre_weights(n, a) if diagonal else None
+    p_prev, p, d, total = _laguerre_pass(n, a, rho * x, weights)
+    # log of (n+a) w_n rho^a = (n+a) binom(n+a, n) rho^a / Gamma(a+1)
+    log_const = math.log((n + a) * _binomials(n, a)[n]) - math.lgamma(a + 1.0) + a * math.log(rho)
+    half = np.exp(0.5 * log_const - 0.5 * rho * x)
+    diag = rho ** (a + 1.0) * np.exp(-x * rho) * total if diagonal else None
+    return half, p, a / (n + a) * p_prev + d, diag
 
 
 def _finite_offdiag(h_x, p_x, q_x, h_y, p_y, q_y, gap):
@@ -164,22 +175,6 @@ def _finite_offdiag(h_x, p_x, q_x, h_y, p_y, q_y, gap):
     scalars or broadcasting arrays, so the pointwise kernel and kernel_matrix
     share this one formula."""
     return h_x * h_y * (p_x * q_y - q_x * p_y) / gap
-
-
-def _finite_diag(spec: KernelSpec, x):
-    """Diagonal of the order-n entire kernel at x (a float or an ndarray).
-
-    Uses the exact sum of squares over all degrees below n; O(n) per point
-    but unconditionally stable, and valid at x = 0.
-    """
-    a, n, rho = spec.a, spec.n, spec.scale
-    t = x * rho
-    total = np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
-    coeff = math.exp(-log_gamma(a + 1.0))  # k!/Gamma(k+a+1) at k = 0
-    for k, lk in enumerate(_laguerre_terms(n - 1, a, t)):
-        total += coeff * lk * lk
-        coeff *= (k + 1.0) / (k + a + 1.0)
-    return rho ** (a + 1.0) * np.exp(-x * rho) * total
 
 
 def laguerre_kernel_entire(spec: KernelSpec, x, y) -> float:
@@ -190,9 +185,11 @@ def laguerre_kernel_entire(spec: KernelSpec, x, y) -> float:
     y = float(y)
     _check_range(x, y)
     if _near_diagonal(x, y):
-        return float(_finite_diag(spec, 0.5 * (x + y)))
-    # one recurrence pass per argument, in float arithmetic
-    return float(_finite_offdiag(*_finite_factors(spec, x), *_finite_factors(spec, y), x - y))
+        return float(_finite_factors(spec, 0.5 * (x + y), diagonal=True)[3])
+    # one pair-only recurrence pass per argument, in float arithmetic
+    h_x, p_x, q_x, _ = _finite_factors(spec, x, diagonal=False)
+    h_y, p_y, q_y, _ = _finite_factors(spec, y, diagonal=False)
+    return float(_finite_offdiag(h_x, p_x, q_x, h_y, p_y, q_y, x - y))
 
 
 def hat_bessel_j(a, x):
@@ -244,38 +241,35 @@ def kernel_matrix(spec: KernelSpec, nodes: np.ndarray, hat_j_out=None) -> np.nda
         raise DomainError("kernel_matrix needs a one-dimensional, non-empty node array")
     if np.any(x < 0.0) or np.any(x > 4.0 * Z_MAX) or not np.all(np.isfinite(x)):
         raise DomainError(f"kernel nodes must lie in [0, {4.0 * Z_MAX:g}]")
-    gap = np.abs(x[:, None] - x[None, :])
+    den = x[:, None] - x[None, :]
     scale = np.maximum(1.0, np.maximum(np.abs(x)[:, None], np.abs(x)[None, :]))
-    near = gap < NEAR_DIAGONAL_RTOL * scale
+    near = np.abs(den) < NEAR_DIAGONAL_RTOL * scale
+    den[near] = 1.0
 
+    # At the diagonal the pair midpoint is the node itself; other pairs in the
+    # window add their midpoints to the points the kernel factors are taken at.
+    m = x.size
+    rows, cols = np.nonzero(near & ~np.eye(m, dtype=bool))
     if spec.family == "bessel":
         a = spec.a
-        m = x.size
         u = 0.25 * x
-        # At the diagonal the pair midpoint is the node itself; other pairs in
-        # the window add their midpoints to the points j is evaluated at.
-        rows, cols = np.nonzero(near & ~np.eye(m, dtype=bool))
         points = np.concatenate((u, 0.125 * (x[rows] + x[cols])))
         ja = bessel_entire(a, points)
         jm = bessel_entire(a - 1.0, points)
         jp = bessel_entire(a + 1.0, points)
-        den = u[:, None] - u[None, :]
-        den[near] = 1.0
-        matrix = _bessel_offdiag(a, ja[:m, None], jm[:m, None], ja[None, :m], jm[None, :m], den)
+        matrix = _bessel_offdiag(
+            a, ja[:m, None], jm[:m, None], ja[None, :m], jm[None, :m], 0.25 * den
+        )
         confluent = _bessel_confluent(a, ja, jm, jp)
-        np.fill_diagonal(matrix, confluent[:m])
-        matrix[rows, cols] = confluent[m:]
         if hat_j_out is not None:
             hat_j_out[:] = 2.0 ** (-a) * ja[:m]
-        return matrix
-
-    half, pn, qn = _finite_factors(spec, x)
-    den = x[:, None] - x[None, :]
-    den[near] = 1.0
-    matrix = _finite_offdiag(
-        half[:, None], pn[:, None], qn[:, None], half[None, :], pn[None, :], qn[None, :], den
-    )
-    rows, cols = np.nonzero(near)
-    if rows.size:
-        matrix[rows, cols] = _finite_diag(spec, 0.5 * (x[rows] + x[cols]))
+    else:
+        points = np.concatenate((x, 0.5 * (x[rows] + x[cols])))
+        half, pn, qn, confluent = _finite_factors(spec, points, diagonal=True)
+        matrix = _finite_offdiag(
+            half[:m, None], pn[:m, None], qn[:m, None],
+            half[None, :m], pn[None, :m], qn[None, :m], den,
+        )
+    np.fill_diagonal(matrix, confluent[:m])
+    matrix[rows, cols] = confluent[m:]
     return matrix

@@ -76,7 +76,8 @@ def ks_compare(batch: SampleBatch, cdf) -> tuple[float, bool]:
         raise DomainError(f"KS comparison needs count >= {MIN_KS_COUNT}, got {batch.count}")
     ordered = np.sort(batch.values)
     probs = np.array(ordered_map(cdf, ordered), dtype=float)
-    if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
+    # written so that nan fails the range test too
+    if not np.all((probs >= -1e-12) & (probs <= 1.0 + 1e-12)):
         raise DomainError("cdf callable returned values outside [0, 1]")
     ranks = np.arange(1, batch.count + 1, dtype=float)
     d_plus = float(np.max(ranks / batch.count - probs))

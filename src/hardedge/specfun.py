@@ -16,11 +16,19 @@ what that route cannot do: z <= 0, and the corner near z = 0 where
 J_a(2 sqrt(z)) or z^{-a/2} leaves the normal double range (large orders, or
 negative orders at tiny z); there the series has no cancellation.
 
-The remaining routines are standard numerics: the generalized Laguerre
-recurrence (one pass yields L_{n-1}^a and L_n^a) and the orthonormal
-Laguerre functions with log-domain normalization.  Log-gamma, 1/Gamma and
-the regularized upper incomplete gamma are the library functions behind
-argument checks.
+Laguerre polynomials come from one recurrence, in the normalized
+forward-difference form of scipy.special.eval_genlaguerre.  It carries
+p_k = L_k^a(t) / binom(k+a, k) and d_k = p_k - p_{k-1}:
+
+    p_0 = 1,  d_0 = 0,  d_{k+1} = (k d_k - t p_k) / (k+a+1),  p_{k+1} = p_k + d_{k+1}.
+
+One pass yields L_{n-1}^a and L_n^a, and also what the order-n kernel needs:
+L_n^{a-1} = binom(n+a, n) (a/(n+a) p_{n-1} + d_n), without the cancelling
+difference L_n^a - L_{n-1}^a, and the sum of squares sum_{k<n} w_k p_k^2 with
+w_k = binom(k+a, k) / Gamma(a+1), so that k!/Gamma(k+a+1) L_k^a(t)^2 = w_k p_k^2.
+The orthonormal Laguerre functions are sqrt(w_k) e^{-x/2} x^{a/2} p_k(x).
+Log-gamma, 1/Gamma and the regularized upper incomplete gamma are the
+library functions behind argument checks.
 """
 
 import math
@@ -176,39 +184,65 @@ def bessel_j_sqrt(a, x) -> float:
     return math.exp(0.5 * a * math.log(u)) * bessel_entire(a, u)
 
 
-def _laguerre_terms(n, a, t):
-    """Yield L_0^a(t), ..., L_n^a(t) by the ascending three-term recurrence.
+def _binomials(n: int, a: float) -> np.ndarray:
+    """binom(k+a, k) for k = 0..n, as the running product of (k+a)/k.
+
+    scipy.special.binom takes a non-integer a through a log-gamma
+    difference, which loses about 1e-12 relative at n = 1000; the product
+    stays near 1e-14.
+    """
+    k = np.arange(1.0, n + 1.0)
+    return np.concatenate(([1.0], np.cumprod((k + a) / k)))
+
+
+def _laguerre_weights(n: int, a: float) -> np.ndarray:
+    """w_k = binom(k+a, k) / Gamma(a+1) = k!/Gamma(k+a+1) binom(k+a, k)^2, k = 0..n."""
+    return _binomials(n, a) * float(_sp.rgamma(a + 1.0))
+
+
+def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
+    """One pass of the normalized recurrence (module docstring) to degree n.
 
     t is a float or an ndarray; the same arithmetic runs on either, so a
-    value does not depend on how its argument was batched.  Arguments are
-    not validated here (see laguerre_pair).
+    value does not depend on how its argument was batched.  Returns
+    (p_{n-1}, p_n, d_n, total), where total = sum_{k<n} weights[k] p_k^2
+    for an ndarray of weights (zero when weights is None, and then no
+    squares are formed); rows, if given, receives p_k in rows[k] for k < n.
+    Arguments are not validated here (see laguerre_pair).
     """
-    prev = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
-    yield prev
-    if n == 0:
-        return
-    curr = 1.0 + a - t
-    yield curr
-    for k in range(1, n):
-        prev, curr = curr, ((2.0 * k + 1.0 + a - t) * curr - (k + a) * prev) / (k + 1.0)
-        yield curr
+    one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    p_prev, p, d, total = 0.0 * one, one, 0.0 * one, 0.0 * one
+    if weights is not None:
+        weights = weights[:n].tolist()  # Python floats keep the scalar loop fast
+    for k in range(n):
+        if weights is not None:
+            total += weights[k] * p * p
+        if rows is not None:
+            rows[k] = p
+        p_prev = p
+        d = (k * d - t * p) / (k + a + 1.0)
+        p = p + d
+    return p_prev, p, d, total
 
 
 def laguerre_pair(n, a, x):
     """(L_{n-1}^a(x), L_n^a(x)) from one pass of the recurrence (L_{-1} = 0).
 
-    x may be a scalar (floats are returned) or an ndarray.
+    x may be a scalar (floats are returned) or an ndarray.  Orders a at a
+    negative integer are refused: binom(k+a, k) vanishes there, so the
+    normalized recurrence is undefined.
     """
     n = _require_integer(n, "laguerre degree", 0)
     a = float(a)
     arr = np.asarray(x, dtype=float)
     if not (math.isfinite(a) and np.all(np.isfinite(arr))):
         raise DomainError("laguerre requires finite arguments")
+    if a < 0.0 and a == math.floor(a):
+        raise DomainError(f"laguerre requires an order a that is not a negative integer, got {a!r}")
     t = float(arr) if arr.ndim == 0 else arr
-    prev = curr = np.zeros_like(t) if arr.ndim else 0.0
-    for value in _laguerre_terms(n, a, t):
-        prev, curr = curr, value
-    return prev, curr
+    binom = _binomials(n, a)
+    p_prev, p, _, _ = _laguerre_pass(n, a, t)
+    return float(binom[max(n - 1, 0)]) * p_prev, float(binom[n]) * p
 
 
 def laguerre(n, a, x):
@@ -219,7 +253,8 @@ def laguerre(n, a, x):
 def laguerre_phi(k, a, x):
     """Orthonormal Laguerre function
 
-        phi_k(x) = sqrt(k! / Gamma(k+a+1)) e^{-x/2} x^{a/2} L_k^a(x),
+        phi_k(x) = sqrt(k! / Gamma(k+a+1)) e^{-x/2} x^{a/2} L_k^a(x)
+                 = sqrt(w_k) e^{-x/2} x^{a/2} p_k(x),
 
     with the normalization assembled in the log domain so that degrees up to
     10^4 evaluate without overflow.  Requires x > 0 (the x^{a/2} factor is
@@ -232,8 +267,8 @@ def laguerre_phi(k, a, x):
     arr = np.atleast_1d(arr)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError("laguerre_phi requires finite x > 0")
-    log_norm = 0.5 * (log_gamma(k + 1.0) - log_gamma(k + a + 1.0))
-    vals = np.exp(log_norm - 0.5 * arr + 0.5 * a * np.log(arr)) * laguerre(k, a, arr)
+    log_norm = 0.5 * (math.log(_binomials(k, a)[k]) - math.lgamma(a + 1.0))
+    vals = np.exp(log_norm - 0.5 * arr + 0.5 * a * np.log(arr)) * _laguerre_pass(k, a, arr)[1]
     return float(vals[0]) if scalar else vals
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -169,6 +170,39 @@ class TestFiniteKernel:
             oracle = rho * x ** (-a) * total
             assert laguerre_kernel_entire(spec, x, x) == pytest.approx(oracle, rel=1e-11)
 
+    @pytest.mark.parametrize("a", [-0.9, 0.5, 2.0])
+    def test_matrix_at_high_order_against_mpmath(self, a):
+        # n = 1000 on a 10-node rule for (0, 40), in 50-digit arithmetic and
+        # scaled by the largest entry: off the diagonal the closed form with
+        # mpmath's L_n^a and L_n^{a-1}, on it
+        # rho^{a+1} e^{-rho x} sum_{k<n} k!/Gamma(k+a+1) L_k^a(rho x)^2 by the
+        # ascending recurrence
+        n = 1000
+        spec = finite_spec(a, n)
+        nodes = scale_rule(gauss_jacobi(10, a), 40.0).nodes
+        ours = kernel_matrix(spec, nodes)
+        ref = np.empty_like(ours)
+        with mp.workdps(50):
+            am, rho = mp.mpf(a), mp.mpf(spec.scale)
+            t = [mp.mpf(spec.scale * x) for x in nodes]
+            upper = [mp.laguerre(n, am, ti) for ti in t]
+            lower = [mp.laguerre(n, am - 1, ti) for ti in t]
+            prefactor = mp.factorial(n) / mp.gamma(n + am) * rho ** am
+            for i, j in np.ndindex(ours.shape):
+                if i != j:
+                    ref[i, j] = prefactor * mp.exp(-(t[i] + t[j]) / 2) * (
+                        upper[i] * lower[j] - lower[i] * upper[j]
+                    ) / (mp.mpf(nodes[i]) - mp.mpf(nodes[j]))
+            for i, ti in enumerate(t):
+                prev, curr, coeff = mp.mpf(0), mp.mpf(1), 1 / mp.gamma(am + 1)
+                total = coeff
+                for k in range(n - 1):
+                    prev, curr = curr, ((2 * k + 1 + am - ti) * curr - (k + am) * prev) / (k + 1)
+                    coeff *= mp.mpf(k + 1) / (k + am + 1)
+                    total += coeff * curr * curr
+                ref[i, i] = rho ** (am + 1) * mp.exp(-ti) * total
+        assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_finite_at_zero(self):
         for a in [-0.5, 0.0, 2.0]:
             spec = finite_spec(a, 7)
@@ -277,6 +311,23 @@ class TestKernelMatrix:
         kernel_matrix(bessel_spec(0.5), nodes)
         assert len(calls) == 3
         assert all(len(shape) == 1 and shape[0] >= 50 for shape in calls)
+
+    @pytest.mark.parametrize("s", [1e-12, 6.0])
+    def test_finite_assembly_is_one_recurrence_pass(self, s, monkeypatch):
+        # one pass over the nodes (plus the midpoints of any clustered pairs,
+        # as at s = 1e-12) yields the off-diagonal factors and the diagonal
+        calls = []
+        real = kernels._laguerre_pass
+
+        def counting(n, a, t, *args, **kwargs):
+            calls.append(np.shape(t))
+            return real(n, a, t, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_laguerre_pass", counting)
+        nodes = scale_rule(gauss_jacobi(50, 0.5), s).nodes
+        kernel_matrix(finite_spec(0.5, 100), nodes)
+        assert len(calls) == 1
+        assert len(calls[0]) == 1 and calls[0][0] >= 50
 
     def test_hat_j_out_is_the_pointwise_hat_j(self):
         rule = scale_rule(gauss_jacobi(20, 1.5), 30.0)

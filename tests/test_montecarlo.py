@@ -96,6 +96,12 @@ class TestKsCompare:
         assert not passed
         assert statistic > 1.63 / math.sqrt(count)
 
+    def test_non_finite_cdf_refused(self):
+        batch = SampleBatch(a=0, n=5, count=1000, seed=0, values=np.linspace(0.01, 1.0, 1000))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ks_compare(batch, lambda t, bad=bad: bad)
+
     def test_count_floor(self):
         batch = sample_smallest(0, 3, 999, seed=1)
         with pytest.raises(DomainError):

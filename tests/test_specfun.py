@@ -250,6 +250,30 @@ class TestLaguerre:
             batch = laguerre(n, 1.3, x)
             assert [laguerre(n, 1.3, float(xi)) for xi in x] == batch.tolist()
 
+    @pytest.mark.parametrize("a", [0.5, 2.0])
+    def test_high_degree_against_mpmath(self, a):
+        # n = 1000 on hard-edge arguments t = x/(4n), x on a 10-node rule for
+        # (0, 40); scaled by the largest value
+        n = 1000
+        t = scale_rule(gauss_jacobi(10, a), 40.0).nodes / (4.0 * n)
+        prev, curr = laguerre_pair(n, a, t)
+        with mp.workdps(50):
+            for ours, degree in ((prev, n - 1), (curr, n)):
+                ref = np.array([float(mp.laguerre(degree, a, mp.mpf(ti))) for ti in t])
+                assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref)), degree
+
+    def test_orders_below_minus_one(self):
+        # outside the weight's range a > -1, but the polynomial is defined;
+        # the contiguous relation reaches orders down to -2
+        rng = np.random.default_rng(17)
+        for a in (-1.9, -1.5, -1.0001, -2.5, -3.7):
+            for n in (1, 2, 7, 40):
+                x = rng.uniform(0.0, 20.0, size=4)
+                ref = np.array([float(mp.laguerre(n, a, xi)) for xi in x])
+                assert np.max(np.abs(laguerre(n, a, x) - ref)) <= 1e-13 * max(
+                    1.0, np.max(np.abs(ref))
+                ), (a, n)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             laguerre(-1, 0.0, 1.0)
@@ -258,6 +282,11 @@ class TestLaguerre:
         for n in (math.nan, math.inf, 2.5):
             with pytest.raises(DomainError):
                 laguerre_pair(n, 0.5, 1.0)
+        # binom(k+a, k) vanishes at negative integer a, where the normalized
+        # recurrence is undefined
+        for a in (-1.0, -2.0, -5.0):
+            with pytest.raises(DomainError):
+                laguerre(3, a, 1.0)
 
 
 class TestLaguerrePhi:

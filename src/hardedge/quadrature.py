@@ -6,20 +6,22 @@ weight recovers spectral accuracy for any a > -1.
 
 Construction is Golub-Welsch: the three-term recurrence coefficients of the
 Jacobi polynomials for the weight (1+t)^a on (-1, 1) are assembled into a
-symmetric tridiagonal matrix; its eigenvalues are the nodes and the squared
-first components of its eigenvectors give the weights.  The tridiagonal
-eigenproblem is solved in-house by implicit QL with Wilkinson shifts,
-accumulating only the first eigenvector components, so a rule costs O(m^2)
-and needs no external eigensolver.
+symmetric tridiagonal matrix whose eigenvalues are the nodes.  numpy's
+symmetric eigensolver gives them, and one Newton step on the degree-m
+polynomial refines them.  The weights are the Christoffel numbers
+1 / sum_{k<m} p_k(t)^2 of the orthonormal polynomials p_k, from a second
+vectorized pass of the same recurrence over all nodes, rather than squared
+eigenvector components, which lose relative accuracy on small weights.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import AccuracyError, DomainError, NumericError
 from .specfun import _require_integer, require_order
 
 DEFAULT_NODES = 50
@@ -70,13 +72,18 @@ def gauss_jacobi(m, a) -> QuadratureRule:
     m : int
         Node count, 1 <= m <= MAX_NODES.
     a : float
-        Weight exponent, a > -1.
+        Weight exponent, a > -1; AccuracyError from a = 1023 on.
 
     Returns
     -------
     QuadratureRule on (0, 1), exact for polynomials of degree <= 2m - 1.
     """
-    return _reference_rule(_require_integer(m, "node count", 1, MAX_NODES), require_order(a))
+    m = _require_integer(m, "node count", 1, MAX_NODES)
+    a = require_order(a)
+    if a + 1.0 >= sys.float_info.max_exp:
+        # the reference mass 2^{a+1}/(a+1) on (-1, 1) would leave the double range
+        raise AccuracyError(f"Gauss-Jacobi rules are built only for a < 1023, got a={a!r}")
+    return _reference_rule(m, a)
 
 
 def scale_rule(rule: QuadratureRule, s) -> QuadratureRule:
@@ -84,12 +91,13 @@ def scale_rule(rule: QuadratureRule, s) -> QuadratureRule:
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:
         raise DomainError(f"scale factor must be a finite real > 0, got {s!r}")
-    return _checked(
-        rule.nodes * s,
-        rule.weights * s ** (rule.a + 1.0),
-        rule.s * s,
-        rule.a,
-    )
+    try:
+        factor = s ** (rule.a + 1.0)
+    except OverflowError:
+        raise AccuracyError(
+            f"the mass of x^a dx on (0, {rule.s * s!r}) leaves the double range at a={rule.a!r}"
+        ) from None
+    return _checked(rule.nodes * s, rule.weights * factor, rule.s * s, rule.a)
 
 
 @lru_cache(maxsize=512)
@@ -97,10 +105,10 @@ def _reference_rule(m: int, a: float) -> QuadratureRule:
     """The checked rule on (0, 1).  Every caller shares the cached object, so
     its arrays are write-protected and the check runs once, at the build."""
     diag, off, mass = _jacobi_coefficients(m, a)
-    t, first_sq = _tridiag_eigen(diag, off)
+    t, christoffel = _gauss_nodes(diag, off)
     # map (-1, 1) -> (0, 1): x = (1+t)/2 absorbs 2^{-(a+1)} into the weights
     nodes = 0.5 * (1.0 + t)
-    weights = mass * first_sq * 0.5 ** (a + 1.0)
+    weights = mass * christoffel * 0.5 ** (a + 1.0)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return _checked(nodes, weights, 1.0, a)
@@ -127,69 +135,32 @@ def _jacobi_coefficients(m: int, a: float):
     return diag, off, mass
 
 
-def _tridiag_eigen(diag: np.ndarray, off: np.ndarray):
-    """Eigenvalues of a symmetric tridiagonal matrix plus squared first
-    eigenvector components, by implicit QL with Wilkinson shifts.
+def _gauss_nodes(diag: np.ndarray, off: np.ndarray):
+    """Eigenvalues of the Jacobi matrix (diag, off) and their Christoffel
+    numbers relative to the total mass.
 
-    Returns (eigenvalues ascending, squared first components in that order).
+    The eigenvalues come from numpy and take one Newton step on p_m; the
+    numbers are 1 / sum_{k<m} p_k(t)^2.  Both come from the three-term
+    recurrence b_k p_{k+1} = (t - diag[k]) p_k - b_{k-1} p_{k-1} of the
+    orthonormal polynomials scaled to p_0 = 1, with b_k = off[k].  The
+    missing b_{m-1} is taken as 1: it only scales p_m, and the Newton step
+    cancels it.  Returns (eigenvalues ascending, numbers in that order).
     """
-    n = diag.size
-    d = diag.astype(float).copy()
-    e = np.zeros(n)
-    if n > 1:
-        e[: n - 1] = off
-    z = np.zeros(n)
-    z[0] = 1.0
-    if n == 1:
-        return d, z
-    eps = np.finfo(float).eps
-    budget = 50 * n
-    sweeps = 0
-    for low in range(n):
-        while True:
-            split = low
-            while split < n - 1:
-                scale = abs(d[split]) + abs(d[split + 1])
-                if abs(e[split]) <= eps * scale:
-                    break
-                split += 1
-            if split == low:
-                break
-            sweeps += 1
-            if sweeps > budget:
-                raise NumericError(
-                    f"tridiagonal QL did not converge within {budget} sweeps"
-                )
-            g = (d[low + 1] - d[low]) / (2.0 * e[low])
-            r = math.hypot(g, 1.0)
-            g = d[split] - d[low] + e[low] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(split - 1, low - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # recover from an off-diagonal underflow and retry
-                    d[i + 1] -= p
-                    e[split] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
-            if not underflow:
-                d[low] -= p
-                e[low] = g
-                e[split] = 0.0
-    order = np.argsort(d, kind="stable")
-    return d[order], (z * z)[order]
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    b = np.append(off, 1.0).tolist()
+    # an overflowing sum of squares is a zero weight, which _checked refuses
+    with np.errstate(over="ignore"):
+        for newton_step in (True, False):
+            p_prev, p = np.zeros_like(t), np.ones_like(t)
+            slope_prev, slope = np.zeros_like(t), np.zeros_like(t)
+            squares = np.zeros_like(t)
+            for k in range(diag.size):
+                squares += p * p
+                shifted = t - diag[k]
+                b_prev = b[k - 1] if k else 0.0
+                p_next = (shifted * p - b_prev * p_prev) / b[k]
+                slope_next = (p + shifted * slope - b_prev * slope_prev) / b[k]
+                p_prev, p, slope_prev, slope = p, p_next, slope, slope_next
+            if newton_step:
+                t = t - p / slope
+    return t, 1.0 / squares

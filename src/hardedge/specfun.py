@@ -32,6 +32,7 @@ library functions behind argument checks.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -184,15 +185,19 @@ def bessel_j_sqrt(a, x) -> float:
     return math.exp(0.5 * a * math.log(u)) * bessel_entire(a, u)
 
 
+@lru_cache(maxsize=128)
 def _binomials(n: int, a: float) -> np.ndarray:
     """binom(k+a, k) for k = 0..n, as the running product of (k+a)/k.
 
     scipy.special.binom takes a non-integer a through a log-gamma
     difference, which loses about 1e-12 relative at n = 1000; the product
-    stays near 1e-14.
+    stays near 1e-14.  (n, a) repeats across calls, so the array is cached
+    and write-protected.
     """
     k = np.arange(1.0, n + 1.0)
-    return np.concatenate(([1.0], np.cumprod((k + a) / k)))
+    binom = np.concatenate(([1.0], np.cumprod((k + a) / k)))
+    binom.setflags(write=False)
+    return binom
 
 
 def _laguerre_weights(n: int, a: float) -> np.ndarray:

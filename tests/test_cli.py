@@ -1,9 +1,13 @@
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hardedge
 from hardedge import cli, reg_upper_gamma
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -181,6 +185,11 @@ class TestUsageAndErrors:
         assert run_cli(["limit-cdf", "--a", "0", "--s", "-4"]) == 2
         assert run_cli(["limit-cdf", "--a", "0", "--s-grid", "1:0:1"]) == 2
 
+    def test_mass_overflow_exits_2(self, capsys):
+        # s^{a+1} leaves the double range: refused, not an OverflowError traceback
+        assert run_cli(["limit-cdf", "--a", "200", "--s", "40"]) == 2
+        assert "double range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_kernel_check_needs_grid_points(self, points, capsys):
         assert run_cli(["kernel-check", "--a", "1", "--c", "0", "--grid-points", points]) == 2
@@ -189,3 +198,12 @@ class TestUsageAndErrors:
         # the bad value sits at the end of the grid: nothing may be computed
         code = run_cli(["limit-cdf", "--a", "0", "--s", "1,2,0"])
         assert code == 2
+
+
+def test_import_does_not_load_scipy_linalg():
+    # every CLI process would pay the tens of milliseconds scipy.linalg takes to import
+    code = "import sys, hardedge; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(hardedge.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env=env)
+    assert result.stdout.strip() == "False"

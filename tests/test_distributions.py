@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hardedge import (
+    AccuracyError,
     DomainError,
     bessel_spec,
     finite_cdf,
@@ -57,6 +58,11 @@ class TestLimitCdf:
             with pytest.raises(DomainError):
                 limit_cdf(0.5, 4.0, m=m)
 
+    def test_mass_overflow_refused(self):
+        # the rule's weights carry s^{a+1}, beyond the double range here
+        with pytest.raises(AccuracyError):
+            limit_cdf(200.0, 40.0)
+
 
 class TestFiniteCdf:
     @pytest.mark.parametrize("s", [1.0, 4.0])
@@ -99,6 +105,10 @@ class TestFiniteCdf:
             finite_cdf(1.0, 5, 2.0, scaling="custom")  # c missing
         with pytest.raises(DomainError):
             finite_cdf(1.0, 5, 2.0, scaling="standard", c=0.5)
+
+    def test_mass_overflow_refused(self):
+        with pytest.raises(AccuracyError):
+            finite_cdf(200.0, 1000, 40.0)
 
     def test_order_validation(self):
         # a non-integral n is refused, not truncated to int(n)

@@ -96,6 +96,10 @@ class TestGramOracle:
         with pytest.raises(AccuracyError):
             gram_det(1.0, 30, 1.0, 45)
 
+    def test_mass_overflow_refused(self):
+        with pytest.raises(AccuracyError):
+            gram_det(200.0, 20, 40.0, 60)
+
     @pytest.mark.parametrize("n", [2, 10, 25])
     @pytest.mark.parametrize("a", [-0.5, 0.5, 2.0])
     def test_measure_change_invariance(self, n, a):

@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from hardedge import DomainError, NumericError, gauss_jacobi, reg_upper_gamma, scale_rule
+from hardedge import (AccuracyError, DomainError, NumericError, gauss_jacobi, reg_upper_gamma,
+                      scale_rule)
 from hardedge import quadrature
 from hardedge.quadrature import MAX_NODES, _jacobi_coefficients
 
@@ -108,13 +110,13 @@ def test_cached_rule_is_checked_when_built(monkeypatch):
     # the check runs once, inside the cached build: a rule that fails it
     # raises and is not cached, so no later call can return it unchecked
     quadrature._reference_rule.cache_clear()
-    eigen = quadrature._tridiag_eigen
+    gauss_nodes = quadrature._gauss_nodes
 
     def zero_first_weight(diag, off):
-        t, first_sq = eigen(diag, off)
-        return t, np.concatenate(([0.0], first_sq[1:]))
+        t, christoffel = gauss_nodes(diag, off)
+        return t, np.concatenate(([0.0], christoffel[1:]))
 
-    monkeypatch.setattr(quadrature, "_tridiag_eigen", zero_first_weight)
+    monkeypatch.setattr(quadrature, "_gauss_nodes", zero_first_weight)
     for _ in range(2):
         with pytest.raises(NumericError):
             gauss_jacobi(12, 0.5)
@@ -123,6 +125,47 @@ def test_cached_rule_is_checked_when_built(monkeypatch):
     rule = gauss_jacobi(12, 0.5)
     assert np.all(rule.weights > 0.0)
     assert gauss_jacobi(12, 0.5) is rule
+
+
+def _reference_node_and_weight(m, a, x):
+    """The node of the m-point rule for x^a dx on (0, 1) next to x, and its
+    weight, to 40 digits: two Newton steps on the orthonormal Jacobi
+    polynomial of degree m in t = 2x - 1, then the Christoffel number
+    1 / ((a+1) sum_{k<m} p_k(t)^2) with p_0 = 1.  The recurrence
+    coefficients come from their closed forms in mpmath, not from
+    _jacobi_coefficients."""
+    with mp.workdps(40):
+        a = mp.mpf(a)
+        diag = [a / (a + 2)] + [a * a / ((2 * k + a) * (2 * k + a + 2)) for k in range(1, m)]
+        off = [mp.sqrt(4 * k * k * (k + a) ** 2 / ((2 * k + a) ** 2 * ((2 * k + a) ** 2 - 1)))
+               for k in range(1, m)] + [mp.mpf(1)]
+        t = 2 * mp.mpf(float(x)) - 1
+        for _ in range(2):
+            p_prev, p, slope_prev, slope, squares = 0, mp.mpf(1), 0, 0, 0
+            for k in range(m):
+                squares += p * p
+                b_prev = off[k - 1] if k else 0
+                p_prev, p, slope_prev, slope = (
+                    p, ((t - diag[k]) * p - b_prev * p_prev) / off[k],
+                    slope, (p + (t - diag[k]) * slope - b_prev * slope_prev) / off[k])
+            t -= p / slope
+        # the squares belong to the first Newton iterate; from a double node
+        # good to ~1e-10 it is within ~1e-20 of the root
+        return (1 + t) / 2, 1 / ((a + 1) * squares)
+
+
+@pytest.mark.parametrize("a", [-0.99, 1.0])
+def test_rule_against_40_digit_reference(a):
+    # a = -0.99 puts the first node at 2.5e-7, where relative accuracy is hardest
+    m = 200
+    rule = gauss_jacobi(m, a)
+    node_err = weight_err = 0.0
+    for x, w in zip(rule.nodes, rule.weights):
+        x_ref, w_ref = _reference_node_and_weight(m, a, x)
+        node_err = max(node_err, float(abs(x - x_ref) / x_ref))
+        weight_err = max(weight_err, float(abs(w - w_ref) / w_ref))
+    assert node_err <= 1e-10
+    assert weight_err <= 2e-12
 
 
 def test_domain_errors():
@@ -139,3 +182,20 @@ def test_domain_errors():
         scale_rule(gauss_jacobi(5, 0.0), 0.0)
     with pytest.raises(DomainError):
         scale_rule(gauss_jacobi(5, 0.0), -2.0)
+
+
+@pytest.mark.parametrize("m", [1, 60])
+def test_order_beyond_reference_mass_is_refused(m):
+    # the reference mass 2^{a+1}/(a+1) on (-1, 1) overflows from a = 1023 on
+    with pytest.raises(AccuracyError):
+        gauss_jacobi(m, 1e4)
+    with pytest.raises(AccuracyError):
+        gauss_jacobi(m, 1023.0)
+    assert gauss_jacobi(m, 1022.0).m == m
+
+
+def test_underflowing_weights_are_refused():
+    # the smallest weight lies below the double range: its sum of squares
+    # overflows, and the zero weight is refused by the build's check
+    with pytest.raises(NumericError):
+        gauss_jacobi(MAX_NODES, 300.0)

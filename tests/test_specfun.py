@@ -18,6 +18,7 @@ from hardedge import (
     reg_upper_gamma,
 )
 from hardedge.quadrature import gauss_jacobi, scale_rule
+from hardedge.specfun import _binomials
 
 LN_SQRT_PI = 0.5723649429247001  # ln Gamma(1/2) = ln sqrt(pi)
 
@@ -249,6 +250,15 @@ class TestLaguerre:
         for n in (1, 2, 7, 400):
             batch = laguerre(n, 1.3, x)
             assert [laguerre(n, 1.3, float(xi)) for xi in x] == batch.tolist()
+
+    def test_binomials_are_cached_read_only(self):
+        # the cached product is the same running product, bit for bit
+        k = np.arange(1.0, 401.0)
+        fresh = np.concatenate(([1.0], np.cumprod((k + 1.3) / k)))
+        binom = _binomials(400, 1.3)
+        assert np.array_equal(binom, fresh)
+        assert _binomials(400, 1.3) is binom
+        assert not binom.flags.writeable
 
     @pytest.mark.parametrize("a", [0.5, 2.0])
     def test_high_degree_against_mpmath(self, a):

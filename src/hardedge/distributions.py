@@ -12,7 +12,6 @@ Scalings of the finite-order law, all reported on the common s axis:
     custom(c)   endpoint (1 - (a+c)/(2n)) s/(4n)
 """
 
-import math
 from dataclasses import dataclass
 
 from ._parallel import ordered_map
@@ -27,7 +26,6 @@ from .fredholm import (
 )
 from .kernels import bessel_spec, finite_spec
 from .quadrature import DEFAULT_NODES
-from .specfun import Z_MAX, _require_integer, require_order
 
 SCALINGS = ("standard", "optimal", "custom")
 
@@ -65,16 +63,9 @@ class DistributionTable:
                 )
 
 
-def _check_s(s) -> float:
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0 or s > 4.0 * Z_MAX:
-        raise DomainError(f"s must lie in (0, {4.0 * Z_MAX:g}], got {s!r}")
-    return s
-
-
 def limit_cdf(a, s, m=DEFAULT_NODES) -> DeterminantResult:
     """Gap probability F(s) of the hard-edge limit law."""
-    return nystrom_det(*_limit_point(a, s, m))
+    return nystrom_det(bessel_spec(a), s, m)
 
 
 def _finite_kernel_spec(a, n, scaling, c):
@@ -93,22 +84,7 @@ def _finite_kernel_spec(a, n, scaling, c):
 
 def finite_cdf(a, n, s, scaling="standard", m=DEFAULT_NODES, c=None) -> DeterminantResult:
     """Gap probability of the order-n law at s, under the requested scaling."""
-    a = require_order(a)
-    s = _check_s(s)
     return nystrom_det(_finite_kernel_spec(a, n, scaling, c), s, m)
-
-
-def _limit_point(a, s, m):
-    """(kernel spec, s, m) of the limit law, after the public argument checks."""
-    return bessel_spec(require_order(a)), _check_s(s), _check_m(m)
-
-
-def _finite_value(a, n, s, scaling, m) -> float:
-    """finite_cdf(a, n, s, scaling, m).value from the one assembly at m nodes,
-    without the m+10 error estimate."""
-    a = require_order(a)
-    s = _check_s(s)
-    return _det_value(_finite_kernel_spec(a, n, scaling, None), s, _check_m(m))
 
 
 def limit_density(a, s, m=DEFAULT_NODES) -> float:
@@ -117,21 +93,29 @@ def limit_density(a, s, m=DEFAULT_NODES) -> float:
     f = F * d/ds log F, with F and the log-derivative (the resolvent
     quadratic form) from one assembly of I - A at m nodes.
     """
-    value, log_slope = _det_and_log_derivative(*_limit_point(a, s, m))
+    value, log_slope = _det_and_log_derivative(bessel_spec(a), s, m)
     return value * log_slope
 
 
-def _limit_row(a, s, m, density) -> TableRow:
-    """F with its m vs m+10 error estimate, and f = dF/ds if density, from
+def _table(spec, scaling, s_values, m, density=False) -> DistributionTable:
+    """One row per s value in input order: F with its m vs m+10 error
+    estimate, as nystrom_det, and f = dF/ds if density (limit kernel), from
     the m and m+10 assemblies only: f shares the one at m with F."""
-    spec, s, m = _limit_point(a, s, m)
-    if density:
-        value, log_slope = _det_and_log_derivative(spec, s, m)
-        f = value * log_slope
-    else:
-        value, f = _det_value(spec, s, m), None
-    det = _det_result(spec, s, m, value)
-    return TableRow(s=s, F=det.value, f=f, F_err=det.error_estimate)
+    m = _check_m(m)
+
+    def row(s) -> TableRow:
+        if density:
+            value, log_slope = _det_and_log_derivative(spec, s, m)
+            f = value * log_slope
+        else:
+            value, f = _det_value(spec, s, m), None
+        s = float(s)
+        return TableRow(s=s, F=value, f=f, F_err=_det_result(spec, s, m, value).error_estimate)
+
+    rows = tuple(ordered_map(row, s_values))
+    table = DistributionTable(a=spec.a, n=spec.n, scaling=scaling, m=m, rows=rows)
+    table.validate()
+    return table
 
 
 def limit_table(a, s_values, m=DEFAULT_NODES, density=False) -> DistributionTable:
@@ -140,22 +124,9 @@ def limit_table(a, s_values, m=DEFAULT_NODES, density=False) -> DistributionTabl
     Each row takes F and its error estimate from the m and m+10 assemblies;
     with density, f = dF/ds (as limit_density) comes from the one at m too.
     """
-    a, m = require_order(a), _check_m(m)
-    rows = ordered_map(lambda s: _limit_row(a, s, m, density), s_values)
-    table = DistributionTable(a=a, n=None, scaling="limit", m=m, rows=tuple(rows))
-    table.validate()
-    return table
+    return _table(bessel_spec(a), "limit", s_values, m, density)
 
 
 def finite_table(a, n, s_values, scaling="standard", m=DEFAULT_NODES, c=None) -> DistributionTable:
     """Tabulate the order-n law over a grid under the requested scaling."""
-    a, n, m = require_order(a), _require_integer(n, "order n", 1), _check_m(m)
-
-    def one(s) -> TableRow:
-        det = finite_cdf(a, n, s, scaling=scaling, m=m, c=c)
-        return TableRow(s=float(s), F=det.value, f=None, F_err=det.error_estimate)
-
-    rows = ordered_map(one, s_values)
-    table = DistributionTable(a=a, n=n, scaling=scaling, m=m, rows=tuple(rows))
-    table.validate()
-    return table
+    return _table(_finite_kernel_spec(a, n, scaling, c), scaling, s_values, m)

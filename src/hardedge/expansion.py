@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _finite_value, _limit_point
 from .errors import DomainError
 from .fredholm import _det_and_log_derivative, _det_value
 from .kernels import bessel_spec, finite_spec, kernel_matrix
@@ -106,21 +105,21 @@ def conjecture_residual(a, n, s, m=STUDY_NODES) -> float:
     The second-order remainder of the corrected expansion; without the
     (a/2n) s f(s) term the difference |F_n - F| only decays like 1/n.
     """
-    value_n = _finite_value(a, n, s, "standard", m)
-    value, log_slope = _det_and_log_derivative(*_limit_point(a, s, m))
+    value_n = _det_value(finite_spec(a, n), s, m)
+    value, log_slope = _det_and_log_derivative(bessel_spec(a), s, m)
     return abs(value_n - value - (a / (2.0 * n)) * s * (value * log_slope))
 
 
 def uncorrected_difference(a, n, s, m=STUDY_NODES) -> float:
     """|F_n(s) - F(s)|, the first-order benchmark for conjecture_residual."""
-    value_n = _finite_value(a, n, s, "standard", m)
-    return abs(value_n - _det_value(*_limit_point(a, s, m)))
+    value_n = _det_value(finite_spec(a, n), s, m)
+    return abs(value_n - _det_value(bessel_spec(a), s, m))
 
 
 def optimal_scaling_residual(a, n, s, m=STUDY_NODES) -> float:
     """|F_n under the optimally tuned scaling - F(s)|; decays like n^-2."""
-    value_n = _finite_value(a, n, s, "optimal", m)
-    return abs(value_n - _det_value(*_limit_point(a, s, m)))
+    value_n = _det_value(finite_spec(a, n, c=0.0), s, m)
+    return abs(value_n - _det_value(bessel_spec(a), s, m))
 
 
 def taylor_step_residual(a, n, s, m=STUDY_NODES) -> float:
@@ -134,9 +133,9 @@ def taylor_step_residual(a, n, s, m=STUDY_NODES) -> float:
     shrink = 1.0 - a / (2.0 * n)
     if shrink <= 0.0:
         raise DomainError(f"taylor_step_residual needs 1 - a/(2n) > 0, got a={a!r}, n={n}")
-    stretched = s / shrink
-    value_stretched = _det_value(*_limit_point(a, stretched, m))
-    value, log_slope = _det_and_log_derivative(*_limit_point(a, s, m))
+    spec = bessel_spec(a)
+    value_stretched = _det_value(spec, s / shrink, m)
+    value, log_slope = _det_and_log_derivative(spec, s, m)
     return abs(value_stretched - value - (a / (2.0 * n)) * s * (value * log_slope))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, NumericError
 from .kernels import KernelSpec, kernel_matrix
 from .quadrature import DEFAULT_NODES, MAX_NODES, gauss_jacobi, scale_rule
-from .specfun import _laguerre_pass, _laguerre_weights, _require_integer
+from .specfun import Z_MAX, _laguerre_pass, _laguerre_weights, _require_integer
 
 # Error estimates compare m against m + 10 nodes, so m itself must leave
 # room below the quadrature cap.
@@ -47,9 +47,11 @@ def _rule(m: int, a: float, s: float):
 
 
 def _check_interval(s) -> float:
+    """The one s gate of the library: (0, s) must lie where the kernels are
+    validated, s <= 4 Z_MAX (the limit kernel's Bessel arguments are s/4)."""
     s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise DomainError(f"interval endpoint must be a finite real > 0, got {s!r}")
+    if not 0.0 < s <= 4.0 * Z_MAX:
+        raise DomainError(f"s must lie in (0, {4.0 * Z_MAX:g}], got {s!r}")
     return s
 
 
@@ -103,27 +105,30 @@ def _quadratic_form_of(system: np.ndarray, b: np.ndarray, s: float, m: int) -> f
     return value
 
 
-def _det_value(spec: KernelSpec, s: float, m: int) -> float:
+def _det_value(spec: KernelSpec, s, m) -> float:
+    """det(I - A) at m nodes alone, without the m+10 error estimate."""
+    s, m = _check_interval(s), _check_m(m)
     return _det_of(_assemble(spec, s, m)[0], s, m)
 
 
-def _det_and_log_derivative(spec: KernelSpec, s: float, m: int) -> tuple[float, float]:
+def _det_and_log_derivative(spec: KernelSpec, s, m) -> tuple[float, float]:
     """det(I - A) and the resolvent log-derivative from one assembly (limit kernel)."""
+    s, m = _check_interval(s), _check_m(m)
     system, b = _assemble(spec, s, m)
     value = _det_of(system, s, m)
     return value, -_quadratic_form_of(system, b, s, m) / (4.0 * s)
 
 
 def _det_result(spec: KernelSpec, s: float, m: int, value: float) -> DeterminantResult:
-    """Attach the m vs m+10 error estimate to the determinant value at m nodes."""
-    refined = _det_value(spec, s, m + 10)
+    """Attach the m vs m+10 error estimate to the determinant value at m nodes;
+    s and m have passed the gate, and m + 10 may exceed MAX_DET_NODES."""
+    refined = _det_of(_assemble(spec, s, m + 10)[0], s, m + 10)
     return DeterminantResult(value=value, error_estimate=abs(value - refined), m=m)
 
 
 def nystrom_det(spec: KernelSpec, s, m=DEFAULT_NODES) -> DeterminantResult:
     """det(I - Khat on L^2((0,s); x^a dx)) with an m vs m+10 error estimate."""
-    s = _check_interval(s)
-    m = _check_m(m)
+    s, m = _check_interval(s), _check_m(m)
     return _det_result(spec, s, m, _det_value(spec, s, m))
 
 
@@ -166,8 +171,7 @@ def resolvent_quadratic_form(spec: KernelSpec, s, m=DEFAULT_NODES) -> float:
     """
     if spec.family != "bessel":
         raise DomainError("resolvent_quadratic_form is defined for the limit kernel")
-    s = _check_interval(s)
-    m = _check_m(m)
+    s, m = _check_interval(s), _check_m(m)
     system, b = _assemble(spec, s, m)
     return _quadratic_form_of(system, b, s, m)
 
@@ -177,15 +181,14 @@ def log_derivative(spec: KernelSpec, s, m=DEFAULT_NODES, method="resolvent") -> 
 
     The resolvent path uses the quadratic-form identity (limit kernel only);
     the finite_difference path differentiates log nystrom values centrally
-    with step 1e-3 s and one Richardson refinement, and exists to validate
-    the resolvent path: it is the library's one finite-difference route.
+    with step 1e-3 s (so s + 1e-3 s must pass the s gate too) and one
+    Richardson refinement, and exists to validate the resolvent path: it is
+    the library's one finite-difference route.
     """
     s = _check_interval(s)
     if method == "resolvent":
         return -resolvent_quadratic_form(spec, s, m) / (4.0 * s)
     if method == "finite_difference":
-        m = _check_m(m)
-
         def log_det(t: float) -> float:
             return math.log(_det_value(spec, t, m))
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import ordered_map
-from .distributions import _finite_value
 from .errors import DomainError, NumericError
+from .fredholm import _det_value
+from .kernels import finite_spec
 from .specfun import Z_MAX, _require_integer
 
 MAX_SAMPLER_ORDER = 200
@@ -93,15 +94,17 @@ def analytic_smallest_cdf(a, n, m=50):
     to the hard-edge axis via s = 4 n t; beyond the kernels' validated axis
     the survival probability is below 1e-170 (it decays like e^{-n t}), so
     the CDF is clamped to 1 there.  Each value is the determinant at m
-    nodes alone, without the m+10 error estimate.
+    nodes alone, without the m+10 error estimate.  a and n are checked
+    here, when the CDF is made; m at each evaluation.
     """
+    spec = finite_spec(a, n)
 
     def cdf(t: float) -> float:
-        s = 4.0 * n * float(t)
+        s = 4.0 * spec.n * float(t)
         if s <= 0.0:
             return 0.0
         if s > 4.0 * Z_MAX:
             return 1.0
-        return 1.0 - _finite_value(a, n, s, "standard", m)
+        return 1.0 - _det_value(spec, s, m)
 
     return cdf

@@ -190,6 +190,11 @@ class TestUsageAndErrors:
         assert run_cli(["limit-cdf", "--a", "200", "--s", "40"]) == 2
         assert "double range" in capsys.readouterr().err
 
+    def test_mass_underflow_exits_2(self, capsys):
+        # s^{a+1} underflows to zero: a domain refusal (2), not a numeric failure (3)
+        assert run_cli(["limit-cdf", "--a", "200", "--s", "0.001"]) == 2
+        assert "double range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_kernel_check_needs_grid_points(self, points, capsys):
         assert run_cli(["kernel-check", "--a", "1", "--c", "0", "--grid-points", points]) == 2

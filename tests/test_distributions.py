@@ -63,6 +63,11 @@ class TestLimitCdf:
         with pytest.raises(AccuracyError):
             limit_cdf(200.0, 40.0)
 
+    def test_mass_underflow_refused(self):
+        # s^{a+1} underflows to zero: outside the double range, not a failed rule
+        with pytest.raises(AccuracyError):
+            limit_cdf(200.0, 0.001)
+
 
 class TestFiniteCdf:
     @pytest.mark.parametrize("s", [1.0, 4.0])
@@ -109,6 +114,10 @@ class TestFiniteCdf:
     def test_mass_overflow_refused(self):
         with pytest.raises(AccuracyError):
             finite_cdf(200.0, 1000, 40.0)
+
+    def test_mass_underflow_refused(self):
+        with pytest.raises(AccuracyError):
+            finite_cdf(200.0, 20, 0.001)
 
     def test_order_validation(self):
         # a non-integral n is refused, not truncated to int(n)

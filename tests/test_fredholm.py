@@ -9,14 +9,23 @@ from hardedge import (
     AccuracyError,
     DomainError,
     bessel_spec,
+    conjecture_residual,
+    finite_cdf,
     finite_spec,
+    finite_table,
     gram_det,
     hat_bessel_j,
     kernel_matrix,
+    limit_cdf,
+    limit_density,
+    limit_table,
     log_derivative,
     nystrom_det,
+    optimal_scaling_residual,
     reg_upper_gamma,
     resolvent_quadratic_form,
+    taylor_step_residual,
+    uncorrected_difference,
 )
 from hardedge import NumericError, fredholm
 from hardedge.quadrature import gauss_jacobi, scale_rule
@@ -191,3 +200,32 @@ class TestRankOneFactorization:
         assert abs(lhs - rhs) < 1e-10
         # and the quadratic form agrees with the public functional
         assert quad == pytest.approx(resolvent_quadratic_form(bessel_spec(a), s, m), rel=1e-12)
+
+
+# Every public route to a determinant, as a function of s alone (m = 50).
+DETERMINANT_ENTRY_POINTS = {
+    "nystrom_det-bessel": lambda s: nystrom_det(bessel_spec(1.0), s, 50),
+    "nystrom_det-finite": lambda s: nystrom_det(finite_spec(1.0, 20), s, 50),
+    "resolvent_quadratic_form": lambda s: resolvent_quadratic_form(bessel_spec(1.0), s, 50),
+    "log_derivative-resolvent": lambda s: log_derivative(bessel_spec(1.0), s, 50),
+    "log_derivative-finite_difference":
+        lambda s: log_derivative(bessel_spec(1.0), s, 50, method="finite_difference"),
+    "limit_cdf": lambda s: limit_cdf(1.0, s, 50),
+    "limit_density": lambda s: limit_density(1.0, s, 50),
+    "finite_cdf": lambda s: finite_cdf(1.0, 20, s, m=50),
+    "limit_table": lambda s: limit_table(1.0, [s], 50),
+    "finite_table": lambda s: finite_table(1.0, 20, [s], m=50),
+    "conjecture_residual": lambda s: conjecture_residual(1.0, 20, s, 50),
+    "uncorrected_difference": lambda s: uncorrected_difference(1.0, 20, s, 50),
+    "optimal_scaling_residual": lambda s: optimal_scaling_residual(1.0, 20, s, 50),
+    "taylor_step_residual": lambda s: taylor_step_residual(1.0, 20, s, 50),
+}
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf, 1600.5, 1601.0])
+@pytest.mark.parametrize("entry", sorted(DETERMINANT_ENTRY_POINTS))
+def test_one_accepted_s_domain(entry, s):
+    # every entry point refuses the same s, (0, 4 Z_MAX] = (0, 1600] being the
+    # kernels' validated axis, whichever module it lives in
+    with pytest.raises(DomainError):
+        DETERMINANT_ENTRY_POINTS[entry](s)

@@ -194,6 +194,14 @@ def test_order_beyond_reference_mass_is_refused(m):
     assert gauss_jacobi(m, 1022.0).m == m
 
 
+@pytest.mark.parametrize("nodes, weights", [([math.nan], [1.0]), ([0.5], [math.nan])],
+                         ids=["nan-node", "nan-weight"])
+def test_checked_refuses_nan(nodes, weights):
+    # every test in the rule check must fail for nan, not only comparisons that hold
+    with pytest.raises(NumericError):
+        quadrature._checked(np.array(nodes), np.array(weights), 1.0, 0.0)
+
+
 def test_underflowing_weights_are_refused():
     # the smallest weight lies below the double range: its sum of squares
     # overflows, and the zero weight is refused by the build's check

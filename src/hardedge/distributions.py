@@ -20,8 +20,7 @@ from .fredholm import (
     DeterminantResult,
     _check_m,
     _det_and_log_derivative,
-    _det_result,
-    _det_value,
+    _estimated,
     nystrom_det,
 )
 from .kernels import bessel_spec, finite_spec
@@ -100,17 +99,13 @@ def limit_density(a, s, m=DEFAULT_NODES) -> float:
 def _table(spec, scaling, s_values, m, density=False) -> DistributionTable:
     """One row per s value in input order: F with its m vs m+10 error
     estimate, as nystrom_det, and f = dF/ds if density (limit kernel), from
-    the m and m+10 assemblies only: f shares the one at m with F."""
+    one kernel evaluation over both rules: f shares the m-node system with F."""
     m = _check_m(m)
 
     def row(s) -> TableRow:
-        if density:
-            value, log_slope = _det_and_log_derivative(spec, s, m)
-            f = value * log_slope
-        else:
-            value, f = _det_value(spec, s, m), None
-        s = float(s)
-        return TableRow(s=s, F=value, f=f, F_err=_det_result(spec, s, m, value).error_estimate)
+        det, log_slope = _estimated(spec, s, m, slope=density)
+        f = det.value * log_slope if density else None
+        return TableRow(s=float(s), F=det.value, f=f, F_err=det.error_estimate)
 
     rows = tuple(ordered_map(row, s_values))
     table = DistributionTable(a=spec.a, n=spec.n, scaling=scaling, m=m, rows=rows)
@@ -121,8 +116,9 @@ def _table(spec, scaling, s_values, m, density=False) -> DistributionTable:
 def limit_table(a, s_values, m=DEFAULT_NODES, density=False) -> DistributionTable:
     """Tabulate the limit law over a grid, one row per s value in input order.
 
-    Each row takes F and its error estimate from the m and m+10 assemblies;
-    with density, f = dF/ds (as limit_density) comes from the one at m too.
+    Each row takes F and its error estimate from one kernel evaluation over
+    the m and m+10 rules; with density, f = dF/ds (as limit_density) comes
+    from the m-node system too.
     """
     return _table(bessel_spec(a), "limit", s_values, m, density)
 

@@ -10,7 +10,8 @@ with spectral accuracy because the kernel is entire.  The determinant is
 accumulated as a signed sum of log pivots (LU with row pivoting), so large
 intervals cannot underflow.  One assembly of I - A serves both the
 determinant and the resolvent solve wherever a caller needs the two at the
-same (kernel, s, m).
+same (kernel, s, m), and one kernel evaluation over the nodes of both rules
+serves the m and m+10 systems of an error estimate.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, NumericError
 from .kernels import KernelSpec, kernel_matrix
 from .quadrature import DEFAULT_NODES, MAX_NODES, gauss_jacobi, scale_rule
-from .specfun import Z_MAX, _laguerre_pass, _laguerre_weights, _require_integer
+from .specfun import S_MAX, _laguerre_pass, _laguerre_weights, _require_integer
 
 # Error estimates compare m against m + 10 nodes, so m itself must leave
 # room below the quadrature cap.
@@ -34,7 +35,9 @@ class DeterminantResult:
     """A determinant value with an a-posteriori error estimate.
 
     error_estimate is |value(m) - value(m+10)|; spectral convergence of the
-    Nystrom discretization makes this sharp.
+    Nystrom discretization makes this sharp.  The m and m+10 systems are
+    blocks of one kernel evaluation over the nodes of both rules, equal bit
+    for bit to separate assemblies.
     """
 
     value: float
@@ -48,10 +51,10 @@ def _rule(m: int, a: float, s: float):
 
 def _check_interval(s) -> float:
     """The one s gate of the library: (0, s) must lie where the kernels are
-    validated, s <= 4 Z_MAX (the limit kernel's Bessel arguments are s/4)."""
+    validated, s <= S_MAX."""
     s = float(s)
-    if not 0.0 < s <= 4.0 * Z_MAX:
-        raise DomainError(f"s must lie in (0, {4.0 * Z_MAX:g}], got {s!r}")
+    if not 0.0 < s <= S_MAX:
+        raise DomainError(f"s must lie in (0, {S_MAX:g}], got {s!r}")
     return s
 
 
@@ -59,22 +62,28 @@ def _check_m(m) -> int:
     return _require_integer(m, "node count", MIN_DET_NODES, MAX_DET_NODES)
 
 
-def _assemble(spec: KernelSpec, s: float, m: int):
-    """(I - A, b) on the m-node rule for (0, s).
+def _assemble(spec: KernelSpec, s: float, *ms: int) -> list:
+    """[(I - A, b)], one pair per node count m, each on the m-node rule for (0, s).
 
+    One kernel_matrix call over the concatenated nodes of all the rules
+    serves every m, which takes its diagonal block.  Every kernel entry and
+    factor is elementwise in its arguments, so each block equals the matrix
+    assembled on its rule alone, bit for bit; the cross blocks are discarded.
     b_i = sqrt(w_i) hat_j_a(x_i) is the resolvent right-hand side; it comes
     out of the limit-kernel assembly (None for the finite family).
     """
-    rule = _rule(m, spec.a, s)
-    sqrt_w = np.sqrt(rule.weights)
-    hat_j = None
-    if spec.family == "bessel":
-        hat_j = np.empty(m)
-        kernel = kernel_matrix(spec, rule.nodes, hat_j_out=hat_j)
-    else:
-        kernel = kernel_matrix(spec, rule.nodes)
-    system = np.eye(m) - sqrt_w[:, None] * kernel * sqrt_w[None, :]
-    return system, None if hat_j is None else sqrt_w * hat_j
+    rules = [_rule(m, spec.a, s) for m in ms]
+    nodes = np.concatenate([rule.nodes for rule in rules])
+    hat_j = np.empty(nodes.size) if spec.family == "bessel" else None
+    kernel = kernel_matrix(spec, nodes, hat_j_out=hat_j)
+    systems, start = [], 0
+    for m, rule in zip(ms, rules):
+        block = slice(start, start + m)
+        start += m
+        sqrt_w = np.sqrt(rule.weights)
+        system = np.eye(m) - sqrt_w[:, None] * kernel[block, block] * sqrt_w[None, :]
+        systems.append((system, None if hat_j is None else sqrt_w * hat_j[block]))
+    return systems
 
 
 def _det_of(system: np.ndarray, s: float, m: int) -> float:
@@ -105,31 +114,41 @@ def _quadratic_form_of(system: np.ndarray, b: np.ndarray, s: float, m: int) -> f
     return value
 
 
+def _log_slope(system: np.ndarray, b: np.ndarray, s: float, m: int) -> float:
+    """d/ds log det(I - A) from the resolvent quadratic form of one system."""
+    return -_quadratic_form_of(system, b, s, m) / (4.0 * s)
+
+
 def _det_value(spec: KernelSpec, s, m) -> float:
     """det(I - A) at m nodes alone, without the m+10 error estimate."""
     s, m = _check_interval(s), _check_m(m)
-    return _det_of(_assemble(spec, s, m)[0], s, m)
+    [(system, _)] = _assemble(spec, s, m)
+    return _det_of(system, s, m)
 
 
 def _det_and_log_derivative(spec: KernelSpec, s, m) -> tuple[float, float]:
     """det(I - A) and the resolvent log-derivative from one assembly (limit kernel)."""
     s, m = _check_interval(s), _check_m(m)
-    system, b = _assemble(spec, s, m)
+    [(system, b)] = _assemble(spec, s, m)
+    return _det_of(system, s, m), _log_slope(system, b, s, m)
+
+
+def _estimated(spec: KernelSpec, s, m, slope=False):
+    """(DeterminantResult, log-derivative): det(I - A) at m nodes with its
+    m vs m+10 error estimate, both systems from one _assemble; with slope,
+    the resolvent log-derivative of the m-node system (limit kernel), else
+    None.  m + 10 may exceed MAX_DET_NODES."""
+    s, m = _check_interval(s), _check_m(m)
+    (system, b), (refined, _) = _assemble(spec, s, m, m + 10)
     value = _det_of(system, s, m)
-    return value, -_quadratic_form_of(system, b, s, m) / (4.0 * s)
-
-
-def _det_result(spec: KernelSpec, s: float, m: int, value: float) -> DeterminantResult:
-    """Attach the m vs m+10 error estimate to the determinant value at m nodes;
-    s and m have passed the gate, and m + 10 may exceed MAX_DET_NODES."""
-    refined = _det_of(_assemble(spec, s, m + 10)[0], s, m + 10)
-    return DeterminantResult(value=value, error_estimate=abs(value - refined), m=m)
+    log_slope = _log_slope(system, b, s, m) if slope else None
+    error = abs(value - _det_of(refined, s, m + 10))
+    return DeterminantResult(value=value, error_estimate=error, m=m), log_slope
 
 
 def nystrom_det(spec: KernelSpec, s, m=DEFAULT_NODES) -> DeterminantResult:
     """det(I - Khat on L^2((0,s); x^a dx)) with an m vs m+10 error estimate."""
-    s, m = _check_interval(s), _check_m(m)
-    return _det_result(spec, s, m, _det_value(spec, s, m))
+    return _estimated(spec, s, m)[0]
 
 
 def gram_det(a, n, t, m) -> float:
@@ -172,7 +191,7 @@ def resolvent_quadratic_form(spec: KernelSpec, s, m=DEFAULT_NODES) -> float:
     if spec.family != "bessel":
         raise DomainError("resolvent_quadratic_form is defined for the limit kernel")
     s, m = _check_interval(s), _check_m(m)
-    system, b = _assemble(spec, s, m)
+    [(system, b)] = _assemble(spec, s, m)
     return _quadratic_form_of(system, b, s, m)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import (Z_MAX, _binomials, _laguerre_pass, _laguerre_weights, _require_integer,
+from .specfun import (S_MAX, _binomials, _laguerre_pass, _laguerre_weights, _require_integer,
                       bessel_entire, require_order)
 
 # Relative |x - y| below which the confluent branch replaces the divided
@@ -114,8 +114,8 @@ def _near_diagonal(x: float, y: float) -> bool:
 def _check_range(x: float, y: float) -> None:
     if not (math.isfinite(x) and math.isfinite(y)) or x < 0.0 or y < 0.0:
         raise DomainError(f"kernel arguments must be finite and >= 0, got ({x!r}, {y!r})")
-    if max(x, y) > 4.0 * Z_MAX:
-        raise DomainError(f"kernel arguments must lie in [0, {4.0 * Z_MAX:g}]")
+    if max(x, y) > S_MAX:
+        raise DomainError(f"kernel arguments must lie in [0, {S_MAX:g}]")
 
 
 def _bessel_offdiag(a: float, ja_u, jm_u, ja_v, jm_v, gap):
@@ -239,8 +239,8 @@ def kernel_matrix(spec: KernelSpec, nodes: np.ndarray, hat_j_out=None) -> np.nda
     x = np.asarray(nodes, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise DomainError("kernel_matrix needs a one-dimensional, non-empty node array")
-    if np.any(x < 0.0) or np.any(x > 4.0 * Z_MAX) or not np.all(np.isfinite(x)):
-        raise DomainError(f"kernel nodes must lie in [0, {4.0 * Z_MAX:g}]")
+    if np.any(x < 0.0) or np.any(x > S_MAX) or not np.all(np.isfinite(x)):
+        raise DomainError(f"kernel nodes must lie in [0, {S_MAX:g}]")
     den = x[:, None] - x[None, :]
     scale = np.maximum(1.0, np.maximum(np.abs(x)[:, None], np.abs(x)[None, :]))
     near = np.abs(den) < NEAR_DIAGONAL_RTOL * scale

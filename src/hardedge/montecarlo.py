@@ -21,7 +21,7 @@ from ._parallel import ordered_map
 from .errors import DomainError, NumericError
 from .fredholm import _det_value
 from .kernels import finite_spec
-from .specfun import Z_MAX, _require_integer
+from .specfun import S_MAX, _require_integer
 
 MAX_SAMPLER_ORDER = 200
 MIN_KS_COUNT = 1000
@@ -103,7 +103,7 @@ def analytic_smallest_cdf(a, n, m=50):
         s = 4.0 * spec.n * float(t)
         if s <= 0.0:
             return 0.0
-        if s > 4.0 * Z_MAX:
+        if s > S_MAX:
             return 1.0
         return 1.0 - _det_value(spec, s, m)
 

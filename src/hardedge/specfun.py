@@ -39,8 +39,12 @@ from scipy import special as _sp
 
 from .errors import AccuracyError, DomainError, NumericError, SingularPointError
 
-# Largest |z| accepted by bessel_entire; kernel arguments x = 4z stay <= 1600.
+# Largest |z| accepted by bessel_entire.
 Z_MAX = 400.0
+
+# Largest kernel argument, and so the one bound on the interval end s: the
+# limit kernel evaluates bessel_entire at x/4 <= Z_MAX.
+S_MAX = 4.0 * Z_MAX
 
 # The library route forms J_a(2 sqrt(z)) and z^{-a/2} separately, so both must
 # stay inside the normal double range.  Near z = 0, J_a(2 sqrt(z)) follows its

@@ -1,17 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 
 from hardedge import (
     AccuracyError,
+    DeterminantResult,
     DomainError,
     bessel_spec,
     finite_cdf,
+    finite_spec,
     finite_table,
     limit_cdf,
     limit_density,
     limit_table,
     log_derivative,
+    nystrom_det,
     reg_upper_gamma,
     resolvent_quadratic_form,
 )
@@ -19,6 +23,7 @@ from hardedge import fredholm
 from hardedge.distributions import DistributionTable, TableRow
 from hardedge.errors import NumericError
 from hardedge.kernels import kernel_matrix
+from hardedge.quadrature import gauss_jacobi, scale_rule
 
 
 @pytest.fixture
@@ -129,6 +134,40 @@ class TestFiniteCdf:
             1.0, 100, 4.0, scaling="optimal")
 
 
+def two_assembly_result(spec, s, m) -> DeterminantResult:
+    """The m vs m+10 estimate from a separate kernel_matrix per rule."""
+    values = []
+    for size in (m, m + 10):
+        rule = scale_rule(gauss_jacobi(size, spec.a), s)
+        sqrt_w = np.sqrt(rule.weights)
+        a_mat = sqrt_w[:, None] * kernel_matrix(spec, rule.nodes) * sqrt_w[None, :]
+        sign, log_abs = np.linalg.slogdet(np.eye(size) - a_mat)
+        assert sign > 0.0
+        values.append(math.exp(log_abs))
+    return DeterminantResult(value=values[0], error_estimate=abs(values[0] - values[1]), m=m)
+
+
+class TestErrorEstimateAssembly:
+    @pytest.mark.parametrize("law,args,spec,s,m", [
+        pytest.param(limit_cdf, dict(a=0.5), bessel_spec(0.5), 4.0, 50, id="limit-a0.5"),
+        pytest.param(limit_cdf, dict(a=2.0), bessel_spec(2.0), 23.0, 40, id="limit-a2"),
+        pytest.param(finite_cdf, dict(a=0.5, n=1000), finite_spec(0.5, 1000), 4.0, 50,
+                     id="standard-n1000"),
+        pytest.param(finite_cdf, dict(a=2.0, n=20, scaling="optimal"), finite_spec(2.0, 20, c=0.0),
+                     40.0, 60, id="optimal-n20"),
+        pytest.param(finite_cdf, dict(a=1.5, n=7, scaling="custom", c=0.3),
+                     finite_spec(1.5, 7, c=0.3), 9.0, 45, id="custom-n7"),
+    ])
+    def test_one_kernel_evaluation(self, law, args, spec, s, m, assemblies):
+        # the m and m + 10 rules share one kernel_matrix over both node sets,
+        # and the result equals two separate assemblies bit for bit
+        reference = two_assembly_result(spec, s, m)
+        for evaluate in (lambda: law(s=s, m=m, **args), lambda: nystrom_det(spec, s, m)):
+            assemblies.clear()
+            assert evaluate() == reference
+            assert assemblies == [2 * m + 10]
+
+
 class TestLimitDensity:
     def test_exponential_law_derivative(self):
         assert limit_density(0.0, 4.0, 50) == pytest.approx(-math.exp(-1.0) / 4.0, abs=1e-10)
@@ -176,9 +215,10 @@ class TestTables:
             assert row.F_err < 1e-12
 
     def test_density_table_shares_assemblies(self, assemblies):
-        # F, F_err and f of a row come from the m and m + 10 assemblies only
+        # F, F_err and f of a row come from one kernel evaluation over the
+        # m and m + 10 rules
         table = limit_table(2.0, [0.5, 3.0, 9.0], m=40, density=True)
-        assert sorted(assemblies) == [40] * 3 + [50] * 3
+        assert sorted(assemblies) == [90] * 3
         for row in table.rows:
             det = limit_cdf(2.0, row.s, 40)
             assert (row.F, row.F_err) == (det.value, det.error_estimate)

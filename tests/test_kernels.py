@@ -338,6 +338,36 @@ class TestKernelMatrix:
             assert value == pytest.approx(hat_bessel_j(1.5, x), rel=1e-14)
         assert np.array_equal(hat_bessel_j(1.5, rule.nodes), hat_j)
 
+    @pytest.mark.parametrize("spec", [
+        pytest.param(spec, id=f"{spec.family}-a{spec.a}-n{spec.n}-c{spec.c}")
+        for a in (0.5, 2.0)
+        for spec in (
+            bessel_spec(a),
+            *(finite_spec(a, n, c) for n in (1, 1000) for c in (None, 0.0)
+              if c is None or a < 2.0 * n),
+        )
+    ])
+    @pytest.mark.parametrize("s", [4.0, 40.0])
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_union_blocks_equal_separate_assemblies(self, spec, s, clustered):
+        # an error estimate evaluates the kernel once over the nodes of its m
+        # and m + 10 rules; every entry is elementwise in its arguments, so
+        # each diagonal block is the matrix of its rule alone, bit for bit
+        first = scale_rule(gauss_jacobi(50, spec.a), s).nodes
+        second = scale_rule(gauss_jacobi(60, spec.a), s).nodes
+        if clustered:
+            # pairs 1e-8 apart, inside the second block and across the blocks,
+            # take the near-diagonal midpoint branch
+            second = np.sort(np.concatenate((second, [second[10] + 1e-8, first[20] + 1e-8])))
+        hat_j = np.empty(first.size + second.size)
+        union = kernel_matrix(spec, np.concatenate((first, second)), hat_j_out=hat_j)
+        blocks = (slice(0, first.size), slice(first.size, None))
+        for nodes, block in zip((first, second), blocks):
+            alone = np.empty(nodes.size)
+            assert np.array_equal(union[block, block], kernel_matrix(spec, nodes, hat_j_out=alone))
+            if spec.family == "bessel":
+                assert np.array_equal(hat_j[block], alone)
+
     def test_exact_symmetry(self):
         for spec in (bessel_spec(-0.5), finite_spec(1.5, 30)):
             rule = scale_rule(gauss_jacobi(25, spec.a), 9.0)

@@ -35,3 +35,39 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def z_max_products(source: str, exempt=None) -> list:
+    """Lines that multiply Z_MAX (as a name or an attribute), apart from the
+    value of a module-level assignment to the name `exempt`."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == [exempt]
+    }
+
+    def is_z_max(node) -> bool:
+        return getattr(node, "id", getattr(node, "attr", None)) == "Z_MAX"
+
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and (is_z_max(node.left) or is_z_max(node.right)) and id(node) not in allowed
+    )
+
+
+def test_z_max_products_are_found():
+    source = (
+        "S_MAX = 4.0 * Z_MAX\nx = S_MAX + Z_MAX\nif y > Z_MAX * 4:\n"
+        "    T = 2 * specfun.Z_MAX\nS_MAX = 4.0 * Z_MAX\n"
+    )
+    assert z_max_products(source) == [1, 3, 4, 5]
+    assert z_max_products(source, exempt="S_MAX") == [3, 4]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_s_bound_is_one_constant(path):
+    # the s bound 4 Z_MAX is written out once, as specfun.S_MAX
+    exempt = "S_MAX" if path.name == "specfun.py" else None
+    assert z_max_products(path.read_text(), exempt) == []

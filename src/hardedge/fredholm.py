@@ -10,8 +10,9 @@ with spectral accuracy because the kernel is entire.  The determinant is
 accumulated as a signed sum of log pivots (LU with row pivoting), so large
 intervals cannot underflow.  One assembly of I - A serves both the
 determinant and the resolvent solve wherever a caller needs the two at the
-same (kernel, s, m), and one kernel evaluation over the nodes of both rules
-serves the m and m+10 systems of an error estimate.
+same (kernel, s, m), and one evaluation of the kernel factors over the
+nodes of both rules serves the m and m+10 systems of an error estimate,
+each built as its own block.
 """
 
 import math
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError, NumericError
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelSpec, _kernel_blocks
 from .quadrature import DEFAULT_NODES, MAX_NODES, gauss_jacobi, scale_rule
 from .specfun import S_MAX, _laguerre_pass, _laguerre_weights, _require_integer
 
@@ -36,8 +37,8 @@ class DeterminantResult:
 
     error_estimate is |value(m) - value(m+10)|; spectral convergence of the
     Nystrom discretization makes this sharp.  The m and m+10 systems are
-    blocks of one kernel evaluation over the nodes of both rules, equal bit
-    for bit to separate assemblies.
+    built from one evaluation of the kernel factors over the nodes of both
+    rules, one block per rule, equal bit for bit to separate assemblies.
     """
 
     value: float
@@ -65,24 +66,19 @@ def _check_m(m) -> int:
 def _assemble(spec: KernelSpec, s: float, *ms: int) -> list:
     """[(I - A, b)], one pair per node count m, each on the m-node rule for (0, s).
 
-    One kernel_matrix call over the concatenated nodes of all the rules
-    serves every m, which takes its diagonal block.  Every kernel entry and
-    factor is elementwise in its arguments, so each block equals the matrix
-    assembled on its rule alone, bit for bit; the cross blocks are discarded.
+    One _kernel_blocks call evaluates the kernel factors once over the nodes
+    of all the rules and forms one block per rule, no cross blocks; each
+    block equals the matrix assembled on its rule alone, bit for bit.
     b_i = sqrt(w_i) hat_j_a(x_i) is the resolvent right-hand side; it comes
     out of the limit-kernel assembly (None for the finite family).
     """
     rules = [_rule(m, spec.a, s) for m in ms]
-    nodes = np.concatenate([rule.nodes for rule in rules])
-    hat_j = np.empty(nodes.size) if spec.family == "bessel" else None
-    kernel = kernel_matrix(spec, nodes, hat_j_out=hat_j)
-    systems, start = [], 0
-    for m, rule in zip(ms, rules):
-        block = slice(start, start + m)
-        start += m
+    blocks = _kernel_blocks(spec, [rule.nodes for rule in rules])
+    systems = []
+    for m, rule, (kernel, hat_j) in zip(ms, rules, blocks):
         sqrt_w = np.sqrt(rule.weights)
-        system = np.eye(m) - sqrt_w[:, None] * kernel[block, block] * sqrt_w[None, :]
-        systems.append((system, None if hat_j is None else sqrt_w * hat_j[block]))
+        system = np.eye(m) - sqrt_w[:, None] * kernel * sqrt_w[None, :]
+        systems.append((system, None if hat_j is None else sqrt_w * hat_j))
     return systems
 
 

@@ -14,6 +14,13 @@ whose confluent (diagonal) value follows from d/du j_a(u) = -j_{a+1}(u):
 
     Khat(x, x) = 4^{-a-1} [j_a(u)^2 - j_{a-1}(u) j_{a+1}(u)].
 
+Both are evaluated in j_a and j_{a+1} alone: the recurrence
+z j_{a+1}(z) = a j_a(z) - j_{a-1}(z) removes j_{a-1} and with it the
+cancelling a j_a(u) j_a(v) terms, which cost digits at small arguments:
+
+    Khat(x, y) = 4^{-a-1} [u j_{a+1}(u) j_a(v) - v j_a(u) j_{a+1}(v)] / (u - v),
+    Khat(x, x) = 4^{-a-1} [j_a(u) (j_a(u) - a j_{a+1}(u)) + u j_{a+1}(u)^2].
+
 Order-n kernel under the hard-edge change of variables X = rho * x:
 
     Khat_n(x, y) = n!/Gamma(n+a) * rho^a e^{-rho(x+y)/2}
@@ -28,6 +35,10 @@ formed.  The diagonal is the exact sum of squares
     Khat_n(x, x) = rho^{a+1} e^{-rho x} sum_{k<n} w_k p_k(rho x)^2.
 
 One recurrence pass over a node vector yields p_n, p_{n-1}, d_n and the sum.
+
+A kernel matrix therefore costs two vector j calls (limit family) or one
+recurrence pass (order-n family) over its nodes, plus the midpoints of node
+pairs that fall inside the near-diagonal window.
 """
 
 import math
@@ -118,18 +129,18 @@ def _check_range(x: float, y: float) -> None:
         raise DomainError(f"kernel arguments must lie in [0, {S_MAX:g}]")
 
 
-def _bessel_offdiag(a: float, ja_u, jm_u, ja_v, jm_v, gap):
-    """Limit kernel from j_a, j_{a-1} at u = x/4 and v = y/4, gap = u - v.
+def _bessel_offdiag(a: float, ja_u, ujp_u, ja_v, ujp_v, gap):
+    """Limit kernel from j_a and u j_{a+1} at u = x/4 and v = y/4, gap = u - v.
 
     Takes scalars or broadcasting arrays, so the pointwise kernel and
     kernel_matrix share this one formula.
     """
-    return 4.0 ** (-a - 1.0) * (ja_u * jm_v - jm_u * ja_v) / gap
+    return 4.0 ** (-a - 1.0) * (ujp_u * ja_v - ja_u * ujp_v) / gap
 
 
-def _bessel_confluent(a: float, ja, jm, jp):
-    """Confluent limit kernel from j_a, j_{a-1}, j_{a+1} at one point u."""
-    return 4.0 ** (-a - 1.0) * (ja * ja - jm * jp)
+def _bessel_confluent(a: float, u, ja, jp):
+    """Confluent limit kernel from j_a, j_{a+1} at one point u."""
+    return 4.0 ** (-a - 1.0) * (ja * (ja - a * jp) + u * jp * jp)
 
 
 def bessel_kernel_entire(a, x, y) -> float:
@@ -140,14 +151,12 @@ def bessel_kernel_entire(a, x, y) -> float:
     _check_range(x, y)
     if _near_diagonal(x, y):
         u = 0.125 * (x + y)
-        return _bessel_confluent(
-            a, bessel_entire(a, u), bessel_entire(a - 1.0, u), bessel_entire(a + 1.0, u)
-        )
+        return _bessel_confluent(a, u, bessel_entire(a, u), bessel_entire(a + 1.0, u))
     u = 0.25 * x
     v = 0.25 * y
     return _bessel_offdiag(
-        a, bessel_entire(a, u), bessel_entire(a - 1.0, u),
-        bessel_entire(a, v), bessel_entire(a - 1.0, v), u - v,
+        a, bessel_entire(a, u), u * bessel_entire(a + 1.0, u),
+        bessel_entire(a, v), v * bessel_entire(a + 1.0, v), u - v,
     )
 
 
@@ -227,6 +236,76 @@ def kernel_expansion_residual(a, n, c, x, y) -> float:
     )
 
 
+def _near_pairs(x: np.ndarray, den: np.ndarray):
+    """(rows, cols) of the off-diagonal node pairs inside the near-diagonal
+    window, den = x_i - x_j; the O(m^2) mask is skipped when even the
+    smallest gap between sorted nodes lies outside the window."""
+    window = NEAR_DIAGONAL_RTOL * max(1.0, float(np.max(x)))
+    if x.size < 2 or np.min(np.diff(np.sort(x))) >= window:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    near = np.abs(den) < NEAR_DIAGONAL_RTOL * np.maximum(1.0, np.maximum(x[:, None], x[None, :]))
+    np.fill_diagonal(near, False)
+    return np.nonzero(near)
+
+
+def _kernel_blocks(spec: KernelSpec, node_sets) -> list:
+    """[(matrix, hat_j)], one kernel matrix per node set, from one evaluation
+    of the kernel factors over the nodes of all sets and the near-diagonal
+    midpoints within each set.
+
+    No entry across two sets is formed.  Every factor and entry is
+    elementwise in its arguments, so each matrix equals kernel_matrix on its
+    set alone, bit for bit.  hat_j is hat_j_a at the set's nodes for the
+    limit family (computed anyway) and None for the finite family.
+    """
+    layouts, parts = [], []
+    for nodes in node_sets:
+        x = np.asarray(nodes, dtype=float)
+        if x.ndim != 1 or x.size == 0:
+            raise DomainError("kernel_matrix needs a one-dimensional, non-empty node array")
+        if np.any(x < 0.0) or np.any(x > S_MAX) or not np.all(np.isfinite(x)):
+            raise DomainError(f"kernel nodes must lie in [0, {S_MAX:g}]")
+        den = x[:, None] - x[None, :]
+        rows, cols = _near_pairs(x, den)
+        np.fill_diagonal(den, 1.0)
+        den[rows, cols] = 1.0
+        layouts.append((den, rows, cols))
+        # At the diagonal the pair midpoint is the node itself; other pairs in
+        # the window add their midpoints to the points the factors are taken at.
+        parts += [x, 0.5 * (x[rows] + x[cols])]
+    points = np.concatenate(parts)
+
+    a = spec.a
+    if spec.family == "bessel":
+        u = 0.25 * points
+        ja = bessel_entire(a, u)
+        jp = bessel_entire(a + 1.0, u)
+        factors = (ja, u * jp)
+        confluent = _bessel_confluent(a, u, ja, jp)
+        hat_j = 2.0 ** (-a) * ja
+
+        def offdiag(at_x, at_y, den):
+            return _bessel_offdiag(a, *at_x, *at_y, 0.25 * den)
+    else:
+        half, pn, qn, confluent = _finite_factors(spec, points, diagonal=True)
+        factors = (half, pn, qn)
+        hat_j = None
+
+        def offdiag(at_x, at_y, den):
+            return _finite_offdiag(*at_x, *at_y, den)
+
+    blocks, start = [], 0
+    for den, rows, cols in layouts:
+        at = slice(start, start + den.shape[0])
+        mids = slice(at.stop, at.stop + rows.size)
+        start = mids.stop
+        matrix = offdiag([f[at, None] for f in factors], [f[None, at] for f in factors], den)
+        np.fill_diagonal(matrix, confluent[at])
+        matrix[rows, cols] = confluent[mids]
+        blocks.append((matrix, None if hat_j is None else hat_j[at]))
+    return blocks
+
+
 def kernel_matrix(spec: KernelSpec, nodes: np.ndarray, hat_j_out=None) -> np.ndarray:
     """Entire kernel sampled on a node set, as a dense symmetric matrix.
 
@@ -234,42 +313,12 @@ def kernel_matrix(spec: KernelSpec, nodes: np.ndarray, hat_j_out=None) -> np.nda
     fall inside the near-diagonal window (including the diagonal itself) use
     the confluent branch at the pair midpoint.  For the limit family, an
     array passed as hat_j_out receives hat_j_a at the nodes, which the
-    assembly has computed anyway (the resolvent right-hand side).
+    assembly has computed anyway (the resolvent right-hand side); the finite
+    family has no such vector and refuses hat_j_out.
     """
-    x = np.asarray(nodes, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise DomainError("kernel_matrix needs a one-dimensional, non-empty node array")
-    if np.any(x < 0.0) or np.any(x > S_MAX) or not np.all(np.isfinite(x)):
-        raise DomainError(f"kernel nodes must lie in [0, {S_MAX:g}]")
-    den = x[:, None] - x[None, :]
-    scale = np.maximum(1.0, np.maximum(np.abs(x)[:, None], np.abs(x)[None, :]))
-    near = np.abs(den) < NEAR_DIAGONAL_RTOL * scale
-    den[near] = 1.0
-
-    # At the diagonal the pair midpoint is the node itself; other pairs in the
-    # window add their midpoints to the points the kernel factors are taken at.
-    m = x.size
-    rows, cols = np.nonzero(near & ~np.eye(m, dtype=bool))
-    if spec.family == "bessel":
-        a = spec.a
-        u = 0.25 * x
-        points = np.concatenate((u, 0.125 * (x[rows] + x[cols])))
-        ja = bessel_entire(a, points)
-        jm = bessel_entire(a - 1.0, points)
-        jp = bessel_entire(a + 1.0, points)
-        matrix = _bessel_offdiag(
-            a, ja[:m, None], jm[:m, None], ja[None, :m], jm[None, :m], 0.25 * den
-        )
-        confluent = _bessel_confluent(a, ja, jm, jp)
-        if hat_j_out is not None:
-            hat_j_out[:] = 2.0 ** (-a) * ja[:m]
-    else:
-        points = np.concatenate((x, 0.5 * (x[rows] + x[cols])))
-        half, pn, qn, confluent = _finite_factors(spec, points, diagonal=True)
-        matrix = _finite_offdiag(
-            half[:m, None], pn[:m, None], qn[:m, None],
-            half[None, :m], pn[None, :m], qn[None, :m], den,
-        )
-    np.fill_diagonal(matrix, confluent[:m])
-    matrix[rows, cols] = confluent[m:]
+    if hat_j_out is not None and spec.family != "bessel":
+        raise DomainError("hat_j_out is defined for the limit kernel only")
+    [(matrix, hat_j)] = _kernel_blocks(spec, [nodes])
+    if hat_j_out is not None:
+        hat_j_out[:] = hat_j
     return matrix

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import ordered_map
-from .errors import DomainError, NumericError
+from .errors import AccuracyError, DomainError, NumericError
 from .fredholm import _det_value
 from .kernels import finite_spec
-from .specfun import S_MAX, _require_integer
+from .specfun import S_MAX, _require_integer, reg_upper_gamma
 
 MAX_SAMPLER_ORDER = 200
 MIN_KS_COUNT = 1000
@@ -91,20 +91,29 @@ def analytic_smallest_cdf(a, n, m=50):
     """P(lambda_min < t) of the (n, a) ensemble from the determinant route.
 
     Returns a callable suitable for ks_compare.  Unscaled eigenvalues t map
-    to the hard-edge axis via s = 4 n t; beyond the kernels' validated axis
-    the survival probability is below 1e-170 (it decays like e^{-n t}), so
-    the CDF is clamped to 1 there.  Each value is the determinant at m
-    nodes alone, without the m+10 error estimate.  a and n are checked
-    here, when the CDF is made; m at each evaluation.
+    to the hard-edge axis via s = 4 n t.  Beyond the kernels' validated
+    axis, s > 1600, the CDF is clamped to 1 where the survival probability
+    is provably below 2^-54 and refused with AccuracyError elsewhere: the
+    diagonal entries of W are independent Gamma(n+a) variables and bound
+    lambda_min from above, so P(lambda_min >= t) <= Q(n+a, t)^n.  Each value
+    is the determinant at m nodes alone, without the m+10 error estimate.
+    a and n are checked here, when the CDF is made; m at each evaluation.
     """
     spec = finite_spec(a, n)
 
     def cdf(t: float) -> float:
-        s = 4.0 * spec.n * float(t)
+        t = float(t)
+        s = 4.0 * spec.n * t
         if s <= 0.0:
             return 0.0
         if s > S_MAX:
-            return 1.0
+            survival_bound = reg_upper_gamma(spec.n + spec.a, t) ** spec.n
+            if survival_bound < 2.0 ** -54:
+                return 1.0
+            raise AccuracyError(
+                f"s = 4 n t = {s!r} lies beyond {S_MAX:g}, and the survival bound "
+                f"Q(n+a, t)^n = {survival_bound!r} does not round the CDF to 1"
+            )
         return 1.0 - _det_value(spec, s, m)
 
     return cdf

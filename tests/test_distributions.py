@@ -22,20 +22,21 @@ from hardedge import (
 from hardedge import fredholm
 from hardedge.distributions import DistributionTable, TableRow
 from hardedge.errors import NumericError
-from hardedge.kernels import kernel_matrix
+from hardedge.kernels import _kernel_blocks, kernel_matrix
 from hardedge.quadrature import gauss_jacobi, scale_rule
 
 
 @pytest.fixture
 def assemblies(monkeypatch):
-    """Node counts of the kernel assemblies made from here on in a test."""
+    """Node counts of the kernel assemblies made from here on in a test: one
+    tuple per kernel evaluation, one count per node set (block) in it."""
     sizes = []
 
-    def counting(spec, nodes, **kwargs):
-        sizes.append(nodes.size)
-        return kernel_matrix(spec, nodes, **kwargs)
+    def counting(spec, node_sets):
+        sizes.append(tuple(nodes.size for nodes in node_sets))
+        return _kernel_blocks(spec, node_sets)
 
-    monkeypatch.setattr(fredholm, "kernel_matrix", counting)
+    monkeypatch.setattr(fredholm, "_kernel_blocks", counting)
     return sizes
 
 
@@ -159,13 +160,14 @@ class TestErrorEstimateAssembly:
                      finite_spec(1.5, 7, c=0.3), 9.0, 45, id="custom-n7"),
     ])
     def test_one_kernel_evaluation(self, law, args, spec, s, m, assemblies):
-        # the m and m + 10 rules share one kernel_matrix over both node sets,
-        # and the result equals two separate assemblies bit for bit
+        # the m and m + 10 rules share one kernel evaluation over both node
+        # sets, one block each, and the result equals two separate
+        # assemblies bit for bit
         reference = two_assembly_result(spec, s, m)
         for evaluate in (lambda: law(s=s, m=m, **args), lambda: nystrom_det(spec, s, m)):
             assemblies.clear()
             assert evaluate() == reference
-            assert assemblies == [2 * m + 10]
+            assert assemblies == [(m, m + 10)]
 
 
 class TestLimitDensity:
@@ -190,7 +192,7 @@ class TestLimitDensity:
     def test_one_assembly(self, a, s, assemblies):
         # determinant and resolvent solve share one assembly of I - A
         value = limit_density(a, s, 50)
-        assert assemblies == [50]
+        assert assemblies == [(50,)]
         reference = limit_cdf(a, s, 50).value * log_derivative(bessel_spec(a), s, 50)
         assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
 
@@ -218,7 +220,7 @@ class TestTables:
         # F, F_err and f of a row come from one kernel evaluation over the
         # m and m + 10 rules
         table = limit_table(2.0, [0.5, 3.0, 9.0], m=40, density=True)
-        assert sorted(assemblies) == [90] * 3
+        assert assemblies == [(40, 50)] * 3
         for row in table.rows:
             det = limit_cdf(2.0, row.s, 40)
             assert (row.F, row.F_err) == (det.value, det.error_estimate)

@@ -21,7 +21,7 @@ from hardedge import (
 )
 from hardedge import fredholm
 from hardedge.expansion import STUDY_NODES
-from hardedge.kernels import kernel_matrix
+from hardedge.kernels import _kernel_blocks
 
 ORDERS = (50, 100, 200, 400)
 SECOND_ORDER = (-2.3, -1.7)
@@ -120,13 +120,13 @@ class TestResidualAssemblies:
     def test_two_assemblies_and_public_value(self, residual, a, n, s, monkeypatch):
         sizes = []
 
-        def counting(spec, nodes, **kwargs):
-            sizes.append(nodes.size)
-            return kernel_matrix(spec, nodes, **kwargs)
+        def counting(spec, node_sets):
+            sizes.append(tuple(nodes.size for nodes in node_sets))
+            return _kernel_blocks(spec, node_sets)
 
-        monkeypatch.setattr(fredholm, "kernel_matrix", counting)
+        monkeypatch.setattr(fredholm, "_kernel_blocks", counting)
         value = residual(a, n, s)
-        assert sizes == [STUDY_NODES, STUDY_NODES]
+        assert sizes == [(STUDY_NODES,), (STUDY_NODES,)]
         assert value == PUBLIC_FORMULAS[residual](a, n, s, STUDY_NODES)
 
     @pytest.mark.parametrize("residual", list(PUBLIC_FORMULAS), ids=lambda f: f.__name__)

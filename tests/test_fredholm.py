@@ -28,6 +28,7 @@ from hardedge import (
     uncorrected_difference,
 )
 from hardedge import NumericError, fredholm
+from hardedge.kernels import _kernel_blocks
 from hardedge.quadrature import gauss_jacobi, scale_rule
 
 E_INV = math.exp(-1.0)
@@ -64,10 +65,10 @@ class TestNystromDet:
     def test_range_checked_on_every_determinant(self, monkeypatch):
         # det(I + A) > 1 breaks the range invariant 0 < det <= 1; the
         # difference path, which reads bare determinants, must refuse it too
-        def negated(spec, nodes, **kwargs):
-            return -kernel_matrix(spec, nodes, **kwargs)
+        def negated(spec, node_sets):
+            return [(-kernel, hat_j) for kernel, hat_j in _kernel_blocks(spec, node_sets)]
 
-        monkeypatch.setattr(fredholm, "kernel_matrix", negated)
+        monkeypatch.setattr(fredholm, "_kernel_blocks", negated)
         with pytest.raises(NumericError):
             nystrom_det(bessel_spec(1.0), 4.0, 30)
         with pytest.raises(NumericError):
@@ -132,13 +133,14 @@ class TestGramOracle:
 class TestResolventQuadraticForm:
     def test_zero_kernel(self, monkeypatch):
         # with K = 0 the functional collapses to integral_0^s J_a(sqrt x)^2 dx;
-        # the real assembly still runs, so the production hat_j_out fills b
+        # the real assembly still runs, so the production hat_j fills b
         a, s = 0.5, 4.0
 
-        def zero_kernel(spec, nodes, **kwargs):
-            return np.zeros_like(kernel_matrix(spec, nodes, **kwargs))
+        def zero_kernel(spec, node_sets):
+            return [(np.zeros_like(kernel), hat_j)
+                    for kernel, hat_j in _kernel_blocks(spec, node_sets)]
 
-        monkeypatch.setattr(fredholm, "kernel_matrix", zero_kernel)
+        monkeypatch.setattr(fredholm, "_kernel_blocks", zero_kernel)
         value = resolvent_quadratic_form(bessel_spec(a), s, 40)
         # substitute x = w^2 so the oracle integrand is smooth at the origin
         reference, err = sint.quad(

@@ -18,7 +18,8 @@ from hardedge import (
     kernel_matrix,
     laguerre_kernel_entire,
 )
-from hardedge import kernels
+from hardedge import kernels, nystrom_det
+from hardedge.kernels import _kernel_blocks
 from hardedge.quadrature import gauss_jacobi, scale_rule
 
 
@@ -77,6 +78,35 @@ class TestBesselKernel:
                 continue
             ours = bessel_kernel_entire(a, x, y) * (x * y) ** (a / 2.0)
             assert ours == pytest.approx(bessel_kernel_direct(a, x, y), rel=1e-11, abs=1e-13)
+
+    @pytest.mark.parametrize("a", [-0.9, 0.5, 3.0, 10.0])
+    def test_small_arguments_against_mpmath(self, a):
+        # off-diagonal entries at x, y in [1e-6, 1], where a j_a(u) j_a(v)
+        # term cancels in the j_{a-1} form; reference in 50 digits from the
+        # series j_a(z) = 0F1(; a+1; -z) / Gamma(a+1), error scaled by the
+        # diagonal sqrt(Khat(x, x) Khat(y, y))
+        nodes = np.geomspace(1e-6, 1.0, 13)
+        ours = kernel_matrix(bessel_spec(a), nodes)
+        with mp.workdps(50):
+            am = mp.mpf(a)
+
+            def j(order, z):
+                return mp.hyp0f1(order + 1, -z) / mp.gamma(order + 1)
+
+            u = [mp.mpf(x) / 4 for x in nodes]
+            ja = [j(am, ui) for ui in u]
+            jm = [j(am - 1, ui) for ui in u]
+            jp = [j(am + 1, ui) for ui in u]
+            front = mp.mpf(4) ** (-am - 1)
+            diag = [front * (ja[i] ** 2 - jm[i] * jp[i]) for i in range(nodes.size)]
+            for i, k in np.ndindex(ours.shape):
+                if i == k:
+                    continue
+                ref = front * (ja[i] * jm[k] - jm[i] * ja[k]) / (u[i] - u[k])
+                scale = mp.sqrt(diag[i] * diag[k])
+                assert abs(ours[i, k] - ref) <= 1e-13 * scale, (i, k)
+                pointwise = bessel_kernel_entire(a, nodes[i], nodes[k])
+                assert abs(pointwise - ref) <= 1e-13 * scale, (i, k)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
@@ -297,9 +327,9 @@ class TestKernelMatrix:
                 assert matrix[i, j] == pytest.approx(pointwise(x, y), rel=1e-13)
 
     @pytest.mark.parametrize("s", [1e-12, 6.0])
-    def test_bessel_assembly_is_three_vector_calls(self, s, monkeypatch):
-        # j_a, j_{a-1} and j_{a+1}, each once over the nodes (plus the
-        # midpoints of any clustered pairs, as at s = 1e-12)
+    def test_bessel_assembly_is_two_vector_calls(self, s, monkeypatch):
+        # j_a and j_{a+1}, each once over the nodes (plus the midpoints of
+        # any clustered pairs, as at s = 1e-12)
         calls = []
 
         def counting(a, z):
@@ -309,7 +339,7 @@ class TestKernelMatrix:
         monkeypatch.setattr(kernels, "bessel_entire", counting)
         nodes = scale_rule(gauss_jacobi(50, 0.5), s).nodes
         kernel_matrix(bessel_spec(0.5), nodes)
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert all(len(shape) == 1 and shape[0] >= 50 for shape in calls)
 
     @pytest.mark.parametrize("s", [1e-12, 6.0])
@@ -350,23 +380,69 @@ class TestKernelMatrix:
     @pytest.mark.parametrize("s", [4.0, 40.0])
     @pytest.mark.parametrize("clustered", [False, True])
     def test_union_blocks_equal_separate_assemblies(self, spec, s, clustered):
-        # an error estimate evaluates the kernel once over the nodes of its m
-        # and m + 10 rules; every entry is elementwise in its arguments, so
-        # each diagonal block is the matrix of its rule alone, bit for bit
+        # an error estimate evaluates the kernel factors once over the nodes
+        # of its m and m + 10 rules; every entry is elementwise in its
+        # arguments, so each block is the matrix of its rule alone, bit for bit
         first = scale_rule(gauss_jacobi(50, spec.a), s).nodes
         second = scale_rule(gauss_jacobi(60, spec.a), s).nodes
         if clustered:
-            # pairs 1e-8 apart, inside the second block and across the blocks,
-            # take the near-diagonal midpoint branch
+            # a pair 1e-8 apart inside the second set takes the near-diagonal
+            # midpoint branch; a node 1e-8 from one of the first set must not
             second = np.sort(np.concatenate((second, [second[10] + 1e-8, first[20] + 1e-8])))
-        hat_j = np.empty(first.size + second.size)
-        union = kernel_matrix(spec, np.concatenate((first, second)), hat_j_out=hat_j)
-        blocks = (slice(0, first.size), slice(first.size, None))
-        for nodes, block in zip((first, second), blocks):
-            alone = np.empty(nodes.size)
-            assert np.array_equal(union[block, block], kernel_matrix(spec, nodes, hat_j_out=alone))
+        blocks = _kernel_blocks(spec, [first, second])
+        assert [matrix.shape for matrix, _ in blocks] == [(50, 50), (second.size, second.size)]
+        for nodes, (matrix, hat_j) in zip((first, second), blocks):
             if spec.family == "bessel":
-                assert np.array_equal(hat_j[block], alone)
+                alone = np.empty(nodes.size)
+                assert np.array_equal(matrix, kernel_matrix(spec, nodes, hat_j_out=alone))
+                assert np.array_equal(hat_j, alone)
+            else:
+                assert np.array_equal(matrix, kernel_matrix(spec, nodes))
+                assert hat_j is None
+
+    @pytest.mark.parametrize("spec", [bessel_spec(0.5), finite_spec(0.5, 100)],
+                             ids=["bessel", "finite"])
+    def test_midpoints_within_each_rule_only(self, spec, monkeypatch):
+        # at s = 1e-7 every node pair is near-diagonal; an m vs m + 10
+        # estimate takes the factors at the 2m + 10 nodes and one midpoint
+        # per ordered pair within each rule, none across the rules
+        sizes = []
+        name = "bessel_entire" if spec.family == "bessel" else "_laguerre_pass"
+        real = getattr(kernels, name)
+
+        def counting(*args, **kwargs):
+            sizes.append(np.size(args[-1] if spec.family == "bessel" else args[2]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, counting)
+        m = 50
+        nystrom_det(spec, 1e-7, m)
+        midpoints = m * (m - 1) + (m + 10) * (m + 9)
+        calls = 2 if spec.family == "bessel" else 1
+        assert sizes == [2 * m + 10 + midpoints] * calls
+
+    @pytest.mark.parametrize("nodes", [
+        pytest.param(scale_rule(gauss_jacobi(30, 0.5), 6.0).nodes, id="spread"),
+        pytest.param(scale_rule(gauss_jacobi(30, 0.5), 1e-5).nodes, id="some-near"),
+        pytest.param(np.array([3.0, 0.0, 3.0 + 2e-6, 7.0, 3.0 + 4e-6, 2.0]), id="window-edge"),
+        pytest.param(np.array([1.0, 1.0, 0.5]), id="duplicate"),
+        pytest.param(np.array([2.0]), id="single"),
+    ])
+    def test_near_pairs_match_the_full_mask(self, nodes):
+        # the sorted-gap shortcut finds exactly the pairs of the O(m^2) mask
+        den = nodes[:, None] - nodes[None, :]
+        scale = np.maximum(1.0, np.maximum(nodes[:, None], nodes[None, :]))
+        mask = (np.abs(den) < kernels.NEAR_DIAGONAL_RTOL * scale) & ~np.eye(nodes.size, dtype=bool)
+        rows, cols = kernels._near_pairs(nodes, den)
+        assert np.array_equal(rows, np.nonzero(mask)[0])
+        assert np.array_equal(cols, np.nonzero(mask)[1])
+
+    def test_hat_j_out_refused_for_the_finite_family(self):
+        nodes = scale_rule(gauss_jacobi(10, 0.5), 4.0).nodes
+        buffer = np.full(10, np.nan)
+        with pytest.raises(DomainError):
+            kernel_matrix(finite_spec(0.5, 20), nodes, hat_j_out=buffer)
+        assert np.all(np.isnan(buffer))
 
     def test_exact_symmetry(self):
         for spec in (bessel_spec(-0.5), finite_spec(1.5, 30)):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardedge import (
+    AccuracyError,
     DomainError,
     analytic_smallest_cdf,
     finite_cdf,
@@ -11,7 +12,7 @@ from hardedge import (
     sample_smallest,
 )
 from hardedge import fredholm
-from hardedge.kernels import kernel_matrix
+from hardedge.kernels import _kernel_blocks
 from hardedge.montecarlo import SampleBatch
 
 
@@ -122,16 +123,27 @@ class TestAnalyticCdf:
         assert cdf(1e9) == 1.0
         assert cdf(0.0) == 0.0
 
+    @pytest.mark.parametrize("a,n,t", [(400, 1, 420.0), (300, 1, 401.0)])
+    def test_clamp_refused_where_the_survival_is_not_negligible(self, a, n, t):
+        # s = 4 n t > 1600, but at n = 1 the law is Gamma(a + 1): at a = 400
+        # the CDF at t = 420 is 0.83, not 1
+        with pytest.raises(AccuracyError):
+            analytic_smallest_cdf(a, n)(t)
+
+    def test_clamp_kept_where_the_survival_bound_is_negligible(self):
+        # Q(21, 40)^20 is far below 2^-54
+        assert analytic_smallest_cdf(1, 20)(40.0) == 1.0
+
     def test_one_assembly_per_value(self, monkeypatch):
         # the m + 10 error estimate of finite_cdf is not needed for a CDF value
         sizes = []
 
-        def counting(spec, nodes, **kwargs):
-            sizes.append(nodes.size)
-            return kernel_matrix(spec, nodes, **kwargs)
+        def counting(spec, node_sets):
+            sizes.append(tuple(nodes.size for nodes in node_sets))
+            return _kernel_blocks(spec, node_sets)
 
-        monkeypatch.setattr(fredholm, "kernel_matrix", counting)
+        monkeypatch.setattr(fredholm, "_kernel_blocks", counting)
         grid = [0.005, 0.02, 0.1]
         values = [analytic_smallest_cdf(1, 20, m=50)(t) for t in grid]
-        assert sizes == [50] * len(grid)
+        assert sizes == [(50,)] * len(grid)
         assert values == [1.0 - finite_cdf(1, 20, 4.0 * 20 * t, m=50).value for t in grid]

@@ -236,18 +236,6 @@ def kernel_expansion_residual(a, n, c, x, y) -> float:
     )
 
 
-def _near_pairs(x: np.ndarray, den: np.ndarray):
-    """(rows, cols) of the off-diagonal node pairs inside the near-diagonal
-    window, den = x_i - x_j; the O(m^2) mask is skipped when even the
-    smallest gap between sorted nodes lies outside the window."""
-    window = NEAR_DIAGONAL_RTOL * max(1.0, float(np.max(x)))
-    if x.size < 2 or np.min(np.diff(np.sort(x))) >= window:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    near = np.abs(den) < NEAR_DIAGONAL_RTOL * np.maximum(1.0, np.maximum(x[:, None], x[None, :]))
-    np.fill_diagonal(near, False)
-    return np.nonzero(near)
-
-
 def _kernel_blocks(spec: KernelSpec, node_sets) -> list:
     """[(matrix, hat_j)], one kernel matrix per node set, from one evaluation
     of the kernel factors over the nodes of all sets and the near-diagonal
@@ -266,7 +254,10 @@ def _kernel_blocks(spec: KernelSpec, node_sets) -> list:
         if np.any(x < 0.0) or np.any(x > S_MAX) or not np.all(np.isfinite(x)):
             raise DomainError(f"kernel nodes must lie in [0, {S_MAX:g}]")
         den = x[:, None] - x[None, :]
-        rows, cols = _near_pairs(x, den)
+        scale = np.maximum(1.0, np.maximum(x[:, None], x[None, :]))
+        near = np.abs(den) < NEAR_DIAGONAL_RTOL * scale
+        np.fill_diagonal(near, False)
+        rows, cols = np.nonzero(near)
         np.fill_diagonal(den, 1.0)
         den[rows, cols] = 1.0
         layouts.append((den, rows, cols))

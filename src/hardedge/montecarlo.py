@@ -87,32 +87,50 @@ def ks_compare(batch: SampleBatch, cdf) -> tuple[float, bool]:
     return statistic, statistic < KS_COEFF_1PCT / math.sqrt(batch.count)
 
 
+def _survival_bound(a: float, n: int, t: float) -> float:
+    """Upper bound prod_{k<n} Q(a+2k+1, t) on P(lambda_min >= t), any real a > -1.
+
+    In the bidiagonal model of the ensemble (Dumitriu and Edelman 2002),
+    lambda_min is the smallest eigenvalue of B^T B, B lower bidiagonal with
+    independent entries whose squares are Gamma(a+1), ..., Gamma(a+n) on the
+    diagonal (from the bottom up) and Gamma(1), ..., Gamma(n-1) below it.
+    The diagonal entries of B^T B are then independent Gamma(a+2k+1) for
+    k = 0, ..., n-1, and each bounds lambda_min from above.
+    """
+    return math.prod(reg_upper_gamma(a + 2.0 * k + 1.0, t) for k in range(n))
+
+
 def analytic_smallest_cdf(a, n, m=50):
     """P(lambda_min < t) of the (n, a) ensemble from the determinant route.
 
     Returns a callable suitable for ks_compare.  Unscaled eigenvalues t map
     to the hard-edge axis via s = 4 n t.  Beyond the kernels' validated
     axis, s > 1600, the CDF is clamped to 1 where the survival probability
-    is provably below 2^-54 and refused with AccuracyError elsewhere: the
-    diagonal entries of W are independent Gamma(n+a) variables and bound
-    lambda_min from above, so P(lambda_min >= t) <= Q(n+a, t)^n.  Each value
-    is the determinant at m nodes alone, without the m+10 error estimate.
-    a and n are checked here, when the CDF is made; m at each evaluation.
+    is provably below 2^-54 (see _survival_bound) and refused with
+    AccuracyError elsewhere; t = inf gives 1.  The bound falls below 2^-54
+    near t = 13 at a = 0 whatever n (t = 28 at a = 10), while the survival
+    decays like e^{-n t}, so at larger n the t between 400/n and there are
+    refused although the CDF rounds to 1: at (a, n) = (0, 200) and t = 3
+    the bound is 0.017 and the survival e^{-600}.  Each value is the
+    determinant at m nodes alone, without the m+10 error estimate.  a and n
+    are checked here, when the CDF is made; m at each evaluation.
     """
     spec = finite_spec(a, n)
 
     def cdf(t: float) -> float:
         t = float(t)
+        if t == math.inf:
+            return 1.0
         s = 4.0 * spec.n * t
         if s <= 0.0:
             return 0.0
         if s > S_MAX:
-            survival_bound = reg_upper_gamma(spec.n + spec.a, t) ** spec.n
+            survival_bound = _survival_bound(spec.a, spec.n, t)
             if survival_bound < 2.0 ** -54:
                 return 1.0
             raise AccuracyError(
                 f"s = 4 n t = {s!r} lies beyond {S_MAX:g}, and the survival bound "
-                f"Q(n+a, t)^n = {survival_bound!r} does not round the CDF to 1"
+                f"{survival_bound!r} does not round the CDF to 1"
             )
         return 1.0 - _det_value(spec, s, m)
 

@@ -428,14 +428,19 @@ class TestKernelMatrix:
         pytest.param(np.array([1.0, 1.0, 0.5]), id="duplicate"),
         pytest.param(np.array([2.0]), id="single"),
     ])
-    def test_near_pairs_match_the_full_mask(self, nodes):
-        # the sorted-gap shortcut finds exactly the pairs of the O(m^2) mask
-        den = nodes[:, None] - nodes[None, :]
-        scale = np.maximum(1.0, np.maximum(nodes[:, None], nodes[None, :]))
-        mask = (np.abs(den) < kernels.NEAR_DIAGONAL_RTOL * scale) & ~np.eye(nodes.size, dtype=bool)
-        rows, cols = kernels._near_pairs(nodes, den)
-        assert np.array_equal(rows, np.nonzero(mask)[0])
-        assert np.array_equal(cols, np.nonzero(mask)[1])
+    def test_window_edge_nodes_match_pointwise(self, nodes):
+        # the matrix takes the confluent branch on exactly the pairs where the
+        # pointwise kernels do: a pair misjudged either way loses digits or
+        # divides by zero
+        for spec in (bessel_spec(0.5), finite_spec(0.5, 12)):
+            matrix = kernel_matrix(spec, nodes)
+            for i, x in enumerate(nodes):
+                for j, y in enumerate(nodes):
+                    if spec.family == "bessel":
+                        expected = bessel_kernel_entire(spec.a, x, y)
+                    else:
+                        expected = laguerre_kernel_entire(spec, x, y)
+                    assert matrix[i, j] == pytest.approx(expected, rel=1e-13)
 
     def test_hat_j_out_refused_for_the_finite_family(self):
         nodes = scale_rule(gauss_jacobi(10, 0.5), 4.0).nodes

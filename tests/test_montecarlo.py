@@ -12,8 +12,10 @@ from hardedge import (
     sample_smallest,
 )
 from hardedge import fredholm
-from hardedge.kernels import _kernel_blocks
-from hardedge.montecarlo import SampleBatch
+from hardedge.fredholm import _det_value
+from hardedge.kernels import _kernel_blocks, finite_spec
+from hardedge.montecarlo import SampleBatch, _survival_bound
+from hardedge.specfun import reg_upper_gamma
 
 
 class TestSampler:
@@ -131,8 +133,42 @@ class TestAnalyticCdf:
             analytic_smallest_cdf(a, n)(t)
 
     def test_clamp_kept_where_the_survival_bound_is_negligible(self):
-        # Q(21, 40)^20 is far below 2^-54
         assert analytic_smallest_cdf(1, 20)(40.0) == 1.0
+
+    @pytest.mark.parametrize("a,n,t", [
+        (1, 20, 21.0), (0, 200, 14.0), (2.5, 30, 40.0), (-0.9, 1000, 12.0), (0, 1, math.inf),
+        (400, 1, math.inf),
+    ])
+    def test_clamped_beyond_the_axis(self, a, n, t):
+        # non-integer a included: the bidiagonal model holds for every a > -1
+        assert analytic_smallest_cdf(a, n)(t) == 1.0
+
+    @pytest.mark.parametrize("a,n,t", [(0, 200, 3.0), (0.5, 1000, 0.5), (10, 50, 20.0)])
+    def test_loose_bound_refuses_beyond_the_axis(self, a, n, t):
+        # the survival is negligible here (e^{-600} at a = 0, n = 200, t = 3),
+        # but the diagonal bound is not: 0.017, 0.80 and 1.1e-6
+        with pytest.raises(AccuracyError):
+            analytic_smallest_cdf(a, n)(t)
+
+    @pytest.mark.parametrize("a,n", [(-0.9, 5), (0.5, 20), (1, 10), (3, 4), (0, 3)])
+    def test_survival_bound_holds_on_the_axis(self, a, n):
+        # out to where the survival leaves the determinant's absolute accuracy,
+        # since the bound is closest to it in the tail
+        spec = finite_spec(a, n)
+        for t in np.geomspace(0.01, 100.0 / n, 30):
+            survival = _det_value(spec, 4.0 * n * t, 50)
+            assert survival <= _survival_bound(a, n, t) * (1.0 + 1e-12) + 1e-15
+            if survival < 1e-10:
+                break
+
+    @pytest.mark.parametrize("a", [-0.9, 0.5, 2.0])
+    def test_survival_bound_is_the_law_at_order_one(self, a):
+        # n = 1: lambda_min is a single Gamma(a+1) variable
+        for t in (0.1, 1.0, 5.0):
+            assert _survival_bound(a, 1, t) == reg_upper_gamma(a + 1.0, t)
+            assert _det_value(finite_spec(a, 1), 4.0 * t, 50) == pytest.approx(
+                reg_upper_gamma(a + 1.0, t), rel=1e-12
+            )
 
     def test_one_assembly_per_value(self, monkeypatch):
         # the m + 10 error estimate of finite_cdf is not needed for a CDF value

@@ -108,8 +108,12 @@ def _parse_orders(text: str) -> tuple:
         raise DomainError(f"--n-list expects comma-separated integers, got {text!r}") from None
 
 
-def _slope_ok(slope: float, window) -> bool:
-    return window[0] <= slope <= window[1]
+def _slope_failures(what: str, report, window) -> list:
+    """The failure line for a report whose fitted slope leaves the window;
+    none for a degenerate report (residuals at solver precision)."""
+    if report.degenerate or window[0] <= report.fitted_slope <= window[1]:
+        return []
+    return [f"{what} slope {report.fitted_slope:.3f} outside {window}"]
 
 
 def _cmd_limit_cdf(args):
@@ -158,18 +162,10 @@ def _cmd_expansion_check(args):
     _emit(args, _meta("expansion-check", a=_fmt(a), n=args.n_list, m=args.m, scaling="standard"),
           ["n", "residual", "residual_uncorrected",
            "slope", "slope_stderr", "slope_uncorrected"], rows)
-    failures = []
     if corrected.degenerate:
-        return failures  # expansion exact to solver precision (e.g. a = 0)
-    if not _slope_ok(corrected.fitted_slope, SECOND_ORDER_WINDOW):
-        failures.append(
-            f"corrected-residual slope {corrected.fitted_slope:.3f} outside {SECOND_ORDER_WINDOW}"
-        )
-    if not plain.degenerate and not _slope_ok(plain.fitted_slope, FIRST_ORDER_WINDOW):
-        failures.append(
-            f"uncorrected-difference slope {plain.fitted_slope:.3f} outside {FIRST_ORDER_WINDOW}"
-        )
-    return failures
+        return []  # expansion exact to solver precision (e.g. a = 0)
+    return (_slope_failures("corrected-residual", corrected, SECOND_ORDER_WINDOW)
+            + _slope_failures("uncorrected-difference", plain, FIRST_ORDER_WINDOW))
 
 
 def _cmd_optimal_check(args):
@@ -185,13 +181,9 @@ def _cmd_optimal_check(args):
     ]
     _emit(args, _meta("optimal-check", a=_fmt(a), n=args.n_list, m=args.m, scaling="optimal"),
           ["n", "residual_optimal", "residual_standard", "ratio", "slope", "slope_stderr"], rows)
-    failures = []
     if tuned.degenerate:
-        return failures
-    if not _slope_ok(tuned.fitted_slope, SECOND_ORDER_WINDOW):
-        failures.append(
-            f"optimal-scaling slope {tuned.fitted_slope:.3f} outside {SECOND_ORDER_WINDOW}"
-        )
+        return []
+    failures = _slope_failures("optimal-scaling", tuned, SECOND_ORDER_WINDOW)
     pivot = orders.index(100) if 100 in orders else len(orders) - 1
     if not ratios[pivot] < OPTIMAL_RATIO_MAX:
         failures.append(
@@ -212,11 +204,7 @@ def _cmd_mehler_heine(args):
     ]
     _emit(args, _meta("mehler-heine", a=_fmt(a), n=args.n_list),
           ["n", "residual", "slope", "slope_stderr"], rows)
-    if report.degenerate:
-        return []
-    if not _slope_ok(report.fitted_slope, SECOND_ORDER_WINDOW):
-        return [f"scaled-Laguerre slope {report.fitted_slope:.3f} outside {SECOND_ORDER_WINDOW}"]
-    return []
+    return _slope_failures("scaled-Laguerre", report, SECOND_ORDER_WINDOW)
 
 
 def _cmd_kernel_check(args):
@@ -233,11 +221,7 @@ def _cmd_kernel_check(args):
     ]
     _emit(args, _meta("kernel-check", a=_fmt(a), n=args.n_list, scaling=f"c={_fmt(c)}"),
           ["n", "max_residual", "slope", "slope_stderr"], rows)
-    if report.degenerate:
-        return []
-    if not _slope_ok(report.fitted_slope, SECOND_ORDER_WINDOW):
-        return [f"kernel-residual slope {report.fitted_slope:.3f} outside {SECOND_ORDER_WINDOW}"]
-    return []
+    return _slope_failures("kernel-residual", report, SECOND_ORDER_WINDOW)
 
 
 def _cmd_identity_check(args):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fredholm import _det_and_log_derivative, _det_value
-from .kernels import bessel_spec, finite_spec, kernel_matrix
+from .kernels import _kernel_blocks, bessel_spec, finite_spec, kernel_matrix
 from .specfun import _require_integer, bessel_entire, laguerre, require_order
 
 # Quadrature order for rate studies: determinant errors (~1e-14 at m=60)
@@ -162,8 +162,7 @@ def kernel_expansion_rate(a, n_list, c, axis=None) -> ExpansionReport:
     and hat_j_a assembled once on the axis."""
     c = float(c)
     axis = np.linspace(0.0, 8.0, 9) if axis is None else np.asarray(axis, dtype=float)
-    hat_j = np.empty(axis.size)
-    limit = kernel_matrix(bessel_spec(a), axis, hat_j_out=hat_j)
+    [(limit, hat_j)] = _kernel_blocks(bessel_spec(a), [axis])
     correction = np.outer(hat_j, hat_j)
 
     def worst(n: int) -> float:

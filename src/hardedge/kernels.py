@@ -36,9 +36,12 @@ formed.  The diagonal is the exact sum of squares
 
 One recurrence pass over a node vector yields p_n, p_{n-1}, d_n and the sum.
 
-A kernel matrix therefore costs two vector j calls (limit family) or one
-recurrence pass (order-n family) over its nodes, plus the midpoints of node
-pairs that fall inside the near-diagonal window.
+One factor routine, _factors, serves both families and both call shapes:
+on a float it gives the factors for one pointwise value, on a node vector
+those for a whole matrix, and _offdiag forms the entries from them.  A
+kernel matrix therefore costs two vector j calls (limit family) or one
+recurrence pass (order-n family) over its nodes, plus one midpoint per
+unordered node pair inside the near-diagonal window.
 """
 
 import math
@@ -122,83 +125,68 @@ def _near_diagonal(x: float, y: float) -> bool:
     return abs(x - y) < NEAR_DIAGONAL_RTOL * max(1.0, abs(x), abs(y))
 
 
-def _check_range(x: float, y: float) -> None:
-    if not (math.isfinite(x) and math.isfinite(y)) or x < 0.0 or y < 0.0:
-        raise DomainError(f"kernel arguments must be finite and >= 0, got ({x!r}, {y!r})")
-    if max(x, y) > S_MAX:
-        raise DomainError(f"kernel arguments must lie in [0, {S_MAX:g}]")
+def _factors(spec: KernelSpec, x, diagonal: bool = True):
+    """(factors, confluent, hat_j) at a float or an ndarray x, elementwise.
 
-
-def _bessel_offdiag(a: float, ja_u, ujp_u, ja_v, ujp_v, gap):
-    """Limit kernel from j_a and u j_{a+1} at u = x/4 and v = y/4, gap = u - v.
-
-    Takes scalars or broadcasting arrays, so the pointwise kernel and
-    kernel_matrix share this one formula.
+    factors: (j_a, u j_{a+1}) at u = x/4 (limit family), or (h, P, Q) from
+    one recurrence pass at rho x with P = p_n, Q = a/(n+a) p_{n-1} + d_n and
+    h = sqrt((n+a) w_n rho^a) e^{-rho x/2}.  confluent is Khat(x, x) if
+    diagonal, else None (an off-diagonal pass forms no squares); hat_j is
+    hat_j_a(x) for the limit family, else None.
     """
-    return 4.0 ** (-a - 1.0) * (ujp_u * ja_v - ja_u * ujp_v) / gap
-
-
-def _bessel_confluent(a: float, u, ja, jp):
-    """Confluent limit kernel from j_a, j_{a+1} at one point u."""
-    return 4.0 ** (-a - 1.0) * (ja * (ja - a * jp) + u * jp * jp)
-
-
-def bessel_kernel_entire(a, x, y) -> float:
-    """(xy)^{-a/2}-premultiplied limit kernel, entire in both arguments."""
-    a = require_order(a)
-    x = float(x)
-    y = float(y)
-    _check_range(x, y)
-    if _near_diagonal(x, y):
-        u = 0.125 * (x + y)
-        return _bessel_confluent(a, u, bessel_entire(a, u), bessel_entire(a + 1.0, u))
-    u = 0.25 * x
-    v = 0.25 * y
-    return _bessel_offdiag(
-        a, bessel_entire(a, u), u * bessel_entire(a + 1.0, u),
-        bessel_entire(a, v), v * bessel_entire(a + 1.0, v), u - v,
-    )
-
-
-def _finite_factors(spec: KernelSpec, x, diagonal: bool):
-    """(h, P, Q, D) at a float or an ndarray x from one recurrence pass at rho x.
-
-    The off-diagonal kernel is h(x) h(y) [P(x) Q(y) - Q(x) P(y)] / (x - y),
-    with P = p_n, Q = a/(n+a) p_{n-1} + d_n and
-    h(x) = sqrt((n+a) w_n rho^a) e^{-rho x/2}; D is the diagonal Khat_n(x, x),
-    summed only if diagonal (else None), so an off-diagonal pass forms no
-    squares.
-    """
-    a, n, rho = spec.a, spec.n, spec.scale
+    a = spec.a
+    if spec.family == "bessel":
+        u = 0.25 * x
+        ja = bessel_entire(a, u)
+        jp = bessel_entire(a + 1.0, u)
+        confluent = 4.0 ** (-a - 1.0) * (ja * (ja - a * jp) + u * jp * jp) if diagonal else None
+        return (ja, u * jp), confluent, 2.0 ** (-a) * ja
+    n, rho = spec.n, spec.scale
     weights = _laguerre_weights(n, a) if diagonal else None
     p_prev, p, d, total = _laguerre_pass(n, a, rho * x, weights)
     # log of (n+a) w_n rho^a = (n+a) binom(n+a, n) rho^a / Gamma(a+1)
     log_const = math.log((n + a) * _binomials(n, a)[n]) - math.lgamma(a + 1.0) + a * math.log(rho)
     half = np.exp(0.5 * log_const - 0.5 * rho * x)
-    diag = rho ** (a + 1.0) * np.exp(-x * rho) * total if diagonal else None
-    return half, p, a / (n + a) * p_prev + d, diag
+    confluent = rho ** (a + 1.0) * np.exp(-x * rho) * total if diagonal else None
+    return (half, p, a / (n + a) * p_prev + d), confluent, None
 
 
-def _finite_offdiag(h_x, p_x, q_x, h_y, p_y, q_y, gap):
-    """Order-n kernel from the _finite_factors at x and y, gap = x - y; on
-    scalars or broadcasting arrays, so the pointwise kernel and kernel_matrix
-    share this one formula."""
+def _offdiag(spec: KernelSpec, at_x, at_y, gap):
+    """Kernel entries from the _factors at x and at y, gap = x - y; on scalars
+    or broadcasting arrays, so the pointwise kernels and the matrices share
+    this one formula."""
+    if spec.family == "bessel":
+        (ja_u, ujp_u), (ja_v, ujp_v) = at_x, at_y
+        return 4.0 ** (-spec.a - 1.0) * (ujp_u * ja_v - ja_u * ujp_v) / (0.25 * gap)
+    (h_x, p_x, q_x), (h_y, p_y, q_y) = at_x, at_y
     return h_x * h_y * (p_x * q_y - q_x * p_y) / gap
+
+
+def _kernel_entry(spec: KernelSpec, x, y) -> float:
+    x = float(x)
+    y = float(y)
+    if not (math.isfinite(x) and math.isfinite(y)) or x < 0.0 or y < 0.0:
+        raise DomainError(f"kernel arguments must be finite and >= 0, got ({x!r}, {y!r})")
+    if max(x, y) > S_MAX:
+        raise DomainError(f"kernel arguments must lie in [0, {S_MAX:g}]")
+    if _near_diagonal(x, y):
+        return float(_factors(spec, 0.5 * (x + y))[1])
+    # one pair-only evaluation per argument, in float arithmetic
+    at_x = _factors(spec, x, diagonal=False)[0]
+    at_y = _factors(spec, y, diagonal=False)[0]
+    return float(_offdiag(spec, at_x, at_y, x - y))
+
+
+def bessel_kernel_entire(a, x, y) -> float:
+    """(xy)^{-a/2}-premultiplied limit kernel, entire in both arguments."""
+    return _kernel_entry(bessel_spec(a), x, y)
 
 
 def laguerre_kernel_entire(spec: KernelSpec, x, y) -> float:
     """(xy)^{-a/2}-premultiplied order-n kernel under the scaling X = rho x."""
     if spec.family != "finite":
         raise DomainError("laguerre_kernel_entire needs a finite-family KernelSpec")
-    x = float(x)
-    y = float(y)
-    _check_range(x, y)
-    if _near_diagonal(x, y):
-        return float(_finite_factors(spec, 0.5 * (x + y), diagonal=True)[3])
-    # one pair-only recurrence pass per argument, in float arithmetic
-    h_x, p_x, q_x, _ = _finite_factors(spec, x, diagonal=False)
-    h_y, p_y, q_y, _ = _finite_factors(spec, y, diagonal=False)
-    return float(_finite_offdiag(h_x, p_x, q_x, h_y, p_y, q_y, x - y))
+    return _kernel_entry(spec, x, y)
 
 
 def hat_bessel_j(a, x):
@@ -237,9 +225,9 @@ def kernel_expansion_residual(a, n, c, x, y) -> float:
 
 
 def _kernel_blocks(spec: KernelSpec, node_sets) -> list:
-    """[(matrix, hat_j)], one kernel matrix per node set, from one evaluation
-    of the kernel factors over the nodes of all sets and the near-diagonal
-    midpoints within each set.
+    """[(matrix, hat_j)], one kernel matrix per node set, from one _factors
+    call over the nodes of all sets and the near-diagonal midpoints within
+    each set, one midpoint per unordered pair.
 
     No entry across two sets is formed.  Every factor and entry is
     elementwise in its arguments, so each matrix equals kernel_matrix on its
@@ -255,61 +243,38 @@ def _kernel_blocks(spec: KernelSpec, node_sets) -> list:
             raise DomainError(f"kernel nodes must lie in [0, {S_MAX:g}]")
         den = x[:, None] - x[None, :]
         scale = np.maximum(1.0, np.maximum(x[:, None], x[None, :]))
-        near = np.abs(den) < NEAR_DIAGONAL_RTOL * scale
-        np.fill_diagonal(near, False)
-        rows, cols = np.nonzero(near)
+        rows, cols = np.nonzero(np.abs(den) < NEAR_DIAGONAL_RTOL * scale)
+        # the window is symmetric, so (j, i) reuses the midpoint of (i, j)
+        upper = rows < cols
+        rows, cols = rows[upper], cols[upper]
         np.fill_diagonal(den, 1.0)
         den[rows, cols] = 1.0
+        den[cols, rows] = 1.0
         layouts.append((den, rows, cols))
         # At the diagonal the pair midpoint is the node itself; other pairs in
         # the window add their midpoints to the points the factors are taken at.
         parts += [x, 0.5 * (x[rows] + x[cols])]
-    points = np.concatenate(parts)
-
-    a = spec.a
-    if spec.family == "bessel":
-        u = 0.25 * points
-        ja = bessel_entire(a, u)
-        jp = bessel_entire(a + 1.0, u)
-        factors = (ja, u * jp)
-        confluent = _bessel_confluent(a, u, ja, jp)
-        hat_j = 2.0 ** (-a) * ja
-
-        def offdiag(at_x, at_y, den):
-            return _bessel_offdiag(a, *at_x, *at_y, 0.25 * den)
-    else:
-        half, pn, qn, confluent = _finite_factors(spec, points, diagonal=True)
-        factors = (half, pn, qn)
-        hat_j = None
-
-        def offdiag(at_x, at_y, den):
-            return _finite_offdiag(*at_x, *at_y, den)
+    factors, confluent, hat_j = _factors(spec, np.concatenate(parts))
 
     blocks, start = [], 0
     for den, rows, cols in layouts:
         at = slice(start, start + den.shape[0])
         mids = slice(at.stop, at.stop + rows.size)
         start = mids.stop
-        matrix = offdiag([f[at, None] for f in factors], [f[None, at] for f in factors], den)
+        matrix = _offdiag(spec, [f[at, None] for f in factors], [f[None, at] for f in factors], den)
         np.fill_diagonal(matrix, confluent[at])
         matrix[rows, cols] = confluent[mids]
+        matrix[cols, rows] = confluent[mids]
         blocks.append((matrix, None if hat_j is None else hat_j[at]))
     return blocks
 
 
-def kernel_matrix(spec: KernelSpec, nodes: np.ndarray, hat_j_out=None) -> np.ndarray:
+def kernel_matrix(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
     """Entire kernel sampled on a node set, as a dense symmetric matrix.
 
     Off-diagonal entries come from the closed forms; entries whose arguments
     fall inside the near-diagonal window (including the diagonal itself) use
-    the confluent branch at the pair midpoint.  For the limit family, an
-    array passed as hat_j_out receives hat_j_a at the nodes, which the
-    assembly has computed anyway (the resolvent right-hand side); the finite
-    family has no such vector and refuses hat_j_out.
+    the confluent branch at the pair midpoint.
     """
-    if hat_j_out is not None and spec.family != "bessel":
-        raise DomainError("hat_j_out is defined for the limit kernel only")
-    [(matrix, hat_j)] = _kernel_blocks(spec, [nodes])
-    if hat_j_out is not None:
-        hat_j_out[:] = hat_j
+    [(matrix, _)] = _kernel_blocks(spec, [nodes])
     return matrix

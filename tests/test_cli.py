@@ -9,6 +9,7 @@ import pytest
 
 import hardedge
 from hardedge import cli, reg_upper_gamma
+from hardedge.expansion import rate_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -125,6 +126,40 @@ class TestChecks:
         out = tmp_path / "mh.csv"
         code = run_cli(["mehler-heine", "--a", "1.5", "--z", "3", "--output", str(out)])
         assert code == 4
+
+    @pytest.mark.parametrize("argv,residuals,line", [
+        pytest.param(
+            ["expansion-check", "--a", "1", "--s", "4"],
+            {"conjecture_residual": lambda a, n, s, m: 1.0 / n,
+             "uncorrected_difference": lambda a, n, s, m: 1.0 / n},
+            "corrected-residual slope -1.000 outside (-2.3, -1.7)", id="expansion-corrected"),
+        pytest.param(
+            ["expansion-check", "--a", "1", "--s", "4"],
+            {"conjecture_residual": lambda a, n, s, m: n ** -2.0,
+             "uncorrected_difference": lambda a, n, s, m: n ** -2.0},
+            "uncorrected-difference slope -2.000 outside (-1.3, -0.7)", id="expansion-plain"),
+        pytest.param(
+            ["optimal-check", "--a", "2", "--s", "4"],
+            {"optimal_scaling_residual": lambda a, n, s, m: 1e-3 / n,
+             "uncorrected_difference": lambda a, n, s, m: 1.0 / n},
+            "optimal-scaling slope -1.000 outside (-2.3, -1.7)", id="optimal"),
+        pytest.param(
+            ["mehler-heine", "--a", "1.5", "--z", "3"],
+            {"mehler_heine_residual": lambda a, n, z: 1.0 / n},
+            "scaled-Laguerre slope -1.000 outside (-2.3, -1.7)", id="mehler-heine"),
+        pytest.param(
+            ["kernel-check", "--a", "1", "--c", "0"],
+            {"kernel_expansion_rate":
+                lambda a, orders, c, axis: rate_report(a, 8.0, orders, lambda n: 1.0 / n)},
+            "kernel-residual slope -1.000 outside (-2.3, -1.7)", id="kernel"),
+    ])
+    def test_failing_slope_is_reported(self, argv, residuals, line, monkeypatch, capsys):
+        # synthetic residuals of the wrong order move exactly one slope out of
+        # its window: one stderr line names it, and the exit code is 4
+        for name, residual in residuals.items():
+            monkeypatch.setattr(cli, name, residual)
+        assert run_cli(argv) == 4
+        assert capsys.readouterr().err == f"hardedge: check failed: {line}\n"
 
     def test_degenerate_expansion_passes(self, tmp_path):
         # a = 0: the expansion is exact, reported degenerate, not a failure

@@ -360,13 +360,13 @@ class TestKernelMatrix:
         assert len(calls[0]) == 1 and calls[0][0] >= 50
 
     def test_hat_j_out_is_the_pointwise_hat_j(self):
+        # the limit-kernel blocks carry hat_j_a at their nodes, the resolvent
+        # right-hand side, bit for bit
         rule = scale_rule(gauss_jacobi(20, 1.5), 30.0)
-        hat_j = np.empty(20)
-        matrix = kernel_matrix(bessel_spec(1.5), rule.nodes, hat_j_out=hat_j)
+        [(matrix, hat_j)] = _kernel_blocks(bessel_spec(1.5), [rule.nodes])
         assert np.array_equal(matrix, kernel_matrix(bessel_spec(1.5), rule.nodes))
-        for x, value in zip(rule.nodes, hat_j):
-            assert value == pytest.approx(hat_bessel_j(1.5, x), rel=1e-14)
-        assert np.array_equal(hat_bessel_j(1.5, rule.nodes), hat_j)
+        assert np.array_equal(hat_j, hat_bessel_j(1.5, rule.nodes))
+        assert list(hat_j) == [hat_bessel_j(1.5, x) for x in rule.nodes]
 
     @pytest.mark.parametrize("spec", [
         pytest.param(spec, id=f"{spec.family}-a{spec.a}-n{spec.n}-c{spec.c}")
@@ -392,12 +392,10 @@ class TestKernelMatrix:
         blocks = _kernel_blocks(spec, [first, second])
         assert [matrix.shape for matrix, _ in blocks] == [(50, 50), (second.size, second.size)]
         for nodes, (matrix, hat_j) in zip((first, second), blocks):
+            assert np.array_equal(matrix, kernel_matrix(spec, nodes))
             if spec.family == "bessel":
-                alone = np.empty(nodes.size)
-                assert np.array_equal(matrix, kernel_matrix(spec, nodes, hat_j_out=alone))
-                assert np.array_equal(hat_j, alone)
+                assert np.array_equal(hat_j, hat_bessel_j(spec.a, nodes))
             else:
-                assert np.array_equal(matrix, kernel_matrix(spec, nodes))
                 assert hat_j is None
 
     @pytest.mark.parametrize("spec", [bessel_spec(0.5), finite_spec(0.5, 100)],
@@ -405,7 +403,7 @@ class TestKernelMatrix:
     def test_midpoints_within_each_rule_only(self, spec, monkeypatch):
         # at s = 1e-7 every node pair is near-diagonal; an m vs m + 10
         # estimate takes the factors at the 2m + 10 nodes and one midpoint
-        # per ordered pair within each rule, none across the rules
+        # per unordered pair within each rule, none across the rules
         sizes = []
         name = "bessel_entire" if spec.family == "bessel" else "_laguerre_pass"
         real = getattr(kernels, name)
@@ -417,7 +415,7 @@ class TestKernelMatrix:
         monkeypatch.setattr(kernels, name, counting)
         m = 50
         nystrom_det(spec, 1e-7, m)
-        midpoints = m * (m - 1) + (m + 10) * (m + 9)
+        midpoints = (m * (m - 1) + (m + 10) * (m + 9)) // 2
         calls = 2 if spec.family == "bessel" else 1
         assert sizes == [2 * m + 10 + midpoints] * calls
 
@@ -430,8 +428,9 @@ class TestKernelMatrix:
     ])
     def test_window_edge_nodes_match_pointwise(self, nodes):
         # the matrix takes the confluent branch on exactly the pairs where the
-        # pointwise kernels do: a pair misjudged either way loses digits or
-        # divides by zero
+        # pointwise kernels do (a pair misjudged either way loses digits or
+        # divides by zero), and both shapes share one formula, so every entry
+        # equals its pointwise value bit for bit
         for spec in (bessel_spec(0.5), finite_spec(0.5, 12)):
             matrix = kernel_matrix(spec, nodes)
             for i, x in enumerate(nodes):
@@ -440,14 +439,7 @@ class TestKernelMatrix:
                         expected = bessel_kernel_entire(spec.a, x, y)
                     else:
                         expected = laguerre_kernel_entire(spec, x, y)
-                    assert matrix[i, j] == pytest.approx(expected, rel=1e-13)
-
-    def test_hat_j_out_refused_for_the_finite_family(self):
-        nodes = scale_rule(gauss_jacobi(10, 0.5), 4.0).nodes
-        buffer = np.full(10, np.nan)
-        with pytest.raises(DomainError):
-            kernel_matrix(finite_spec(0.5, 20), nodes, hat_j_out=buffer)
-        assert np.all(np.isnan(buffer))
+                    assert matrix[i, j] == expected
 
     def test_exact_symmetry(self):
         for spec in (bessel_spec(-0.5), finite_spec(1.5, 30)):

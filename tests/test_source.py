@@ -71,3 +71,36 @@ def test_s_bound_is_one_constant(path):
     # the s bound 4 Z_MAX is written out once, as specfun.S_MAX
     exempt = "S_MAX" if path.name == "specfun.py" else None
     assert z_max_products(path.read_text(), exempt) == []
+
+
+def unused_private_helpers(sources: dict) -> list:
+    """Module-level functions and classes named _name (dunders aside) that no
+    module in `sources` ({module: source}) reads, as "module.name"."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            (module, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_unused_private_helpers_are_found():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _orphan():\n    _orphan = 1\n\n"
+             "class _Base:\n    pass\n\nclass Child(_Base):\n    pass\n\n"
+             "def __getattr__(name):\n    pass\n\n_used()\n",
+        "b": "from . import a\n\ndef _via_attribute():\n    pass\n\n"
+             "def _unread():\n    pass\n\nx = a._via_attribute\n"
+             "def outer():\n    def _inner():\n        pass\n",
+    }
+    assert unused_private_helpers(sources) == ["a._orphan", "b._unread"]
+
+
+def test_no_unused_private_helpers():
+    assert unused_private_helpers({path.stem: path.read_text() for path in SOURCES}) == []

@@ -2,11 +2,13 @@
 
 Every subcommand writes one metadata comment line (prefixed '#'), a CSV
 header row, and data rows with full-precision (17 significant digit)
-numeric cells.  Exit codes:
+numeric cells.  The front end parses and prints; the library checks every
+value.  Exit codes:
 
     0  success
-    1  usage error (unknown flags, missing arguments)
-    2  domain error (inputs outside an operation's domain)
+    1  usage error (unknown flags, missing arguments, --a abc)
+    2  domain error: every refused value, including a number in --s,
+       --s-grid or --n-list that does not parse
     3  numeric error (a computation failed internally)
     4  a *-check subcommand ran fine but the claim failed its tolerance
 """
@@ -32,15 +34,8 @@ from .expansion import (
 )
 from .fredholm import log_derivative, resolvent_quadratic_form
 from .kernels import bessel_spec
-from .montecarlo import (
-    KS_COEFF_1PCT,
-    MIN_KS_COUNT,
-    analytic_smallest_cdf,
-    ks_compare,
-    sample_smallest,
-)
+from .montecarlo import KS_COEFF_1PCT, analytic_smallest_cdf, ks_compare, sample_smallest
 from .quadrature import DEFAULT_NODES
-from .specfun import require_order
 
 # Pass/fail tolerances for the *-check subcommands.
 SECOND_ORDER_WINDOW = (-2.3, -1.7)
@@ -48,6 +43,9 @@ FIRST_ORDER_WINDOW = (-1.3, -0.7)
 OPTIMAL_RATIO_MAX = 0.1
 IDENTITY_TOL_RESOLVENT = 1e-8
 IDENTITY_TOL_FD = 1e-5
+
+# Largest --s-grid accepted; the grid is built only below it.
+MAX_GRID_POINTS = 10 ** 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,21 +82,30 @@ def _meta(command, a="-", n="-", m="-", scaling="-", seed="-") -> dict:
     return {"command": command, "a": a, "n": n, "m": m, "scaling": scaling, "seed": seed}
 
 
+def _number(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError(f"{flag} expects numbers, got {text!r}") from None
+
+
 def _parse_s_values(args) -> list:
-    if args.s_grid is not None:
-        parts = args.s_grid.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"--s-grid expects start:stop:step, got {args.s_grid!r}")
-        start, stop, step = (float(p) for p in parts)
-        if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
-            raise DomainError(f"--s-grid needs finite start <= stop and step > 0, got {args.s_grid!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = [start + k * step for k in range(count)]
-    else:
-        values = [float(tok) for tok in args.s.split(",") if tok]
-    if not values or any(not math.isfinite(v) or v <= 0.0 for v in values):
-        raise DomainError("s values must be finite and > 0")
-    return values
+    """The s values of --s or --s-grid; the tables check each s."""
+    if args.s_grid is None:
+        values = [_number(tok, "--s") for tok in args.s.split(",") if tok]
+        if not values:
+            raise DomainError("--s needs at least one value")
+        return values
+    parts = args.s_grid.split(":")
+    if len(parts) != 3:
+        raise DomainError(f"--s-grid expects start:stop:step, got {args.s_grid!r}")
+    start, stop, step = (_number(p, "--s-grid") for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
+        raise DomainError(f"--s-grid needs finite start <= stop and step > 0, got {args.s_grid!r}")
+    steps = (stop - start) / step + 1e-9  # inf when step is tiny
+    if not steps < MAX_GRID_POINTS:
+        raise DomainError(f"--s-grid {args.s_grid!r} has more than {MAX_GRID_POINTS} points")
+    return [start + k * step for k in range(int(steps) + 1)]
 
 
 def _parse_orders(text: str) -> tuple:
@@ -116,50 +123,51 @@ def _slope_failures(what: str, report, window) -> list:
     return [f"{what} slope {report.fitted_slope:.3f} outside {window}"]
 
 
-def _cmd_limit_cdf(args):
-    a = require_order(args.a)
-    s_values = _parse_s_values(args)
-    table = limit_table(a, s_values, m=args.m)
-    rows = [[row.s, row.F, row.F_err] for row in table.rows]
-    _emit(args, _meta("limit-cdf", a=_fmt(a), m=args.m, scaling="limit"),
-          ["s", "F", "F_err"], rows)
+def _emit_cdf(args, table, command: str, **meta) -> list:
+    _emit(args, _meta(command, a=_fmt(args.a), m=args.m, **meta), ["s", "F", "F_err"],
+          [[row.s, row.F, row.F_err] for row in table.rows])
     return []
+
+
+def _emit_rate(args, report, meta: dict, residual: str, what: str) -> list:
+    rows = [[n, r, report.fitted_slope, report.slope_stderr]
+            for n, r in zip(report.n_list, report.residuals)]
+    _emit(args, meta, ["n", residual, "slope", "slope_stderr"], rows)
+    return _slope_failures(what, report, SECOND_ORDER_WINDOW)
+
+
+def _cmd_limit_cdf(args):
+    table = limit_table(args.a, _parse_s_values(args), m=args.m)
+    return _emit_cdf(args, table, "limit-cdf", scaling="limit")
 
 
 def _cmd_finite_cdf(args):
-    a = require_order(args.a)
-    s_values = _parse_s_values(args)
-    table = finite_table(a, args.n, s_values, scaling=args.scaling, m=args.m, c=args.c)
-    rows = [[row.s, row.F, row.F_err] for row in table.rows]
+    table = finite_table(args.a, args.n, _parse_s_values(args),
+                         scaling=args.scaling, m=args.m, c=args.c)
     scaling = args.scaling if args.scaling != "custom" else f"custom({_fmt(args.c)})"
-    _emit(args, _meta("finite-cdf", a=_fmt(a), n=args.n, m=args.m, scaling=scaling),
-          ["s", "F", "F_err"], rows)
-    return []
+    return _emit_cdf(args, table, "finite-cdf", n=args.n, scaling=scaling)
 
 
 def _cmd_density(args):
-    a = require_order(args.a)
-    s_values = _parse_s_values(args)
-    table = limit_table(a, s_values, m=args.m, density=True)
+    table = limit_table(args.a, _parse_s_values(args), m=args.m, density=True)
     label = "pdf" if args.pdf else "f"
     rows = [[row.s, row.F, -row.f if args.pdf else row.f] for row in table.rows]
-    _emit(args, _meta("density", a=_fmt(a), m=args.m, scaling="limit"),
+    _emit(args, _meta("density", a=_fmt(args.a), m=args.m, scaling="limit"),
           ["s", "F", label], rows)
     return []
 
 
 def _cmd_expansion_check(args):
-    a = require_order(args.a)
-    s = float(args.s)
+    a, s, m = args.a, args.s, args.m
     orders = _parse_orders(args.n_list)
-    corrected = rate_report(a, s, orders, lambda n: conjecture_residual(a, n, s, args.m))
-    plain = rate_report(a, s, orders, lambda n: uncorrected_difference(a, n, s, args.m))
+    corrected = rate_report(a, s, orders, lambda n: conjecture_residual(a, n, s, m))
+    plain = rate_report(a, s, orders, lambda n: uncorrected_difference(a, n, s, m))
     rows = [
         [n, corrected.residuals[i], plain.residuals[i],
          corrected.fitted_slope, corrected.slope_stderr, plain.fitted_slope]
         for i, n in enumerate(orders)
     ]
-    _emit(args, _meta("expansion-check", a=_fmt(a), n=args.n_list, m=args.m, scaling="standard"),
+    _emit(args, _meta("expansion-check", a=_fmt(a), n=args.n_list, m=m, scaling="standard"),
           ["n", "residual", "residual_uncorrected",
            "slope", "slope_stderr", "slope_uncorrected"], rows)
     if corrected.degenerate:
@@ -169,17 +177,16 @@ def _cmd_expansion_check(args):
 
 
 def _cmd_optimal_check(args):
-    a = require_order(args.a)
-    s = float(args.s)
+    a, s, m = args.a, args.s, args.m
     orders = _parse_orders(args.n_list)
-    tuned = rate_report(a, s, orders, lambda n: optimal_scaling_residual(a, n, s, args.m))
-    plain = [uncorrected_difference(a, n, s, args.m) for n in orders]
+    tuned = rate_report(a, s, orders, lambda n: optimal_scaling_residual(a, n, s, m))
+    plain = [uncorrected_difference(a, n, s, m) for n in orders]
     ratios = [t / p if p > 0.0 else math.nan for t, p in zip(tuned.residuals, plain)]
     rows = [
         [n, tuned.residuals[i], plain[i], ratios[i], tuned.fitted_slope, tuned.slope_stderr]
         for i, n in enumerate(orders)
     ]
-    _emit(args, _meta("optimal-check", a=_fmt(a), n=args.n_list, m=args.m, scaling="optimal"),
+    _emit(args, _meta("optimal-check", a=_fmt(a), n=args.n_list, m=m, scaling="optimal"),
           ["n", "residual_optimal", "residual_standard", "ratio", "slope", "slope_stderr"], rows)
     if tuned.degenerate:
         return []
@@ -194,47 +201,32 @@ def _cmd_optimal_check(args):
 
 
 def _cmd_mehler_heine(args):
-    a = require_order(args.a)
-    z = float(args.z)
-    orders = _parse_orders(args.n_list)
-    report = rate_report(a, z, orders, lambda n: mehler_heine_residual(a, n, z))
-    rows = [
-        [n, report.residuals[i], report.fitted_slope, report.slope_stderr]
-        for i, n in enumerate(orders)
-    ]
-    _emit(args, _meta("mehler-heine", a=_fmt(a), n=args.n_list),
-          ["n", "residual", "slope", "slope_stderr"], rows)
-    return _slope_failures("scaled-Laguerre", report, SECOND_ORDER_WINDOW)
+    a, z = args.a, args.z
+    report = rate_report(a, z, _parse_orders(args.n_list), lambda n: mehler_heine_residual(a, n, z))
+    return _emit_rate(args, report, _meta("mehler-heine", a=_fmt(a), n=args.n_list),
+                      "residual", "scaled-Laguerre")
 
 
 def _cmd_kernel_check(args):
-    a = require_order(args.a)
-    c = float(args.c)
     orders = _parse_orders(args.n_list)
     if args.grid_points < 1:
         raise DomainError(f"--grid-points must be >= 1, got {args.grid_points}")
     axis = np.linspace(0.0, args.grid_max, args.grid_points)
-    report = kernel_expansion_rate(a, orders, c, axis)
-    rows = [
-        [n, report.residuals[i], report.fitted_slope, report.slope_stderr]
-        for i, n in enumerate(orders)
-    ]
-    _emit(args, _meta("kernel-check", a=_fmt(a), n=args.n_list, scaling=f"c={_fmt(c)}"),
-          ["n", "max_residual", "slope", "slope_stderr"], rows)
-    return _slope_failures("kernel-residual", report, SECOND_ORDER_WINDOW)
+    report = kernel_expansion_rate(args.a, orders, args.c, axis)
+    meta = _meta("kernel-check", a=_fmt(args.a), n=args.n_list, scaling=f"c={_fmt(args.c)}")
+    return _emit_rate(args, report, meta, "max_residual", "kernel-residual")
 
 
 def _cmd_identity_check(args):
-    a = require_order(args.a)
-    s = float(args.s)
-    spec = bessel_spec(a)
-    quad_form = resolvent_quadratic_form(spec, s, args.m)
+    s, m = args.s, args.m
+    spec = bessel_spec(args.a)
+    quad_form = resolvent_quadratic_form(spec, s, m)
     lhs = -0.25 * quad_form
-    rhs_resolvent = s * log_derivative(spec, s, args.m, method="resolvent")
-    rhs_fd = s * log_derivative(spec, s, args.m, method="finite_difference")
+    rhs_resolvent = s * log_derivative(spec, s, m, method="resolvent")
+    rhs_fd = s * log_derivative(spec, s, m, method="finite_difference")
     residual_resolvent = abs(lhs - rhs_resolvent)
     residual_fd = abs(lhs - rhs_fd)
-    _emit(args, _meta("identity-check", a=_fmt(a), m=args.m),
+    _emit(args, _meta("identity-check", a=_fmt(args.a), m=m),
           ["s", "quadratic_form", "lhs", "rhs_resolvent", "rhs_fd",
            "residual_resolvent", "residual_fd"],
           [[s, quad_form, lhs, rhs_resolvent, rhs_fd, residual_resolvent, residual_fd]])
@@ -249,8 +241,6 @@ def _cmd_identity_check(args):
 
 
 def _cmd_mc_validate(args):
-    if args.count < MIN_KS_COUNT:
-        raise DomainError(f"--count must be >= {MIN_KS_COUNT} for the KS comparison")
     batch = sample_smallest(args.a, args.n, args.count, args.seed)
     statistic, passed = ks_compare(batch, analytic_smallest_cdf(args.a, args.n, m=args.m))
     threshold = KS_COEFF_1PCT / math.sqrt(args.count)
@@ -260,10 +250,6 @@ def _cmd_mc_validate(args):
     if not passed:
         return [f"KS statistic {statistic:.5f} at or above the 1% threshold {threshold:.5f}"]
     return []
-
-
-def _add_output(sub):
-    sub.add_argument("--output", "-o", default=None, help="write CSV here instead of stdout")
 
 
 def _add_s_flags(sub):
@@ -277,87 +263,70 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Hard-edge smallest-eigenvalue laws via Fredholm determinants")
     parser.add_argument("--version", action="version", version=f"hardedge {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    orders = ",".join(map(str, DEFAULT_ORDERS))
 
-    sub = commands.add_parser("limit-cdf", help="gap probability of the limit law")
-    sub.add_argument("--a", type=float, required=True, help="weight exponent a > -1")
+    def command(name, handler, help, a_help=None, a_type=float):
+        sub = commands.add_parser(name, help=help)
+        sub.add_argument("--a", type=a_type, required=True, help=a_help)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    sub = command("limit-cdf", _cmd_limit_cdf, "gap probability of the limit law",
+                  a_help="weight exponent a > -1")
     _add_s_flags(sub)
     sub.add_argument("--m", type=int, default=DEFAULT_NODES, help="quadrature nodes")
-    _add_output(sub)
-    sub.set_defaults(handler=_cmd_limit_cdf)
 
-    sub = commands.add_parser("finite-cdf", help="gap probability of the order-n law")
-    sub.add_argument("--a", type=float, required=True)
+    sub = command("finite-cdf", _cmd_finite_cdf, "gap probability of the order-n law")
     sub.add_argument("--n", type=int, required=True, help="matrix order n >= 1")
     _add_s_flags(sub)
     sub.add_argument("--scaling", choices=SCALINGS, default="standard")
     sub.add_argument("--c", type=float, default=None, help="parameter of the custom scaling")
     sub.add_argument("--m", type=int, default=DEFAULT_NODES)
-    _add_output(sub)
-    sub.set_defaults(handler=_cmd_finite_cdf)
 
-    sub = commands.add_parser("density", help="limit law with its derivative f = dF/ds")
-    sub.add_argument("--a", type=float, required=True)
+    sub = command("density", _cmd_density, "limit law with its derivative f = dF/ds")
     _add_s_flags(sub)
     sub.add_argument("--m", type=int, default=DEFAULT_NODES)
     sub.add_argument("--pdf", action="store_true",
                      help="emit -f, the probability density, instead of f")
-    _add_output(sub)
-    sub.set_defaults(handler=_cmd_density)
 
-    sub = commands.add_parser("expansion-check",
-                              help="second-order decay of the corrected finite-order expansion")
-    sub.add_argument("--a", type=float, required=True)
-    sub.add_argument("--s", type=float, required=True)
-    sub.add_argument("--n-list", default=",".join(map(str, DEFAULT_ORDERS)))
-    sub.add_argument("--m", type=int, default=STUDY_NODES)
-    _add_output(sub)
-    sub.set_defaults(handler=_cmd_expansion_check)
+    for name, handler, help in (
+        ("expansion-check", _cmd_expansion_check,
+         "second-order decay of the corrected finite-order expansion"),
+        ("optimal-check", _cmd_optimal_check,
+         "second-order decay under the optimally tuned scaling"),
+    ):
+        sub = command(name, handler, help)
+        sub.add_argument("--s", type=float, required=True)
+        sub.add_argument("--n-list", default=orders)
+        sub.add_argument("--m", type=int, default=STUDY_NODES)
 
-    sub = commands.add_parser("optimal-check",
-                              help="second-order decay under the optimally tuned scaling")
-    sub.add_argument("--a", type=float, required=True)
-    sub.add_argument("--s", type=float, required=True)
-    sub.add_argument("--n-list", default=",".join(map(str, DEFAULT_ORDERS)))
-    sub.add_argument("--m", type=int, default=STUDY_NODES)
-    _add_output(sub)
-    sub.set_defaults(handler=_cmd_optimal_check)
-
-    sub = commands.add_parser("mehler-heine",
-                              help="second-order decay of the scaled Laguerre expansion")
-    sub.add_argument("--a", type=float, required=True)
+    sub = command("mehler-heine", _cmd_mehler_heine,
+                  "second-order decay of the scaled Laguerre expansion")
     sub.add_argument("--z", type=float, required=True, help="argument z in [0, 10]")
-    sub.add_argument("--n-list", default=",".join(map(str, DEFAULT_ORDERS)))
-    _add_output(sub)
-    sub.set_defaults(handler=_cmd_mehler_heine)
+    sub.add_argument("--n-list", default=orders)
 
-    sub = commands.add_parser("kernel-check",
-                              help="second-order decay of the pointwise kernel expansion")
-    sub.add_argument("--a", type=float, required=True)
+    sub = command("kernel-check", _cmd_kernel_check,
+                  "second-order decay of the pointwise kernel expansion")
     sub.add_argument("--c", type=float, required=True, help="scaling-family parameter")
-    sub.add_argument("--n-list", default=",".join(map(str, DEFAULT_ORDERS)))
+    sub.add_argument("--n-list", default=orders)
     sub.add_argument("--grid-max", type=float, default=8.0)
     sub.add_argument("--grid-points", type=int, default=9)
-    _add_output(sub)
-    sub.set_defaults(handler=_cmd_kernel_check)
 
-    sub = commands.add_parser("identity-check",
-                              help="resolvent quadratic form against the log-derivative")
-    sub.add_argument("--a", type=float, required=True)
+    sub = command("identity-check", _cmd_identity_check,
+                  "resolvent quadratic form against the log-derivative")
     sub.add_argument("--s", type=float, required=True)
     sub.add_argument("--m", type=int, default=DEFAULT_NODES)
-    _add_output(sub)
-    sub.set_defaults(handler=_cmd_identity_check)
 
-    sub = commands.add_parser("mc-validate",
-                              help="Kolmogorov-Smirnov test of sampled eigenvalues vs the law")
-    sub.add_argument("--a", type=int, required=True, help="integer a >= 0")
+    sub = command("mc-validate", _cmd_mc_validate,
+                  "Kolmogorov-Smirnov test of sampled eigenvalues vs the law",
+                  a_help="integer a >= 0", a_type=int)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--count", type=int, default=20000)
     sub.add_argument("--seed", type=int, default=12345)
     sub.add_argument("--m", type=int, default=DEFAULT_NODES)
-    _add_output(sub)
-    sub.set_defaults(handler=_cmd_mc_validate)
 
+    for sub in commands.choices.values():
+        sub.add_argument("--output", "-o", default=None, help="write CSV here instead of stdout")
     return parser
 
 

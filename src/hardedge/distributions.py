@@ -18,6 +18,7 @@ from ._parallel import ordered_map
 from .errors import DomainError, NumericError
 from .fredholm import (
     DeterminantResult,
+    _check_interval,
     _check_m,
     _det_and_log_derivative,
     _estimated,
@@ -99,13 +100,15 @@ def limit_density(a, s, m=DEFAULT_NODES) -> float:
 def _table(spec, scaling, s_values, m, density=False) -> DistributionTable:
     """One row per s value in input order: F with its m vs m+10 error
     estimate, as nystrom_det, and f = dF/ds if density (limit kernel), from
-    one kernel evaluation over both rules: f shares the m-node system with F."""
+    one kernel evaluation over both rules: f shares the m-node system with F.
+    Every s is checked before the first row is computed."""
     m = _check_m(m)
+    s_values = [_check_interval(s) for s in s_values]
 
     def row(s) -> TableRow:
         det, log_slope = _estimated(spec, s, m, slope=density)
         f = det.value * log_slope if density else None
-        return TableRow(s=float(s), F=det.value, f=f, F_err=det.error_estimate)
+        return TableRow(s=s, F=det.value, f=f, F_err=det.error_estimate)
 
     rows = tuple(ordered_map(row, s_values))
     table = DistributionTable(a=spec.a, n=spec.n, scaling=scaling, m=m, rows=rows)

@@ -4,11 +4,12 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import hardedge
-from hardedge import cli, reg_upper_gamma
+from hardedge import cli, fredholm, reg_upper_gamma
 from hardedge.expansion import rate_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -181,6 +182,7 @@ class TestMcValidate:
     def test_count_below_floor_fails_fast(self, capsys):
         code = run_cli(["mc-validate", "--a", "0", "--n", "5", "--count", "500"])
         assert code == 2
+        assert "KS comparison needs count >= 1000" in capsys.readouterr().err
 
 
 class TestReadmeCommands:
@@ -202,6 +204,70 @@ class TestReadmeCommands:
         subparsers = next(action for action in cli._build_parser()._actions
                           if action.dest == "command")
         assert {argv[0] for argv in self.readme_commands()} == set(subparsers.choices)
+
+
+class TestParser:
+    # (option strings, type, required, default) of every option, in help order
+    FLAGS = {
+        "limit-cdf": [
+            (["--a"], float, True, None), (["--s"], None, False, None),
+            (["--s-grid"], None, False, None), (["--m"], int, False, 50),
+        ],
+        "finite-cdf": [
+            (["--a"], float, True, None), (["--n"], int, True, None),
+            (["--s"], None, False, None), (["--s-grid"], None, False, None),
+            (["--scaling"], None, False, "standard"), (["--c"], float, False, None),
+            (["--m"], int, False, 50),
+        ],
+        "density": [
+            (["--a"], float, True, None), (["--s"], None, False, None),
+            (["--s-grid"], None, False, None), (["--m"], int, False, 50),
+            (["--pdf"], None, False, False),
+        ],
+        "expansion-check": [
+            (["--a"], float, True, None), (["--s"], float, True, None),
+            (["--n-list"], None, False, "50,100,200,400"), (["--m"], int, False, 60),
+        ],
+        "optimal-check": [
+            (["--a"], float, True, None), (["--s"], float, True, None),
+            (["--n-list"], None, False, "50,100,200,400"), (["--m"], int, False, 60),
+        ],
+        "mehler-heine": [
+            (["--a"], float, True, None), (["--z"], float, True, None),
+            (["--n-list"], None, False, "50,100,200,400"),
+        ],
+        "kernel-check": [
+            (["--a"], float, True, None), (["--c"], float, True, None),
+            (["--n-list"], None, False, "50,100,200,400"),
+            (["--grid-max"], float, False, 8.0), (["--grid-points"], int, False, 9),
+        ],
+        "identity-check": [
+            (["--a"], float, True, None), (["--s"], float, True, None),
+            (["--m"], int, False, 50),
+        ],
+        "mc-validate": [
+            (["--a"], int, True, None), (["--n"], int, True, None),
+            (["--count"], int, False, 20000), (["--seed"], int, False, 12345),
+            (["--m"], int, False, 50),
+        ],
+    }
+
+    @staticmethod
+    def subcommands():
+        return next(action for action in cli._build_parser()._actions
+                    if action.dest == "command").choices
+
+    def test_every_subcommand_pinned(self):
+        assert list(self.subcommands()) == list(self.FLAGS)
+
+    @pytest.mark.parametrize("name", FLAGS)
+    def test_subcommand_flags(self, name):
+        sub = self.subcommands()[name]
+        options = [(action.option_strings, action.type, action.required, action.default)
+                   for action in sub._actions if action.dest != "help"]
+        assert options == self.FLAGS[name] + [(["--output", "-o"], None, False, None)]
+        assert [group.required for group in sub._mutually_exclusive_groups] == (
+            [True] if ["--s-grid"] in [option[0] for option in options] else [])
 
 
 class TestUsageAndErrors:
@@ -234,10 +300,49 @@ class TestUsageAndErrors:
     def test_kernel_check_needs_grid_points(self, points, capsys):
         assert run_cli(["kernel-check", "--a", "1", "--c", "0", "--grid-points", points]) == 2
 
-    def test_grid_validated_before_compute(self, capsys):
+    def test_grid_validated_before_compute(self, monkeypatch, capsys):
         # the bad value sits at the end of the grid: nothing may be computed
-        code = run_cli(["limit-cdf", "--a", "0", "--s", "1,2,0"])
-        assert code == 2
+        calls = []
+        kernel_blocks = fredholm._kernel_blocks
+        monkeypatch.setattr(fredholm, "_kernel_blocks",
+                            lambda *args: calls.append(args) or kernel_blocks(*args))
+        for values in ("1,2,0", "1,2,2000"):
+            assert run_cli(["limit-cdf", "--a", "0", "--s", values]) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--s", "abc"), ("--s", "1,x"), ("--s-grid", "1:x:1"),
+    ])
+    def test_unparsed_number_exits_2(self, flag, value, capsys):
+        # a domain refusal with one stderr line, not a ValueError traceback
+        assert run_cli(["limit-cdf", "--a", "0", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hardedge: domain error: ") and err.count("\n") == 1
+
+    @pytest.fixture
+    def grid_sizes(self, monkeypatch):
+        """Lengths of the s lists that reach limit_table, which computes nothing."""
+        sizes = []
+
+        def table(a, s_values, m):
+            sizes.append(len(s_values))
+            return SimpleNamespace(rows=())
+
+        monkeypatch.setattr(cli, "limit_table", table)
+        return sizes
+
+    @pytest.mark.parametrize("grid", ["1:2:1e-5", "1:2:5e-324"])
+    def test_oversized_grid_refused(self, grid, grid_sizes, capsys):
+        # 100001 points, and a point count past the float range
+        assert run_cli(["limit-cdf", "--a", "0", "--s-grid", grid]) == 2
+        assert f"more than {cli.MAX_GRID_POINTS} points" in capsys.readouterr().err
+        assert grid_sizes == []
+
+    def test_grid_cap_is_inclusive(self, grid_sizes, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
+        assert run_cli(["limit-cdf", "--a", "0", "--s-grid", "1:10:1"]) == 0
+        assert run_cli(["limit-cdf", "--a", "0", "--s-grid", "1:11:1"]) == 2
+        assert grid_sizes == [10]
 
 
 def test_import_does_not_load_scipy_linalg():

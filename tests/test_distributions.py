@@ -238,6 +238,16 @@ class TestTables:
         with pytest.raises(DomainError):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: limit_table(0.0, [1.0, 2.0, 2000.0]),
+        lambda: finite_table(1.0, 20, [1.0, 2.0, 0.0]),
+    ], ids=["limit-above-range", "finite-zero"])
+    def test_every_s_checked_before_the_first_row(self, build, assemblies):
+        # the bad s comes last: it is refused before any kernel evaluation
+        with pytest.raises(DomainError, match="s must lie in"):
+            build()
+        assert assemblies == []
+
     def test_finite_table_ordering_and_range(self):
         table = finite_table(0.5, 8, [1.0, 2.0, 4.0, 8.0], m=40)
         values = [row.F for row in table.rows]

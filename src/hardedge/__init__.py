@@ -56,7 +56,13 @@ from .kernels import (
     kernel_matrix,
     laguerre_kernel_entire,
 )
-from .montecarlo import SampleBatch, analytic_smallest_cdf, ks_compare, sample_smallest
+from .montecarlo import (
+    SampleBatch,
+    analytic_smallest_cdf,
+    ks_compare,
+    ks_validate,
+    sample_smallest,
+)
 from .quadrature import QuadratureRule, gauss_jacobi, scale_rule
 from .specfun import (
     bessel_entire,
@@ -100,6 +106,7 @@ __all__ = [
     "kernel_expansion_residual",
     "kernel_matrix",
     "ks_compare",
+    "ks_validate",
     "laguerre",
     "laguerre_kernel_entire",
     "laguerre_pair",

@@ -34,7 +34,7 @@ from .expansion import (
 )
 from .fredholm import log_derivative, resolvent_quadratic_form
 from .kernels import bessel_spec
-from .montecarlo import KS_COEFF_1PCT, analytic_smallest_cdf, ks_compare, sample_smallest
+from .montecarlo import KS_COEFF_1PCT, ks_validate
 from .quadrature import DEFAULT_NODES
 
 # Pass/fail tolerances for the *-check subcommands.
@@ -211,6 +211,8 @@ def _cmd_kernel_check(args):
     orders = _parse_orders(args.n_list)
     if args.grid_points < 1:
         raise DomainError(f"--grid-points must be >= 1, got {args.grid_points}")
+    if not math.isfinite(args.grid_max):
+        raise DomainError(f"--grid-max must be finite, got {args.grid_max}")
     axis = np.linspace(0.0, args.grid_max, args.grid_points)
     report = kernel_expansion_rate(args.a, orders, args.c, axis)
     meta = _meta("kernel-check", a=_fmt(args.a), n=args.n_list, scaling=f"c={_fmt(args.c)}")
@@ -241,8 +243,7 @@ def _cmd_identity_check(args):
 
 
 def _cmd_mc_validate(args):
-    batch = sample_smallest(args.a, args.n, args.count, args.seed)
-    statistic, passed = ks_compare(batch, analytic_smallest_cdf(args.a, args.n, m=args.m))
+    statistic, passed = ks_validate(args.a, args.n, args.count, args.seed, m=args.m)
     threshold = KS_COEFF_1PCT / math.sqrt(args.count)
     _emit(args, _meta("mc-validate", a=args.a, n=args.n, m=args.m, seed=args.seed),
           ["count", "ks_statistic", "threshold", "passed"],

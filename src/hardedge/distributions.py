@@ -10,18 +10,21 @@ Scalings of the finite-order law, all reported on the common s axis:
     standard    endpoint s/(4n)                 (plain hard-edge variables)
     optimal     endpoint (1 - a/(2n)) s/(4n)    (second-order accurate)
     custom(c)   endpoint (1 - (a+c)/(2n)) s/(4n)
+
+limit_table and finite_table evaluate all their rows as one batch along
+the s axis (see fredholm); every value equals its one-row value bit for
+bit.
 """
 
 from dataclasses import dataclass
 
-from ._parallel import ordered_map
 from .errors import DomainError, NumericError
 from .fredholm import (
     DeterminantResult,
     _check_interval,
     _check_m,
     _det_and_log_derivative,
-    _estimated,
+    _estimates,
     nystrom_det,
 )
 from .kernels import bessel_spec, finite_spec
@@ -99,18 +102,17 @@ def limit_density(a, s, m=DEFAULT_NODES) -> float:
 
 def _table(spec, scaling, s_values, m, density=False) -> DistributionTable:
     """One row per s value in input order: F with its m vs m+10 error
-    estimate, as nystrom_det, and f = dF/ds if density (limit kernel), from
-    one kernel evaluation over both rules: f shares the m-node system with F.
+    estimate, as nystrom_det, and f = dF/ds if density (limit kernel); f
+    shares the m-node system with F.  All rows come from one batched
+    evaluation over both rules, equal to the one-row values bit for bit.
     Every s is checked before the first row is computed."""
     m = _check_m(m)
     s_values = [_check_interval(s) for s in s_values]
-
-    def row(s) -> TableRow:
-        det, log_slope = _estimated(spec, s, m, slope=density)
-        f = det.value * log_slope if density else None
-        return TableRow(s=s, F=det.value, f=f, F_err=det.error_estimate)
-
-    rows = tuple(ordered_map(row, s_values))
+    rows = tuple(
+        TableRow(s=s, F=det.value, f=det.value * log_slope if density else None,
+                 F_err=det.error_estimate)
+        for s, (det, log_slope) in zip(s_values, _estimates(spec, s_values, m, slope=density))
+    )
     table = DistributionTable(a=spec.a, n=spec.n, scaling=scaling, m=m, rows=rows)
     table.validate()
     return table

@@ -13,6 +13,13 @@ determinant and the resolvent solve wherever a caller needs the two at the
 same (kernel, s, m), and one evaluation of the kernel factors over the
 nodes of both rules serves the m and m+10 systems of an error estimate,
 each built as its own block.
+
+The s axis is batched: the rule for (0, s) is the (0, 1) rule scaled by s,
+so many s share one evaluation of the kernel factors, one block build per
+rule and one batched slogdet (and solve), in chunks of at most
+CHUNK_ENTRIES matrix entries.  A one-s value is the batch of that s alone,
+and batching changes no value: every entry, factorization and check is the
+one of each s, bit for bit.
 """
 
 import math
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, NumericError
+from .errors import AccuracyError, DomainError, HardEdgeError, NumericError
 from .kernels import KernelSpec, _kernel_blocks
 from .quadrature import DEFAULT_NODES, MAX_NODES, gauss_jacobi, scale_rule
 from .specfun import S_MAX, _laguerre_pass, _laguerre_weights, _require_integer
@@ -29,6 +36,10 @@ from .specfun import S_MAX, _laguerre_pass, _laguerre_weights, _require_integer
 # room below the quadrature cap.
 MIN_DET_NODES = 5
 MAX_DET_NODES = MAX_NODES - 10
+
+# Matrix entries, summed over the rules of each s, that one chunk of an s
+# batch assembles and factors at once: 1 MB per (S, m, m) array.
+CHUNK_ENTRIES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -63,83 +74,170 @@ def _check_m(m) -> int:
     return _require_integer(m, "node count", MIN_DET_NODES, MAX_DET_NODES)
 
 
-def _assemble(spec: KernelSpec, s: float, *ms: int) -> list:
-    """[(I - A, b)], one pair per node count m, each on the m-node rule for (0, s).
+def _batch(spec: KernelSpec, s_values, ms, det=True, resolvent=False) -> list:
+    """[(s, values)], one pair per s in input order, from the systems I - A
+    on the m-node rules for (0, s), one per m in ms: values holds
+    det(I - A) of each system (of the first only if det) and, right after
+    the first system's determinant, its resolvent quadratic form
+    <(I - A)^{-1} b, b> if resolvent (limit kernel).
+
+    The s values are evaluated in chunks of at most CHUNK_ENTRIES matrix
+    entries.  Every entry, factorization and check is the one of each s
+    alone, so the values equal the one-s batch bit for bit.  A chunk that
+    raises is evaluated again one s at a time, so the first s in input
+    order that is refused alone raises its refusal.
+    """
+    per_chunk = max(1, CHUNK_ENTRIES // sum(m * m for m in ms))
+    s_values = list(s_values)
+    pairs = []
+    for start in range(0, len(s_values), per_chunk):
+        chunk = s_values[start:start + per_chunk]
+        try:
+            pairs += _chunk_values(spec, chunk, ms, det, resolvent)
+            continue
+        except HardEdgeError as exc:
+            if len(chunk) == 1:
+                raise
+            refusal = exc
+        # outside the handler, so that the refusal raised is not chained
+        for s in chunk:
+            _chunk_values(spec, [s], ms, det, resolvent)
+        raise refusal
+    return pairs
+
+
+def _chunk_values(spec: KernelSpec, s_values: list, ms, det, resolvent) -> list:
+    """_batch's (s, values) pairs for one chunk of s values.
 
     One _kernel_blocks call evaluates the kernel factors once over the nodes
-    of all the rules and forms one block per rule, no cross blocks; each
-    block equals the matrix assembled on its rule alone, bit for bit.
-    b_i = sqrt(w_i) hat_j_a(x_i) is the resolvent right-hand side; it comes
-    out of the limit-kernel assembly (None for the finite family).
+    of all the rules and forms one stacked block per m, no cross blocks;
+    each matrix equals the one assembled on its rule alone, bit for bit.
+    Then one batched slogdet per m and one batched solve.  b_i =
+    sqrt(w_i) hat_j_a(x_i) is the resolvent right-hand side; it comes out
+    of the limit-kernel assembly.
     """
-    rules = [_rule(m, spec.a, s) for m in ms]
-    blocks = _kernel_blocks(spec, [rule.nodes for rule in rules])
-    systems = []
-    for m, rule, (kernel, hat_j) in zip(ms, rules, blocks):
-        sqrt_w = np.sqrt(rule.weights)
-        system = np.eye(m) - sqrt_w[:, None] * kernel * sqrt_w[None, :]
-        systems.append((system, None if hat_j is None else sqrt_w * hat_j))
-    return systems
+    s = [_check_interval(t) for t in s_values]
+    rules = [_scaled_rules(m, spec.a, s) for m in ms]
+    blocks = _kernel_blocks(spec, [nodes for nodes, _ in rules])
+    columns = []
+    for index, ((_, weights), (kernel, hat_j)) in enumerate(zip(rules, blocks)):
+        m = kernel.shape[-1]
+        sqrt_w = np.sqrt(weights)
+        # I - A in place, where a fresh (S, m, m) array would cost more than
+        # the arithmetic; the order is that of eye(m) - sqrt_w_i K_ij sqrt_w_j
+        system = sqrt_w[:, :, None] * kernel
+        system *= sqrt_w[:, None, :]
+        np.subtract(np.eye(m), system, out=system)
+        if index or det:
+            columns.append(_determinants(system, s, m))
+        if not index and resolvent:
+            columns.append(_quadratic_forms(system, sqrt_w * hat_j, s, m))
+    return [(s_k, [column(k) for column in columns]) for k, s_k in enumerate(s)]
 
 
-def _det_of(system: np.ndarray, s: float, m: int) -> float:
-    sign, log_abs = np.linalg.slogdet(system)
-    if sign == 0.0:
-        raise NumericError(f"discretized determinant is exactly singular at s={s!r}, m={m}")
-    if sign < 0.0:
-        raise NumericError(
-            f"discretized determinant came out negative (s={s!r}, m={m}); "
-            "the projection-kernel range invariant 0 < det <= 1 is violated"
-        )
-    value = math.exp(log_abs)
-    if not 0.0 < value <= 1.0 + 1e-8:
-        raise NumericError(f"determinant {value!r} escaped (0, 1] at s={s!r}, m={m}")
-    return value
+def _scaled_rules(m: int, a: float, s: list) -> tuple:
+    """(nodes, weights), each (S, m): the m-node rule for (0, 1) scaled to
+    every (0, s_k), as scale_rule scales it.
+
+    scale_rule checks the rules at the smallest and the largest s.  Every
+    check it makes is monotone in s (the nodes scale with s, the weights
+    with s^{a+1}, a > -1), so the rules in between pass it too.
+    """
+    reference = gauss_jacobi(m, a)
+    ends = [scale_rule(reference, end) for end in {min(s), max(s)}]
+    if len(s) == 1:
+        return ends[0].nodes[None], ends[0].weights[None]
+    factors = np.array([t ** (a + 1.0) for t in s])
+    return reference.nodes * np.array(s)[:, None], reference.weights * factors[:, None]
 
 
-def _quadratic_form_of(system: np.ndarray, b: np.ndarray, s: float, m: int) -> float:
+def _determinants(system: np.ndarray, s: list, m: int):
+    """k -> det(I - A) of system[k], checked as a value on (0, s[k]); one
+    batched slogdet for all k."""
+    signs, log_abs = np.linalg.slogdet(system)
+
+    def determinant(k: int) -> float:
+        if signs[k] == 0.0:
+            raise NumericError(
+                f"discretized determinant is exactly singular at s={s[k]!r}, m={m}")
+        if signs[k] < 0.0:
+            raise NumericError(
+                f"discretized determinant came out negative (s={s[k]!r}, m={m}); "
+                "the projection-kernel range invariant 0 < det <= 1 is violated"
+            )
+        value = math.exp(log_abs[k])
+        if not 0.0 < value <= 1.0 + 1e-8:
+            raise NumericError(f"determinant {value!r} escaped (0, 1] at s={s[k]!r}, m={m}")
+        return value
+
+    return determinant
+
+
+def _quadratic_forms(system: np.ndarray, b: np.ndarray, s: list, m: int):
+    """k -> <(I - A)^{-1} b, b> of system[k] and b[k], checked positive; one
+    batched solve for all k, or one solve per k where some system is
+    singular, to name it."""
     try:
-        v = np.linalg.solve(system, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"resolvent system is singular at s={s!r}, m={m}") from exc
-    value = float(b @ v)
-    if value <= 0.0:
-        raise NumericError(
-            f"resolvent quadratic form lost positivity at s={s!r}, m={m}: {value!r}"
-        )
-    return value
+        solutions = np.linalg.solve(system, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        solutions = None
+
+    def quadratic_form(k: int) -> float:
+        try:
+            v = np.linalg.solve(system[k], b[k]) if solutions is None else solutions[k]
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"resolvent system is singular at s={s[k]!r}, m={m}") from exc
+        value = float(b[k] @ v)
+        if value <= 0.0:
+            raise NumericError(
+                f"resolvent quadratic form lost positivity at s={s[k]!r}, m={m}: {value!r}"
+            )
+        return value
+
+    return quadratic_form
 
 
-def _log_slope(system: np.ndarray, b: np.ndarray, s: float, m: int) -> float:
-    """d/ds log det(I - A) from the resolvent quadratic form of one system."""
-    return -_quadratic_form_of(system, b, s, m) / (4.0 * s)
+def _log_slope(quadratic_form: float, s: float) -> float:
+    """d/ds log det(I - A) from the resolvent quadratic form at s."""
+    return -quadratic_form / (4.0 * s)
+
+
+def _det_values(spec: KernelSpec, s_values, m) -> list:
+    """det(I - A) at m nodes alone, without the m+10 error estimate, per s."""
+    return [value for _, [value] in _batch(spec, s_values, (_check_m(m),))]
 
 
 def _det_value(spec: KernelSpec, s, m) -> float:
-    """det(I - A) at m nodes alone, without the m+10 error estimate."""
-    s, m = _check_interval(s), _check_m(m)
-    [(system, _)] = _assemble(spec, s, m)
-    return _det_of(system, s, m)
+    """_det_values at one s."""
+    [value] = _det_values(spec, [s], m)
+    return value
 
 
 def _det_and_log_derivative(spec: KernelSpec, s, m) -> tuple[float, float]:
     """det(I - A) and the resolvent log-derivative from one assembly (limit kernel)."""
-    s, m = _check_interval(s), _check_m(m)
-    [(system, b)] = _assemble(spec, s, m)
-    return _det_of(system, s, m), _log_slope(system, b, s, m)
+    [(s, [value, quadratic_form])] = _batch(spec, [s], (_check_m(m),), resolvent=True)
+    return value, _log_slope(quadratic_form, s)
+
+
+def _estimates(spec: KernelSpec, s_values, m, slope=False) -> list:
+    """[(DeterminantResult, log-derivative)] per s: det(I - A) at m nodes
+    with its m vs m+10 error estimate, both systems from one kernel
+    evaluation; with slope, the resolvent log-derivative of the m-node
+    system (limit kernel), else None.  m + 10 may exceed MAX_DET_NODES."""
+    m = _check_m(m)
+    results = []
+    for s, values in _batch(spec, s_values, (m, m + 10), resolvent=slope):
+        value, refined = values[0], values[-1]
+        log_slope = _log_slope(values[1], s) if slope else None
+        det = DeterminantResult(value=value, error_estimate=abs(value - refined), m=m)
+        results.append((det, log_slope))
+    return results
 
 
 def _estimated(spec: KernelSpec, s, m, slope=False):
-    """(DeterminantResult, log-derivative): det(I - A) at m nodes with its
-    m vs m+10 error estimate, both systems from one _assemble; with slope,
-    the resolvent log-derivative of the m-node system (limit kernel), else
-    None.  m + 10 may exceed MAX_DET_NODES."""
-    s, m = _check_interval(s), _check_m(m)
-    (system, b), (refined, _) = _assemble(spec, s, m, m + 10)
-    value = _det_of(system, s, m)
-    log_slope = _log_slope(system, b, s, m) if slope else None
-    error = abs(value - _det_of(refined, s, m + 10))
-    return DeterminantResult(value=value, error_estimate=error, m=m), log_slope
+    """_estimates at one s."""
+    [result] = _estimates(spec, [s], m, slope)
+    return result
 
 
 def nystrom_det(spec: KernelSpec, s, m=DEFAULT_NODES) -> DeterminantResult:
@@ -186,9 +284,8 @@ def resolvent_quadratic_form(spec: KernelSpec, s, m=DEFAULT_NODES) -> float:
     """
     if spec.family != "bessel":
         raise DomainError("resolvent_quadratic_form is defined for the limit kernel")
-    s, m = _check_interval(s), _check_m(m)
-    [(system, b)] = _assemble(spec, s, m)
-    return _quadratic_form_of(system, b, s, m)
+    [(_, [quadratic_form])] = _batch(spec, [s], (_check_m(m),), det=False, resolvent=True)
+    return quadratic_form
 
 
 def log_derivative(spec: KernelSpec, s, m=DEFAULT_NODES, method="resolvent") -> float:
@@ -202,14 +299,12 @@ def log_derivative(spec: KernelSpec, s, m=DEFAULT_NODES, method="resolvent") -> 
     """
     s = _check_interval(s)
     if method == "resolvent":
-        return -resolvent_quadratic_form(spec, s, m) / (4.0 * s)
+        return _log_slope(resolvent_quadratic_form(spec, s, m), s)
     if method == "finite_difference":
-        def log_det(t: float) -> float:
-            return math.log(_det_value(spec, t, m))
-
-        def central(h: float) -> float:
-            return (log_det(s + h) - log_det(s - h)) / (2.0 * h)
-
         h = 1e-3 * s
-        return (4.0 * central(0.5 * h) - central(h)) / 3.0
+        points = [s + 0.5 * h, s - 0.5 * h, s + h, s - h]
+        up_half, down_half, up, down = map(math.log, _det_values(spec, points, m))
+        central_half = (up_half - down_half) / (2.0 * (0.5 * h))
+        central = (up - down) / (2.0 * h)
+        return (4.0 * central_half - central) / 3.0
     raise DomainError(f"unknown derivative method {method!r}")

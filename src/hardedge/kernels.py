@@ -41,7 +41,9 @@ on a float it gives the factors for one pointwise value, on a node vector
 those for a whole matrix, and _offdiag forms the entries from them.  A
 kernel matrix therefore costs two vector j calls (limit family) or one
 recurrence pass (order-n family) over its nodes, plus one midpoint per
-unordered node pair inside the near-diagonal window.
+unordered node pair inside the near-diagonal window.  A stack of node
+vectors, one rule per s of a batch, costs the same one pass over all of
+its nodes and yields a stack of matrices.
 """
 
 import math
@@ -154,12 +156,27 @@ def _factors(spec: KernelSpec, x, diagonal: bool = True):
 def _offdiag(spec: KernelSpec, at_x, at_y, gap):
     """Kernel entries from the _factors at x and at y, gap = x - y; on scalars
     or broadcasting arrays, so the pointwise kernels and the matrices share
-    this one formula."""
+    this one formula,
+
+        limit:    4^{-a-1} (u j_{a+1}(u) j_a(v) - j_a(u) v j_{a+1}(v)) / (gap/4),
+        order n:  h_x h_y (p_x q_y - q_x p_y) / gap,
+
+    in that order of operations.  The augmented assignments update a matrix
+    in place: a fresh (S, m, m) array costs more than the arithmetic.
+    """
     if spec.family == "bessel":
         (ja_u, ujp_u), (ja_v, ujp_v) = at_x, at_y
-        return 4.0 ** (-spec.a - 1.0) * (ujp_u * ja_v - ja_u * ujp_v) / (0.25 * gap)
+        entries = ujp_u * ja_v
+        entries -= ja_u * ujp_v
+        entries *= 4.0 ** (-spec.a - 1.0)
+        entries /= 0.25 * gap
+        return entries
     (h_x, p_x, q_x), (h_y, p_y, q_y) = at_x, at_y
-    return h_x * h_y * (p_x * q_y - q_x * p_y) / gap
+    entries = p_x * q_y
+    entries -= q_x * p_y
+    entries *= h_x * h_y
+    entries /= gap
+    return entries
 
 
 def _kernel_entry(spec: KernelSpec, x, y) -> float:
@@ -224,48 +241,84 @@ def kernel_expansion_residual(a, n, c, x, y) -> float:
     )
 
 
-def _kernel_blocks(spec: KernelSpec, node_sets) -> list:
-    """[(matrix, hat_j)], one kernel matrix per node set, from one _factors
-    call over the nodes of all sets and the near-diagonal midpoints within
-    each set, one midpoint per unordered pair.
+def _window_pairs(x: np.ndarray, den: np.ndarray) -> tuple:
+    """(b, i, j) with i < j: the node pairs of rule x[b] inside the
+    near-diagonal window, den[b] = x[b, :, None] - x[b, None, :]; () if
+    there are none.  The window is symmetric, so (j, i) takes the midpoint
+    of (i, j).
 
-    No entry across two sets is formed.  Every factor and entry is
-    elementwise in its arguments, so each matrix equals kernel_matrix on its
-    set alone, bit for bit.  hat_j is hat_j_a at the set's nodes for the
-    limit family (computed anyway) and None for the finite family.
+    No pair of a rule is closer than its closest neighbours in sorted order,
+    and no window of it is wider than the one at its largest node, so only
+    the rules whose closest neighbours fall inside that widest window are
+    searched pair by pair.  Both bounds are monotone in rounding, so the
+    pairs found are exactly those of the pairwise test.
+    """
+    ordered = np.sort(x, axis=1)
+    closest = (ordered[:, 1:] - ordered[:, :-1]).min(axis=1, initial=math.inf)
+    crowded = np.nonzero(closest < NEAR_DIAGONAL_RTOL * np.maximum(1.0, ordered[:, -1]))[0]
+    if crowded.size == 0:
+        return ()
+    near = x[crowded]
+    scale = np.maximum(1.0, np.maximum(near[:, :, None], near[:, None, :]))
+    b, i, j = np.nonzero(np.triu(np.abs(den[crowded]) < NEAR_DIAGONAL_RTOL * scale, 1))
+    return (crowded[b], i, j) if b.size else ()
+
+
+def _kernel_blocks(spec: KernelSpec, node_sets) -> list:
+    """[(matrix, hat_j)], one block per node set, from one _factors call over
+    the nodes of all sets and the near-diagonal midpoints within each rule,
+    one midpoint per unordered pair.
+
+    A node set is one rule, shape (m,), or a stack of S rules, shape (S, m),
+    whose block then stacks S matrices, (S, m, m), and hat_j rows, (S, m).
+    No entry across two rules is formed, and the near-diagonal window is
+    judged within each rule, since max(1, |x|, |y|) is not scale-invariant.
+    Every factor and entry is elementwise in its arguments, so each matrix
+    equals kernel_matrix on its rule alone, bit for bit.  hat_j is hat_j_a
+    at the nodes for the limit family (computed anyway) and None for the
+    finite family.
     """
     layouts, parts = [], []
     for nodes in node_sets:
         x = np.asarray(nodes, dtype=float)
-        if x.ndim != 1 or x.size == 0:
-            raise DomainError("kernel_matrix needs a one-dimensional, non-empty node array")
+        if x.ndim not in (1, 2) or x.size == 0:
+            raise DomainError("kernel nodes must form a non-empty (m,) or (S, m) array")
         if np.any(x < 0.0) or np.any(x > S_MAX) or not np.all(np.isfinite(x)):
             raise DomainError(f"kernel nodes must lie in [0, {S_MAX:g}]")
-        den = x[:, None] - x[None, :]
-        scale = np.maximum(1.0, np.maximum(x[:, None], x[None, :]))
-        rows, cols = np.nonzero(np.abs(den) < NEAR_DIAGONAL_RTOL * scale)
-        # the window is symmetric, so (j, i) reuses the midpoint of (i, j)
-        upper = rows < cols
-        rows, cols = rows[upper], cols[upper]
-        np.fill_diagonal(den, 1.0)
-        den[rows, cols] = 1.0
-        den[cols, rows] = 1.0
-        layouts.append((den, rows, cols))
-        # At the diagonal the pair midpoint is the node itself; other pairs in
-        # the window add their midpoints to the points the factors are taken at.
-        parts += [x, 0.5 * (x[rows] + x[cols])]
+        rules = x.reshape(-1, x.shape[-1])
+        den = rules[:, :, None] - rules[:, None, :]
+        pairs = _window_pairs(rules, den)
+        # the diagonal of each (m, m) matrix, as a strided view
+        den.reshape(rules.shape[0], -1)[:, :: rules.shape[1] + 1] = 1.0
+        layouts.append((x.shape, den, pairs))
+        parts.append(rules.ravel())
+        if pairs:
+            # At the diagonal the pair midpoint is the node itself; other pairs
+            # in the window add their midpoints to the points the factors are
+            # taken at.
+            b, i, j = pairs
+            den[b, i, j] = 1.0
+            den[b, j, i] = 1.0
+            parts.append(0.5 * (rules[b, i] + rules[b, j]))
     factors, confluent, hat_j = _factors(spec, np.concatenate(parts))
 
     blocks, start = [], 0
-    for den, rows, cols in layouts:
-        at = slice(start, start + den.shape[0])
-        mids = slice(at.stop, at.stop + rows.size)
-        start = mids.stop
-        matrix = _offdiag(spec, [f[at, None] for f in factors], [f[None, at] for f in factors], den)
-        np.fill_diagonal(matrix, confluent[at])
-        matrix[rows, cols] = confluent[mids]
-        matrix[cols, rows] = confluent[mids]
-        blocks.append((matrix, None if hat_j is None else hat_j[at]))
+    for shape, den, pairs in layouts:
+        count, m = den.shape[:2]
+        at = slice(start, start + count * m)
+        start = at.stop
+        at_nodes = [f[at].reshape(count, m) for f in factors]
+        matrix = _offdiag(spec, [f[:, :, None] for f in at_nodes],
+                          [f[:, None, :] for f in at_nodes], den)
+        matrix.reshape(count, -1)[:, :: m + 1] = confluent[at].reshape(count, m)
+        if pairs:
+            b, i, j = pairs
+            mids = slice(start, start + b.size)
+            start = mids.stop
+            matrix[b, i, j] = confluent[mids]
+            matrix[b, j, i] = confluent[mids]
+        blocks.append((matrix.reshape(shape + shape[-1:]),
+                       None if hat_j is None else hat_j[at].reshape(shape)))
     return blocks
 
 
@@ -276,5 +329,7 @@ def kernel_matrix(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
     fall inside the near-diagonal window (including the diagonal itself) use
     the confluent branch at the pair midpoint.
     """
+    if np.ndim(nodes) != 1 or np.size(nodes) == 0:
+        raise DomainError("kernel_matrix needs a one-dimensional, non-empty node array")
     [(matrix, _)] = _kernel_blocks(spec, [nodes])
     return matrix

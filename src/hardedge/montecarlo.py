@@ -10,6 +10,11 @@ batch size.
 Restricted to integer a on purpose: the Gaussian-matrix construction is the
 only sampler whose law is beyond doubt, and an oracle must never be less
 trustworthy than the code it judges.
+
+ks_validate runs the whole check: it refuses a count below MIN_KS_COUNT
+before the first draw, then evaluates the analytic CDF on the sorted
+sample in one call, batched along the s axis (see fredholm), with values
+equal bit for bit to ks_compare's one call per sample.
 """
 
 import math
@@ -19,7 +24,7 @@ import numpy as np
 
 from ._parallel import ordered_map
 from .errors import AccuracyError, DomainError, NumericError
-from .fredholm import _det_value
+from .fredholm import _check_m, _det_value, _det_values
 from .kernels import finite_spec
 from .specfun import S_MAX, _require_integer, reg_upper_gamma
 
@@ -66,25 +71,45 @@ def sample_smallest(a, n, count, seed) -> SampleBatch:
     return SampleBatch(a=a, n=n, count=count, seed=seed, values=values)
 
 
-def ks_compare(batch: SampleBatch, cdf) -> tuple[float, bool]:
-    """Two-sided Kolmogorov-Smirnov statistic of the batch against a CDF.
+def _check_ks_count(count) -> None:
+    if not count >= MIN_KS_COUNT:
+        raise DomainError(f"KS comparison needs count >= {MIN_KS_COUNT}, got {count}")
 
-    cdf maps an eigenvalue t to P(lambda_min < t).  Passes (second return
-    value) iff the statistic is below 1.63/sqrt(count), the asymptotic 1%
-    critical value.
-    """
-    if batch.count < MIN_KS_COUNT:
-        raise DomainError(f"KS comparison needs count >= {MIN_KS_COUNT}, got {batch.count}")
-    ordered = np.sort(batch.values)
-    probs = np.array(ordered_map(cdf, ordered), dtype=float)
+
+def _ks_statistic(probs: np.ndarray, count: int) -> tuple[float, bool]:
+    """(statistic, passed) of CDF values at the sorted sample of `count` draws."""
     # written so that nan fails the range test too
     if not np.all((probs >= -1e-12) & (probs <= 1.0 + 1e-12)):
         raise DomainError("cdf callable returned values outside [0, 1]")
-    ranks = np.arange(1, batch.count + 1, dtype=float)
-    d_plus = float(np.max(ranks / batch.count - probs))
-    d_minus = float(np.max(probs - (ranks - 1.0) / batch.count))
+    ranks = np.arange(1, count + 1, dtype=float)
+    d_plus = float(np.max(ranks / count - probs))
+    d_minus = float(np.max(probs - (ranks - 1.0) / count))
     statistic = max(d_plus, d_minus)
-    return statistic, statistic < KS_COEFF_1PCT / math.sqrt(batch.count)
+    return statistic, statistic < KS_COEFF_1PCT / math.sqrt(count)
+
+
+def ks_compare(batch: SampleBatch, cdf) -> tuple[float, bool]:
+    """Two-sided Kolmogorov-Smirnov statistic of the batch against a CDF.
+
+    cdf maps an eigenvalue t to P(lambda_min < t); it is called once per
+    sample, in ascending order.  Passes (second return value) iff the
+    statistic is below 1.63/sqrt(count), the asymptotic 1% critical value.
+    """
+    _check_ks_count(batch.count)
+    ordered = np.sort(batch.values)
+    return _ks_statistic(np.array(ordered_map(cdf, ordered), dtype=float), batch.count)
+
+
+def ks_validate(a, n, count, seed, m=50) -> tuple[float, bool]:
+    """ks_compare of sample_smallest(a, n, count, seed) against
+    analytic_smallest_cdf(a, n, m), bit for bit, with the CDF evaluated on
+    the whole sorted sample in one call, and so in batched determinants.
+    count and m are checked before the first draw."""
+    _check_ks_count(count)
+    _check_m(m)
+    batch = sample_smallest(a, n, count, seed)
+    cdf = analytic_smallest_cdf(a, n, m)
+    return _ks_statistic(cdf(np.sort(batch.values)), batch.count)
 
 
 def _survival_bound(a: float, n: int, t: float) -> float:
@@ -103,11 +128,14 @@ def _survival_bound(a: float, n: int, t: float) -> float:
 def analytic_smallest_cdf(a, n, m=50):
     """P(lambda_min < t) of the (n, a) ensemble from the determinant route.
 
-    Returns a callable suitable for ks_compare.  Unscaled eigenvalues t map
-    to the hard-edge axis via s = 4 n t.  Beyond the kernels' validated
-    axis, s > 1600, the CDF is clamped to 1 where the survival probability
-    is provably below 2^-54 (see _survival_bound) and refused with
-    AccuracyError elsewhere; t = inf gives 1.  The bound falls below 2^-54
+    Returns a callable suitable for ks_compare.  It takes a float t, or an
+    ndarray of t elementwise; an array takes its determinants as one batch
+    along the s axis, with values equal bit for bit to the float calls, and
+    a refused t raises the float call's refusal.  Unscaled eigenvalues
+    t map to the hard-edge axis via s = 4 n t.  Beyond the kernels'
+    validated axis, s > 1600, the CDF is clamped to 1 where the survival
+    probability is provably below 2^-54 (see _survival_bound) and refused
+    with AccuracyError elsewhere; t = inf gives 1.  The bound falls below 2^-54
     near t = 13 at a = 0 whatever n (t = 28 at a = 10), while the survival
     decays like e^{-n t}, so at larger n the t between 400/n and there are
     refused although the CDF rounds to 1: at (a, n) = (0, 200) and t = 3
@@ -117,8 +145,8 @@ def analytic_smallest_cdf(a, n, m=50):
     """
     spec = finite_spec(a, n)
 
-    def cdf(t: float) -> float:
-        t = float(t)
+    def off_axis(t: float):
+        """The CDF at t where it takes no determinant, else None."""
         if t == math.inf:
             return 1.0
         s = 4.0 * spec.n * t
@@ -132,6 +160,17 @@ def analytic_smallest_cdf(a, n, m=50):
                 f"s = 4 n t = {s!r} lies beyond {S_MAX:g}, and the survival bound "
                 f"{survival_bound!r} does not round the CDF to 1"
             )
-        return 1.0 - _det_value(spec, s, m)
+        return None
+
+    def cdf(t):
+        if not isinstance(t, np.ndarray):
+            t = float(t)
+            value = off_axis(t)
+            return 1.0 - _det_value(spec, 4.0 * spec.n * t, m) if value is None else value
+        # None becomes nan: the values that take a determinant
+        values = np.array([off_axis(t_k) for t_k in t.ravel().tolist()], dtype=float)
+        on_axis = np.isnan(values)
+        values[on_axis] = 1.0 - np.array(_det_values(spec, 4.0 * spec.n * t.ravel()[on_axis], m))
+        return values.reshape(t.shape)
 
     return cdf

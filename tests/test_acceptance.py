@@ -11,7 +11,6 @@ import mpmath as mp
 import numpy as np
 
 from hardedge import (
-    analytic_smallest_cdf,
     bessel_spec,
     conjecture_residual,
     finite_cdf,
@@ -20,7 +19,7 @@ from hardedge import (
     hat_bessel_j,
     kernel_expansion_rate,
     kernel_matrix,
-    ks_compare,
+    ks_validate,
     limit_cdf,
     log_derivative,
     mehler_heine_residual,
@@ -29,7 +28,6 @@ from hardedge import (
     rate_report,
     reg_upper_gamma,
     resolvent_quadratic_form,
-    sample_smallest,
     uncorrected_difference,
 )
 from hardedge.quadrature import gauss_jacobi, scale_rule
@@ -169,8 +167,7 @@ def test_criterion_11_spectral_quadrature_convergence():
 
 def test_criterion_12_monte_carlo_agreement():
     started = time.perf_counter()
-    batch = sample_smallest(1, 20, 20000, seed=12345)
-    statistic, passed = ks_compare(batch, analytic_smallest_cdf(1, 20, m=50))
+    statistic, passed = ks_validate(1, 20, 20000, seed=12345, m=50)
     elapsed = time.perf_counter() - started
     threshold = 1.63 / math.sqrt(20000)
     ok = passed and elapsed < 120.0

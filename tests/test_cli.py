@@ -3,13 +3,14 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import hardedge
-from hardedge import cli, fredholm, reg_upper_gamma
+from hardedge import cli, fredholm, montecarlo, reg_upper_gamma
 from hardedge.expansion import rate_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -179,10 +180,15 @@ class TestMcValidate:
         header, rows = read_table(out)
         assert rows[0][header.index("passed")] == "true"
 
-    def test_count_below_floor_fails_fast(self, capsys):
-        code = run_cli(["mc-validate", "--a", "0", "--n", "5", "--count", "500"])
-        assert code == 2
-        assert "KS comparison needs count >= 1000" in capsys.readouterr().err
+    def test_count_below_floor_fails_fast(self, monkeypatch, capsys):
+        # refused before the first draw, not after the whole batch
+        draws = []
+        monkeypatch.setattr(montecarlo, "_one_sample", lambda *args: draws.append(args) or 1.0)
+        for n, count in (("5", "500"), ("200", "999")):
+            code = run_cli(["mc-validate", "--a", "0", "--n", n, "--count", count])
+            assert code == 2
+            assert "KS comparison needs count >= 1000" in capsys.readouterr().err
+        assert draws == []
 
 
 class TestReadmeCommands:
@@ -299,6 +305,16 @@ class TestUsageAndErrors:
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_kernel_check_needs_grid_points(self, points, capsys):
         assert run_cli(["kernel-check", "--a", "1", "--c", "0", "--grid-points", points]) == 2
+
+    @pytest.mark.parametrize("grid_max", ["inf", "-inf", "nan"])
+    def test_kernel_check_needs_finite_grid_max(self, grid_max, capsys):
+        # refused before the axis is built: one stderr line, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["kernel-check", "--a", "1", "--c", "0", f"--grid-max={grid_max}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hardedge: domain error: ") and err.count("\n") == 1
 
     def test_grid_validated_before_compute(self, monkeypatch, capsys):
         # the bad value sits at the end of the grid: nothing may be computed

@@ -217,10 +217,10 @@ class TestTables:
             assert row.F_err < 1e-12
 
     def test_density_table_shares_assemblies(self, assemblies):
-        # F, F_err and f of a row come from one kernel evaluation over the
-        # m and m + 10 rules
+        # F, F_err and f of every row come from one kernel evaluation over
+        # the m and m + 10 rules of all three s, one stacked block per m
         table = limit_table(2.0, [0.5, 3.0, 9.0], m=40, density=True)
-        assert assemblies == [(40, 50)] * 3
+        assert assemblies == [(3 * 40, 3 * 50)]
         for row in table.rows:
             det = limit_cdf(2.0, row.s, 40)
             assert (row.F, row.F_err) == (det.value, det.error_estimate)

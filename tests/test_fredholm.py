@@ -27,7 +27,7 @@ from hardedge import (
     taylor_step_residual,
     uncorrected_difference,
 )
-from hardedge import NumericError, fredholm
+from hardedge import HardEdgeError, NumericError, fredholm
 from hardedge.kernels import _kernel_blocks
 from hardedge.quadrature import gauss_jacobi, scale_rule
 
@@ -231,3 +231,74 @@ def test_one_accepted_s_domain(entry, s):
     # kernels' validated axis, whichever module it lives in
     with pytest.raises(DomainError):
         DETERMINANT_ENTRY_POINTS[entry](s)
+
+
+def _per_chunk(ms) -> int:
+    """s values per chunk of a batched evaluation on the rules of ms."""
+    return fredholm.CHUNK_ENTRIES // sum(m * m for m in ms)
+
+
+class TestBatchedSAxis:
+    # Both families on an axis from s = 1e-9, where every node pair lies in
+    # the near-diagonal window.  The limit law stops at s = 200 (F = 1.3e-5
+    # at a = 5): beyond, its Nystrom values near the determinant's absolute
+    # accuracy and the range check refuses some of them.  The finite member
+    # with c = 37 runs to the end of the kernels' axis, s = 1600, where its
+    # endpoint stays small (F = 0.047).
+    AXES = [pytest.param(bessel_spec(5.0), 200.0, id="bessel"),
+            pytest.param(finite_spec(2.0, 20, c=37.0), 1600.0, id="finite")]
+    SIZES = pytest.mark.parametrize("extra", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+
+    @pytest.mark.parametrize("spec,s_max", AXES)
+    @SIZES
+    def test_determinants_equal_the_one_s_values(self, spec, s_max, extra):
+        s_values = list(np.geomspace(1e-9, s_max, _per_chunk((50,)) + extra))
+        expected = [fredholm._det_value(spec, s, 50) for s in s_values]
+        assert fredholm._det_values(spec, s_values, 50) == expected
+
+    @pytest.mark.parametrize("spec,s_max", AXES)
+    @SIZES
+    def test_estimates_and_slopes_equal_the_one_s_values(self, spec, s_max, extra):
+        slope = spec.family == "bessel"
+        s_values = list(np.geomspace(1e-9, s_max, _per_chunk((50, 60)) + extra))
+        expected = [(nystrom_det(spec, s, 50), log_derivative(spec, s, 50) if slope else None)
+                    for s in s_values]
+        assert fredholm._estimates(spec, s_values, 50, slope=slope) == expected
+
+    @staticmethod
+    def refusal(evaluate):
+        try:
+            evaluate()
+        except HardEdgeError as exc:
+            return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize("a,s_values", [
+        pytest.param(0.0, [1.0, 600.0, 2.0], id="negative-determinant"),
+        pytest.param(0.0, [1.0, 1600.0], id="axis-end"),
+        pytest.param(0.0, [1.0, 600.0, 0.0], id="determinant-before-gate"),
+        pytest.param(0.0, [1.0, 0.0, 600.0], id="gate-before-determinant"),
+        pytest.param(0.0, [1.0] * 60 + [600.0], id="second-chunk"),
+        pytest.param(200.0, [1.0, 0.001, 40.0], id="weights-underflow"),
+        pytest.param(200.0, [1.0, 40.0, 0.001], id="weights-overflow"),
+    ])
+    def test_refusal_is_the_first_one_s_refusal(self, a, s_values):
+        # the first s in input order that is refused alone raises its refusal
+        spec = bessel_spec(a)
+        for batched in (lambda v: fredholm._det_values(spec, v, 50),
+                        lambda v: fredholm._estimates(spec, v, 50, slope=True)):
+            one_s = [self.refusal(lambda: batched([s])) for s in s_values]
+            expected = next(refusal for refusal in one_s if refusal is not None)
+            assert self.refusal(lambda: batched(s_values)) == expected
+
+    def test_one_kernel_evaluation_per_chunk(self, monkeypatch):
+        shapes = []
+
+        def counting(spec, node_sets):
+            shapes.append([np.shape(nodes) for nodes in node_sets])
+            return _kernel_blocks(spec, node_sets)
+
+        monkeypatch.setattr(fredholm, "_kernel_blocks", counting)
+        per_chunk = _per_chunk((50, 60))
+        fredholm._estimates(bessel_spec(5.0), list(np.linspace(1.0, 40.0, per_chunk + 1)), 50)
+        assert shapes == [[(per_chunk, 50), (per_chunk, 60)], [(1, 50), (1, 60)]]

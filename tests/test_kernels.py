@@ -398,6 +398,26 @@ class TestKernelMatrix:
             else:
                 assert hat_j is None
 
+    @pytest.mark.parametrize("spec", [bessel_spec(0.5), finite_spec(0.5, 12)],
+                             ids=["bessel", "finite"])
+    def test_stacked_rules_judge_their_own_window(self, spec):
+        # pairs 2e-6 apart lie inside the window at x = 3 (3e-6 wide) but
+        # outside it below x = 1 (1e-6 wide), where a pair 5e-7 apart lies
+        # inside; a stack of rules must judge each rule on its own scale, so
+        # each matrix is its rule's alone
+        stack = np.array([
+            [3.0, 0.0, 3.0 + 2e-6, 7.0, 3.0 + 4e-6, 2.0],
+            [0.3, 0.3 + 5e-7, 0.3 + 2.5e-6, 0.7, 0.0, 0.2],
+            scale_rule(gauss_jacobi(6, 0.5), 1e-9).nodes,
+            scale_rule(gauss_jacobi(6, 0.5), 40.0).nodes,
+        ])
+        [(matrices, hat_j)] = _kernel_blocks(spec, [stack])
+        assert matrices.shape == (4, 6, 6)
+        for nodes, matrix in zip(stack, matrices):
+            assert np.array_equal(matrix, kernel_matrix(spec, nodes))
+        if spec.family == "bessel":
+            assert np.array_equal(hat_j, hat_bessel_j(spec.a, stack))
+
     @pytest.mark.parametrize("spec", [bessel_spec(0.5), finite_spec(0.5, 100)],
                              ids=["bessel", "finite"])
     def test_midpoints_within_each_rule_only(self, spec, monkeypatch):

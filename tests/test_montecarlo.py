@@ -9,9 +9,10 @@ from hardedge import (
     analytic_smallest_cdf,
     finite_cdf,
     ks_compare,
+    ks_validate,
     sample_smallest,
 )
-from hardedge import fredholm
+from hardedge import fredholm, montecarlo
 from hardedge.fredholm import _det_value
 from hardedge.kernels import _kernel_blocks, finite_spec
 from hardedge.montecarlo import SampleBatch, _survival_bound
@@ -183,3 +184,44 @@ class TestAnalyticCdf:
         values = [analytic_smallest_cdf(1, 20, m=50)(t) for t in grid]
         assert sizes == [(50,)] * len(grid)
         assert values == [1.0 - finite_cdf(1, 20, 4.0 * 20 * t, m=50).value for t in grid]
+
+
+class TestBatchedCdf:
+    def test_array_equals_the_scalar_calls(self):
+        # t <= 0, on the axis, clamped beyond s = 4 n t = 1600, and t = inf
+        cdf = analytic_smallest_cdf(1, 20, m=50)
+        t = np.array([-math.inf, -1.0, 0.0, 1e-12, 0.003, 0.05, 0.3, 1.0, 20.5, 21.0, 40.0,
+                      math.inf])
+        values = cdf(t)
+        assert isinstance(values, np.ndarray) and values.shape == t.shape
+        assert values.tolist() == [cdf(float(t_k)) for t_k in t]
+        assert values[0] == 0.0 and values[-3:].tolist() == [1.0, 1.0, 1.0]
+        assert cdf(t[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("a,n,t,error", [
+        (0, 200, 3.0, AccuracyError), (400, 1, 420.0, AccuracyError),
+        (1, 20, math.nan, DomainError),
+    ])
+    def test_refused_t_keeps_the_scalar_refusal(self, a, n, t, error):
+        cdf = analytic_smallest_cdf(a, n)
+        with pytest.raises(error) as scalar:
+            cdf(t)
+        with pytest.raises(error) as batched:
+            cdf(np.array([1e-3, t, 2.0 * t]))
+        assert str(batched.value) == str(scalar.value)
+
+
+class TestKsValidate:
+    @pytest.mark.parametrize("a,n", [(0, 5), (1, 20), (3, 50)])
+    def test_equals_ks_compare(self, a, n):
+        batch = sample_smallest(a, n, 2000, seed=77)
+        expected = ks_compare(batch, analytic_smallest_cdf(a, n))
+        assert ks_validate(a, n, 2000, seed=77) == expected
+
+    @pytest.mark.parametrize("count,m", [(999, 50), (500, 50), (math.nan, 50), (1000, 3)])
+    def test_arguments_checked_before_the_first_draw(self, count, m, monkeypatch):
+        draws = []
+        monkeypatch.setattr(montecarlo, "_one_sample", lambda *args: draws.append(args) or 1.0)
+        with pytest.raises(DomainError):
+            ks_validate(0, 200, count, seed=1, m=m)
+        assert draws == []

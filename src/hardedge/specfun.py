@@ -27,6 +27,18 @@ L_n^{a-1} = binom(n+a, n) (a/(n+a) p_{n-1} + d_n), without the cancelling
 difference L_n^a - L_{n-1}^a, and the sum of squares sum_{k<n} w_k p_k^2 with
 w_k = binom(k+a, k) / Gamma(a+1), so that k!/Gamma(k+a+1) L_k^a(t)^2 = w_k p_k^2.
 The orthonormal Laguerre functions are sqrt(w_k) e^{-x/2} x^{a/2} p_k(x).
+
+On a float the pass is a plain Python loop.  On an array, which is where a
+Nystrom assembly spends its time, it runs in place: five ufunc calls per
+degree into preallocated buffers, with p_k written into the rows of a block
+of degrees.  The squares w_k p_k^2 are formed once per block, and the block
+is added to the running total by one reduction that visits the degrees in
+order k = 0, 1, 2, ..., so both branches round identically and every value
+is bit-equal to the plain loop.  numpy keeps that order only while a row has
+more than one entry; at a single node it would sum pairwise, so a one-node
+pass accumulates its column instead.  A pass that leaves the double range
+is refused with AccuracyError.
+
 Log-gamma, 1/Gamma and the regularized upper incomplete gamma are the
 library functions behind argument checks.
 """
@@ -196,10 +208,15 @@ def _binomials(n: int, a: float) -> np.ndarray:
     scipy.special.binom takes a non-integer a through a log-gamma
     difference, which loses about 1e-12 relative at n = 1000; the product
     stays near 1e-14.  (n, a) repeats across calls, so the array is cached
-    and write-protected.
+    and write-protected.  A product that leaves the double range (large a
+    and n, such as n = 10^4 at a = 200) is refused with AccuracyError: once
+    infinite, every later entry stays infinite, so the last one decides.
     """
     k = np.arange(1.0, n + 1.0)
-    binom = np.concatenate(([1.0], np.cumprod((k + a) / k)))
+    with np.errstate(over="ignore"):
+        binom = np.concatenate(([1.0], np.cumprod((k + a) / k)))
+    if not math.isfinite(binom[-1]):
+        raise AccuracyError(f"binom(n+a, n) leaves the double range at n={n}, a={a!r}")
     binom.setflags(write=False)
     return binom
 
@@ -209,29 +226,100 @@ def _laguerre_weights(n: int, a: float) -> np.ndarray:
     return _binomials(n, a) * float(_sp.rgamma(a + 1.0))
 
 
+# The ndarray pass writes p_k into the rows of a block buffer of at most
+# _BLOCK_ROWS degrees and _BLOCK_ENTRIES entries (a few hundred kB, so the
+# squares of a block are formed while its rows are still in cache).
+_BLOCK_ROWS = 128
+_BLOCK_ENTRIES = 1 << 15
+
+
 def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
     """One pass of the normalized recurrence (module docstring) to degree n.
 
-    t is a float or an ndarray; the same arithmetic runs on either, so a
-    value does not depend on how its argument was batched.  Returns
-    (p_{n-1}, p_n, d_n, total), where total = sum_{k<n} weights[k] p_k^2
-    for an ndarray of weights (zero when weights is None, and then no
-    squares are formed); rows, if given, receives p_k in rows[k] for k < n.
-    Arguments are not validated here (see laguerre_pair).
+    t is a float or an ndarray.  Returns (p_{n-1}, p_n, d_n, total), where
+    total = sum_{k<n} weights[k] p_k^2 for an ndarray of weights (zero when
+    weights is None, and then no squares are formed); rows, if given,
+    receives p_k in rows[k] for k < n.  Arguments are not validated here
+    (see laguerre_pair).  A pass that leaves the double range is refused
+    with AccuracyError: a non-finite p_k stays non-finite in every later
+    degree, so p_n and the total decide.
+
+    Both branches round identically, so a value does not depend on how its
+    argument was batched: each degree forms d_{k+1} = (k d_k - t p_k)/(k+a+1)
+    and p_{k+1} = p_k + d_{k+1}, and total = ((0 + w_0 p_0 p_0) + w_1 p_1 p_1) + ...
+    On an ndarray that is five in-place ufunc calls per degree, p_k going
+    into row k of a block buffer.  Per block, two array operations form the
+    squares (w_k p_k) p_k and one reduction adds them to the running total,
+    which heads the block, so the degrees are summed in order.  numpy
+    reduces that axis row by row only while a row has more than one entry
+    (a single entry would be summed pairwise), so a one-node pass
+    accumulates its column instead.
     """
-    one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
-    p_prev, p, d, total = 0.0 * one, one, 0.0 * one, 0.0 * one
-    if weights is not None:
-        weights = weights[:n].tolist()  # Python floats keep the scalar loop fast
-    for k in range(n):
+    if not isinstance(t, np.ndarray):
+        p_prev, p, d, total = 0.0, 1.0, 0.0, 0.0
         if weights is not None:
-            total += weights[k] * p * p
-        if rows is not None:
-            rows[k] = p
-        p_prev = p
-        d = (k * d - t * p) / (k + a + 1.0)
-        p = p + d
+            weights = weights[:n].tolist()  # Python floats keep the scalar loop fast
+        for k in range(n):
+            if weights is not None:
+                total += weights[k] * p * p
+            if rows is not None:
+                rows[k] = p
+            p_prev = p
+            d = (k * d - t * p) / (k + a + 1.0)
+            p = p + d
+        finite = math.isfinite(p) and math.isfinite(total)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            p_prev, p, d, total = _laguerre_blocks(n, a, t, weights, rows)
+        finite = np.isfinite(p).all() and np.isfinite(total).all()
+    if not finite:
+        raise AccuracyError(
+            f"the Laguerre recurrence to degree {n} at a={a!r} leaves the double range"
+        )
     return p_prev, p, d, total
+
+
+def _laguerre_blocks(n: int, a: float, t: np.ndarray, weights, rows):
+    """The ndarray branch of _laguerre_pass; every buffer row has t's shape."""
+    block = max(1, min(n, _BLOCK_ROWS, _BLOCK_ENTRIES // max(t.size, 1)))
+    ps = np.empty((block + 1,) + t.shape)
+    ps[0] = 1.0
+    p_rows = list(ps)  # row views, built once
+    d = np.zeros(t.shape)
+    tp = np.empty(t.shape)
+    total = np.zeros(t.shape)
+    if weights is not None:
+        weights = weights[:n].reshape((n,) + (1,) * t.ndim)
+        squares = np.empty_like(ps)
+    multiply, subtract, divide, add = np.multiply, np.subtract, np.divide, np.add
+    count = 0
+    for start in range(0, n, block):
+        if start:
+            ps[0] = ps[count]  # p_start, the previous block's last row
+        count = min(block, n - start)
+        for j in range(count):
+            k = start + j
+            p = p_rows[j]
+            multiply(d, k, d)
+            multiply(t, p, tp)
+            subtract(d, tp, d)
+            divide(d, k + a + 1.0, d)
+            add(p, d, p_rows[j + 1])
+        block_rows = ps[:count]
+        if weights is not None:
+            running = squares[:count + 1]
+            running[0] = total
+            block_squares = running[1:]
+            multiply(weights[start:start + count], block_rows, block_squares)
+            multiply(block_squares, block_rows, block_squares)
+            if t.size > 1:
+                add.reduce(running, axis=0, out=total)
+            else:
+                add.accumulate(running, axis=0, out=running)
+                total[...] = running[-1]
+        if rows is not None:
+            rows[start:start + count] = block_rows
+    return (ps[count - 1] if n else np.zeros(t.shape)), ps[count], d, total
 
 
 def laguerre_pair(n, a, x):
@@ -239,7 +327,9 @@ def laguerre_pair(n, a, x):
 
     x may be a scalar (floats are returned) or an ndarray.  Orders a at a
     negative integer are refused: binom(k+a, k) vanishes there, so the
-    normalized recurrence is undefined.
+    normalized recurrence is undefined.  Values outside the double range
+    are refused with AccuracyError, and so is every x once binom(n+a, n)
+    is (large n and a: L_n^a(0) = binom(n+a, n)).
     """
     n = _require_integer(n, "laguerre degree", 0)
     a = float(a)
@@ -251,7 +341,11 @@ def laguerre_pair(n, a, x):
     t = float(arr) if arr.ndim == 0 else arr
     binom = _binomials(n, a)
     p_prev, p, _, _ = _laguerre_pass(n, a, t)
-    return float(binom[max(n - 1, 0)]) * p_prev, float(binom[n]) * p
+    with np.errstate(over="ignore"):
+        pair = float(binom[max(n - 1, 0)]) * p_prev, float(binom[n]) * p
+    if not all(np.isfinite(value).all() for value in pair):
+        raise AccuracyError(f"L_n^a leaves the double range at n={n}, a={a!r}")
+    return pair
 
 
 def laguerre(n, a, x):
@@ -265,9 +359,14 @@ def laguerre_phi(k, a, x):
         phi_k(x) = sqrt(k! / Gamma(k+a+1)) e^{-x/2} x^{a/2} L_k^a(x)
                  = sqrt(w_k) e^{-x/2} x^{a/2} p_k(x),
 
-    with the normalization assembled in the log domain so that degrees up to
-    10^4 evaluate without overflow.  Requires x > 0 (the x^{a/2} factor is
-    singular at 0 for non-integer a); x may be a scalar or ndarray.
+    assembled in the log domain: log w_k = sum_{j<=k} log1p(a/j) - log Gamma(a+1)
+    is finite at every degree, and log |p_k| joins the exponent, so a value
+    that is itself in range does not overflow or underflow on the way.
+    p_k(x) grows like e^{x/2} where phi_k does not, so the pass itself leaves
+    the double range beyond about x = 1400 (and for x far past the turning
+    point 4k, where phi_k underflows); there the call is refused with
+    AccuracyError.  Requires x > 0 (the x^{a/2} factor is singular at 0 for
+    non-integer a); x may be a scalar or ndarray.
     """
     k = _require_integer(k, "laguerre_phi degree", 0)
     a = require_order(a)
@@ -276,8 +375,11 @@ def laguerre_phi(k, a, x):
     arr = np.atleast_1d(arr)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError("laguerre_phi requires finite x > 0")
-    log_norm = 0.5 * (math.log(_binomials(k, a)[k]) - math.lgamma(a + 1.0))
-    vals = np.exp(log_norm - 0.5 * arr + 0.5 * a * np.log(arr)) * _laguerre_pass(k, a, arr)[1]
+    log_weight = float(np.sum(np.log1p(a / np.arange(1.0, k + 1.0)))) - math.lgamma(a + 1.0)
+    p = _laguerre_pass(k, a, arr)[1]
+    with np.errstate(divide="ignore"):  # p_k = 0 gives log 0 = -inf, and phi_k = 0
+        log_abs = 0.5 * log_weight - 0.5 * arr + 0.5 * a * np.log(arr) + np.log(np.abs(p))
+    vals = np.copysign(np.exp(log_abs), p)
     return float(vals[0]) if scalar else vals
 
 

@@ -125,6 +125,12 @@ class TestFiniteCdf:
         with pytest.raises(AccuracyError):
             finite_cdf(200.0, 20, 0.001)
 
+    def test_kernel_constant_overflow_refused(self):
+        # binom(n+a, n) ~ e^{834} at (a, n) = (400, 1000): the kernel's
+        # weights leave the double range while the quadrature at s = 1 does not
+        with pytest.raises(AccuracyError):
+            finite_cdf(400.0, 1000, 1.0)
+
     def test_order_validation(self):
         # a non-integral n is refused, not truncated to int(n)
         for n in (2.5, 100.5, 0, -3, math.nan, math.inf):

@@ -265,6 +265,16 @@ class TestBatchedSAxis:
                     for s in s_values]
         assert fredholm._estimates(spec, s_values, 50, slope=slope) == expected
 
+    @pytest.mark.parametrize("a,scaling", [(0.5, "standard"), (2.0, "optimal")])
+    def test_high_order_table_rows_equal_the_one_s_values(self, a, scaling):
+        # at n = 1000 the recurrence runs over (25, m)-shaped nodes through
+        # many blocks of degrees; each row is its one-s value bit for bit
+        s_values = list(np.geomspace(0.01, 40.0, 25))
+        table = finite_table(a, 1000, s_values, scaling)
+        expected = [finite_cdf(a, 1000, s, scaling) for s in s_values]
+        assert [(row.F, row.F_err) for row in table.rows] == [
+            (det.value, det.error_estimate) for det in expected]
+
     @staticmethod
     def refusal(evaluate):
         try:

@@ -18,7 +18,8 @@ from hardedge import (
     reg_upper_gamma,
 )
 from hardedge.quadrature import gauss_jacobi, scale_rule
-from hardedge.specfun import _binomials
+from hardedge.specfun import (_BLOCK_ENTRIES, _BLOCK_ROWS, _binomials, _laguerre_pass,
+                              _laguerre_weights)
 
 LN_SQRT_PI = 0.5723649429247001  # ln Gamma(1/2) = ln sqrt(pi)
 
@@ -272,6 +273,16 @@ class TestLaguerre:
                 ref = np.array([float(mp.laguerre(degree, a, mp.mpf(ti))) for ti in t])
                 assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref)), degree
 
+    def test_out_of_range_values_are_refused(self):
+        # L_n^a(1) at n = 10^4, a = 200 is near binom(n+a, n) ~ e^{981}
+        with pytest.raises(AccuracyError):
+            laguerre(10000, 200.0, 1.0)
+        with pytest.raises(AccuracyError):
+            laguerre_pair(10000, 200.0, np.array([0.5, 1.0]))
+        # binom(n+a, n) is in range but L_n^a(-x) ~ x^n / n! is not
+        with pytest.raises(AccuracyError):
+            laguerre(200, 0.5, -1e4)
+
     def test_orders_below_minus_one(self):
         # outside the weight's range a > -1, but the polynomial is defined;
         # the contiguous relation reaches orders down to -2
@@ -297,6 +308,64 @@ class TestLaguerre:
         for a in (-1.0, -2.0, -5.0):
             with pytest.raises(DomainError):
                 laguerre(3, a, 1.0)
+
+
+def reference_pass(n, a, t, weights=None, rows=None):
+    """The recurrence as one loop of fresh-array operations, eight per degree
+    with weights; both branches of _laguerre_pass must equal it bit for bit."""
+    one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    p_prev, p, d, total = 0.0 * one, one, 0.0 * one, 0.0 * one
+    if weights is not None:
+        weights = weights[:n].tolist()  # Python floats keep the scalar loop fast
+    for k in range(n):
+        if weights is not None:
+            total += weights[k] * p * p
+        if rows is not None:
+            rows[k] = p
+        p_prev = p
+        d = (k * d - t * p) / (k + a + 1.0)
+        p = p + d
+    return p_prev, p, d, total
+
+
+class TestLaguerrePass:
+    @pytest.mark.parametrize("shape", [(0,), (1,), (2,), (110,), (3, 50)])
+    @pytest.mark.parametrize("mode", ["weights", "rows", "neither"])
+    def test_branches_equal_the_reference_loop(self, shape, mode):
+        # every output, (p_{n-1}, p_n, d_n, total, rows), of the blocked
+        # in-place ndarray pass and of the float pass at each element equals
+        # the reference loop bit for bit, on both sides of a block boundary;
+        # at one node a pairwise sum of the squares would not
+        a = 0.5
+        t = np.random.default_rng(19).uniform(0.0, 4.0, shape)
+        block = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // max(t.size, 1)))
+
+        def outputs(run, n, x):
+            weights = _laguerre_weights(n, a) if mode == "weights" else None
+            rows = np.empty((n,) + np.shape(x)) if mode == "rows" else None
+            return (*run(n, a, x, weights, rows), rows)
+
+        for n in sorted({0, 1, 2, block - 1, block, block + 1, 1000}):
+            expected = outputs(reference_pass, n, t)
+            batched = outputs(_laguerre_pass, n, t)
+            for want, got in zip(expected, batched):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.shape == want.shape and np.array_equal(got, want), n
+            for index in np.ndindex(shape):
+                single = outputs(_laguerre_pass, n, float(t[index]))
+                for want, got in zip(expected[:4], single[:4]):
+                    assert got == want[index], (n, index)
+                if mode == "rows":
+                    assert np.array_equal(single[4], expected[4][(slice(None),) + index])
+
+    def test_leaving_the_double_range_is_refused(self):
+        # p_k grows like e^{t/2}; at t = 2000 it overflows long before
+        # degree 1000, on either branch, with no RuntimeWarning
+        for t in (2000.0, np.array([1.0, 2000.0])):
+            with pytest.raises(AccuracyError):
+                _laguerre_pass(1000, 0.5, t, _laguerre_weights(1000, 0.5))
 
 
 class TestLaguerrePhi:
@@ -325,6 +394,26 @@ class TestLaguerrePhi:
 
     def test_high_degree_finite(self):
         assert math.isfinite(laguerre_phi(10000, 1.5, 3.0))
+
+    @pytest.mark.parametrize("k,a,x", [(10000, 200.0, 1.0), (10000, 0.5, 1400.0)])
+    def test_high_degree_against_mpmath(self, k, a, x):
+        # binom(k+a, k) overflows at (10^4, 200), and p_k(1400) is near
+        # e^{700}: the normalization and log |p_k| are joined in the log domain
+        with mp.workdps(40):
+            ref = float(
+                mp.exp(0.5 * (mp.loggamma(k + 1) - mp.loggamma(k + a + 1)) - mp.mpf(x) / 2)
+                * mp.mpf(x) ** (mp.mpf(a) / 2) * mp.laguerre(k, a, x)
+            )
+        assert laguerre_phi(k, a, x) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("k,x", [(10000, 30000.0), (3000, 20000.0), (10000, 1420.0)])
+    def test_recurrence_overflow_is_refused(self, k, x):
+        # p_k(x) leaves the double range (phi_k itself underflows at the
+        # first two points); no nan is returned
+        with pytest.raises(AccuracyError):
+            laguerre_phi(k, 0.5, x)
+        with pytest.raises(AccuracyError):
+            laguerre_phi(k, 0.5, np.array([1.0, x]))
 
     def test_domain(self):
         with pytest.raises(DomainError):

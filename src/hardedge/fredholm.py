@@ -19,7 +19,8 @@ so many s share one evaluation of the kernel factors, one block build per
 rule and one batched slogdet (and solve), in chunks of at most
 CHUNK_ENTRIES matrix entries.  A one-s value is the batch of that s alone,
 and batching changes no value: every entry, factorization and check is the
-one of each s, bit for bit.
+one of each s, bit for bit.  Nor does it change a refusal: a batch raises
+the refusal of its first s, in input order, that is refused alone.
 """
 
 import math
@@ -57,10 +58,6 @@ class DeterminantResult:
     m: int
 
 
-def _rule(m: int, a: float, s: float):
-    return scale_rule(gauss_jacobi(m, a), s)
-
-
 def _check_interval(s) -> float:
     """The one s gate of the library: (0, s) must lie where the kernels are
     validated, s <= S_MAX."""
@@ -83,9 +80,10 @@ def _batch(spec: KernelSpec, s_values, ms, det=True, resolvent=False) -> list:
 
     The s values are evaluated in chunks of at most CHUNK_ENTRIES matrix
     entries.  Every entry, factorization and check is the one of each s
-    alone, so the values equal the one-s batch bit for bit.  A chunk that
-    raises is evaluated again one s at a time, so the first s in input
-    order that is refused alone raises its refusal.
+    alone, so the values equal the one-s batch bit for bit.  The refusal
+    rule: the batch raises the refusal of its first s, in input order, that
+    is refused alone.  A chunk that raises is evaluated again one s at a
+    time, and this replay is the one place that names the refused s.
     """
     per_chunk = max(1, CHUNK_ENTRIES // sum(m * m for m in ms))
     s_values = list(s_values)
@@ -106,7 +104,7 @@ def _batch(spec: KernelSpec, s_values, ms, det=True, resolvent=False) -> list:
     return pairs
 
 
-def _chunk_values(spec: KernelSpec, s_values: list, ms, det, resolvent) -> list:
+def _chunk_values(spec: KernelSpec, s_values: list, ms, det, resolvent):
     """_batch's (s, values) pairs for one chunk of s values.
 
     One _kernel_blocks call evaluates the kernel factors once over the nodes
@@ -132,7 +130,7 @@ def _chunk_values(spec: KernelSpec, s_values: list, ms, det, resolvent) -> list:
             columns.append(_determinants(system, s, m))
         if not index and resolvent:
             columns.append(_quadratic_forms(system, sqrt_w * hat_j, s, m))
-    return [(s_k, [column(k) for column in columns]) for k, s_k in enumerate(s)]
+    return zip(s, zip(*columns))
 
 
 def _scaled_rules(m: int, a: float, s: list) -> tuple:
@@ -144,57 +142,48 @@ def _scaled_rules(m: int, a: float, s: list) -> tuple:
     with s^{a+1}, a > -1), so the rules in between pass it too.
     """
     reference = gauss_jacobi(m, a)
-    ends = [scale_rule(reference, end) for end in {min(s), max(s)}]
-    if len(s) == 1:
-        return ends[0].nodes[None], ends[0].weights[None]
+    for end in {min(s), max(s)}:
+        scale_rule(reference, end)
     factors = np.array([t ** (a + 1.0) for t in s])
     return reference.nodes * np.array(s)[:, None], reference.weights * factors[:, None]
 
 
-def _determinants(system: np.ndarray, s: list, m: int):
-    """k -> det(I - A) of system[k], checked as a value on (0, s[k]); one
-    batched slogdet for all k."""
+def _determinants(system: np.ndarray, s: list, m: int) -> list:
+    """det(I - A) of each system[k], checked as a value on (0, s[k]); one
+    batched slogdet, and the first bad k raises."""
     signs, log_abs = np.linalg.slogdet(system)
-
-    def determinant(k: int) -> float:
-        if signs[k] == 0.0:
+    values = []
+    for s_k, sign, log_abs_k in zip(s, signs, log_abs):
+        if sign == 0.0:
             raise NumericError(
-                f"discretized determinant is exactly singular at s={s[k]!r}, m={m}")
-        if signs[k] < 0.0:
+                f"discretized determinant is exactly singular at s={s_k!r}, m={m}")
+        if sign < 0.0:
             raise NumericError(
-                f"discretized determinant came out negative (s={s[k]!r}, m={m}); "
+                f"discretized determinant came out negative (s={s_k!r}, m={m}); "
                 "the projection-kernel range invariant 0 < det <= 1 is violated"
             )
-        value = math.exp(log_abs[k])
+        value = math.exp(log_abs_k)
         if not 0.0 < value <= 1.0 + 1e-8:
-            raise NumericError(f"determinant {value!r} escaped (0, 1] at s={s[k]!r}, m={m}")
-        return value
+            raise NumericError(f"determinant {value!r} escaped (0, 1] at s={s_k!r}, m={m}")
+        values.append(value)
+    return values
 
-    return determinant
 
-
-def _quadratic_forms(system: np.ndarray, b: np.ndarray, s: list, m: int):
-    """k -> <(I - A)^{-1} b, b> of system[k] and b[k], checked positive; one
-    batched solve for all k, or one solve per k where some system is
-    singular, to name it."""
+def _quadratic_forms(system: np.ndarray, b: np.ndarray, s: list, m: int) -> list:
+    """<(I - A)^{-1} b, b> of each system[k] and b[k], checked positive; one
+    batched solve, and the first bad k raises."""
     try:
         solutions = np.linalg.solve(system, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        solutions = None
-
-    def quadratic_form(k: int) -> float:
-        try:
-            v = np.linalg.solve(system[k], b[k]) if solutions is None else solutions[k]
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"resolvent system is singular at s={s[k]!r}, m={m}") from exc
-        value = float(b[k] @ v)
+    except np.linalg.LinAlgError as exc:
+        # only a one-s chunk raises this: _batch replays a refused chunk one s at a time
+        raise NumericError(f"resolvent system is singular at s={s[0]!r}, m={m}") from exc
+    values = [float(b_k @ v) for b_k, v in zip(b, solutions)]
+    for s_k, value in zip(s, values):
         if value <= 0.0:
             raise NumericError(
-                f"resolvent quadratic form lost positivity at s={s[k]!r}, m={m}: {value!r}"
+                f"resolvent quadratic form lost positivity at s={s_k!r}, m={m}: {value!r}"
             )
-        return value
-
-    return quadratic_form
+    return values
 
 
 def _log_slope(quadratic_form: float, s: float) -> float:
@@ -262,7 +251,7 @@ def gram_det(a, n, t, m) -> float:
             f"got m={m}, n={n}"
         )
     a = float(a)
-    rule = _rule(m, a, t)
+    rule = scale_rule(gauss_jacobi(m, a), t)
     x = rule.nodes
     # phi_k(x) x^{-a/2} = sqrt(w_k) e^{-x/2} p_k(x), k < n
     basis = np.empty((n, m))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import ordered_map
-from .errors import AccuracyError, DomainError, NumericError
-from .fredholm import _check_m, _det_value, _det_values
+from .errors import AccuracyError, DomainError, HardEdgeError, NumericError
+from .fredholm import _check_m, _det_values
 from .kernels import finite_spec
 from .specfun import S_MAX, _require_integer, reg_upper_gamma
 
@@ -128,14 +128,15 @@ def _survival_bound(a: float, n: int, t: float) -> float:
 def analytic_smallest_cdf(a, n, m=50):
     """P(lambda_min < t) of the (n, a) ensemble from the determinant route.
 
-    Returns a callable suitable for ks_compare.  It takes a float t, or an
-    ndarray of t elementwise; an array takes its determinants as one batch
-    along the s axis, with values equal bit for bit to the float calls, and
-    a refused t raises the float call's refusal.  Unscaled eigenvalues
-    t map to the hard-edge axis via s = 4 n t.  Beyond the kernels'
-    validated axis, s > 1600, the CDF is clamped to 1 where the survival
-    probability is provably below 2^-54 (see _survival_bound) and refused
-    with AccuracyError elsewhere; t = inf gives 1.  The bound falls below 2^-54
+    Returns a callable suitable for ks_compare.  It takes an ndarray of t
+    elementwise, or a float t as the array of that t alone.  An array takes
+    its determinants as one batch along the s axis, with values equal bit
+    for bit to the float calls, and raises the refusal of its first t, in
+    input order, that is refused alone.  Unscaled eigenvalues t map to the
+    hard-edge axis via s = 4 n t.  Beyond the kernels' validated axis,
+    s > 1600, the CDF is clamped to 1 where the survival probability is
+    provably below 2^-54 (see _survival_bound) and refused with
+    AccuracyError elsewhere; t = inf gives 1.  The bound falls below 2^-54
     near t = 13 at a = 0 whatever n (t = 28 at a = 10), while the survival
     decays like e^{-n t}, so at larger n the t between 400/n and there are
     refused although the CDF rounds to 1: at (a, n) = (0, 200) and t = 3
@@ -145,8 +146,8 @@ def analytic_smallest_cdf(a, n, m=50):
     """
     spec = finite_spec(a, n)
 
-    def off_axis(t: float):
-        """The CDF at t where it takes no determinant, else None."""
+    def off_axis(t: float) -> float:
+        """The CDF at t where it takes no determinant, else nan."""
         if t == math.inf:
             return 1.0
         s = 4.0 * spec.n * t
@@ -160,17 +161,25 @@ def analytic_smallest_cdf(a, n, m=50):
                 f"s = 4 n t = {s!r} lies beyond {S_MAX:g}, and the survival bound "
                 f"{survival_bound!r} does not round the CDF to 1"
             )
-        return None
+        return math.nan
 
     def cdf(t):
-        if not isinstance(t, np.ndarray):
-            t = float(t)
-            value = off_axis(t)
-            return 1.0 - _det_value(spec, 4.0 * spec.n * t, m) if value is None else value
-        # None becomes nan: the values that take a determinant
-        values = np.array([off_axis(t_k) for t_k in t.ravel().tolist()], dtype=float)
-        on_axis = np.isnan(values)
-        values[on_axis] = 1.0 - np.array(_det_values(spec, 4.0 * spec.n * t.ravel()[on_axis], m))
-        return values.reshape(t.shape)
+        array = isinstance(t, np.ndarray)
+        flat = np.ravel(t).tolist() if array else [float(t)]
+        values, refusal = [], None
+        for t_k in flat:
+            try:
+                values.append(off_axis(t_k))
+            except HardEdgeError as exc:
+                # raised after the determinants of the t before it, which come first
+                refusal = exc
+                break
+        on_axis = [k for k, value in enumerate(values) if math.isnan(value)]
+        determinants = _det_values(spec, [4.0 * spec.n * flat[k] for k in on_axis], m)
+        for k, determinant in zip(on_axis, determinants):
+            values[k] = 1.0 - determinant
+        if refusal is not None:
+            raise refusal
+        return np.array(values, dtype=float).reshape(t.shape) if array else values[0]
 
     return cdf

@@ -302,6 +302,13 @@ class TestUsageAndErrors:
         assert run_cli(["limit-cdf", "--a", "200", "--s", "0.001"]) == 2
         assert "double range" in capsys.readouterr().err
 
+    def test_numeric_error_exits_3(self, capsys):
+        # a negative determinant at s = 600 refuses the whole table before its first row
+        assert run_cli(["limit-cdf", "--a", "0", "--s", "1,600,2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "s=600.0" in err
+
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_kernel_check_needs_grid_points(self, points, capsys):
         assert run_cli(["kernel-check", "--a", "1", "--c", "0", "--grid-points", points]) == 2

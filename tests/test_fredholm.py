@@ -289,6 +289,8 @@ class TestBatchedSAxis:
         pytest.param(0.0, [1.0, 600.0, 0.0], id="determinant-before-gate"),
         pytest.param(0.0, [1.0, 0.0, 600.0], id="gate-before-determinant"),
         pytest.param(0.0, [1.0] * 60 + [600.0], id="second-chunk"),
+        # at s = 670 only the m+10 determinant is refused, at s = 600 the m-node one
+        pytest.param(0.0, [1.0, 670.0, 600.0], id="refined-rule-first"),
         pytest.param(200.0, [1.0, 0.001, 40.0], id="weights-underflow"),
         pytest.param(200.0, [1.0, 40.0, 0.001], id="weights-overflow"),
     ])

@@ -6,6 +6,8 @@ import pytest
 from hardedge import (
     AccuracyError,
     DomainError,
+    HardEdgeError,
+    NumericError,
     analytic_smallest_cdf,
     finite_cdf,
     ks_compare,
@@ -198,17 +200,30 @@ class TestBatchedCdf:
         assert values[0] == 0.0 and values[-3:].tolist() == [1.0, 1.0, 1.0]
         assert cdf(t[:0]).shape == (0,)
 
+    @staticmethod
+    def refusal(evaluate):
+        try:
+            evaluate()
+        except HardEdgeError as exc:
+            return type(exc), str(exc)
+        return None
+
     @pytest.mark.parametrize("a,n,t,error", [
-        (0, 200, 3.0, AccuracyError), (400, 1, 420.0, AccuracyError),
-        (1, 20, math.nan, DomainError),
+        pytest.param(0, 200, [1e-3, 3.0, 6.0], AccuracyError, id="0-200-3.0-AccuracyError"),
+        # 1e-3 is refused alone: the weights underflow at s = 0.004
+        pytest.param(400, 1, [1e-3, 420.0, 840.0], AccuracyError,
+                     id="400-1-420.0-AccuracyError"),
+        pytest.param(1, 20, [1e-3, math.nan, math.nan], DomainError, id="1-20-nan-DomainError"),
+        # a negative determinant at s = 800 before the survival bound at t = 3
+        pytest.param(0, 200, [1.0, 3.0], NumericError, id="0-200-1.0-NumericError"),
     ])
     def test_refused_t_keeps_the_scalar_refusal(self, a, n, t, error):
+        # the first t in input order that is refused alone raises its refusal
         cdf = analytic_smallest_cdf(a, n)
-        with pytest.raises(error) as scalar:
-            cdf(t)
-        with pytest.raises(error) as batched:
-            cdf(np.array([1e-3, t, 2.0 * t]))
-        assert str(batched.value) == str(scalar.value)
+        one_t = [self.refusal(lambda: cdf(t_k)) for t_k in t]
+        expected = next(refusal for refusal in one_t if refusal is not None)
+        assert expected[0] is error
+        assert self.refusal(lambda: cdf(np.array(t))) == expected
 
 
 class TestKsValidate:

@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     HardEdgeError,
     NumericError,
-    SingularPointError,
 )
 from .expansion import (
     ExpansionReport,
@@ -47,14 +46,10 @@ from .fredholm import (
 )
 from .kernels import (
     KernelSpec,
-    bessel_kernel_entire,
     bessel_spec,
-    correction_kernel,
     finite_spec,
-    hat_bessel_j,
     kernel_expansion_residual,
     kernel_matrix,
-    laguerre_kernel_entire,
 )
 from .montecarlo import (
     SampleBatch,
@@ -66,11 +61,8 @@ from .montecarlo import (
 from .quadrature import QuadratureRule, gauss_jacobi, scale_rule
 from .specfun import (
     bessel_entire,
-    bessel_j_sqrt,
     laguerre,
     laguerre_pair,
-    laguerre_phi,
-    log_gamma,
     reg_upper_gamma,
 )
 
@@ -86,36 +78,28 @@ __all__ = [
     "NumericError",
     "QuadratureRule",
     "SampleBatch",
-    "SingularPointError",
     "TableRow",
     "analytic_smallest_cdf",
     "bessel_entire",
-    "bessel_j_sqrt",
-    "bessel_kernel_entire",
     "bessel_spec",
     "conjecture_residual",
-    "correction_kernel",
     "finite_cdf",
     "finite_spec",
     "finite_table",
     "fit_slope",
     "gauss_jacobi",
     "gram_det",
-    "hat_bessel_j",
     "kernel_expansion_rate",
     "kernel_expansion_residual",
     "kernel_matrix",
     "ks_compare",
     "ks_validate",
     "laguerre",
-    "laguerre_kernel_entire",
     "laguerre_pair",
-    "laguerre_phi",
     "limit_cdf",
     "limit_density",
     "limit_table",
     "log_derivative",
-    "log_gamma",
     "mehler_heine_residual",
     "nystrom_det",
     "optimal_scaling_residual",

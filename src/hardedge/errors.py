@@ -9,10 +9,6 @@ class DomainError(HardEdgeError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class SingularPointError(DomainError):
-    """Evaluation was requested exactly at a non-removable singularity."""
-
-
 class AccuracyError(HardEdgeError, ValueError):
     """Inputs are inside the mathematical domain but outside the range for
     which the implementation guarantees its stated accuracy.  Raised instead

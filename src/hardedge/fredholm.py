@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, HardEdgeError, NumericError
 from .kernels import KernelSpec, _kernel_blocks
-from .quadrature import DEFAULT_NODES, MAX_NODES, gauss_jacobi, scale_rule
+from .quadrature import DEFAULT_NODES, MAX_NODES, _scaled_stack, gauss_jacobi, scale_rule
 from .specfun import S_MAX, _laguerre_pass, _laguerre_weights, _require_integer
 
 # Error estimates compare m against m + 10 nodes, so m itself must leave
@@ -115,7 +115,7 @@ def _chunk_values(spec: KernelSpec, s_values: list, ms, det, resolvent):
     of the limit-kernel assembly.
     """
     s = [_check_interval(t) for t in s_values]
-    rules = [_scaled_rules(m, spec.a, s) for m in ms]
+    rules = [_scaled_stack(gauss_jacobi(m, spec.a), s) for m in ms]
     blocks = _kernel_blocks(spec, [nodes for nodes, _ in rules])
     columns = []
     for index, ((_, weights), (kernel, hat_j)) in enumerate(zip(rules, blocks)):
@@ -131,21 +131,6 @@ def _chunk_values(spec: KernelSpec, s_values: list, ms, det, resolvent):
         if not index and resolvent:
             columns.append(_quadratic_forms(system, sqrt_w * hat_j, s, m))
     return zip(s, zip(*columns))
-
-
-def _scaled_rules(m: int, a: float, s: list) -> tuple:
-    """(nodes, weights), each (S, m): the m-node rule for (0, 1) scaled to
-    every (0, s_k), as scale_rule scales it.
-
-    scale_rule checks the rules at the smallest and the largest s.  Every
-    check it makes is monotone in s (the nodes scale with s, the weights
-    with s^{a+1}, a > -1), so the rules in between pass it too.
-    """
-    reference = gauss_jacobi(m, a)
-    for end in {min(s), max(s)}:
-        scale_rule(reference, end)
-    factors = np.array([t ** (a + 1.0) for t in s])
-    return reference.nodes * np.array(s)[:, None], reference.weights * factors[:, None]
 
 
 def _determinants(system: np.ndarray, s: list, m: int) -> list:

@@ -36,14 +36,16 @@ formed.  The diagonal is the exact sum of squares
 
 One recurrence pass over a node vector yields p_n, p_{n-1}, d_n and the sum.
 
-One factor routine, _factors, serves both families and both call shapes:
-on a float it gives the factors for one pointwise value, on a node vector
-those for a whole matrix, and _offdiag forms the entries from them.  A
-kernel matrix therefore costs two vector j calls (limit family) or one
-recurrence pass (order-n family) over its nodes, plus one midpoint per
-unordered node pair inside the near-diagonal window.  A stack of node
-vectors, one rule per s of a batch, costs the same one pass over all of
-its nodes and yields a stack of matrices.
+kernel_matrix is the one kernel entry: one factor routine, _factors, gives
+the factors of both families over a node vector, and _offdiag forms the
+entries from them.  kernel_expansion_residual takes the same two routines
+on the floats of one (x, y) pair, where a one-node array pass would cost
+some thirty times the float loop (see specfun).  A kernel matrix costs two
+vector j calls (limit family) or one recurrence pass (order-n family) over
+its nodes, plus one midpoint per unordered node pair inside the
+near-diagonal window.  A stack of node vectors, one rule per s of a batch,
+costs the same one pass over all of its nodes and yields a stack of
+matrices.
 """
 
 import math
@@ -154,9 +156,9 @@ def _factors(spec: KernelSpec, x, diagonal: bool = True):
 
 
 def _offdiag(spec: KernelSpec, at_x, at_y, gap):
-    """Kernel entries from the _factors at x and at y, gap = x - y; on scalars
-    or broadcasting arrays, so the pointwise kernels and the matrices share
-    this one formula,
+    """Kernel entries from the _factors at x and at y, gap = x - y; on floats
+    or broadcasting arrays, so the pair residual and the matrices share this
+    one formula,
 
         limit:    4^{-a-1} (u j_{a+1}(u) j_a(v) - j_a(u) v j_{a+1}(v)) / (gap/4),
         order n:  h_x h_y (p_x q_y - q_x p_y) / gap,
@@ -179,52 +181,6 @@ def _offdiag(spec: KernelSpec, at_x, at_y, gap):
     return entries
 
 
-def _kernel_entry(spec: KernelSpec, x, y) -> float:
-    x = float(x)
-    y = float(y)
-    if not (math.isfinite(x) and math.isfinite(y)) or x < 0.0 or y < 0.0:
-        raise DomainError(f"kernel arguments must be finite and >= 0, got ({x!r}, {y!r})")
-    if max(x, y) > S_MAX:
-        raise DomainError(f"kernel arguments must lie in [0, {S_MAX:g}]")
-    if _near_diagonal(x, y):
-        return float(_factors(spec, 0.5 * (x + y))[1])
-    # one pair-only evaluation per argument, in float arithmetic
-    at_x = _factors(spec, x, diagonal=False)[0]
-    at_y = _factors(spec, y, diagonal=False)[0]
-    return float(_offdiag(spec, at_x, at_y, x - y))
-
-
-def bessel_kernel_entire(a, x, y) -> float:
-    """(xy)^{-a/2}-premultiplied limit kernel, entire in both arguments."""
-    return _kernel_entry(bessel_spec(a), x, y)
-
-
-def laguerre_kernel_entire(spec: KernelSpec, x, y) -> float:
-    """(xy)^{-a/2}-premultiplied order-n kernel under the scaling X = rho x."""
-    if spec.family != "finite":
-        raise DomainError("laguerre_kernel_entire needs a finite-family KernelSpec")
-    return _kernel_entry(spec, x, y)
-
-
-def hat_bessel_j(a, x):
-    """x^{-a/2} J_a(sqrt(x)) continued through x = 0, i.e. 2^{-a} j_a(x/4).
-
-    x may be a scalar or an array.
-    """
-    a = require_order(a)
-    if not isinstance(x, float):
-        x = np.asarray(x, dtype=float)
-        x = x if x.ndim else float(x)
-    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
-        raise DomainError(f"hat_bessel_j requires finite x >= 0, got {x!r}")
-    return 2.0 ** (-a) * bessel_entire(a, 0.25 * x)
-
-
-def correction_kernel(a, x, y) -> float:
-    """Rank-one first-order correction kernel hat_j_a(x) * hat_j_a(y)."""
-    return hat_bessel_j(a, x) * hat_bessel_j(a, y)
-
-
 def kernel_expansion_residual(a, n, c, x, y) -> float:
     """Pointwise deviation of the scaled order-n kernel from its limit plus
     first-order rank-one correction:
@@ -232,13 +188,33 @@ def kernel_expansion_residual(a, n, c, x, y) -> float:
         Khat_n(x, y) - [Khat(x, y) - c/(8n) hat_j_a(x) hat_j_a(y)],
 
     which decays like n^{-2} for bounded arguments.
+
+    The one float route to the kernels: (x, y) is checked as a node pair,
+    and each family takes one pair-only _factors call per argument (the
+    confluent value at the pair midpoint inside the near-diagonal window),
+    so the value is the residual of the two 2-node kernel matrices, bit for
+    bit.  The limit factors carry hat_j_a, so the rank-one term costs no
+    further Bessel evaluation.
     """
-    spec = finite_spec(a, n, c=float(c))
-    return (
-        laguerre_kernel_entire(spec, x, y)
-        - bessel_kernel_entire(a, x, y)
-        + (float(c) / (8.0 * n)) * correction_kernel(a, x, y)
-    )
+    c = float(c)
+    finite, limit = finite_spec(a, n, c), bessel_spec(a)
+    x = float(x)
+    y = float(y)
+    if not (math.isfinite(x) and math.isfinite(y)) or x < 0.0 or y < 0.0:
+        raise DomainError(f"kernel arguments must be finite and >= 0, got ({x!r}, {y!r})")
+    if max(x, y) > S_MAX:
+        raise DomainError(f"kernel arguments must lie in [0, {S_MAX:g}]")
+    near = _near_diagonal(x, y)
+    entries = []
+    for spec in (finite, limit):
+        if near:
+            entries.append(float(_factors(spec, 0.5 * (x + y))[1]))
+            continue
+        at_x, at_y = (_factors(spec, t, diagonal=False) for t in (x, y))
+        entries.append(float(_offdiag(spec, at_x[0], at_y[0], x - y)))
+    if near:
+        at_x, at_y = (_factors(limit, t, diagonal=False) for t in (x, y))
+    return entries[0] - entries[1] + (c / (8.0 * n)) * (at_x[2] * at_y[2])
 
 
 def _window_pairs(x: np.ndarray, den: np.ndarray) -> tuple:

@@ -50,19 +50,28 @@ class QuadratureRule:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
-def _checked(nodes: np.ndarray, weights: np.ndarray, s: float, a: float) -> QuadratureRule:
-    # each test is written so that nan fails it
-    rule = QuadratureRule(nodes, weights, s, a)
-    if not np.all((nodes > 0.0) & (nodes < s)):
-        raise NumericError(f"quadrature nodes escaped the open interval (0, {s!r})")
-    if not np.all(np.diff(nodes) > 0.0):
-        raise NumericError("quadrature nodes are not strictly increasing")
-    if not np.all(weights > 0.0):
-        raise NumericError("quadrature produced non-positive weights")
-    mass = rule.mass()
-    if not abs(float(weights.sum()) - mass) <= 1e-12 * mass:
-        raise NumericError("quadrature weights do not reproduce the measure mass")
-    return rule
+def _refuse(ok: np.ndarray, error: type, message: str, ends: list) -> None:
+    """Raise error(message) at the first row of ok, shape (S, ...), that is
+    not all True, naming that row's interval end as {end}."""
+    if not ok.all():
+        row = np.argmin(ok.reshape(len(ends), -1).all(axis=1))
+        raise error(message.format(end=ends[row]))
+
+
+def _check(nodes: np.ndarray, weights: np.ndarray, ends: list, a: float) -> None:
+    """Refuse with NumericError the first row k of (S, m) nodes and weights
+    that is not a rule for x^a dx on (0, ends[k]): nodes strictly increasing
+    inside the open interval, weights positive and summing to within 1e-12
+    of the mass ends[k]^{a+1} / (a+1).  Each test runs on every row before
+    the next one, and each is written so that nan fails it."""
+    _refuse((nodes > 0.0) & (nodes < np.array(ends)[:, None]), NumericError,
+            "quadrature nodes escaped the open interval (0, {end!r})", ends)
+    _refuse(nodes[:, 1:] > nodes[:, :-1], NumericError,
+            "quadrature nodes are not strictly increasing", ends)
+    _refuse(weights > 0.0, NumericError, "quadrature produced non-positive weights", ends)
+    masses = np.array([end ** (a + 1.0) / (a + 1.0) for end in ends])
+    _refuse(abs(weights.sum(axis=1) - masses) <= 1e-12 * masses, NumericError,
+            "quadrature weights do not reproduce the measure mass", ends)
 
 
 def gauss_jacobi(m, a) -> QuadratureRule:
@@ -93,16 +102,27 @@ def scale_rule(rule: QuadratureRule, s) -> QuadratureRule:
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:
         raise DomainError(f"scale factor must be a finite real > 0, got {s!r}")
-    try:
-        factor = s ** (rule.a + 1.0)
-    except OverflowError:
-        factor = math.inf
-    weights = rule.weights * factor
-    if not np.all((weights > 0.0) & (weights < math.inf)):
-        raise AccuracyError(
-            f"the weights of x^a dx on (0, {rule.s * s!r}) leave the double range at a={rule.a!r}"
-        )
-    return _checked(rule.nodes * s, weights, rule.s * s, rule.a)
+    [nodes], [weights] = _scaled_stack(rule, [s])
+    return QuadratureRule(nodes, weights, rule.s * s, rule.a)
+
+
+def _scaled_stack(rule: QuadratureRule, s: list) -> tuple:
+    """(nodes, weights), each (S, m): the rule under x -> s_k x for every
+    float s_k > 0 of s, each row checked as scale_rule checks its rule, so
+    that a stack refuses where one of its rows would alone."""
+    factors = []
+    for t in s:
+        try:
+            factors.append(t ** (rule.a + 1.0))
+        except OverflowError:
+            factors.append(math.inf)
+    weights = rule.weights * np.array(factors)[:, None]
+    ends = [rule.s * t for t in s]
+    _refuse((weights > 0.0) & (weights < math.inf), AccuracyError,
+            f"the weights of x^a dx on (0, {{end!r}}) leave the double range at a={rule.a!r}", ends)
+    nodes = rule.nodes * np.array(s)[:, None]
+    _check(nodes, weights, ends, rule.a)
+    return nodes, weights
 
 
 @lru_cache(maxsize=512)
@@ -116,7 +136,8 @@ def _reference_rule(m: int, a: float) -> QuadratureRule:
     weights = mass * christoffel * 0.5 ** (a + 1.0)
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return _checked(nodes, weights, 1.0, a)
+    _check(nodes[None], weights[None], [1.0], a)
+    return QuadratureRule(nodes, weights, 1.0, a)
 
 
 def _jacobi_coefficients(m: int, a: float):
@@ -153,7 +174,7 @@ def _gauss_nodes(diag: np.ndarray, off: np.ndarray):
     """
     t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     b = np.append(off, 1.0).tolist()
-    # an overflowing sum of squares is a zero weight, which _checked refuses
+    # an overflowing sum of squares is a zero weight, which _check refuses
     with np.errstate(over="ignore"):
         for newton_step in (True, False):
             p_prev, p = np.zeros_like(t), np.ones_like(t)

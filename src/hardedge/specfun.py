@@ -26,9 +26,11 @@ One pass yields L_{n-1}^a and L_n^a, and also what the order-n kernel needs:
 L_n^{a-1} = binom(n+a, n) (a/(n+a) p_{n-1} + d_n), without the cancelling
 difference L_n^a - L_{n-1}^a, and the sum of squares sum_{k<n} w_k p_k^2 with
 w_k = binom(k+a, k) / Gamma(a+1), so that k!/Gamma(k+a+1) L_k^a(t)^2 = w_k p_k^2.
-The orthonormal Laguerre functions are sqrt(w_k) e^{-x/2} x^{a/2} p_k(x).
 
-On a float the pass is a plain Python loop.  On an array, which is where a
+On a float the pass is a plain Python loop, kept for the pair residual of
+the kernels: at n = 50 it takes about 12 us, where the array branch on one
+node takes about 260 us (a ufunc call per operation costs more than the
+arithmetic; Intel Xeon, numpy 2).  On an array, which is where a
 Nystrom assembly spends its time, it runs in place: five ufunc calls per
 degree into preallocated buffers, with p_k written into the rows of a block
 of degrees.  The squares w_k p_k^2 are formed once per block, and the block
@@ -39,8 +41,8 @@ more than one entry; at a single node it would sum pairwise, so a one-node
 pass accumulates its column instead.  A pass that leaves the double range
 is refused with AccuracyError.
 
-Log-gamma, 1/Gamma and the regularized upper incomplete gamma are the
-library functions behind argument checks.
+1/Gamma and the regularized upper incomplete gamma are the library
+functions behind argument checks.
 """
 
 import math
@@ -49,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
-from .errors import AccuracyError, DomainError, NumericError, SingularPointError
+from .errors import AccuracyError, DomainError, NumericError
 
 # Largest |z| accepted by bessel_entire.
 Z_MAX = 400.0
@@ -84,14 +86,6 @@ def _require_integer(x, what: str, low: int, high=None) -> int:
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise DomainError(f"{what} must be an integer {bounds}, got {x!r}")
     return int(x)
-
-
-def log_gamma(x) -> float:
-    """ln Gamma(x) for x > 0."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def bessel_entire(a, z):
@@ -181,24 +175,6 @@ def _bessel_series(a: float, z: float) -> float:
         k += 1
         if k > 1000:
             raise NumericError(f"bessel_entire series stalled at a={a!r}, z={z!r}")
-
-
-def bessel_j_sqrt(a, x) -> float:
-    """J_a(sqrt(x)) for x >= 0, evaluated as (x/4)^{a/2} j_a(x/4)."""
-    a = float(a)
-    x = float(x)
-    if not (math.isfinite(a) and math.isfinite(x)) or x < 0.0:
-        raise DomainError(f"bessel_j_sqrt requires finite x >= 0, got a={a!r}, x={x!r}")
-    if x == 0.0:
-        if a > 0.0:
-            return 0.0
-        if a == 0.0:
-            return 1.0
-        raise SingularPointError(
-            f"J_a(sqrt(x)) diverges at x = 0 for negative order a={a!r}"
-        )
-    u = 0.25 * x
-    return math.exp(0.5 * a * math.log(u)) * bessel_entire(a, u)
 
 
 @lru_cache(maxsize=128)
@@ -351,36 +327,6 @@ def laguerre_pair(n, a, x):
 def laguerre(n, a, x):
     """Generalized Laguerre polynomial L_n^a(x); x may be a scalar or ndarray."""
     return laguerre_pair(n, a, x)[1]
-
-
-def laguerre_phi(k, a, x):
-    """Orthonormal Laguerre function
-
-        phi_k(x) = sqrt(k! / Gamma(k+a+1)) e^{-x/2} x^{a/2} L_k^a(x)
-                 = sqrt(w_k) e^{-x/2} x^{a/2} p_k(x),
-
-    assembled in the log domain: log w_k = sum_{j<=k} log1p(a/j) - log Gamma(a+1)
-    is finite at every degree, and log |p_k| joins the exponent, so a value
-    that is itself in range does not overflow or underflow on the way.
-    p_k(x) grows like e^{x/2} where phi_k does not, so the pass itself leaves
-    the double range beyond about x = 1400 (and for x far past the turning
-    point 4k, where phi_k underflows); there the call is refused with
-    AccuracyError.  Requires x > 0 (the x^{a/2} factor is singular at 0 for
-    non-integer a); x may be a scalar or ndarray.
-    """
-    k = _require_integer(k, "laguerre_phi degree", 0)
-    a = require_order(a)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("laguerre_phi requires finite x > 0")
-    log_weight = float(np.sum(np.log1p(a / np.arange(1.0, k + 1.0)))) - math.lgamma(a + 1.0)
-    p = _laguerre_pass(k, a, arr)[1]
-    with np.errstate(divide="ignore"):  # p_k = 0 gives log 0 = -inf, and phi_k = 0
-        log_abs = 0.5 * log_weight - 0.5 * arr + 0.5 * a * np.log(arr) + np.log(np.abs(p))
-    vals = np.copysign(np.exp(log_abs), p)
-    return float(vals[0]) if scalar else vals
 
 
 def reg_upper_gamma(p, t) -> float:

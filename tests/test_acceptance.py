@@ -11,12 +11,12 @@ import mpmath as mp
 import numpy as np
 
 from hardedge import (
+    bessel_entire,
     bessel_spec,
     conjecture_residual,
     finite_cdf,
     finite_spec,
     gram_det,
-    hat_bessel_j,
     kernel_expansion_rate,
     kernel_matrix,
     ks_validate,
@@ -148,7 +148,7 @@ def test_criterion_10_rank_one_factorization():
     rule = scale_rule(gauss_jacobi(m, a), s)
     sqrt_w = np.sqrt(rule.weights)
     sym = sqrt_w[:, None] * kernel_matrix(bessel_spec(a), rule.nodes) * sqrt_w[None, :]
-    b = sqrt_w * np.array([hat_bessel_j(a, x) for x in rule.nodes])
+    b = sqrt_w * np.array([2.0 ** -a * bessel_entire(a, 0.25 * x) for x in rule.nodes])
     lhs = np.linalg.det(np.eye(m) - sym - tau * np.outer(b, b))
     rhs = np.linalg.det(np.eye(m) - sym) * (
         1.0 - tau * float(b @ np.linalg.solve(np.eye(m) - sym, b))

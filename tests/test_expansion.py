@@ -12,7 +12,6 @@ from hardedge import (
     kernel_expansion_residual,
     limit_cdf,
     limit_density,
-    log_gamma,
     mehler_heine_residual,
     optimal_scaling_residual,
     rate_report,
@@ -194,10 +193,10 @@ class TestMehlerHeine:
         a = 1.5
         for n in (50, 100, 200, 400):
             lhs = math.exp(
-                log_gamma(n + a + 1.0) - log_gamma(n + 1.0) - log_gamma(a + 1.0)
+                math.lgamma(n + a + 1.0) - math.lgamma(n + 1.0) - math.lgamma(a + 1.0)
                 - a * math.log(n + a)
             )
-            correction = math.exp(-log_gamma(a - 1.0)) / (2.0 * n)
+            correction = math.exp(-math.lgamma(a - 1.0)) / (2.0 * n)
             expected = abs(lhs - 1.0 / math.gamma(a + 1.0) + correction)
             assert mehler_heine_residual(a, n, 0.0) == pytest.approx(expected, rel=1e-9)
             assert mehler_heine_residual(a, n, 0.0) * n * n < 1.0

@@ -8,13 +8,13 @@ from scipy import special as sp
 from hardedge import (
     AccuracyError,
     DomainError,
+    bessel_entire,
     bessel_spec,
     conjecture_residual,
     finite_cdf,
     finite_spec,
     finite_table,
     gram_det,
-    hat_bessel_j,
     kernel_matrix,
     limit_cdf,
     limit_density,
@@ -194,7 +194,7 @@ class TestRankOneFactorization:
         rule = scale_rule(gauss_jacobi(m, a), s)
         sqrt_w = np.sqrt(rule.weights)
         sym = sqrt_w[:, None] * kernel_matrix(bessel_spec(a), rule.nodes) * sqrt_w[None, :]
-        b = sqrt_w * np.array([hat_bessel_j(a, x) for x in rule.nodes])
+        b = sqrt_w * np.array([2.0 ** -a * bessel_entire(a, 0.25 * x) for x in rule.nodes])
         lhs = np.linalg.det(np.eye(m) - sym - tau * np.outer(b, b))
         base = np.linalg.det(np.eye(m) - sym)
         quad = float(b @ np.linalg.solve(np.eye(m) - sym, b))
@@ -302,6 +302,26 @@ class TestBatchedSAxis:
             one_s = [self.refusal(lambda: batched([s])) for s in s_values]
             expected = next(refusal for refusal in one_s if refusal is not None)
             assert self.refusal(lambda: batched(s_values)) == expected
+
+    @pytest.mark.parametrize("spec,s,refusal", [
+        pytest.param(bessel_spec(-0.5), 5e-324, (
+            NumericError, "quadrature nodes escaped the open interval (0, 5e-324)"),
+            id="nodes-escape"),
+        pytest.param(bessel_spec(0.0), 5e-324, (
+            AccuracyError, "the weights of x^a dx on (0, 5e-324) leave the double range at a=0.0"),
+            id="weights-underflow"),
+        pytest.param(finite_spec(400, 1), 4e-3, (
+            AccuracyError, "the weights of x^a dx on (0, 0.004) leave the double range at a=400.0"),
+            id="finite-weights-underflow"),
+    ])
+    def test_rule_refusal_is_scale_rules(self, spec, s, refusal):
+        # every s of a chunk is checked as scale_rule checks its rule, in its
+        # order and wording, alone or behind an accepted s
+        assert self.refusal(lambda: scale_rule(gauss_jacobi(50, spec.a), s)) == refusal
+        for evaluate in (lambda: fredholm._det_values(spec, [s], 50),
+                         lambda: fredholm._det_values(spec, [1.0, s], 50),
+                         lambda: nystrom_det(spec, s, 50)):
+            assert self.refusal(evaluate) == refusal
 
     def test_one_kernel_evaluation_per_chunk(self, monkeypatch):
         shapes = []

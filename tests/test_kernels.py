@@ -9,14 +9,10 @@ from hardedge import (
     DomainError,
     KernelSpec,
     bessel_entire,
-    bessel_kernel_entire,
     bessel_spec,
-    correction_kernel,
     finite_spec,
-    hat_bessel_j,
     kernel_expansion_residual,
     kernel_matrix,
-    laguerre_kernel_entire,
 )
 from hardedge import kernels, nystrom_det
 from hardedge.kernels import _kernel_blocks
@@ -28,6 +24,37 @@ def bessel_kernel_direct(a, x, y):
     sx, sy = math.sqrt(x), math.sqrt(y)
     num = sy * sp.jv(a, sx) * sp.jv(a - 1.0, sy) - sx * sp.jv(a - 1.0, sx) * sp.jv(a, sy)
     return float(num) / (2.0 * (x - y))
+
+
+def entry(spec, x, y):
+    """Khat(x, y) as the off-diagonal entry of the 2-node kernel matrix."""
+    return kernel_matrix(spec, np.array([x, y]))[0, 1]
+
+
+def hat_j(a, x):
+    """hat_j_a(x) = x^{-a/2} J_a(sqrt x) = 2^{-a} j_a(x/4), on a float or an array."""
+    return 2.0 ** -a * bessel_entire(a, 0.25 * x)
+
+
+def pair_residual(a, n, c, x, y):
+    """K_n - K + c/(8n) hat_j hat_j^T at (x, y), from the 2-node matrices."""
+    pair = np.array([x, y])
+    j = hat_j(a, pair)
+    return (kernel_matrix(finite_spec(a, n, c), pair)[0, 1]
+            - kernel_matrix(bessel_spec(a), pair)[0, 1] + (c / (8.0 * n)) * (j[0] * j[1]))
+
+
+def assert_pairs_match(spec, nodes, n=12, c=0.0):
+    """Every entry of the matrix on nodes is the entry of its pair's 2-node
+    matrix, and the float pair residual at order n and c is the residual of
+    the pair's 2-node matrices, both bit for bit: a pair misjudged at the
+    near-diagonal window either way would lose digits or divide by zero."""
+    matrix = kernel_matrix(spec, nodes)
+    for i, x in enumerate(nodes):
+        for j, y in enumerate(nodes):
+            assert matrix[i, j] == entry(spec, x, y), (i, j)
+            assert kernel_expansion_residual(spec.a, n, c, x, y) == pair_residual(
+                spec.a, n, c, x, y), (i, j)
 
 
 def phi_direct(k, a, x):
@@ -76,7 +103,7 @@ class TestBesselKernel:
             x, y = sorted(rng.uniform(0.05, 30.0, size=2))
             if y - x < 1e-3:
                 continue
-            ours = bessel_kernel_entire(a, x, y) * (x * y) ** (a / 2.0)
+            ours = entry(bessel_spec(a), x, y) * (x * y) ** (a / 2.0)
             assert ours == pytest.approx(bessel_kernel_direct(a, x, y), rel=1e-11, abs=1e-13)
 
     @pytest.mark.parametrize("a", [-0.9, 0.5, 3.0, 10.0])
@@ -105,31 +132,31 @@ class TestBesselKernel:
                 ref = front * (ja[i] * jm[k] - jm[i] * ja[k]) / (u[i] - u[k])
                 scale = mp.sqrt(diag[i] * diag[k])
                 assert abs(ours[i, k] - ref) <= 1e-13 * scale, (i, k)
-                pointwise = bessel_kernel_entire(a, nodes[i], nodes[k])
-                assert abs(pointwise - ref) <= 1e-13 * scale, (i, k)
+                pair = entry(bessel_spec(a), nodes[i], nodes[k])
+                assert abs(pair - ref) <= 1e-13 * scale, (i, k)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         for a in [-0.5, 0.3, 2.0]:
             for _ in range(20):
                 x, y = rng.uniform(0.0, 20.0, size=2)
-                lhs = bessel_kernel_entire(a, x, y)
-                rhs = bessel_kernel_entire(a, y, x)
+                lhs = entry(bessel_spec(a), x, y)
+                rhs = entry(bessel_spec(a), y, x)
                 assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
 
     def test_origin_value(self):
         # at a = 0 the confluent value at the origin is 1/4
-        assert bessel_kernel_entire(0.0, 0.0, 0.0) == pytest.approx(0.25, rel=1e-14)
+        assert entry(bessel_spec(0.0), 0.0, 0.0) == pytest.approx(0.25, rel=1e-14)
 
     def test_finite_at_zero_arguments(self):
         for a in [-0.9, -0.5, 0.0, 0.7, 3.0]:
-            assert math.isfinite(bessel_kernel_entire(a, 0.0, 0.0))
-            assert math.isfinite(bessel_kernel_entire(a, 0.0, 2.0))
+            assert math.isfinite(entry(bessel_spec(a), 0.0, 0.0))
+            assert math.isfinite(entry(bessel_spec(a), 0.0, 2.0))
 
     def test_offdiagonal_approaches_diagonal(self):
         a, x = 0.7, 3.0
-        diag = bessel_kernel_entire(a, x, x)
-        errors = [abs(bessel_kernel_entire(a, x, x + h) - diag) for h in (1e-3, 1e-4, 1e-5)]
+        diag = entry(bessel_spec(a), x, x)
+        errors = [abs(entry(bessel_spec(a), x, x + h) - diag) for h in (1e-3, 1e-4, 1e-5)]
         assert errors[0] < 1e-4
         # O(h): each decade in h drops the error by roughly ten
         assert errors[1] < 0.2 * errors[0]
@@ -139,10 +166,10 @@ class TestBesselKernel:
         # symmetric difference quotients carry only even-order errors, so one
         # Richardson step pins the diagonal to O(h^4)
         for a, x in [(0.0, 1.0), (0.7, 3.0), (2.0, 7.5), (-0.5, 0.5)]:
-            diag = bessel_kernel_entire(a, x, x)
+            diag = entry(bessel_spec(a), x, x)
 
             def symmetric(h):
-                return bessel_kernel_entire(a, x - h, x + h)
+                return entry(bessel_spec(a), x - h, x + h)
 
             h = 1e-2 * max(1.0, x)
             extrapolated = (4.0 * symmetric(0.5 * h) - symmetric(h)) / 3.0
@@ -150,9 +177,9 @@ class TestBesselKernel:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            bessel_kernel_entire(0.0, -0.1, 1.0)
+            entry(bessel_spec(0.0), -0.1, 1.0)
         with pytest.raises(DomainError):
-            bessel_kernel_entire(0.0, 1.0, 1601.0)
+            entry(bessel_spec(0.0), 1.0, 1601.0)
 
 
 class TestFiniteKernel:
@@ -161,7 +188,7 @@ class TestFiniteKernel:
         spec = finite_spec(0.0, 1)
         for x, y in [(0.3, 2.0), (1.0, 1.0), (5.0, 0.1)]:
             expected = 0.25 * math.exp(-(x + y) / 8.0)
-            assert laguerre_kernel_entire(spec, x, y) == pytest.approx(expected, rel=1e-13)
+            assert entry(spec, x, y) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 10, 50])
     @pytest.mark.parametrize("a", [0.5, 2.0])
@@ -170,8 +197,8 @@ class TestFiniteKernel:
         rng = np.random.default_rng(n)
         for _ in range(10):
             x, y = rng.uniform(0.0, 12.0, size=2)
-            lhs = laguerre_kernel_entire(spec, x, y)
-            rhs = laguerre_kernel_entire(spec, y, x)
+            lhs = entry(spec, x, y)
+            rhs = entry(spec, y, x)
             assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize("n", [1, 5, 25, 50])
@@ -188,7 +215,7 @@ class TestFiniteKernel:
                 continue
             total = sum(phi_direct(k, a, rho * x) * phi_direct(k, a, rho * y) for k in range(n))
             oracle = rho * (x * y) ** (-a / 2.0) * total
-            ours = laguerre_kernel_entire(spec, x, y)
+            ours = entry(spec, x, y)
             assert abs(ours - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
     def test_diagonal_equals_projection_sum(self):
@@ -198,7 +225,7 @@ class TestFiniteKernel:
         for x in [0.5, 3.0, 9.0]:
             total = sum(phi_direct(k, a, rho * x) ** 2 for k in range(n))
             oracle = rho * x ** (-a) * total
-            assert laguerre_kernel_entire(spec, x, x) == pytest.approx(oracle, rel=1e-11)
+            assert entry(spec, x, x) == pytest.approx(oracle, rel=1e-11)
 
     @pytest.mark.parametrize("a", [-0.9, 0.5, 2.0])
     def test_matrix_at_high_order_against_mpmath(self, a):
@@ -236,41 +263,45 @@ class TestFiniteKernel:
     def test_finite_at_zero(self):
         for a in [-0.5, 0.0, 2.0]:
             spec = finite_spec(a, 7)
-            assert math.isfinite(laguerre_kernel_entire(spec, 0.0, 0.0))
-            assert math.isfinite(laguerre_kernel_entire(spec, 0.0, 3.0))
+            assert math.isfinite(entry(spec, 0.0, 0.0))
+            assert math.isfinite(entry(spec, 0.0, 3.0))
 
     def test_no_overflow_large_order(self):
         spec = finite_spec(10.0, 1000)
-        value = laguerre_kernel_entire(spec, 1.0, 2.0)
+        value = entry(spec, 1.0, 2.0)
         assert math.isfinite(value)
-        assert math.isfinite(laguerre_kernel_entire(spec, 3.0, 3.0))
-
-    def test_rejects_bessel_spec(self):
-        with pytest.raises(DomainError):
-            laguerre_kernel_entire(bessel_spec(1.0), 1.0, 2.0)
+        assert math.isfinite(entry(spec, 3.0, 3.0))
 
 
-class TestCorrectionKernel:
-    def test_factorization_and_origin(self):
-        assert correction_kernel(0.0, 0.0, 0.0) == pytest.approx(1.0, rel=1e-14)
-        for a, x, y in [(0.5, 1.0, 2.0), (2.0, 3.0, 3.0)]:
-            expected = hat_bessel_j(a, x) * hat_bessel_j(a, y)
-            assert correction_kernel(a, x, y) == expected
-        assert correction_kernel(1.5, 4.0, 4.0) == pytest.approx(hat_bessel_j(1.5, 4.0) ** 2)
+class TestHatJ:
+    # hat_j_a at the nodes comes out of every limit-kernel assembly as the
+    # resolvent right-hand side; these are its oracles
 
-    def test_hat_j_matches_scipy(self):
+    def blocks_hat_j(self, a, x):
+        [(_, values)] = _kernel_blocks(bessel_spec(a), [np.asarray(x, dtype=float)])
+        return values
+
+    def test_origin(self):
+        assert self.blocks_hat_j(0.0, [0.0, 1.0])[0] == pytest.approx(1.0, rel=1e-14)
+
+    def test_matches_scipy(self):
         for a in [0.5, 1.0, 2.0]:
-            for x in [0.3, 2.0, 17.0]:
+            for x, value in zip([0.3, 2.0, 17.0], self.blocks_hat_j(a, [0.3, 2.0, 17.0])):
                 ref = float(sp.jv(a, math.sqrt(x))) * x ** (-a / 2.0)
-                assert hat_bessel_j(a, x) == pytest.approx(ref, rel=1e-12)
+                assert value == pytest.approx(ref, rel=1e-12)
 
-    def test_discretized_rank_one(self):
-        rule = scale_rule(gauss_jacobi(30, 1.0), 8.0)
-        matrix = np.array(
-            [[correction_kernel(1.0, x, y) for y in rule.nodes] for x in rule.nodes]
-        )
-        singular = np.linalg.svd(matrix, compute_uv=False)
-        assert singular[1] <= 1e-12 * singular[0]
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 0.5, 1.0, 2.5])
+    def test_j_of_sqrt_against_scipy(self, a):
+        # J_a(sqrt x) = x^{a/2} hat_j_a(x)
+        x = np.linspace(0.01, 400.0, 57)
+        for xi, value in zip(x, self.blocks_hat_j(a, x)):
+            ref = float(sp.jv(a, math.sqrt(xi)))
+            assert xi ** (a / 2.0) * value == pytest.approx(ref, abs=1e-12), (a, xi)
+
+    def test_half_integer_zero_of_sine(self):
+        # J_{1/2}(pi) = sqrt(2/pi^2) sin(pi) = 0
+        x = math.pi ** 2
+        assert abs(x ** 0.25 * self.blocks_hat_j(0.5, [x, 1.0])[0]) < 1e-13
 
 
 class TestKernelExpansion:
@@ -286,9 +317,9 @@ class TestKernelExpansion:
 
     def test_linearity_in_scaling_parameter(self):
         a, n, x, y = 0.7, 40, 2.0, 5.0
-        corr = correction_kernel(a, x, y)
-        k0 = laguerre_kernel_entire(finite_spec(a, n, c=0.0), x, y)
-        k1 = laguerre_kernel_entire(finite_spec(a, n, c=1.0), x, y)
+        corr = hat_j(a, x) * hat_j(a, y)
+        k0 = entry(finite_spec(a, n, c=0.0), x, y)
+        k1 = entry(finite_spec(a, n, c=1.0), x, y)
         lhs = kernel_expansion_residual(a, n, 0.0, x, y) - kernel_expansion_residual(
             a, n, 1.0, x, y
         )
@@ -315,16 +346,7 @@ class TestKernelMatrix:
         ),
     ])
     def test_matches_pointwise(self, spec, s):
-        def pointwise(x, y):
-            if spec.family == "bessel":
-                return bessel_kernel_entire(spec.a, x, y)
-            return laguerre_kernel_entire(spec, x, y)
-
-        rule = scale_rule(gauss_jacobi(12, spec.a), s)
-        matrix = kernel_matrix(spec, rule.nodes)
-        for i, x in enumerate(rule.nodes):
-            for j, y in enumerate(rule.nodes):
-                assert matrix[i, j] == pytest.approx(pointwise(x, y), rel=1e-13)
+        assert_pairs_match(spec, scale_rule(gauss_jacobi(12, spec.a), s).nodes)
 
     @pytest.mark.parametrize("s", [1e-12, 6.0])
     def test_bessel_assembly_is_two_vector_calls(self, s, monkeypatch):
@@ -363,10 +385,10 @@ class TestKernelMatrix:
         # the limit-kernel blocks carry hat_j_a at their nodes, the resolvent
         # right-hand side, bit for bit
         rule = scale_rule(gauss_jacobi(20, 1.5), 30.0)
-        [(matrix, hat_j)] = _kernel_blocks(bessel_spec(1.5), [rule.nodes])
+        [(matrix, values)] = _kernel_blocks(bessel_spec(1.5), [rule.nodes])
         assert np.array_equal(matrix, kernel_matrix(bessel_spec(1.5), rule.nodes))
-        assert np.array_equal(hat_j, hat_bessel_j(1.5, rule.nodes))
-        assert list(hat_j) == [hat_bessel_j(1.5, x) for x in rule.nodes]
+        assert np.array_equal(values, hat_j(1.5, rule.nodes))
+        assert list(values) == [hat_j(1.5, x) for x in rule.nodes]
 
     @pytest.mark.parametrize("spec", [
         pytest.param(spec, id=f"{spec.family}-a{spec.a}-n{spec.n}-c{spec.c}")
@@ -391,12 +413,12 @@ class TestKernelMatrix:
             second = np.sort(np.concatenate((second, [second[10] + 1e-8, first[20] + 1e-8])))
         blocks = _kernel_blocks(spec, [first, second])
         assert [matrix.shape for matrix, _ in blocks] == [(50, 50), (second.size, second.size)]
-        for nodes, (matrix, hat_j) in zip((first, second), blocks):
+        for nodes, (matrix, values) in zip((first, second), blocks):
             assert np.array_equal(matrix, kernel_matrix(spec, nodes))
             if spec.family == "bessel":
-                assert np.array_equal(hat_j, hat_bessel_j(spec.a, nodes))
+                assert np.array_equal(values, hat_j(spec.a, nodes))
             else:
-                assert hat_j is None
+                assert values is None
 
     @pytest.mark.parametrize("spec", [bessel_spec(0.5), finite_spec(0.5, 12)],
                              ids=["bessel", "finite"])
@@ -411,12 +433,12 @@ class TestKernelMatrix:
             scale_rule(gauss_jacobi(6, 0.5), 1e-9).nodes,
             scale_rule(gauss_jacobi(6, 0.5), 40.0).nodes,
         ])
-        [(matrices, hat_j)] = _kernel_blocks(spec, [stack])
+        [(matrices, values)] = _kernel_blocks(spec, [stack])
         assert matrices.shape == (4, 6, 6)
         for nodes, matrix in zip(stack, matrices):
             assert np.array_equal(matrix, kernel_matrix(spec, nodes))
         if spec.family == "bessel":
-            assert np.array_equal(hat_j, hat_bessel_j(spec.a, stack))
+            assert np.array_equal(values, hat_j(spec.a, stack))
 
     @pytest.mark.parametrize("spec", [bessel_spec(0.5), finite_spec(0.5, 100)],
                              ids=["bessel", "finite"])
@@ -447,19 +469,10 @@ class TestKernelMatrix:
         pytest.param(np.array([2.0]), id="single"),
     ])
     def test_window_edge_nodes_match_pointwise(self, nodes):
-        # the matrix takes the confluent branch on exactly the pairs where the
-        # pointwise kernels do (a pair misjudged either way loses digits or
-        # divides by zero), and both shapes share one formula, so every entry
-        # equals its pointwise value bit for bit
+        # the matrix takes the confluent branch on exactly the pairs where its
+        # 2-node matrices and the float pair residual do
         for spec in (bessel_spec(0.5), finite_spec(0.5, 12)):
-            matrix = kernel_matrix(spec, nodes)
-            for i, x in enumerate(nodes):
-                for j, y in enumerate(nodes):
-                    if spec.family == "bessel":
-                        expected = bessel_kernel_entire(spec.a, x, y)
-                    else:
-                        expected = laguerre_kernel_entire(spec, x, y)
-                    assert matrix[i, j] == expected
+            assert_pairs_match(spec, nodes)
 
     def test_exact_symmetry(self):
         for spec in (bessel_spec(-0.5), finite_spec(1.5, 30)):

@@ -199,7 +199,7 @@ def test_order_beyond_reference_mass_is_refused(m):
 def test_checked_refuses_nan(nodes, weights):
     # every test in the rule check must fail for nan, not only comparisons that hold
     with pytest.raises(NumericError):
-        quadrature._checked(np.array(nodes), np.array(weights), 1.0, 0.0)
+        quadrature._check(np.array([nodes]), np.array([weights]), [1.0], 0.0)
 
 
 def test_underflowing_weights_are_refused():

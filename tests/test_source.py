@@ -1,6 +1,7 @@
 """Static checks on the package source (no linter is a dependency)."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import hardedge
 
 SOURCES = sorted(Path(hardedge.__file__).parent.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list:
@@ -104,3 +106,78 @@ def test_unused_private_helpers_are_found():
 
 def test_no_unused_private_helpers():
     assert unused_private_helpers({path.stem: path.read_text() for path in SOURCES}) == []
+
+
+def hardedge_reads(source: str) -> list:
+    """Dotted hardedge paths a source reads: every name of a `from hardedge...
+    import`, and every attribute read of a name that a module-level import
+    binds to hardedge or to a name in it, such as `he.limit_cdf` after
+    `import hardedge as he` (a function-level import binds a local name,
+    which may be reused elsewhere for something else)."""
+    tree = ast.parse(source)
+    bound, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hardedge":
+            reads.update(f"{node.module}.{alias.name}" for alias in node.names)
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or "hardedge", alias.name if alias.asname else "hardedge")
+                         for alias in node.names if alias.name.split(".")[0] == "hardedge")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hardedge":
+            bound.update((alias.asname or alias.name, f"{node.module}.{alias.name}")
+                         for alias in node.names)
+    reads.update(
+        f"{bound[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in bound
+    )
+    return sorted(reads)
+
+
+def resolve(dotted: str):
+    """The object a dotted path names, importing submodules on the way;
+    ImportError if it names nothing."""
+    parts = dotted.split(".")
+    target = importlib.import_module(parts[0])
+    for end, part in enumerate(parts[1:], 2):
+        target = getattr(target, part, None) or importlib.import_module(".".join(parts[:end]))
+    return target
+
+
+def test_hardedge_reads_are_found():
+    source = (
+        "import numpy as np\nimport hardedge as he\nfrom hardedge import expansion, cli as c\n"
+        "he.limit_cdf(np.log(2))\nexpansion.rate_report\nc.main\nhe.gone\n"
+        "def f():\n    from hardedge import fredholm\n    fredholm = {}\n    fredholm.values()\n"
+    )
+    assert hardedge_reads(source) == [
+        "hardedge.cli", "hardedge.cli.main", "hardedge.expansion", "hardedge.expansion.rate_report",
+        "hardedge.fredholm", "hardedge.gone", "hardedge.limit_cdf"]
+    assert resolve("hardedge.cli.main") is importlib.import_module("hardedge.cli").main
+    with pytest.raises(ImportError):
+        resolve("hardedge.gone")
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda path: path.name)
+def test_benchmark_reads_exist(path):
+    # the benchmark runs hardedge through these names; a deletion that
+    # breaks it fails here, not only when the benchmark runs
+    missing = []
+    for dotted in hardedge_reads(path.read_text()):
+        try:
+            resolve(dotted)
+        except ImportError:
+            missing.append(dotted)
+    assert missing == []
+
+
+def test_traced_modules_exist():
+    # the benchmark's tracer wraps the functions of these modules by name
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    [modules] = [
+        ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["MODULES"]
+    ]
+    assert modules
+    for name in modules:
+        importlib.import_module(f"hardedge.{name}")

@@ -8,20 +8,14 @@ from scipy import special as sp
 from hardedge import (
     AccuracyError,
     DomainError,
-    SingularPointError,
     bessel_entire,
-    bessel_j_sqrt,
     laguerre,
     laguerre_pair,
-    laguerre_phi,
-    log_gamma,
     reg_upper_gamma,
 )
 from hardedge.quadrature import gauss_jacobi, scale_rule
 from hardedge.specfun import (_BLOCK_ENTRIES, _BLOCK_ROWS, _binomials, _laguerre_pass,
                               _laguerre_weights)
-
-LN_SQRT_PI = 0.5723649429247001  # ln Gamma(1/2) = ln sqrt(pi)
 
 
 def bessel_series_oracle(a, z, terms=400, dps=60):
@@ -41,34 +35,11 @@ def bessel_series_oracle(a, z, terms=400, dps=60):
         return float(total)
 
 
-class TestLogGamma:
-    def test_exact_anchors(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(0.5) == pytest.approx(LN_SQRT_PI, abs=1e-13)
-        assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
-
-    def test_against_mpmath(self):
-        with mp.workdps(30):
-            for x in np.geomspace(1e-3, 1e6, 400):
-                ref = float(mp.loggamma(x))
-                assert abs(log_gamma(x) - ref) <= 1e-13 * max(1.0, abs(ref)), x
-
-    def test_recurrence(self):
-        for x in np.linspace(0.1, 100.0, 211):
-            resid = log_gamma(x + 1.0) - log_gamma(x) - math.log(x)
-            assert abs(resid) <= 1e-12
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
-
-
 class TestBesselEntire:
     def test_value_at_zero(self):
         for a in [-0.9, -0.5, 0.0, 0.5, 1.0, 2.5, 7.0]:
             assert bessel_entire(a, 0.0) == pytest.approx(
-                math.exp(-log_gamma(a + 1.0)), rel=1e-14
+                math.exp(-math.lgamma(a + 1.0)), rel=1e-14
             )
 
     def test_order_one_series_anchor(self):
@@ -175,33 +146,6 @@ class TestBesselEntire:
             bessel_entire(math.nan, np.array([1.0]))
 
 
-class TestBesselJSqrt:
-    def test_at_zero(self):
-        assert bessel_j_sqrt(0.0, 0.0) == 1.0
-        assert bessel_j_sqrt(1.0, 0.0) == 0.0
-        assert bessel_j_sqrt(2.5, 0.0) == 0.0
-        with pytest.raises(SingularPointError):
-            bessel_j_sqrt(-0.5, 0.0)
-
-    def test_half_integer_zero_of_sine(self):
-        # J_{1/2}(pi) = sqrt(2/pi^2) sin(pi) = 0
-        assert abs(bessel_j_sqrt(0.5, math.pi ** 2)) < 1e-13
-
-    @pytest.mark.parametrize("a", [-0.5, 0.0, 0.5, 1.0, 2.5])
-    def test_against_scipy(self, a):
-        for x in np.linspace(0.01, 400.0, 57):
-            ref = float(sp.jv(a, math.sqrt(x)))
-            assert bessel_j_sqrt(a, x) == pytest.approx(ref, abs=1e-12), (a, x)
-
-    def test_squared_consistency_of_two_series_routes(self):
-        # (x/4)^{a/2} j_a(x/4) against the direct series for J_a(sqrt x)
-        for a in [-0.5, 0.0, 0.5, 1.0, 2.5]:
-            for x in np.linspace(0.5, 400.0, 25):
-                direct = bessel_series_oracle(a, x / 4.0) * (x / 4.0) ** (a / 2.0)
-                ours = bessel_j_sqrt(a, x)
-                assert abs(ours ** 2 - direct ** 2) <= 1e-12 * max(1.0, direct ** 2)
-
-
 class TestLaguerre:
     def test_degree_zero_and_one(self):
         assert laguerre(0, 1.7, 5.0) == 1.0
@@ -295,6 +239,25 @@ class TestLaguerre:
                     1.0, np.max(np.abs(ref))
                 ), (a, n)
 
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 1.5])
+    def test_orthonormality(self, a):
+        # integral_0^inf phi_j phi_k dx by x^a-weighted quadrature on (0, L);
+        # the truncated tail is below e^{-L/2} poly, i.e. negligible
+        degrees = [0, 1, 2, 5, 9]
+        top = max(degrees)
+        rule = scale_rule(gauss_jacobi(40 + 2 * top, a), 40.0 + 10.0 * top)
+        x = rule.nodes
+        decay = np.exp(-x)
+        for j in degrees:
+            for k in degrees:
+                cjk = math.exp(
+                    0.5 * (math.lgamma(j + 1.0) - math.lgamma(j + a + 1.0))
+                    + 0.5 * (math.lgamma(k + 1.0) - math.lgamma(k + a + 1.0))
+                )
+                integrand = cjk * decay * laguerre(j, a, x) * laguerre(k, a, x)
+                value = rule.integrate(integrand)
+                assert value == pytest.approx(1.0 if j == k else 0.0, abs=1e-8), (j, k)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             laguerre(-1, 0.0, 1.0)
@@ -366,63 +329,6 @@ class TestLaguerrePass:
         for t in (2000.0, np.array([1.0, 2000.0])):
             with pytest.raises(AccuracyError):
                 _laguerre_pass(1000, 0.5, t, _laguerre_weights(1000, 0.5))
-
-
-class TestLaguerrePhi:
-    def test_ground_state(self):
-        for x in [0.1, 1.0, 7.0]:
-            assert laguerre_phi(0, 0.0, x) == pytest.approx(math.exp(-x / 2.0), rel=1e-13)
-
-    @pytest.mark.parametrize("a", [-0.5, 0.0, 1.5])
-    def test_orthonormality(self, a):
-        # integral_0^inf phi_j phi_k dx by x^a-weighted quadrature on (0, L);
-        # the truncated tail is below e^{-L/2} poly, i.e. negligible
-        degrees = [0, 1, 2, 5, 9]
-        top = max(degrees)
-        rule = scale_rule(gauss_jacobi(40 + 2 * top, a), 40.0 + 10.0 * top)
-        x = rule.nodes
-        decay = np.exp(-x)
-        for j in degrees:
-            for k in degrees:
-                cjk = math.exp(
-                    0.5 * (log_gamma(j + 1.0) - log_gamma(j + a + 1.0))
-                    + 0.5 * (log_gamma(k + 1.0) - log_gamma(k + a + 1.0))
-                )
-                integrand = cjk * decay * laguerre(j, a, x) * laguerre(k, a, x)
-                value = rule.integrate(integrand)
-                assert value == pytest.approx(1.0 if j == k else 0.0, abs=1e-8), (j, k)
-
-    def test_high_degree_finite(self):
-        assert math.isfinite(laguerre_phi(10000, 1.5, 3.0))
-
-    @pytest.mark.parametrize("k,a,x", [(10000, 200.0, 1.0), (10000, 0.5, 1400.0)])
-    def test_high_degree_against_mpmath(self, k, a, x):
-        # binom(k+a, k) overflows at (10^4, 200), and p_k(1400) is near
-        # e^{700}: the normalization and log |p_k| are joined in the log domain
-        with mp.workdps(40):
-            ref = float(
-                mp.exp(0.5 * (mp.loggamma(k + 1) - mp.loggamma(k + a + 1)) - mp.mpf(x) / 2)
-                * mp.mpf(x) ** (mp.mpf(a) / 2) * mp.laguerre(k, a, x)
-            )
-        assert laguerre_phi(k, a, x) == pytest.approx(ref, rel=1e-12)
-
-    @pytest.mark.parametrize("k,x", [(10000, 30000.0), (3000, 20000.0), (10000, 1420.0)])
-    def test_recurrence_overflow_is_refused(self, k, x):
-        # p_k(x) leaves the double range (phi_k itself underflows at the
-        # first two points); no nan is returned
-        with pytest.raises(AccuracyError):
-            laguerre_phi(k, 0.5, x)
-        with pytest.raises(AccuracyError):
-            laguerre_phi(k, 0.5, np.array([1.0, x]))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            laguerre_phi(1, 0.5, 0.0)
-        with pytest.raises(DomainError):
-            laguerre_phi(1, 0.5, -1.0)
-        for k in (math.inf, math.nan, -1, 1.5):
-            with pytest.raises(DomainError):
-                laguerre_phi(k, 0.5, 1.0)
 
 
 class TestRegUpperGamma:

@@ -284,6 +284,13 @@ class TestHatJ:
     def test_origin(self):
         assert self.blocks_hat_j(0.0, [0.0, 1.0])[0] == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 1.0, 2.5])
+    def test_value_at_origin(self, a):
+        # hat_j_a(0) = 2^{-a}/Gamma(a+1) is finite for every a > -1, though
+        # J_a(sqrt x) itself is singular at 0 for a < 0
+        value = self.blocks_hat_j(a, [0.0, 1.0])[0]
+        assert value == pytest.approx(2.0 ** -a * math.exp(-math.lgamma(a + 1.0)), rel=1e-14)
+
     def test_matches_scipy(self):
         for a in [0.5, 1.0, 2.0]:
             for x, value in zip([0.3, 2.0, 17.0], self.blocks_hat_j(a, [0.3, 2.0, 17.0])):
@@ -302,6 +309,18 @@ class TestHatJ:
         # J_{1/2}(pi) = sqrt(2/pi^2) sin(pi) = 0
         x = math.pi ** 2
         assert abs(x ** 0.25 * self.blocks_hat_j(0.5, [x, 1.0])[0]) < 1e-13
+
+    def test_squared_consistency_of_two_series_routes(self):
+        # x^{a/2} hat_j_a(x) against the hypergeometric series
+        # J_a(sqrt x) = (x/4)^{a/2} 0F1(; a+1; -x/4) / Gamma(a+1)
+        x = np.linspace(0.5, 400.0, 25)
+        for a in [-0.5, 0.0, 0.5, 1.0, 2.5]:
+            for xi, value in zip(x, self.blocks_hat_j(a, x)):
+                with mp.workdps(60):
+                    q = mp.mpf(xi) / 4
+                    direct = float(q ** (mp.mpf(a) / 2) * mp.hyp0f1(a + 1, -q) / mp.gamma(a + 1))
+                ours = xi ** (a / 2.0) * value
+                assert abs(ours ** 2 - direct ** 2) <= 1e-12 * max(1.0, direct ** 2), (a, xi)
 
 
 class TestKernelExpansion:

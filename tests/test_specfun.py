@@ -323,6 +323,31 @@ class TestLaguerrePass:
                 if mode == "rows":
                     assert np.array_equal(single[4], expected[4][(slice(None),) + index])
 
+    def test_high_degree_finite(self):
+        # 10^4 degrees run through many block boundaries; the float and the
+        # one-node array pass stay finite and agree bit for bit
+        weights = _laguerre_weights(10000, 1.5)
+        single = _laguerre_pass(10000, 1.5, 3.0, weights)
+        batched = _laguerre_pass(10000, 1.5, np.array([3.0]), weights)
+        assert all(math.isfinite(value) for value in single)
+        assert [float(value[0]) for value in batched] == list(single)
+
+    @pytest.mark.parametrize("k,a,x", [(10000, 200.0, 1.0), (10000, 0.5, 1400.0)])
+    def test_high_degree_against_mpmath(self, k, a, x):
+        # p_k = L_k^a / binom(k+a, k): binom(k+a, k) overflows at (10^4, 200),
+        # and p_k(1400) is near e^{700}, yet the normalized pass stays in range
+        with mp.workdps(40):
+            ref = float(mp.laguerre(k, a, x) / mp.binomial(k + a, k))
+        assert _laguerre_pass(k, a, x)[1] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("k,x", [(10000, 30000.0), (3000, 20000.0), (10000, 1420.0)])
+    def test_recurrence_overflow_is_refused(self, k, x):
+        # p_k(x) leaves the double range; no nan is returned on either branch
+        with pytest.raises(AccuracyError):
+            _laguerre_pass(k, 0.5, x)
+        with pytest.raises(AccuracyError):
+            _laguerre_pass(k, 0.5, np.array([1.0, x]))
+
     def test_leaving_the_double_range_is_refused(self):
         # p_k grows like e^{t/2}; at t = 2000 it overflows long before
         # degree 1000, on either branch, with no RuntimeWarning

@@ -19,14 +19,7 @@ bit.
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericError
-from .fredholm import (
-    DeterminantResult,
-    _check_interval,
-    _check_m,
-    _det_and_log_derivative,
-    _estimates,
-    nystrom_det,
-)
+from .fredholm import DeterminantResult, _batch, _check_interval, _check_m, nystrom_det
 from .kernels import bessel_spec, finite_spec
 from .quadrature import DEFAULT_NODES
 
@@ -96,8 +89,7 @@ def limit_density(a, s, m=DEFAULT_NODES) -> float:
     f = F * d/ds log F, with F and the log-derivative (the resolvent
     quadratic form) from one assembly of I - A at m nodes.
     """
-    value, log_slope = _det_and_log_derivative(bessel_spec(a), s, m)
-    return value * log_slope
+    return _batch(bessel_spec(a), [s], m, resolvent=True)[0].density
 
 
 def _table(spec, scaling, s_values, m, density=False) -> DistributionTable:
@@ -109,9 +101,9 @@ def _table(spec, scaling, s_values, m, density=False) -> DistributionTable:
     m = _check_m(m)
     s_values = [_check_interval(s) for s in s_values]
     rows = tuple(
-        TableRow(s=s, F=det.value, f=det.value * log_slope if density else None,
-                 F_err=det.error_estimate)
-        for s, (det, log_slope) in zip(s_values, _estimates(spec, s_values, m, slope=density))
+        TableRow(s=record.s, F=record.value, f=record.density if density else None,
+                 F_err=record.estimate.error_estimate)
+        for record in _batch(spec, s_values, m, refine=True, resolvent=density)
     )
     table = DistributionTable(a=spec.a, n=spec.n, scaling=scaling, m=m, rows=rows)
     table.validate()

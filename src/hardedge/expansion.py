@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fredholm import _det_and_log_derivative, _det_value
+from .fredholm import _batch
 from .kernels import _kernel_blocks, bessel_spec, finite_spec, kernel_matrix
 from .specfun import _require_integer, bessel_entire, laguerre, require_order
 
@@ -105,21 +105,21 @@ def conjecture_residual(a, n, s, m=STUDY_NODES) -> float:
     The second-order remainder of the corrected expansion; without the
     (a/2n) s f(s) term the difference |F_n - F| only decays like 1/n.
     """
-    value_n = _det_value(finite_spec(a, n), s, m)
-    value, log_slope = _det_and_log_derivative(bessel_spec(a), s, m)
-    return abs(value_n - value - (a / (2.0 * n)) * s * (value * log_slope))
+    value_n = _batch(finite_spec(a, n), [s], m)[0].value
+    [limit] = _batch(bessel_spec(a), [s], m, resolvent=True)
+    return abs(value_n - limit.value - (a / (2.0 * n)) * s * limit.density)
 
 
 def uncorrected_difference(a, n, s, m=STUDY_NODES) -> float:
     """|F_n(s) - F(s)|, the first-order benchmark for conjecture_residual."""
-    value_n = _det_value(finite_spec(a, n), s, m)
-    return abs(value_n - _det_value(bessel_spec(a), s, m))
+    value_n = _batch(finite_spec(a, n), [s], m)[0].value
+    return abs(value_n - _batch(bessel_spec(a), [s], m)[0].value)
 
 
 def optimal_scaling_residual(a, n, s, m=STUDY_NODES) -> float:
     """|F_n under the optimally tuned scaling - F(s)|; decays like n^-2."""
-    value_n = _det_value(finite_spec(a, n, c=0.0), s, m)
-    return abs(value_n - _det_value(bessel_spec(a), s, m))
+    value_n = _batch(finite_spec(a, n, c=0.0), [s], m)[0].value
+    return abs(value_n - _batch(bessel_spec(a), [s], m)[0].value)
 
 
 def taylor_step_residual(a, n, s, m=STUDY_NODES) -> float:
@@ -134,9 +134,9 @@ def taylor_step_residual(a, n, s, m=STUDY_NODES) -> float:
     if shrink <= 0.0:
         raise DomainError(f"taylor_step_residual needs 1 - a/(2n) > 0, got a={a!r}, n={n}")
     spec = bessel_spec(a)
-    value_stretched = _det_value(spec, s / shrink, m)
-    value, log_slope = _det_and_log_derivative(spec, s, m)
-    return abs(value_stretched - value - (a / (2.0 * n)) * s * (value * log_slope))
+    value_stretched = _batch(spec, [s / shrink], m)[0].value
+    [limit] = _batch(spec, [s], m, resolvent=True)
+    return abs(value_stretched - limit.value - (a / (2.0 * n)) * s * limit.density)
 
 
 def mehler_heine_residual(a, n, z) -> float:

@@ -12,7 +12,11 @@ intervals cannot underflow.  One assembly of I - A serves both the
 determinant and the resolvent solve wherever a caller needs the two at the
 same (kernel, s, m), and one evaluation of the kernel factors over the
 nodes of both rules serves the m and m+10 systems of an error estimate,
-each built as its own block.
+each built as its own block.  Every value comes out of _batch as one
+record per s, which holds the m-node determinant, the m+10-node one and
+the resolvent quadratic form Q, each where asked for, and forms from them
+d/ds log det = -Q/(4s), the density det * d/ds log det and the
+DeterminantResult of an error estimate.
 
 The s axis is batched: the rule for (0, s) is the (0, 1) rule scaled by s,
 so many s share one evaluation of the kernel factors, one block build per
@@ -71,27 +75,59 @@ def _check_m(m) -> int:
     return _require_integer(m, "node count", MIN_DET_NODES, MAX_DET_NODES)
 
 
-def _batch(spec: KernelSpec, s_values, ms, det=True, resolvent=False) -> list:
-    """[(s, values)], one pair per s in input order, from the systems I - A
-    on the m-node rules for (0, s), one per m in ms: values holds
-    det(I - A) of each system (of the first only if det) and, right after
-    the first system's determinant, its resolvent quadratic form
-    <(I - A)^{-1} b, b> if resolvent (limit kernel).
+@dataclass(frozen=True)
+class _Values:
+    """The values _batch returns for one checked s, None where not asked
+    for: value, det(I - A) on the m-node rule for (0, s); refined, the det
+    on the m+10-node rule; quadratic_form, the resolvent quadratic form
+    <(I - A)^{-1} b, b> of the m-node system (limit kernel).  From them it
+    forms log_slope = d/ds log det(I - A), density = d/ds det(I - A), both
+    of the m-node system, and estimate, the m-node value with its m vs m+10
+    error estimate."""
+
+    s: float
+    m: int
+    value: float | None
+    refined: float | None
+    quadratic_form: float | None
+
+    @property
+    def log_slope(self) -> float:
+        return -self.quadratic_form / (4.0 * self.s)
+
+    @property
+    def density(self) -> float:
+        return self.value * self.log_slope
+
+    @property
+    def estimate(self) -> DeterminantResult:
+        return DeterminantResult(self.value, abs(self.value - self.refined), self.m)
+
+
+def _batch(spec: KernelSpec, s_values, m, refine=False, resolvent=False, det=True) -> list:
+    """[_Values], one record per s of the list s_values in input order, from
+    the systems I - A on the m-node rules for (0, s): det(I - A) if det, the
+    det on the m+10-node rule too if refine, and the resolvent quadratic
+    form of the m-node system if resolvent, which only the limit kernel
+    has.  m is checked here; m + 10 may exceed MAX_DET_NODES.
 
     The s values are evaluated in chunks of at most CHUNK_ENTRIES matrix
     entries.  Every entry, factorization and check is the one of each s
-    alone, so the values equal the one-s batch bit for bit.  The refusal
+    alone, so the records equal the one-s batch bit for bit.  The refusal
     rule: the batch raises the refusal of its first s, in input order, that
     is refused alone.  A chunk that raises is evaluated again one s at a
     time, and this replay is the one place that names the refused s.
     """
-    per_chunk = max(1, CHUNK_ENTRIES // sum(m * m for m in ms))
-    s_values = list(s_values)
-    pairs = []
+    if resolvent and spec.family != "bessel":
+        raise DomainError("resolvent_quadratic_form is defined for the limit kernel")
+    m = _check_m(m)
+    ms = (m, m + 10) if refine else (m,)
+    per_chunk = max(1, CHUNK_ENTRIES // sum(k * k for k in ms))
+    records = []
     for start in range(0, len(s_values), per_chunk):
         chunk = s_values[start:start + per_chunk]
         try:
-            pairs += _chunk_values(spec, chunk, ms, det, resolvent)
+            records += _chunk_values(spec, chunk, ms, det, resolvent)
             continue
         except HardEdgeError as exc:
             if len(chunk) == 1:
@@ -101,11 +137,11 @@ def _batch(spec: KernelSpec, s_values, ms, det=True, resolvent=False) -> list:
         for s in chunk:
             _chunk_values(spec, [s], ms, det, resolvent)
         raise refusal
-    return pairs
+    return records
 
 
-def _chunk_values(spec: KernelSpec, s_values: list, ms, det, resolvent):
-    """_batch's (s, values) pairs for one chunk of s values.
+def _chunk_values(spec: KernelSpec, s_values: list, ms, det, resolvent) -> list:
+    """_batch's records for one chunk of s values.
 
     One _kernel_blocks call evaluates the kernel factors once over the nodes
     of all the rules and forms one stacked block per m, no cross blocks;
@@ -117,20 +153,22 @@ def _chunk_values(spec: KernelSpec, s_values: list, ms, det, resolvent):
     s = [_check_interval(t) for t in s_values]
     rules = [_scaled_stack(gauss_jacobi(m, spec.a), s) for m in ms]
     blocks = _kernel_blocks(spec, [nodes for nodes, _ in rules])
-    columns = []
-    for index, ((_, weights), (kernel, hat_j)) in enumerate(zip(rules, blocks)):
-        m = kernel.shape[-1]
+    values = refined = forms = [None] * len(s)
+    for m, (_, weights), (kernel, hat_j) in zip(ms, rules, blocks):
         sqrt_w = np.sqrt(weights)
         # I - A in place, where a fresh (S, m, m) array would cost more than
         # the arithmetic; the order is that of eye(m) - sqrt_w_i K_ij sqrt_w_j
         system = sqrt_w[:, :, None] * kernel
         system *= sqrt_w[:, None, :]
         np.subtract(np.eye(m), system, out=system)
-        if index or det:
-            columns.append(_determinants(system, s, m))
-        if not index and resolvent:
-            columns.append(_quadratic_forms(system, sqrt_w * hat_j, s, m))
-    return zip(s, zip(*columns))
+        if m > ms[0]:
+            refined = _determinants(system, s, m)
+            continue
+        if det:
+            values = _determinants(system, s, m)
+        if resolvent:
+            forms = _quadratic_forms(system, sqrt_w * hat_j, s, m)
+    return [_Values(s_k, ms[0], *fields) for s_k, *fields in zip(s, values, refined, forms)]
 
 
 def _determinants(system: np.ndarray, s: list, m: int) -> list:
@@ -171,52 +209,9 @@ def _quadratic_forms(system: np.ndarray, b: np.ndarray, s: list, m: int) -> list
     return values
 
 
-def _log_slope(quadratic_form: float, s: float) -> float:
-    """d/ds log det(I - A) from the resolvent quadratic form at s."""
-    return -quadratic_form / (4.0 * s)
-
-
-def _det_values(spec: KernelSpec, s_values, m) -> list:
-    """det(I - A) at m nodes alone, without the m+10 error estimate, per s."""
-    return [value for _, [value] in _batch(spec, s_values, (_check_m(m),))]
-
-
-def _det_value(spec: KernelSpec, s, m) -> float:
-    """_det_values at one s."""
-    [value] = _det_values(spec, [s], m)
-    return value
-
-
-def _det_and_log_derivative(spec: KernelSpec, s, m) -> tuple[float, float]:
-    """det(I - A) and the resolvent log-derivative from one assembly (limit kernel)."""
-    [(s, [value, quadratic_form])] = _batch(spec, [s], (_check_m(m),), resolvent=True)
-    return value, _log_slope(quadratic_form, s)
-
-
-def _estimates(spec: KernelSpec, s_values, m, slope=False) -> list:
-    """[(DeterminantResult, log-derivative)] per s: det(I - A) at m nodes
-    with its m vs m+10 error estimate, both systems from one kernel
-    evaluation; with slope, the resolvent log-derivative of the m-node
-    system (limit kernel), else None.  m + 10 may exceed MAX_DET_NODES."""
-    m = _check_m(m)
-    results = []
-    for s, values in _batch(spec, s_values, (m, m + 10), resolvent=slope):
-        value, refined = values[0], values[-1]
-        log_slope = _log_slope(values[1], s) if slope else None
-        det = DeterminantResult(value=value, error_estimate=abs(value - refined), m=m)
-        results.append((det, log_slope))
-    return results
-
-
-def _estimated(spec: KernelSpec, s, m, slope=False):
-    """_estimates at one s."""
-    [result] = _estimates(spec, [s], m, slope)
-    return result
-
-
 def nystrom_det(spec: KernelSpec, s, m=DEFAULT_NODES) -> DeterminantResult:
     """det(I - Khat on L^2((0,s); x^a dx)) with an m vs m+10 error estimate."""
-    return _estimated(spec, s, m)[0]
+    return _batch(spec, [s], m, refine=True)[0].estimate
 
 
 def gram_det(a, n, t, m) -> float:
@@ -256,10 +251,7 @@ def resolvent_quadratic_form(spec: KernelSpec, s, m=DEFAULT_NODES) -> float:
     solve (I - A) v = b with b_i = sqrt(w_i) hat_j_a(x_i) and return b.v.
     Restricted to the limit kernel.
     """
-    if spec.family != "bessel":
-        raise DomainError("resolvent_quadratic_form is defined for the limit kernel")
-    [(_, [quadratic_form])] = _batch(spec, [s], (_check_m(m),), det=False, resolvent=True)
-    return quadratic_form
+    return _batch(spec, [s], m, resolvent=True, det=False)[0].quadratic_form
 
 
 def log_derivative(spec: KernelSpec, s, m=DEFAULT_NODES, method="resolvent") -> float:
@@ -273,11 +265,11 @@ def log_derivative(spec: KernelSpec, s, m=DEFAULT_NODES, method="resolvent") -> 
     """
     s = _check_interval(s)
     if method == "resolvent":
-        return _log_slope(resolvent_quadratic_form(spec, s, m), s)
+        return _batch(spec, [s], m, resolvent=True, det=False)[0].log_slope
     if method == "finite_difference":
         h = 1e-3 * s
         points = [s + 0.5 * h, s - 0.5 * h, s + h, s - h]
-        up_half, down_half, up, down = map(math.log, _det_values(spec, points, m))
+        up_half, down_half, up, down = (math.log(r.value) for r in _batch(spec, points, m))
         central_half = (up_half - down_half) / (2.0 * (0.5 * h))
         central = (up - down) / (2.0 * h)
         return (4.0 * central_half - central) / 3.0

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._parallel import ordered_map
 from .errors import AccuracyError, DomainError, HardEdgeError, NumericError
-from .fredholm import _check_m, _det_values
+from .fredholm import _batch, _check_m
 from .kernels import finite_spec
 from .specfun import S_MAX, _require_integer, reg_upper_gamma
 
@@ -175,9 +175,9 @@ def analytic_smallest_cdf(a, n, m=50):
                 refusal = exc
                 break
         on_axis = [k for k, value in enumerate(values) if math.isnan(value)]
-        determinants = _det_values(spec, [4.0 * spec.n * flat[k] for k in on_axis], m)
-        for k, determinant in zip(on_axis, determinants):
-            values[k] = 1.0 - determinant
+        records = _batch(spec, [4.0 * spec.n * flat[k] for k in on_axis], m)
+        for k, record in zip(on_axis, records):
+            values[k] = 1.0 - record.value
         if refusal is not None:
             raise refusal
         return np.array(values, dtype=float).reshape(t.shape) if array else values[0]

@@ -41,10 +41,6 @@ class QuadratureRule:
     def m(self) -> int:
         return self.nodes.size
 
-    def mass(self) -> float:
-        """Total mass of x^a dx on (0, s), i.e. s^{a+1} / (a+1)."""
-        return self.s ** (self.a + 1.0) / (self.a + 1.0)
-
     def integrate(self, values) -> float:
         """Apply the rule to integrand values sampled at the nodes."""
         return float(self.weights @ np.asarray(values, dtype=float))

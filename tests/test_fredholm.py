@@ -238,6 +238,13 @@ def _per_chunk(ms) -> int:
     return fredholm.CHUNK_ENTRIES // sum(m * m for m in ms)
 
 
+# every flag combination a caller of fredholm._batch uses; the resolvent is
+# the limit kernel's alone
+BATCH_FLAGS = {"plain": {}, "refine": {"refine": True}, "resolvent": {"resolvent": True},
+               "refine-resolvent": {"refine": True, "resolvent": True},
+               "resolvent-only": {"resolvent": True, "det": False}}
+
+
 class TestBatchedSAxis:
     # Both families on an axis from s = 1e-9, where every node pair lies in
     # the near-diagonal window.  The limit law stops at s = 200 (F = 1.3e-5
@@ -248,13 +255,19 @@ class TestBatchedSAxis:
     AXES = [pytest.param(bessel_spec(5.0), 200.0, id="bessel"),
             pytest.param(finite_spec(2.0, 20, c=37.0), 1600.0, id="finite")]
     SIZES = pytest.mark.parametrize("extra", [-1, 0, 1], ids=["chunk-1", "chunk", "chunk+1"])
+    RECORD_CASES = [
+        pytest.param(*axis.values, flags, id=f"{axis.id}-{name}")
+        for axis in AXES for name, flags in BATCH_FLAGS.items()
+        if axis.id == "bessel" or not flags.get("resolvent")
+    ]
 
-    @pytest.mark.parametrize("spec,s_max", AXES)
+    @pytest.mark.parametrize("spec,s_max,flags", RECORD_CASES)
     @SIZES
-    def test_determinants_equal_the_one_s_values(self, spec, s_max, extra):
-        s_values = list(np.geomspace(1e-9, s_max, _per_chunk((50,)) + extra))
-        expected = [fredholm._det_value(spec, s, 50) for s in s_values]
-        assert fredholm._det_values(spec, s_values, 50) == expected
+    def test_records_equal_the_one_s_records(self, spec, s_max, flags, extra):
+        ms = (50, 60) if flags.get("refine") else (50,)
+        s_values = list(np.geomspace(1e-9, s_max, _per_chunk(ms) + extra))
+        expected = [record for s in s_values for record in fredholm._batch(spec, [s], 50, **flags)]
+        assert fredholm._batch(spec, s_values, 50, **flags) == expected
 
     @pytest.mark.parametrize("spec,s_max", AXES)
     @SIZES
@@ -263,7 +276,8 @@ class TestBatchedSAxis:
         s_values = list(np.geomspace(1e-9, s_max, _per_chunk((50, 60)) + extra))
         expected = [(nystrom_det(spec, s, 50), log_derivative(spec, s, 50) if slope else None)
                     for s in s_values]
-        assert fredholm._estimates(spec, s_values, 50, slope=slope) == expected
+        records = fredholm._batch(spec, s_values, 50, refine=True, resolvent=slope)
+        assert [(r.estimate, r.log_slope if slope else None) for r in records] == expected
 
     @pytest.mark.parametrize("a,scaling", [(0.5, "standard"), (2.0, "optimal")])
     def test_high_order_table_rows_equal_the_one_s_values(self, a, scaling):
@@ -297,8 +311,8 @@ class TestBatchedSAxis:
     def test_refusal_is_the_first_one_s_refusal(self, a, s_values):
         # the first s in input order that is refused alone raises its refusal
         spec = bessel_spec(a)
-        for batched in (lambda v: fredholm._det_values(spec, v, 50),
-                        lambda v: fredholm._estimates(spec, v, 50, slope=True)):
+        for batched in (lambda v: fredholm._batch(spec, v, 50),
+                        lambda v: fredholm._batch(spec, v, 50, refine=True, resolvent=True)):
             one_s = [self.refusal(lambda: batched([s])) for s in s_values]
             expected = next(refusal for refusal in one_s if refusal is not None)
             assert self.refusal(lambda: batched(s_values)) == expected
@@ -318,8 +332,8 @@ class TestBatchedSAxis:
         # every s of a chunk is checked as scale_rule checks its rule, in its
         # order and wording, alone or behind an accepted s
         assert self.refusal(lambda: scale_rule(gauss_jacobi(50, spec.a), s)) == refusal
-        for evaluate in (lambda: fredholm._det_values(spec, [s], 50),
-                         lambda: fredholm._det_values(spec, [1.0, s], 50),
+        for evaluate in (lambda: fredholm._batch(spec, [s], 50),
+                         lambda: fredholm._batch(spec, [1.0, s], 50),
                          lambda: nystrom_det(spec, s, 50)):
             assert self.refusal(evaluate) == refusal
 
@@ -332,5 +346,6 @@ class TestBatchedSAxis:
 
         monkeypatch.setattr(fredholm, "_kernel_blocks", counting)
         per_chunk = _per_chunk((50, 60))
-        fredholm._estimates(bessel_spec(5.0), list(np.linspace(1.0, 40.0, per_chunk + 1)), 50)
+        fredholm._batch(bessel_spec(5.0), list(np.linspace(1.0, 40.0, per_chunk + 1)), 50,
+                        refine=True)
         assert shapes == [[(per_chunk, 50), (per_chunk, 60)], [(1, 50), (1, 60)]]

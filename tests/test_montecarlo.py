@@ -15,7 +15,6 @@ from hardedge import (
     sample_smallest,
 )
 from hardedge import fredholm, montecarlo
-from hardedge.fredholm import _det_value
 from hardedge.kernels import _kernel_blocks, finite_spec
 from hardedge.montecarlo import SampleBatch, _survival_bound
 from hardedge.specfun import reg_upper_gamma
@@ -159,7 +158,8 @@ class TestAnalyticCdf:
         # since the bound is closest to it in the tail
         spec = finite_spec(a, n)
         for t in np.geomspace(0.01, 100.0 / n, 30):
-            survival = _det_value(spec, 4.0 * n * t, 50)
+            [record] = fredholm._batch(spec, [4.0 * n * t], 50)
+            survival = record.value
             assert survival <= _survival_bound(a, n, t) * (1.0 + 1e-12) + 1e-15
             if survival < 1e-10:
                 break
@@ -169,7 +169,8 @@ class TestAnalyticCdf:
         # n = 1: lambda_min is a single Gamma(a+1) variable
         for t in (0.1, 1.0, 5.0):
             assert _survival_bound(a, 1, t) == reg_upper_gamma(a + 1.0, t)
-            assert _det_value(finite_spec(a, 1), 4.0 * t, 50) == pytest.approx(
+            [record] = fredholm._batch(finite_spec(a, 1), [4.0 * t], 50)
+            assert record.value == pytest.approx(
                 reg_upper_gamma(a + 1.0, t), rel=1e-12
             )
 

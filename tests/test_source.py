@@ -108,6 +108,43 @@ def test_no_unused_private_helpers():
     assert unused_private_helpers({path.stem: path.read_text() for path in SOURCES}) == []
 
 
+# The private names of fredholm that other modules may import: the one
+# evaluation entry and the s and m checks.  Every per-s value is read from
+# the records _batch returns, not through wrappers around it.
+FREDHOLM_SURFACE = {"_batch", "_check_interval", "_check_m"}
+
+
+def private_fredholm_imports(sources: dict) -> list:
+    """"module.name" for each private name outside FREDHOLM_SURFACE that a
+    module of `sources` ({module: source}) other than fredholm imports from
+    fredholm, relatively or as hardedge.fredholm."""
+    found = []
+    for module, source in sources.items():
+        if module == "fredholm":
+            continue
+        found += [
+            f"{module}.{alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module in ("fredholm", "hardedge.fredholm")
+            for alias in node.names
+            if alias.name.startswith("_") and alias.name not in FREDHOLM_SURFACE
+        ]
+    return sorted(found)
+
+
+def test_private_fredholm_imports_are_found():
+    sources = {
+        "fredholm": "from .fredholm import _own\n",
+        "a": "from .fredholm import _batch, _det_value, nystrom_det\n",
+        "b": "def f():\n    from hardedge.fredholm import _check_m, _estimates\n",
+        "c": "from .kernels import _kernel_blocks\nfrom . import fredholm\n",
+    }
+    assert private_fredholm_imports(sources) == ["a._det_value", "b._estimates"]
+
+
+def test_fredholm_exports_only_its_surface():
+    assert private_fredholm_imports({path.stem: path.read_text() for path in SOURCES}) == []
+
+
 def hardedge_reads(source: str) -> list:
     """Dotted hardedge paths a source reads: every name of a `from hardedge...
     import`, and every attribute read of a name that a module-level import

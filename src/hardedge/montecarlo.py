@@ -13,8 +13,11 @@ trustworthy than the code it judges.
 
 ks_validate runs the whole check: it refuses a count below MIN_KS_COUNT
 before the first draw, then evaluates the analytic CDF on the sorted
-sample in one call, batched along the s axis (see fredholm), with values
-equal bit for bit to ks_compare's one call per sample.
+sample in one call, with values equal bit for bit to ks_compare's one call
+per sample.  At integer a that CDF reads its values off one Chebyshev
+interpolant of 1 - det, which each callable builds at its first evaluation
+that needs a determinant; every other value is a determinant, batched
+along the s axis (see fredholm).
 """
 
 import math
@@ -33,6 +36,12 @@ MIN_KS_COUNT = 1000
 
 # Asymptotic two-sided Kolmogorov-Smirnov critical coefficient at alpha = 0.01.
 KS_COEFF_1PCT = 1.63
+
+# Absolute bound on each of the last four Chebyshev coefficients of an
+# accepted interpolant of the CDF, about a hundred times their rounding
+# noise at m = 50.  Accepted interpolants have stayed within 5e-15 of the
+# determinants, and within 3e-15 of the closed forms at a = 0 and a = 1.
+CHEBYSHEV_TAIL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -103,8 +112,9 @@ def ks_compare(batch: SampleBatch, cdf) -> tuple[float, bool]:
 def ks_validate(a, n, count, seed, m=50) -> tuple[float, bool]:
     """ks_compare of sample_smallest(a, n, count, seed) against
     analytic_smallest_cdf(a, n, m), bit for bit, with the CDF evaluated on
-    the whole sorted sample in one call, and so in batched determinants.
-    count and m are checked before the first draw."""
+    the whole sorted sample in one call: one interpolant build at integer a,
+    and one batch of determinants for the values it does not cover.  count
+    and m are checked before the first draw."""
     _check_ks_count(count)
     _check_m(m)
     batch = sample_smallest(a, n, count, seed)
@@ -125,26 +135,100 @@ def _survival_bound(a: float, n: int, t: float) -> float:
     return math.prod(reg_upper_gamma(a + 2.0 * k + 1.0, t) for k in range(n))
 
 
+@dataclass(frozen=True)
+class _Chebyshev:
+    """c_0 + sum_{k>=1} c_k T_k(2 s / length - 1), with c_0 already halved,
+    clamped to [0, 1] and used on the hull [lo, hi] of its nodes alone; the
+    hull is empty where the fit was refused."""
+
+    length: float
+    coefficients: list
+    lo: float
+    hi: float
+
+    def __call__(self, s: float) -> float:
+        # Clenshaw's recurrence in Python floats, one body for every call,
+        # so that a value does not depend on the batch that asked for it
+        x = 2.0 * s / self.length - 1.0
+        b1 = b2 = 0.0
+        for c in self.coefficients[:0:-1]:
+            b1, b2 = c + 2.0 * x * b1 - b2, b1
+        # a probability: rounding leaves [0, 1] by about 1e-15 near either end
+        return min(max(self.coefficients[0] + x * b1 - b2, 0.0), 1.0)
+
+
+_NO_FIT = _Chebyshev(1.0, [0.0], math.inf, -math.inf)
+
+
+def _chebyshev_fit(spec, m: int) -> _Chebyshev:
+    """The interpolant of s -> 1 - det(I - A) on [0, L] at integer a, else
+    _NO_FIT.
+
+    At integer a the gap probability is e^{-s/4} times a polynomial in s
+    (Forrester, Log-gases and Random Matrices, 2010, ch. 8), so it is
+    entire and Chebyshev interpolation converges faster than geometrically
+    (Trefethen, Approximation Theory and Approximation Practice, 2013,
+    ch. 8).  L is the first of 16, 32, ... (at most S_MAX) at which the
+    m-node survival falls below 2^-54; the fit takes 32 first-kind points
+    on [0, L] in one batch, and doubles them up to 128 until the last four
+    coefficients fall below CHEBYSHEV_TAIL.  The bound is absolute, as is
+    the accuracy of the determinants (Bornemann, Math. Comp. 79 (2010)
+    871).  A refused survival or node, or a tail that stays above the
+    bound, gives _NO_FIT, and so does a non-integer a, where the law has a
+    branch point at s = 0.
+    """
+    if not spec.a.is_integer():
+        return _NO_FIT
+    length = 16.0
+    try:
+        while _batch(spec, [length], m)[0].value >= 2.0 ** -54:
+            length *= 2.0
+            if length > S_MAX:
+                return _NO_FIT
+        for count in (32, 64, 128):
+            angles = math.pi * (np.arange(count) + 0.5) / count
+            nodes = 0.5 * length * (1.0 + np.cos(angles))
+            values = [1.0 - record.value for record in _batch(spec, nodes.tolist(), m)]
+            # k (2j + 1) reduced mod 4 count: unreduced, the rounding of cosine
+            # arguments up to 2 count pi raised the coefficients' noise tenfold
+            phases = np.outer(np.arange(count), 2 * np.arange(count) + 1) % (4 * count)
+            coefficients = np.cos(phases * (math.pi / (2 * count))) @ values * (2.0 / count)
+            if np.all(np.abs(coefficients[-4:]) < CHEBYSHEV_TAIL):
+                coefficients[0] *= 0.5
+                return _Chebyshev(length, coefficients.tolist(), float(nodes[-1]),
+                                  float(nodes[0]))
+    except HardEdgeError:
+        pass
+    return _NO_FIT
+
+
 def analytic_smallest_cdf(a, n, m=50):
     """P(lambda_min < t) of the (n, a) ensemble from the determinant route.
 
     Returns a callable suitable for ks_compare.  It takes an ndarray of t
-    elementwise, or a float t as the array of that t alone.  An array takes
-    its determinants as one batch along the s axis, with values equal bit
-    for bit to the float calls, and raises the refusal of its first t, in
-    input order, that is refused alone.  Unscaled eigenvalues t map to the
-    hard-edge axis via s = 4 n t.  Beyond the kernels' validated axis,
-    s > 1600, the CDF is clamped to 1 where the survival probability is
-    provably below 2^-54 (see _survival_bound) and refused with
-    AccuracyError elsewhere; t = inf gives 1.  The bound falls below 2^-54
-    near t = 13 at a = 0 whatever n (t = 28 at a = 10), while the survival
-    decays like e^{-n t}, so at larger n the t between 400/n and there are
-    refused although the CDF rounds to 1: at (a, n) = (0, 200) and t = 3
-    the bound is 0.017 and the survival e^{-600}.  Each value is the
-    determinant at m nodes alone, without the m+10 error estimate.  a and n
-    are checked here, when the CDF is made; m at each evaluation.
+    elementwise, or a float t as the array of that t alone.  Unscaled
+    eigenvalues t map to the hard-edge axis via s = 4 n t.  At integer a
+    the callable's first evaluation that needs a determinant builds one
+    Chebyshev interpolant of 1 - det on [0, L] at m nodes (see
+    _chebyshev_fit), and every s inside the hull of its nodes then takes
+    its value from the interpolant, clamped to [0, 1] and accurate to about
+    1e-14 absolute; a determinant that is refused alone between the nodes
+    becomes a value too.  Every other s in (0, S_MAX] takes the determinant
+    at m nodes alone, without the m+10 error estimate, and an array takes
+    those as one batch along the s axis.  Values are equal bit for bit to the float
+    calls, and an array raises the refusal of its first t, in input order,
+    that is refused alone.  Beyond the kernels' validated axis, s > 1600,
+    the CDF is clamped to 1 where the survival probability is provably
+    below 2^-54 (see _survival_bound) and refused with AccuracyError
+    elsewhere; t = inf gives 1.  The bound falls below 2^-54 near t = 13
+    at a = 0 whatever n (t = 28 at a = 10), while the survival decays like
+    e^{-n t}, so at larger n the t between 400/n and there are refused
+    although the CDF rounds to 1: at (a, n) = (0, 200) and t = 3 the bound
+    is 0.017 and the survival e^{-600}.  a and n are checked here, when
+    the CDF is made; m at each evaluation.
     """
     spec = finite_spec(a, n)
+    fit = None  # the interpolant, built at the first on-axis evaluation
 
     def off_axis(t: float) -> float:
         """The CDF at t where it takes no determinant, else nan."""
@@ -164,6 +248,7 @@ def analytic_smallest_cdf(a, n, m=50):
         return math.nan
 
     def cdf(t):
+        nonlocal fit
         array = isinstance(t, np.ndarray)
         flat = np.ravel(t).tolist() if array else [float(t)]
         values, refusal = [], None
@@ -175,8 +260,17 @@ def analytic_smallest_cdf(a, n, m=50):
                 refusal = exc
                 break
         on_axis = [k for k, value in enumerate(values) if math.isnan(value)]
-        records = _batch(spec, [4.0 * spec.n * flat[k] for k in on_axis], m)
-        for k, record in zip(on_axis, records):
+        if on_axis and fit is None:
+            fit = _chebyshev_fit(spec, _check_m(m))
+        direct = []
+        for k in on_axis:
+            s = 4.0 * spec.n * flat[k]
+            if fit.lo <= s <= fit.hi:
+                values[k] = fit(s)
+            else:
+                direct.append((k, s))
+        records = _batch(spec, [s for _, s in direct], m)
+        for (k, _), record in zip(direct, records):
             values[k] = 1.0 - record.value
         if refusal is not None:
             raise refusal

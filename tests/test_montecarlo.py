@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_laguerre
 
 from hardedge import (
     AccuracyError,
@@ -174,8 +175,8 @@ class TestAnalyticCdf:
                 reg_upper_gamma(a + 1.0, t), rel=1e-12
             )
 
-    def test_one_assembly_per_value(self, monkeypatch):
-        # the m + 10 error estimate of finite_cdf is not needed for a CDF value
+    @staticmethod
+    def count_assemblies(monkeypatch) -> list:
         sizes = []
 
         def counting(spec, node_sets):
@@ -183,10 +184,32 @@ class TestAnalyticCdf:
             return _kernel_blocks(spec, node_sets)
 
         monkeypatch.setattr(fredholm, "_kernel_blocks", counting)
+        return sizes
+
+    def test_one_assembly_per_value(self, monkeypatch):
+        # the m + 10 error estimate of finite_cdf is not needed for a CDF
+        # value; at non-integer a every value is a determinant
+        sizes = self.count_assemblies(monkeypatch)
         grid = [0.005, 0.02, 0.1]
-        values = [analytic_smallest_cdf(1, 20, m=50)(t) for t in grid]
+        values = [analytic_smallest_cdf(0.5, 20, m=50)(t) for t in grid]
         assert sizes == [(50,)] * len(grid)
-        assert values == [1.0 - finite_cdf(1, 20, 4.0 * 20 * t, m=50).value for t in grid]
+        assert values == [1.0 - finite_cdf(0.5, 20, 4.0 * 20 * t, m=50).value for t in grid]
+
+    def test_one_interpolant_build_per_callable(self, monkeypatch):
+        # at integer a: nothing at construction, the whole build at the first
+        # evaluation (survivals at L = 16, ..., 256, then 32 and 64 points),
+        # and no assembly for a later t inside the hull
+        sizes = self.count_assemblies(monkeypatch)
+        cdf = analytic_smallest_cdf(1, 20, m=50)
+        assert sizes == []
+        first = cdf(0.005)
+        assert sizes[:5] == [(50,)] * 5
+        assert sum(size for (size,) in sizes) == 50 * (5 + 32 + 64)
+        built = len(sizes)
+        grid = [0.005, 0.02, 0.1, 1.0, 3.0]
+        values = [cdf(t) for t in grid]
+        assert cdf(np.array(grid)).tolist() == values and values[0] == first
+        assert len(sizes) == built
 
 
 class TestBatchedCdf:
@@ -225,6 +248,74 @@ class TestBatchedCdf:
         expected = next(refusal for refusal in one_t if refusal is not None)
         assert expected[0] is error
         assert self.refusal(lambda: cdf(np.array(t))) == expected
+
+
+class TestChebyshevCdf:
+    @staticmethod
+    def fit(a, n):
+        fit = montecarlo._chebyshev_fit(finite_spec(a, n), 50)
+        assert fit.lo < fit.hi
+        return fit
+
+    @staticmethod
+    def direct(a, n, t):
+        return [1.0 - record.value
+                for record in fredholm._batch(finite_spec(a, n), [4.0 * n * t_k for t_k in t], 50)]
+
+    @pytest.mark.parametrize("a,n", [(0, 5), (0, 200), (1, 3), (1, 20), (1, 100)])
+    def test_closed_forms_on_the_hull(self, a, n):
+        fit = self.fit(a, n)
+        t = np.linspace(fit.lo, fit.hi, 2001) / (4.0 * n)
+        survival = np.exp(-n * t) * (1.0 if a == 0 else eval_laguerre(n, -t))
+        assert np.max(np.abs(analytic_smallest_cdf(a, n)(t) - (1.0 - survival))) < 1e-14
+
+    @pytest.mark.parametrize("a,n", [(0, 5), (1, 20), (3, 50), (10, 50)])
+    def test_interpolant_against_the_determinants(self, a, n):
+        fit = montecarlo._chebyshev_fit(finite_spec(a, n), 50)
+        s = np.linspace(fit.lo, fit.hi, 501) if fit.lo < fit.hi else np.linspace(0.01, 40.0, 501)
+        t = s / (4.0 * n)
+        values = analytic_smallest_cdf(a, n)(t)
+        if fit.lo > fit.hi:
+            # a refused tail leaves the determinants
+            assert values.tolist() == self.direct(a, n, t)
+        else:
+            error = np.abs(values - self.direct(a, n, t))
+            assert np.max(error) < montecarlo.CHEBYSHEV_TAIL
+            # a probability, also where the sum rounds below 0 (a = 10) or above 1
+            assert np.all((values >= 0.0) & (values <= 1.0))
+
+    def test_outside_the_hull_stays_direct(self, monkeypatch):
+        a, n = 1, 20
+        fit = self.fit(a, n)
+        lo, hi = fit.lo, fit.hi
+        t = np.array([0.5 * lo, lo * (1.0 - 1e-12), hi * (1.0 + 1e-12), 0.5 * (hi + fit.length)])
+        t /= 4.0 * n
+        assert all(not lo <= 4.0 * n * t_k <= hi for t_k in t)
+        cdf = analytic_smallest_cdf(a, n)
+        cdf(0.01)  # the build, before the recording starts
+        asked = []
+
+        def recording(spec, s_values, m):
+            asked.extend(s_values)
+            return fredholm._batch(spec, s_values, m)
+
+        monkeypatch.setattr(montecarlo, "_batch", recording)
+        values = [cdf(t_k) for t_k in t]
+        assert values == self.direct(a, n, t)
+        assert cdf(t).tolist() == values
+        assert asked == [4.0 * n * t_k for t_k in t] * 2
+        cdf(np.array([lo * (1.0 + 1e-12), hi * (1.0 - 1e-12)]) / (4.0 * n))
+        assert len(asked) == 2 * len(t)
+
+    @pytest.mark.parametrize("a,n,tail", [(0.5, 20, 1e-14), (1, 1, 1e-14), (1, 20, 0.0)])
+    def test_refused_fit_stays_direct(self, a, n, tail, monkeypatch):
+        # (0.5, 20): a non-integer a; (1, 1): a refused survival at L = 512;
+        # (1, 20): a tail that no bound of zero accepts
+        monkeypatch.setattr(montecarlo, "CHEBYSHEV_TAIL", tail)
+        spec = finite_spec(a, n)
+        assert montecarlo._chebyshev_fit(spec, 50) == montecarlo._NO_FIT
+        t = np.geomspace(1e-3, 10.0, 40) / n
+        assert analytic_smallest_cdf(a, n)(t).tolist() == self.direct(a, n, t)
 
 
 class TestKsValidate:

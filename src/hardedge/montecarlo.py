@@ -14,10 +14,10 @@ trustworthy than the code it judges.
 ks_validate runs the whole check: it refuses a count below MIN_KS_COUNT
 before the first draw, then evaluates the analytic CDF on the sorted
 sample in one call, with values equal bit for bit to ks_compare's one call
-per sample.  At integer a that CDF reads its values off one Chebyshev
-interpolant of 1 - det, which each callable builds at its first evaluation
-that needs a determinant; every other value is a determinant, batched
-along the s axis (see fredholm).
+per sample.  At integer a that CDF is one Chebyshev interpolant of 1 - det
+on [0, L], and exactly 1 past L, which each callable builds at its first
+finite t > 0; at non-integer a, or where the build is refused, every value
+is a determinant, batched along the s axis (see fredholm).
 """
 
 import math
@@ -39,9 +39,14 @@ KS_COEFF_1PCT = 1.63
 
 # Absolute bound on each of the last four Chebyshev coefficients of an
 # accepted interpolant of the CDF, about a hundred times their rounding
-# noise at m = 50.  Accepted interpolants have stayed within 5e-15 of the
-# determinants, and within 3e-15 of the closed forms at a = 0 and a = 1.
+# noise at m = 50.  Accepted interpolants have stayed within 7.3e-15 of the
+# determinants on [0, L], and within 4.4e-15 of the closed forms at a = 0
+# and a = 1.
 CHEBYSHEV_TAIL = 1e-14
+
+# A survival below this rounds the CDF 1 - survival to 1: half the spacing
+# of doubles just below 1 is 2^-54.
+NEGLIGIBLE_SURVIVAL = 2.0 ** -54
 
 
 @dataclass(frozen=True)
@@ -113,8 +118,8 @@ def ks_validate(a, n, count, seed, m=50) -> tuple[float, bool]:
     """ks_compare of sample_smallest(a, n, count, seed) against
     analytic_smallest_cdf(a, n, m), bit for bit, with the CDF evaluated on
     the whole sorted sample in one call: one interpolant build at integer a,
-    and one batch of determinants for the values it does not cover.  count
-    and m are checked before the first draw."""
+    else one batch of determinants.  count and m are checked before the
+    first draw."""
     _check_ks_count(count)
     _check_m(m)
     batch = sample_smallest(a, n, count, seed)
@@ -137,16 +142,16 @@ def _survival_bound(a: float, n: int, t: float) -> float:
 
 @dataclass(frozen=True)
 class _Chebyshev:
-    """c_0 + sum_{k>=1} c_k T_k(2 s / length - 1), with c_0 already halved,
-    clamped to [0, 1] and used on the hull [lo, hi] of its nodes alone; the
-    hull is empty where the fit was refused."""
+    """The CDF at s > 0 from c_0 + sum_{k>=1} c_k T_k(2 s / length - 1), with
+    c_0 already halved, clamped to [0, 1] on (0, length] and 1 beyond."""
 
     length: float
     coefficients: list
-    lo: float
-    hi: float
 
     def __call__(self, s: float) -> float:
+        # the survival is non-increasing in s and below NEGLIGIBLE_SURVIVAL at length
+        if s > self.length:
+            return 1.0
         # Clenshaw's recurrence in Python floats, one body for every call,
         # so that a value does not depend on the batch that asked for it
         x = 2.0 * s / self.length - 1.0
@@ -157,34 +162,31 @@ class _Chebyshev:
         return min(max(self.coefficients[0] + x * b1 - b2, 0.0), 1.0)
 
 
-_NO_FIT = _Chebyshev(1.0, [0.0], math.inf, -math.inf)
-
-
-def _chebyshev_fit(spec, m: int) -> _Chebyshev:
+def _chebyshev_fit(spec, m: int) -> _Chebyshev | None:
     """The interpolant of s -> 1 - det(I - A) on [0, L] at integer a, else
-    _NO_FIT.
+    None.
 
     At integer a the gap probability is e^{-s/4} times a polynomial in s
     (Forrester, Log-gases and Random Matrices, 2010, ch. 8), so it is
     entire and Chebyshev interpolation converges faster than geometrically
     (Trefethen, Approximation Theory and Approximation Practice, 2013,
     ch. 8).  L is the first of 16, 32, ... (at most S_MAX) at which the
-    m-node survival falls below 2^-54; the fit takes 32 first-kind points
-    on [0, L] in one batch, and doubles them up to 128 until the last four
-    coefficients fall below CHEBYSHEV_TAIL.  The bound is absolute, as is
-    the accuracy of the determinants (Bornemann, Math. Comp. 79 (2010)
-    871).  A refused survival or node, or a tail that stays above the
-    bound, gives _NO_FIT, and so does a non-integer a, where the law has a
-    branch point at s = 0.
+    m-node survival falls below NEGLIGIBLE_SURVIVAL, so that the CDF is 1
+    past L; the fit takes 32 first-kind points on [0, L] in one batch, and
+    doubles them up to 128 until the last four coefficients fall below
+    CHEBYSHEV_TAIL.  The bound is absolute, as is the accuracy of the
+    determinants (Bornemann, Math. Comp. 79 (2010) 871).  A refused
+    survival or node, or a tail that stays above the bound, gives None, and
+    so does a non-integer a, where the law has a branch point at s = 0.
     """
     if not spec.a.is_integer():
-        return _NO_FIT
+        return None
     length = 16.0
     try:
-        while _batch(spec, [length], m)[0].value >= 2.0 ** -54:
+        while _batch(spec, [length], m)[0].value >= NEGLIGIBLE_SURVIVAL:
             length *= 2.0
             if length > S_MAX:
-                return _NO_FIT
+                return None
         for count in (32, 64, 128):
             angles = math.pi * (np.arange(count) + 0.5) / count
             nodes = 0.5 * length * (1.0 + np.cos(angles))
@@ -195,11 +197,10 @@ def _chebyshev_fit(spec, m: int) -> _Chebyshev:
             coefficients = np.cos(phases * (math.pi / (2 * count))) @ values * (2.0 / count)
             if np.all(np.abs(coefficients[-4:]) < CHEBYSHEV_TAIL):
                 coefficients[0] *= 0.5
-                return _Chebyshev(length, coefficients.tolist(), float(nodes[-1]),
-                                  float(nodes[0]))
+                return _Chebyshev(length, coefficients.tolist())
     except HardEdgeError:
         pass
-    return _NO_FIT
+    return None
 
 
 def analytic_smallest_cdf(a, n, m=50):
@@ -207,68 +208,61 @@ def analytic_smallest_cdf(a, n, m=50):
 
     Returns a callable suitable for ks_compare.  It takes an ndarray of t
     elementwise, or a float t as the array of that t alone.  Unscaled
-    eigenvalues t map to the hard-edge axis via s = 4 n t.  At integer a
-    the callable's first evaluation that needs a determinant builds one
-    Chebyshev interpolant of 1 - det on [0, L] at m nodes (see
-    _chebyshev_fit), and every s inside the hull of its nodes then takes
-    its value from the interpolant, clamped to [0, 1] and accurate to about
-    1e-14 absolute; a determinant that is refused alone between the nodes
-    becomes a value too.  Every other s in (0, S_MAX] takes the determinant
-    at m nodes alone, without the m+10 error estimate, and an array takes
-    those as one batch along the s axis.  Values are equal bit for bit to the float
-    calls, and an array raises the refusal of its first t, in input order,
-    that is refused alone.  Beyond the kernels' validated axis, s > 1600,
-    the CDF is clamped to 1 where the survival probability is provably
-    below 2^-54 (see _survival_bound) and refused with AccuracyError
-    elsewhere; t = inf gives 1.  The bound falls below 2^-54 near t = 13
-    at a = 0 whatever n (t = 28 at a = 10), while the survival decays like
-    e^{-n t}, so at larger n the t between 400/n and there are refused
-    although the CDF rounds to 1: at (a, n) = (0, 200) and t = 3 the bound
-    is 0.017 and the survival e^{-600}.  a and n are checked here, when
-    the CDF is made; m at each evaluation.
+    eigenvalues t map to the hard-edge axis via s = 4 n t; t <= 0 gives 0
+    and t = inf gives 1.  At integer a the callable's first finite t > 0
+    builds one Chebyshev interpolant of 1 - det on [0, L] at m nodes (see
+    _chebyshev_fit), and once built it is the CDF's only route: every s in
+    (0, L] takes its value, clamped to [0, 1] and accurate to about 1e-14
+    absolute, and every s > L takes exactly 1, since the survival is
+    non-increasing in s and below 2^-54 at L.
+
+    Without an interpolant (non-integer a, or a refused build), every s in
+    (0, S_MAX] takes the determinant at m nodes alone, without the m+10
+    error estimate, and an array takes those as one batch along the s
+    axis.  Beyond the kernels' validated axis, s > S_MAX, the CDF is then
+    clamped to 1 where the survival probability is provably below 2^-54
+    (see _survival_bound) and refused with AccuracyError elsewhere.  The
+    bound falls below 2^-54 near t = 14 at a = 0.5 whatever n > 1, while
+    the survival decays like e^{-n t}, so at larger n the t between 400/n
+    and there are refused although the CDF rounds to 1: at (a, n) =
+    (0.5, 1000) and t = 0.5 the bound is 0.80.
+
+    Values are equal bit for bit to the float calls, and an array raises
+    the refusal of its first t, in input order, that is refused alone.  a
+    and n are checked here, when the CDF is made; m at each evaluation.
     """
     spec = finite_spec(a, n)
-    fit = None  # the interpolant, built at the first on-axis evaluation
-
-    def off_axis(t: float) -> float:
-        """The CDF at t where it takes no determinant, else nan."""
-        if t == math.inf:
-            return 1.0
-        s = 4.0 * spec.n * t
-        if s <= 0.0:
-            return 0.0
-        if s > S_MAX:
-            survival_bound = _survival_bound(spec.a, spec.n, t)
-            if survival_bound < 2.0 ** -54:
-                return 1.0
-            raise AccuracyError(
-                f"s = 4 n t = {s!r} lies beyond {S_MAX:g}, and the survival bound "
-                f"{survival_bound!r} does not round the CDF to 1"
-            )
-        return math.nan
+    built, fit = False, None  # the interpolant, built at the first finite t > 0
 
     def cdf(t):
-        nonlocal fit
+        nonlocal built, fit
         array = isinstance(t, np.ndarray)
         flat = np.ravel(t).tolist() if array else [float(t)]
-        values, refusal = [], None
+        values, direct, refusal = [], [], None
         for t_k in flat:
-            try:
-                values.append(off_axis(t_k))
-            except HardEdgeError as exc:
-                # raised after the determinants of the t before it, which come first
-                refusal = exc
-                break
-        on_axis = [k for k, value in enumerate(values) if math.isnan(value)]
-        if on_axis and fit is None:
-            fit = _chebyshev_fit(spec, _check_m(m))
-        direct = []
-        for k in on_axis:
-            s = 4.0 * spec.n * flat[k]
-            if fit.lo <= s <= fit.hi:
-                values[k] = fit(s)
+            s = 4.0 * spec.n * t_k
+            if t_k == math.inf or s <= 0.0:
+                values.append(1.0 if s > 0.0 else 0.0)
+                continue
+            if not built:
+                built, fit = True, _chebyshev_fit(spec, _check_m(m))
+            if fit is not None and not math.isnan(s):
+                values.append(fit(s))
+            elif s > S_MAX:
+                survival_bound = _survival_bound(spec.a, spec.n, t_k)
+                if not survival_bound < NEGLIGIBLE_SURVIVAL:
+                    # raised after the determinants of the t before it, which come first
+                    refusal = AccuracyError(
+                        f"s = 4 n t = {s!r} lies beyond {S_MAX:g}, and the survival bound "
+                        f"{survival_bound!r} does not round the CDF to 1"
+                    )
+                    break
+                values.append(1.0)
             else:
-                direct.append((k, s))
+                # a nan s too, which the determinants' s gate refuses
+                direct.append((len(values), s))
+                values.append(None)
+        # also where no s is direct: this checks m at every evaluation
         records = _batch(spec, [s for _, s in direct], m)
         for (k, _), record in zip(direct, records):
             values[k] = 1.0 - record.value

@@ -18,7 +18,7 @@ from hardedge import (
 from hardedge import fredholm, montecarlo
 from hardedge.kernels import _kernel_blocks, finite_spec
 from hardedge.montecarlo import SampleBatch, _survival_bound
-from hardedge.specfun import reg_upper_gamma
+from hardedge.specfun import S_MAX, reg_upper_gamma
 
 
 class TestSampler:
@@ -140,16 +140,18 @@ class TestAnalyticCdf:
 
     @pytest.mark.parametrize("a,n,t", [
         (1, 20, 21.0), (0, 200, 14.0), (2.5, 30, 40.0), (-0.9, 1000, 12.0), (0, 1, math.inf),
-        (400, 1, math.inf),
+        (400, 1, math.inf), (0, 200, 3.0), (10, 50, 20.0),
     ])
     def test_clamped_beyond_the_axis(self, a, n, t):
-        # non-integer a included: the bidiagonal model holds for every a > -1
+        # non-integer a included: the bidiagonal model holds for every a > -1.
+        # At integer a past the interpolant's L the survival bound is not
+        # asked: at (0, 200, 3.0) the survival is e^{-600}, the bound 0.017
         assert analytic_smallest_cdf(a, n)(t) == 1.0
 
-    @pytest.mark.parametrize("a,n,t", [(0, 200, 3.0), (0.5, 1000, 0.5), (10, 50, 20.0)])
+    @pytest.mark.parametrize("a,n,t", [(0.5, 1000, 0.5)])
     def test_loose_bound_refuses_beyond_the_axis(self, a, n, t):
-        # the survival is negligible here (e^{-600} at a = 0, n = 200, t = 3),
-        # but the diagonal bound is not: 0.017, 0.80 and 1.1e-6
+        # without an interpolant: the survival is negligible here, but the
+        # diagonal bound is not (0.80)
         with pytest.raises(AccuracyError):
             analytic_smallest_cdf(a, n)(t)
 
@@ -233,13 +235,13 @@ class TestBatchedCdf:
         return None
 
     @pytest.mark.parametrize("a,n,t,error", [
-        pytest.param(0, 200, [1e-3, 3.0, 6.0], AccuracyError, id="0-200-3.0-AccuracyError"),
+        pytest.param(0.5, 200, [1e-3, 3.0, 6.0], AccuracyError, id="0.5-200-3.0-AccuracyError"),
         # 1e-3 is refused alone: the weights underflow at s = 0.004
         pytest.param(400, 1, [1e-3, 420.0, 840.0], AccuracyError,
                      id="400-1-420.0-AccuracyError"),
         pytest.param(1, 20, [1e-3, math.nan, math.nan], DomainError, id="1-20-nan-DomainError"),
         # a negative determinant at s = 800 before the survival bound at t = 3
-        pytest.param(0, 200, [1.0, 3.0], NumericError, id="0-200-1.0-NumericError"),
+        pytest.param(0.5, 200, [1.0, 3.0], NumericError, id="0.5-200-1.0-NumericError"),
     ])
     def test_refused_t_keeps_the_scalar_refusal(self, a, n, t, error):
         # the first t in input order that is refused alone raises its refusal
@@ -254,7 +256,7 @@ class TestChebyshevCdf:
     @staticmethod
     def fit(a, n):
         fit = montecarlo._chebyshev_fit(finite_spec(a, n), 50)
-        assert fit.lo < fit.hi
+        assert fit is not None
         return fit
 
     @staticmethod
@@ -263,34 +265,26 @@ class TestChebyshevCdf:
                 for record in fredholm._batch(finite_spec(a, n), [4.0 * n * t_k for t_k in t], 50)]
 
     @pytest.mark.parametrize("a,n", [(0, 5), (0, 200), (1, 3), (1, 20), (1, 100)])
-    def test_closed_forms_on_the_hull(self, a, n):
-        fit = self.fit(a, n)
-        t = np.linspace(fit.lo, fit.hi, 2001) / (4.0 * n)
+    def test_closed_forms_on_the_interval(self, a, n):
+        t = np.linspace(0.0, self.fit(a, n).length, 2001) / (4.0 * n)
         survival = np.exp(-n * t) * (1.0 if a == 0 else eval_laguerre(n, -t))
         assert np.max(np.abs(analytic_smallest_cdf(a, n)(t) - (1.0 - survival))) < 1e-14
 
     @pytest.mark.parametrize("a,n", [(0, 5), (1, 20), (3, 50), (10, 50)])
     def test_interpolant_against_the_determinants(self, a, n):
-        fit = montecarlo._chebyshev_fit(finite_spec(a, n), 50)
-        s = np.linspace(fit.lo, fit.hi, 501) if fit.lo < fit.hi else np.linspace(0.01, 40.0, 501)
-        t = s / (4.0 * n)
+        t = np.linspace(0.0, self.fit(a, n).length, 502)[1:] / (4.0 * n)
         values = analytic_smallest_cdf(a, n)(t)
-        if fit.lo > fit.hi:
-            # a refused tail leaves the determinants
-            assert values.tolist() == self.direct(a, n, t)
-        else:
-            error = np.abs(values - self.direct(a, n, t))
-            assert np.max(error) < montecarlo.CHEBYSHEV_TAIL
-            # a probability, also where the sum rounds below 0 (a = 10) or above 1
-            assert np.all((values >= 0.0) & (values <= 1.0))
+        error = np.abs(values - self.direct(a, n, t))
+        assert np.max(error) < montecarlo.CHEBYSHEV_TAIL
+        # a probability, also where the sum rounds below 0 (a = 10) or above 1
+        assert np.all((values >= 0.0) & (values <= 1.0))
 
-    def test_outside_the_hull_stays_direct(self, monkeypatch):
+    def test_no_determinant_after_the_build(self, monkeypatch):
         a, n = 1, 20
-        fit = self.fit(a, n)
-        lo, hi = fit.lo, fit.hi
-        t = np.array([0.5 * lo, lo * (1.0 - 1e-12), hi * (1.0 + 1e-12), 0.5 * (hi + fit.length)])
-        t /= 4.0 * n
-        assert all(not lo <= 4.0 * n * t_k <= hi for t_k in t)
+        length = self.fit(a, n).length
+        s = np.array([1e-9, 1e-6 * length, 0.5 * length, length, length * (1.0 + 1e-12),
+                      0.5 * (length + S_MAX), S_MAX, S_MAX * (1.0 + 1e-12), 1e6])
+        t = s / (4.0 * n)
         cdf = analytic_smallest_cdf(a, n)
         cdf(0.01)  # the build, before the recording starts
         asked = []
@@ -301,11 +295,23 @@ class TestChebyshevCdf:
 
         monkeypatch.setattr(montecarlo, "_batch", recording)
         values = [cdf(t_k) for t_k in t]
-        assert values == self.direct(a, n, t)
         assert cdf(t).tolist() == values
-        assert asked == [4.0 * n * t_k for t_k in t] * 2
-        cdf(np.array([lo * (1.0 + 1e-12), hi * (1.0 - 1e-12)]) / (4.0 * n))
-        assert len(asked) == 2 * len(t)
+        assert asked == []
+        assert values[4:] == [1.0] * 5
+
+    def test_one_past_the_length_without_refusal(self):
+        # s from 264 to 1600 at (1, 20), past L = 256, where the determinants
+        # alternate refusals with values that round to 1
+        cdf = analytic_smallest_cdf(1, 20)
+        t = np.linspace(3.3, 20.0, 40)
+        assert [cdf(t_k) for t_k in t] == [1.0] * len(t)
+        assert cdf(t).tolist() == [1.0] * len(t)
+
+    @pytest.mark.parametrize("a,n", [(0, 5), (1, 20), (10, 50)])
+    def test_non_decreasing_across_the_length(self, a, n):
+        t = np.linspace(0.0, 2.0 * self.fit(a, n).length, 4001) / (4.0 * n)
+        values = analytic_smallest_cdf(a, n)(t)
+        assert np.all(np.diff(values) >= -1e-14)
 
     @pytest.mark.parametrize("a,n,tail", [(0.5, 20, 1e-14), (1, 1, 1e-14), (1, 20, 0.0)])
     def test_refused_fit_stays_direct(self, a, n, tail, monkeypatch):
@@ -313,7 +319,7 @@ class TestChebyshevCdf:
         # (1, 20): a tail that no bound of zero accepts
         monkeypatch.setattr(montecarlo, "CHEBYSHEV_TAIL", tail)
         spec = finite_spec(a, n)
-        assert montecarlo._chebyshev_fit(spec, 50) == montecarlo._NO_FIT
+        assert montecarlo._chebyshev_fit(spec, 50) is None
         t = np.geomspace(1e-3, 10.0, 40) / n
         assert analytic_smallest_cdf(a, n)(t).tolist() == self.direct(a, n, t)
 

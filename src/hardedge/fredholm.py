@@ -13,10 +13,10 @@ determinant and the resolvent solve wherever a caller needs the two at the
 same (kernel, s, m), and one evaluation of the kernel factors over the
 nodes of both rules serves the m and m+10 systems of an error estimate,
 each built as its own block.  Every value comes out of _batch as one
-record per s, which holds the m-node determinant, the m+10-node one and
-the resolvent quadratic form Q, each where asked for, and forms from them
-d/ds log det = -Q/(4s), the density det * d/ds log det and the
-DeterminantResult of an error estimate.
+record per s: the checked m-node determinant, and where asked for the
+m+10-node one and the resolvent quadratic form Q, solved after that check.
+The record forms d/ds log det = -Q/(4s), the density det * d/ds log det
+and the DeterminantResult of an error estimate.
 
 The s axis is batched: the rule for (0, s) is the (0, 1) rule scaled by s,
 so many s share one evaluation of the kernel factors, one block build per
@@ -77,17 +77,17 @@ def _check_m(m) -> int:
 
 @dataclass(frozen=True)
 class _Values:
-    """The values _batch returns for one checked s, None where not asked
-    for: value, det(I - A) on the m-node rule for (0, s); refined, the det
-    on the m+10-node rule; quadratic_form, the resolvent quadratic form
-    <(I - A)^{-1} b, b> of the m-node system (limit kernel).  From them it
-    forms log_slope = d/ds log det(I - A), density = d/ds det(I - A), both
-    of the m-node system, and estimate, the m-node value with its m vs m+10
-    error estimate."""
+    """The values _batch returns for one checked s: value, the checked
+    det(I - A) on the m-node rule for (0, s); refined, the det on the
+    m+10-node rule, and quadratic_form, the resolvent quadratic form
+    <(I - A)^{-1} b, b> of the m-node system (limit kernel), each None where
+    not asked for.  From them it forms log_slope = d/ds log det(I - A),
+    density = d/ds det(I - A), both of the m-node system, and estimate, the
+    m-node value with its m vs m+10 error estimate."""
 
     s: float
     m: int
-    value: float | None
+    value: float
     refined: float | None
     quadratic_form: float | None
 
@@ -104,12 +104,12 @@ class _Values:
         return DeterminantResult(self.value, abs(self.value - self.refined), self.m)
 
 
-def _batch(spec: KernelSpec, s_values, m, refine=False, resolvent=False, det=True) -> list:
+def _batch(spec: KernelSpec, s_values, m, refine=False, resolvent=False) -> list:
     """[_Values], one record per s of the list s_values in input order, from
-    the systems I - A on the m-node rules for (0, s): det(I - A) if det, the
-    det on the m+10-node rule too if refine, and the resolvent quadratic
-    form of the m-node system if resolvent, which only the limit kernel
-    has.  m is checked here; m + 10 may exceed MAX_DET_NODES.
+    the systems I - A on the m-node rules for (0, s): the checked det(I - A),
+    the det on the m+10-node rule too if refine, and if resolvent the
+    quadratic form of the m-node system, solved after that check (limit
+    kernel only).  m is checked here; m + 10 may exceed MAX_DET_NODES.
 
     The s values are evaluated in chunks of at most CHUNK_ENTRIES matrix
     entries.  Every entry, factorization and check is the one of each s
@@ -127,7 +127,7 @@ def _batch(spec: KernelSpec, s_values, m, refine=False, resolvent=False, det=Tru
     for start in range(0, len(s_values), per_chunk):
         chunk = s_values[start:start + per_chunk]
         try:
-            records += _chunk_values(spec, chunk, ms, det, resolvent)
+            records += _chunk_values(spec, chunk, ms, resolvent)
             continue
         except HardEdgeError as exc:
             if len(chunk) == 1:
@@ -135,25 +135,25 @@ def _batch(spec: KernelSpec, s_values, m, refine=False, resolvent=False, det=Tru
             refusal = exc
         # outside the handler, so that the refusal raised is not chained
         for s in chunk:
-            _chunk_values(spec, [s], ms, det, resolvent)
+            _chunk_values(spec, [s], ms, resolvent)
         raise refusal
     return records
 
 
-def _chunk_values(spec: KernelSpec, s_values: list, ms, det, resolvent) -> list:
+def _chunk_values(spec: KernelSpec, s_values: list, ms, resolvent) -> list:
     """_batch's records for one chunk of s values.
 
     One _kernel_blocks call evaluates the kernel factors once over the nodes
     of all the rules and forms one stacked block per m, no cross blocks;
     each matrix equals the one assembled on its rule alone, bit for bit.
-    Then one batched slogdet per m and one batched solve.  b_i =
+    Then one batched slogdet per m, checked, and one batched solve.  b_i =
     sqrt(w_i) hat_j_a(x_i) is the resolvent right-hand side; it comes out
     of the limit-kernel assembly.
     """
     s = [_check_interval(t) for t in s_values]
     rules = [_scaled_stack(gauss_jacobi(m, spec.a), s) for m in ms]
     blocks = _kernel_blocks(spec, [nodes for nodes, _ in rules])
-    values = refined = forms = [None] * len(s)
+    refined = forms = [None] * len(s)
     for m, (_, weights), (kernel, hat_j) in zip(ms, rules, blocks):
         sqrt_w = np.sqrt(weights)
         # I - A in place, where a fresh (S, m, m) array would cost more than
@@ -164,8 +164,7 @@ def _chunk_values(spec: KernelSpec, s_values: list, ms, det, resolvent) -> list:
         if m > ms[0]:
             refined = _determinants(system, s, m)
             continue
-        if det:
-            values = _determinants(system, s, m)
+        values = _determinants(system, s, m)
         if resolvent:
             forms = _quadratic_forms(system, sqrt_w * hat_j, s, m)
     return [_Values(s_k, ms[0], *fields) for s_k, *fields in zip(s, values, refined, forms)]
@@ -249,23 +248,23 @@ def resolvent_quadratic_form(spec: KernelSpec, s, m=DEFAULT_NODES) -> float:
 
     Realized in the x^a dx space, where phi_a becomes the entire hat_j_a:
     solve (I - A) v = b with b_i = sqrt(w_i) hat_j_a(x_i) and return b.v.
-    Restricted to the limit kernel.
+    Restricted to the limit kernel; refused where the m-node det(I - A) is.
     """
-    return _batch(spec, [s], m, resolvent=True, det=False)[0].quadratic_form
+    return _batch(spec, [s], m, resolvent=True)[0].quadratic_form
 
 
 def log_derivative(spec: KernelSpec, s, m=DEFAULT_NODES, method="resolvent") -> float:
     """d/ds log det(I - K on (0,s)).
 
-    The resolvent path uses the quadratic-form identity (limit kernel only);
-    the finite_difference path differentiates log nystrom values centrally
-    with step 1e-3 s (so s + 1e-3 s must pass the s gate too) and one
-    Richardson refinement, and exists to validate the resolvent path: it is
-    the library's one finite-difference route.
+    The resolvent path uses the quadratic-form identity (limit kernel only,
+    refused where the m-node determinant is); the finite_difference path
+    differentiates log nystrom values centrally with step 1e-3 s (so
+    s + 1e-3 s must pass the s gate too) and one Richardson refinement, and
+    exists to validate the resolvent path: the one finite-difference route.
     """
     s = _check_interval(s)
     if method == "resolvent":
-        return _batch(spec, [s], m, resolvent=True, det=False)[0].log_slope
+        return _batch(spec, [s], m, resolvent=True)[0].log_slope
     if method == "finite_difference":
         h = 1e-3 * s
         points = [s + 0.5 * h, s - 0.5 * h, s + h, s - h]

@@ -214,11 +214,11 @@ def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
 
     t is a float or an ndarray.  Returns (p_{n-1}, p_n, d_n, total), where
     total = sum_{k<n} weights[k] p_k^2 for an ndarray of weights (zero when
-    weights is None, and then no squares are formed); rows, if given,
-    receives p_k in rows[k] for k < n.  Arguments are not validated here
-    (see laguerre_pair).  A pass that leaves the double range is refused
-    with AccuracyError: a non-finite p_k stays non-finite in every later
-    degree, so p_n and the total decide.
+    weights is None, and then no squares are formed); rows, if given for an
+    ndarray t only, receives p_k in rows[k] for k < n.  Arguments are not
+    validated here (see laguerre_pair).  A pass that leaves the double range
+    is refused with AccuracyError: a non-finite p_k stays non-finite in
+    every later degree, so p_n and the total decide.
 
     Both branches round identically, so a value does not depend on how its
     argument was batched: each degree forms d_{k+1} = (k d_k - t p_k)/(k+a+1)
@@ -238,8 +238,6 @@ def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
         for k in range(n):
             if weights is not None:
                 total += weights[k] * p * p
-            if rows is not None:
-                rows[k] = p
             p_prev = p
             d = (k * d - t * p) / (k + a + 1.0)
             p = p + d

@@ -241,8 +241,7 @@ def _per_chunk(ms) -> int:
 # every flag combination a caller of fredholm._batch uses; the resolvent is
 # the limit kernel's alone
 BATCH_FLAGS = {"plain": {}, "refine": {"refine": True}, "resolvent": {"resolvent": True},
-               "refine-resolvent": {"refine": True, "resolvent": True},
-               "resolvent-only": {"resolvent": True, "det": False}}
+               "refine-resolvent": {"refine": True, "resolvent": True}}
 
 
 class TestBatchedSAxis:
@@ -316,6 +315,24 @@ class TestBatchedSAxis:
             one_s = [self.refusal(lambda: batched([s])) for s in s_values]
             expected = next(refusal for refusal in one_s if refusal is not None)
             assert self.refusal(lambda: batched(s_values)) == expected
+
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 5.0])
+    def test_resolvent_functionals_share_the_determinant_refusal(self, a):
+        # the quadratic form is solved on the m-node system only where its
+        # determinant is accepted; past s ~ 300 that determinant is refused
+        # at scattered s (which ones is rounding), so a grid, not one s
+        spec = bessel_spec(a)
+        refused = 0
+        for s in np.arange(300.0, 1601.0, 25.0).tolist():
+            expected = self.refusal(lambda: fredholm._batch(spec, [s], 50))
+            if expected is None:
+                continue
+            refused += 1
+            for evaluate in (lambda: resolvent_quadratic_form(spec, s, 50),
+                             lambda: log_derivative(spec, s, 50, method="resolvent"),
+                             lambda: limit_density(a, s, 50)):
+                assert self.refusal(evaluate) == expected, s
+        assert refused > 0
 
     @pytest.mark.parametrize("spec,s,refusal", [
         pytest.param(bessel_spec(-0.5), 5e-324, (

@@ -202,6 +202,18 @@ def test_checked_refuses_nan(nodes, weights):
         quadrature._check(np.array([nodes]), np.array([weights]), [1.0], 0.0)
 
 
+def test_mass_refusal_names_the_rule():
+    # rows for x dx on (0, 2) and (0, 4), masses 2 and 8; the second is off
+    # by 2e-12 relative, twice the bound, and its refusal names its
+    # interval, a, m and the mismatch
+    nodes = np.array([[0.5, 1.5], [1.0, 3.0]])
+    weights = np.array([[1.0, 1.0], [4.0, 4.0 + 16e-12]])
+    with pytest.raises(NumericError) as refusal:
+        quadrature._check(nodes, weights, [2.0, 4.0], 1.0)
+    assert str(refusal.value) == (
+        "quadrature weights miss the mass on (0, 4.0) at a=1.0, m=2 by a relative 2e-12")
+
+
 def test_underflowing_weights_are_refused():
     # the smallest weight lies below the double range: its sum of squares
     # overflows, and the zero weight is refused by the build's check

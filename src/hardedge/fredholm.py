@@ -261,7 +261,9 @@ def log_derivative(spec: KernelSpec, s, m=DEFAULT_NODES, method="resolvent") -> 
     differentiates log nystrom values centrally with step 1e-3 s (so
     s + 1e-3 s must pass the s gate too) and one Richardson refinement, and
     exists to validate the resolvent path: the one finite-difference route.
+    m is checked before s, as in every other determinant entry point.
     """
+    _check_m(m)
     s = _check_interval(s)
     if method == "resolvent":
         return _batch(spec, [s], m, resolvent=True)[0].log_slope

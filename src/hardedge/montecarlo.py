@@ -4,8 +4,10 @@ Samples the smallest eigenvalue of W = X X* where X is an n x (n+a) matrix
 of independent standard complex Gaussians (real and imaginary parts each
 with variance 1/2), i.e. the integer-a ensemble whose eigenvalue density
 the determinants describe.  Each sample draws from its own counter-based
-stream keyed by (seed, sample index), so sample i is the same whatever the
-batch size.
+Philox stream keyed by (seed, sample index).  The samples are drawn in
+blocks of at most BLOCK_ENTRIES complex matrix entries: one Philox,
+re-keyed at counter 0 for each sample, and one stacked SVD per block.  So
+sample i is the same whatever the count or the block size.
 
 Restricted to integer a on purpose: the Gaussian-matrix construction is the
 only sampler whose law is beyond doubt, and an oracle must never be less
@@ -34,6 +36,11 @@ from .specfun import S_MAX, _require_integer, reg_upper_gamma
 MAX_SAMPLER_ORDER = 200
 MIN_KS_COUNT = 1000
 
+# Complex matrix entries that one block of samples draws and decomposes at
+# once: 1 MB per (B, n, n+a) complex array, and one matrix per block from
+# n = 182 at a = 0.
+BLOCK_ENTRIES = 2 ** 16
+
 # Asymptotic two-sided Kolmogorov-Smirnov critical coefficient at alpha = 0.01.
 KS_COEFF_1PCT = 1.63
 
@@ -60,17 +67,49 @@ class SampleBatch:
     values: np.ndarray
 
 
-def _one_sample(a: int, n: int, seed: int, index: int) -> float:
-    bits = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
-    rng = np.random.Generator(bits)
-    shape = (n, n + a)
-    x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+def _singular_values(x: np.ndarray, a: int, n: int, seed: int, start: int) -> np.ndarray:
+    """Singular values of the stacked matrices x of samples start, start + 1,
+    ...; a failed SVD names the first sample whose matrix fails alone."""
     try:
-        singular_values = np.linalg.svd(x, compute_uv=False)
+        return np.linalg.svd(x, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        # fail loudly; resampling would bias the batch
-        raise NumericError(f"SVD failed for sample {index} (a={a}, n={n}, seed={seed})") from exc
-    return float(singular_values[-1] ** 2)
+        if len(x) == 1:
+            # fail loudly; resampling would bias the batch
+            raise NumericError(
+                f"SVD failed for sample {start} (a={a}, n={n}, seed={seed})"
+            ) from exc
+    # replayed one matrix at a time, as fredholm._batch replays a refused chunk
+    return np.concatenate([_singular_values(x[k:k + 1], a, n, seed, start + k)
+                           for k in range(len(x))])
+
+
+def _sample_block(a: int, n: int, seed: int, start: int, stop: int) -> list:
+    """Smallest eigenvalues of samples start, ..., stop - 1.
+
+    Sample i fills its (2, n, n+a) slice, the real then the imaginary
+    parts, with one draw from the Philox stream keyed by (seed, i) at
+    counter 0, which is the stream of a new Philox with that key.
+    """
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    zero = np.zeros(4, dtype=np.uint64)
+    draws = np.empty((stop - start, 2, n, n + a))
+    for index, out in zip(range(start, stop), draws):
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zero, "key": np.array([seed, index], dtype=np.uint64)},
+            "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        rng.standard_normal(out=out)
+    x = np.empty((stop - start, n, n + a), dtype=complex)
+    x.real = draws[:, 0]
+    x.imag = draws[:, 1]
+    x *= math.sqrt(0.5)
+    smallest = _singular_values(x, a, n, seed, start)[:, -1]
+    # squared one Python float at a time, by the C library's pow: numpy's
+    # array square, a plain product, differs from it in the last bit for
+    # about one value in a thousand
+    return [value ** 2 for value in smallest.tolist()]
 
 
 def sample_smallest(a, n, count, seed) -> SampleBatch:
@@ -79,7 +118,11 @@ def sample_smallest(a, n, count, seed) -> SampleBatch:
     n = _require_integer(n, "sampler order n", 1, MAX_SAMPLER_ORDER)
     count = _require_integer(count, "count", 1)
     seed = _require_integer(seed, "seed", 0, 2 ** 64 - 1)
-    values = np.array(ordered_map(lambda i: _one_sample(a, n, seed, i), range(count)))
+    block = max(1, BLOCK_ENTRIES // (n * (n + a)))
+    values = []
+    for start in range(0, count, block):
+        values += _sample_block(a, n, seed, start, min(start + block, count))
+    values = np.array(values)
     if np.any(values <= 0.0):
         raise NumericError("sampler produced a non-positive eigenvalue")
     return SampleBatch(a=a, n=n, count=count, seed=seed, values=values)
@@ -143,10 +186,12 @@ def _survival_bound(a: float, n: int, t: float) -> float:
 @dataclass(frozen=True)
 class _Chebyshev:
     """The CDF at s > 0 from c_0 + sum_{k>=1} c_k T_k(2 s / length - 1), with
-    c_0 already halved, clamped to [0, 1] on (0, length] and 1 beyond."""
+    c_0 already halved, clamped to [0, 1] on (0, length] and 1 beyond; tail
+    holds c_N, ..., c_1, in the order Clenshaw's recurrence takes them."""
 
     length: float
-    coefficients: list
+    c0: float
+    tail: tuple
 
     def __call__(self, s: float) -> float:
         # the survival is non-increasing in s and below NEGLIGIBLE_SURVIVAL at length
@@ -155,11 +200,12 @@ class _Chebyshev:
         # Clenshaw's recurrence in Python floats, one body for every call,
         # so that a value does not depend on the batch that asked for it
         x = 2.0 * s / self.length - 1.0
+        two_x = 2.0 * x
         b1 = b2 = 0.0
-        for c in self.coefficients[:0:-1]:
-            b1, b2 = c + 2.0 * x * b1 - b2, b1
+        for c in self.tail:
+            b1, b2 = c + two_x * b1 - b2, b1
         # a probability: rounding leaves [0, 1] by about 1e-15 near either end
-        return min(max(self.coefficients[0] + x * b1 - b2, 0.0), 1.0)
+        return min(max(self.c0 + x * b1 - b2, 0.0), 1.0)
 
 
 def _chebyshev_fit(spec, m: int) -> _Chebyshev | None:
@@ -196,8 +242,8 @@ def _chebyshev_fit(spec, m: int) -> _Chebyshev | None:
             phases = np.outer(np.arange(count), 2 * np.arange(count) + 1) % (4 * count)
             coefficients = np.cos(phases * (math.pi / (2 * count))) @ values * (2.0 / count)
             if np.all(np.abs(coefficients[-4:]) < CHEBYSHEV_TAIL):
-                coefficients[0] *= 0.5
-                return _Chebyshev(length, coefficients.tolist())
+                coefficients = coefficients.tolist()
+                return _Chebyshev(length, 0.5 * coefficients[0], tuple(coefficients[:0:-1]))
     except HardEdgeError:
         pass
     return None

@@ -183,7 +183,7 @@ class TestMcValidate:
     def test_count_below_floor_fails_fast(self, monkeypatch, capsys):
         # refused before the first draw, not after the whole batch
         draws = []
-        monkeypatch.setattr(montecarlo, "_one_sample", lambda *args: draws.append(args) or 1.0)
+        monkeypatch.setattr(montecarlo, "_sample_block", lambda *args: draws.append(args) or [1.0])
         for n, count in (("5", "500"), ("200", "999")):
             code = run_cli(["mc-validate", "--a", "0", "--n", n, "--count", count])
             assert code == 2

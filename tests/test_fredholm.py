@@ -233,6 +233,30 @@ def test_one_accepted_s_domain(entry, s):
         DETERMINANT_ENTRY_POINTS[entry](s)
 
 
+# The entry points that take an m, as functions of (s, m); gram_det's m
+# range depends on n and is not among them.
+M_ENTRY_POINTS = {
+    "resolvent_quadratic_form": lambda s, m: resolvent_quadratic_form(bessel_spec(1.0), s, m),
+    "log_derivative-resolvent": lambda s, m: log_derivative(bessel_spec(1.0), s, m),
+    "log_derivative-finite_difference":
+        lambda s, m: log_derivative(bessel_spec(1.0), s, m, method="finite_difference"),
+    "limit_density": lambda s, m: limit_density(1.0, s, m),
+    "nystrom_det": lambda s, m: nystrom_det(bessel_spec(1.0), s, m),
+    "limit_table": lambda s, m: limit_table(1.0, [s], m),
+}
+
+
+@pytest.mark.parametrize("s,m", [(0.0, 4), (-1.0, 491), (1601.0, 50.5), (math.nan, 4)])
+@pytest.mark.parametrize("entry", sorted(M_ENTRY_POINTS))
+def test_m_refused_before_s(entry, s, m):
+    # with both out of range, every entry point raises the one m refusal
+    with pytest.raises(DomainError) as expected:
+        fredholm._check_m(m)
+    with pytest.raises(DomainError) as raised:
+        M_ENTRY_POINTS[entry](s, m)
+    assert str(raised.value) == str(expected.value)
+
+
 def _per_chunk(ms) -> int:
     """s values per chunk of a batched evaluation on the rules of ms."""
     return fredholm.CHUNK_ENTRIES // sum(m * m for m in ms)

@@ -73,6 +73,74 @@ class TestSampler:
                     sample_smallest(*args)
 
 
+def _reference_matrix(a, n, seed, index):
+    """The n x (n+a) matrix of sample `index`, from a new Philox and Generator."""
+    bits = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    shape = (n, n + a)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+
+
+def _reference_sample(a, n, seed, index):
+    """One sample with one SVD of its own: the reference that the block
+    sampler equals bit for bit."""
+    singular_values = np.linalg.svd(_reference_matrix(a, n, seed, index), compute_uv=False)
+    return float(singular_values[-1] ** 2)
+
+
+def _block_size(a, n):
+    return max(1, montecarlo.BLOCK_ENTRIES // (n * (n + a)))
+
+
+class TestBlockSampler:
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
+    @pytest.mark.parametrize("a,n", [(0, 1), (0, 5), (1, 20), (3, 7), (2, 200)])
+    def test_equals_the_per_sample_reference(self, a, n, seed):
+        # counts on either side of the first block boundary. At n = 200 every
+        # block is one sample, so 3 stands in for 1000: an SVD there takes
+        # 13 ms (x86-64, OpenBLAS), and 1000 would take 26 s per seed
+        block = _block_size(a, n)
+        counts = sorted({1, block - 1, block, block + 1, 1000 if n < 200 else 3} - {0})
+        reference = [_reference_sample(a, n, seed, i) for i in range(counts[-1])]
+        for count in counts:
+            assert sample_smallest(a, n, count, seed).values.tolist() == reference[:count]
+
+    @pytest.mark.parametrize("a,n", [(0, 5), (1, 20), (3, 7)])
+    def test_prefix_of_a_longer_sample(self, a, n):
+        block = _block_size(a, n)
+        longer = sample_smallest(a, n, 2 * block + 3, 8).values.tolist()
+        for count in (1, block - 1, block, block + 1, 2 * block + 2):
+            assert sample_smallest(a, n, count, 8).values.tolist() == longer[:count]
+
+    def test_one_svd_call_per_block(self, monkeypatch):
+        svd, stacks = np.linalg.svd, []
+
+        def counting(x, *args, **kwargs):
+            stacks.append(len(x))
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        sample_smallest(1, 20, 1000, 7)
+        # blocks of 2^16 // (20 * 21) = 156 samples
+        assert stacks == [156] * 6 + [64]
+
+    @pytest.mark.parametrize("index", [0, 100, 156, 999])
+    def test_failed_svd_names_the_sample(self, index, monkeypatch):
+        a, n, seed = 1, 20, 7
+        svd, failing = np.linalg.svd, _reference_matrix(a, n, seed, index)
+
+        def refusing(x, *args, **kwargs):
+            if np.any(np.all(x == failing, axis=(-2, -1))):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", refusing)
+        with pytest.raises(NumericError) as raised:
+            sample_smallest(a, n, 1000, seed)
+        assert str(raised.value) == f"SVD failed for sample {index} (a=1, n=20, seed=7)"
+        assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
+
+
 class TestKsCompare:
     @staticmethod
     def _exponential_cdf(n):
@@ -334,7 +402,10 @@ class TestKsValidate:
     @pytest.mark.parametrize("count,m", [(999, 50), (500, 50), (math.nan, 50), (1000, 3)])
     def test_arguments_checked_before_the_first_draw(self, count, m, monkeypatch):
         draws = []
-        monkeypatch.setattr(montecarlo, "_one_sample", lambda *args: draws.append(args) or 1.0)
+        monkeypatch.setattr(montecarlo, "_sample_block", lambda *args: draws.append(args) or [1.0])
         with pytest.raises(DomainError):
             ks_validate(0, 200, count, seed=1, m=m)
         assert draws == []
+        # and the patched function is the one that draws: a block per sample here
+        sample_smallest(0, 200, 2, seed=1)
+        assert [args[3:] for args in draws] == [(0, 1), (1, 2)]

@@ -28,15 +28,16 @@ difference L_n^a - L_{n-1}^a, and the sum of squares sum_{k<n} w_k p_k^2 with
 w_k = binom(k+a, k) / Gamma(a+1), so that k!/Gamma(k+a+1) L_k^a(t)^2 = w_k p_k^2.
 
 On a float the pass is a plain Python loop, kept for the pair residual of
-the kernels: at n = 50 it takes about 12 us, where the array branch on one
-node takes about 260 us (a ufunc call per operation costs more than the
-arithmetic; Intel Xeon, numpy 2).  On an array, which is where a
+the kernels: at n = 50 it takes about 10 us, where the array branch on one
+node takes about 240 us (a ufunc call per operation costs more than the
+arithmetic; Intel Xeon, numpy 2.4).  On an array, which is where a
 Nystrom assembly spends its time, it runs in place: five ufunc calls per
-degree into preallocated buffers, with p_k written into the rows of a block
-of degrees.  The squares w_k p_k^2 are formed once per block, and the block
-is added to the running total by one reduction that visits the degrees in
-order k = 0, 1, 2, ..., so both branches round identically and every value
-is bit-equal to the plain loop.  numpy keeps that order only while a row has
+degree into preallocated buffers, every operand an array (k and k+a+1 as
+0-d arrays), with p_k written into the rows of a block of degrees.  The
+squares w_k p_k^2 are formed once per block, and the block is added to the
+running total by one reduction that visits the degrees in order
+k = 0, 1, 2, ..., so both branches round identically and every value is
+bit-equal to the plain loop.  numpy keeps that order only while a row has
 more than one entry; at a single node it would sum pairwise, so a one-node
 pass accumulates its column instead.  A pass that leaves the double range
 is refused with AccuracyError.
@@ -266,19 +267,22 @@ def _laguerre_blocks(n: int, a: float, t: np.ndarray, weights, rows):
         weights = weights[:n].reshape((n,) + (1,) * t.ndim)
         squares = np.empty_like(ps)
     multiply, subtract, divide, add = np.multiply, np.subtract, np.divide, np.add
+    # k and k+a+1 enter as 0-d arrays, set exactly each degree: a ufunc
+    # would convert a Python scalar operand again on every call
+    k_op, den_op = np.empty(()), np.empty(())
     count = 0
     for start in range(0, n, block):
         if start:
             ps[0] = ps[count]  # p_start, the previous block's last row
         count = min(block, n - start)
-        for j in range(count):
-            k = start + j
-            p = p_rows[j]
-            multiply(d, k, d)
+        for k, p, p_next in zip(range(start, start + count), p_rows, p_rows[1:]):
+            k_op[()] = k
+            den_op[()] = k + a + 1.0
+            multiply(d, k_op, d)
             multiply(t, p, tp)
             subtract(d, tp, d)
-            divide(d, k + a + 1.0, d)
-            add(p, d, p_rows[j + 1])
+            divide(d, den_op, d)
+            add(p, d, p_next)
         block_rows = ps[:count]
         if weights is not None:
             running = squares[:count + 1]

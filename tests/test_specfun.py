@@ -294,13 +294,15 @@ def reference_pass(n, a, t, weights=None, rows=None):
 class TestLaguerrePass:
     @pytest.mark.parametrize("shape", [(0,), (1,), (2,), (110,), (3, 50)])
     @pytest.mark.parametrize("mode", ["weights", "rows", "neither"])
-    def test_branches_equal_the_reference_loop(self, shape, mode):
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 1 / 3, 2.0, 7.25])
+    def test_branches_equal_the_reference_loop(self, a, shape, mode):
         # every output, (p_{n-1}, p_n, d_n, total, rows), of the blocked
         # in-place ndarray pass, and (p_{n-1}, p_n, d_n, total) of the float
         # pass at each element, which takes no rows, equals the reference
         # loop bit for bit, on both sides of a block boundary; at one node a
-        # pairwise sum of the squares would not
-        a = 0.5
+        # pairwise sum of the squares would not.  At a = 1/3 the denominator
+        # (k + a) + 1 differs from k + (a + 1) (k = 2, 3, 7, ...), so the pass
+        # must form it as the loop does
         t = np.random.default_rng(19).uniform(0.0, 4.0, shape)
         block = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // max(t.size, 1)))
 
@@ -322,6 +324,24 @@ class TestLaguerrePass:
                 single = _laguerre_pass(n, a, float(t[index]), weights)
                 for want, got in zip(expected[:4], single):
                     assert got == want[index], (n, index)
+
+    def test_ufunc_operands_are_arrays(self, monkeypatch):
+        # the array pass hands every ufunc arrays (k and k+a+1 as 0-d ones):
+        # numpy would convert a Python scalar operand again on every call
+        calls = []
+
+        def recording(ufunc):
+            def call(*args, **kwargs):
+                calls.append(args)
+                return ufunc(*args, **kwargs)
+            return call
+
+        for name in ("multiply", "subtract", "divide"):
+            monkeypatch.setattr(np, name, recording(getattr(np, name)))
+        t = np.linspace(0.1, 4.0, 110)
+        _laguerre_pass(300, 0.5, t, _laguerre_weights(300, 0.5))
+        assert len(calls) >= 4 * 300  # two multiplies, a subtract, a divide per degree
+        assert [type(x) for args in calls for x in args if not isinstance(x, np.ndarray)] == []
 
     def test_high_degree_finite(self):
         # 10^4 degrees run through many block boundaries; the float and the

@@ -7,8 +7,8 @@ eigenvalue is -f; the CLI exposes a --pdf switch that negates.
 
 Scalings of the finite-order law, all reported on the common s axis:
 
-    standard    endpoint s/(4n)                 (plain hard-edge variables)
-    optimal     endpoint (1 - a/(2n)) s/(4n)    (second-order accurate)
+    standard    endpoint s/(4n)                 (plain hard-edge variables; custom(-a))
+    optimal     endpoint (1 - a/(2n)) s/(4n)    (second-order accurate; custom(0))
     custom(c)   endpoint (1 - (a+c)/(2n)) s/(4n)
 
 limit_table and finite_table evaluate all their rows as one batch along

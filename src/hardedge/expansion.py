@@ -162,8 +162,8 @@ def kernel_expansion_rate(a, n_list, c, axis=None) -> ExpansionReport:
     and hat_j_a assembled once on the axis."""
     c = float(c)
     axis = np.linspace(0.0, 8.0, 9) if axis is None else np.asarray(axis, dtype=float)
-    [(limit, hat_j)] = _kernel_blocks(bessel_spec(a), [axis])
-    correction = np.outer(hat_j, hat_j)
+    [(limit, hat_j)] = _kernel_blocks(bessel_spec(a), [axis[None]])
+    limit, correction = limit[0], np.outer(hat_j[0], hat_j[0])
 
     def worst(n: int) -> float:
         residual = kernel_matrix(finite_spec(a, n, c), axis) - limit + (c / (8.0 * n)) * correction

@@ -71,12 +71,10 @@ class KernelSpec:
     """Identifies one kernel: the limit family, or an order-n family member.
 
     For the finite family the hard-edge change of variables is X = rho * x
-    with rho = scale:
-
-      * c is None  -> rho = 1/(4n), the plain hard-edge scaling;
-      * c given    -> rho = (1 - (a+c)/(2n)) / (4n), the modified family
-                      (c = 0 is the optimally tuned member; c = -a gives
-                      exactly the plain scaling, since a + (-a) = 0.0).
+    with rho = scale = (1 - (a+c)/(2n)) / (4n).  c is always a number: the
+    plain hard-edge scaling rho = 1/(4n) is the member c = -a (a + (-a) is
+    0.0 exactly), which finite_spec stores when given no c, and c = 0 is
+    the optimally tuned member.
     """
 
     a: float
@@ -91,9 +89,11 @@ class KernelSpec:
         if self.family == "finite":
             if self.n is None:
                 raise DomainError("finite kernel needs an order n")
-            # frozen: store an integral float such as 5.0 as the int 5
+            # frozen: store an integral float such as 5.0 as the int 5, and
+            # the plain scaling as the member c = -a
             object.__setattr__(self, "n", _require_integer(self.n, "order n", 1))
-            if self.c is not None and not math.isfinite(self.c):
+            object.__setattr__(self, "c", -self.a if self.c is None else self.c)
+            if not math.isfinite(self.c):
                 raise DomainError(f"scaling parameter c must be finite, got {self.c!r}")
             if self.scale <= 0.0:
                 raise DomainError(
@@ -108,8 +108,6 @@ class KernelSpec:
         """dX/dx of the change of variables (finite family only)."""
         if self.family != "finite":
             raise DomainError("scale is defined for the finite family only")
-        if self.c is None:
-            return 1.0 / (4.0 * self.n)
         return (1.0 - (self.a + self.c) / (2.0 * self.n)) / (4.0 * self.n)
 
 
@@ -119,9 +117,8 @@ def bessel_spec(a) -> KernelSpec:
 
 
 def finite_spec(a, n, c=None) -> KernelSpec:
-    """Spec for the order-n kernel; c=None selects the plain scaling x/(4n)."""
-    c = None if c is None else float(c)
-    return KernelSpec(a=float(a), family="finite", n=n, c=c)
+    """Spec for the order-n kernel; c=None selects the plain scaling, c = -a."""
+    return KernelSpec(a=float(a), family="finite", n=n, c=None if c is None else float(c))
 
 
 def _near_diagonal(x: float, y: float) -> bool:
@@ -241,32 +238,31 @@ def _window_pairs(x: np.ndarray, den: np.ndarray) -> tuple:
 
 
 def _kernel_blocks(spec: KernelSpec, node_sets) -> list:
-    """[(matrix, hat_j)], one block per node set, from one _factors call over
-    the nodes of all sets and the near-diagonal midpoints within each rule,
-    one midpoint per unordered pair.
+    """[(matrices, hat_j)], one block per node set, from one _factors call
+    over the nodes of all sets and the near-diagonal midpoints within each
+    rule, one midpoint per unordered pair.
 
-    A node set is one rule, shape (m,), or a stack of S rules, shape (S, m),
-    whose block then stacks S matrices, (S, m, m), and hat_j rows, (S, m).
-    No entry across two rules is formed, and the near-diagonal window is
-    judged within each rule, since max(1, |x|, |y|) is not scale-invariant.
-    Every factor and entry is elementwise in its arguments, so each matrix
-    equals kernel_matrix on its rule alone, bit for bit.  hat_j is hat_j_a
-    at the nodes for the limit family (computed anyway) and None for the
-    finite family.
+    A node set is a stack of S rules of m nodes each, shape (S, m); its
+    block stacks S matrices, (S, m, m), and S hat_j rows, (S, m).  No entry
+    across two rules is formed, and the near-diagonal window is judged
+    within each rule, since max(1, |x|, |y|) is not scale-invariant.  Every
+    factor and entry is elementwise in its arguments, so each matrix equals
+    kernel_matrix on its rule alone, bit for bit.  hat_j is hat_j_a at the
+    nodes for the limit family (computed anyway) and None for the finite
+    family.
     """
     layouts, parts = [], []
     for nodes in node_sets:
-        x = np.asarray(nodes, dtype=float)
-        if x.ndim not in (1, 2) or x.size == 0:
-            raise DomainError("kernel nodes must form a non-empty (m,) or (S, m) array")
-        if np.any(x < 0.0) or np.any(x > S_MAX) or not np.all(np.isfinite(x)):
+        rules = np.asarray(nodes, dtype=float)
+        if rules.ndim != 2 or rules.size == 0:
+            raise DomainError("kernel nodes must form a non-empty (S, m) stack")
+        if np.any(rules < 0.0) or np.any(rules > S_MAX) or not np.all(np.isfinite(rules)):
             raise DomainError(f"kernel nodes must lie in [0, {S_MAX:g}]")
-        rules = x.reshape(-1, x.shape[-1])
         den = rules[:, :, None] - rules[:, None, :]
         pairs = _window_pairs(rules, den)
         # the diagonal of each (m, m) matrix, as a strided view
         den.reshape(rules.shape[0], -1)[:, :: rules.shape[1] + 1] = 1.0
-        layouts.append((x.shape, den, pairs))
+        layouts.append((den, pairs))
         parts.append(rules.ravel())
         if pairs:
             # At the diagonal the pair midpoint is the node itself; other pairs
@@ -279,7 +275,7 @@ def _kernel_blocks(spec: KernelSpec, node_sets) -> list:
     factors, confluent, hat_j = _factors(spec, np.concatenate(parts))
 
     blocks, start = [], 0
-    for shape, den, pairs in layouts:
+    for den, pairs in layouts:
         count, m = den.shape[:2]
         at = slice(start, start + count * m)
         start = at.stop
@@ -293,8 +289,7 @@ def _kernel_blocks(spec: KernelSpec, node_sets) -> list:
             start = mids.stop
             matrix[b, i, j] = confluent[mids]
             matrix[b, j, i] = confluent[mids]
-        blocks.append((matrix.reshape(shape + shape[-1:]),
-                       None if hat_j is None else hat_j[at].reshape(shape)))
+        blocks.append((matrix, None if hat_j is None else hat_j[at].reshape(count, m)))
     return blocks
 
 
@@ -307,5 +302,5 @@ def kernel_matrix(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
     """
     if np.ndim(nodes) != 1 or np.size(nodes) == 0:
         raise DomainError("kernel_matrix needs a one-dimensional, non-empty node array")
-    [(matrix, _)] = _kernel_blocks(spec, [nodes])
-    return matrix
+    [(matrices, _)] = _kernel_blocks(spec, [np.asarray(nodes)[None]])
+    return matrices[0]

@@ -217,19 +217,22 @@ def _chebyshev_fit(spec, m: int) -> _Chebyshev | None:
     entire and Chebyshev interpolation converges faster than geometrically
     (Trefethen, Approximation Theory and Approximation Practice, 2013,
     ch. 8).  L is the first of 16, 32, ... (at most S_MAX) at which the
-    m-node survival falls below NEGLIGIBLE_SURVIVAL, so that the CDF is 1
-    past L; the fit takes 32 first-kind points on [0, L] in one batch, and
-    doubles them up to 128 until the last four coefficients fall below
-    CHEBYSHEV_TAIL.  The bound is absolute, as is the accuracy of the
-    determinants (Bornemann, Math. Comp. 79 (2010) 871).  A refused
-    survival or node, or a tail that stays above the bound, gives None, and
-    so does a non-integer a, where the law has a branch point at s = 0.
+    survival falls below NEGLIGIBLE_SURVIVAL, so that the CDF is 1 past L:
+    by the rigorous _survival_bound at t = L/(4n), tested first, or else by
+    the m-node determinant.  The fit takes 32 first-kind points on [0, L]
+    in one batch, and doubles them up to 128 until the last four
+    coefficients fall below CHEBYSHEV_TAIL, which is absolute, as is the
+    accuracy of the determinants (Bornemann, Math. Comp. 79 (2010) 871).  A
+    refused survival or node, or a tail that stays above CHEBYSHEV_TAIL,
+    gives None, and so does a non-integer a, where the law has a branch
+    point at s = 0.
     """
     if not spec.a.is_integer():
         return None
     length = 16.0
     try:
-        while _batch(spec, [length], m)[0].value >= NEGLIGIBLE_SURVIVAL:
+        while (_survival_bound(spec.a, spec.n, length / (4.0 * spec.n)) >= NEGLIGIBLE_SURVIVAL
+               and _batch(spec, [length], m)[0].value >= NEGLIGIBLE_SURVIVAL):
             length *= 2.0
             if length > S_MAX:
                 return None

@@ -11,6 +11,7 @@ from hardedge import (
     bessel_entire,
     bessel_spec,
     finite_spec,
+    finite_table,
     kernel_expansion_residual,
     kernel_matrix,
 )
@@ -69,6 +70,20 @@ class TestKernelSpec:
         assert finite_spec(1.0, 10, c=0.0).scale == pytest.approx((1.0 - 0.05) / 40.0)
         # c = -a makes the modified map coincide with the plain one exactly
         assert finite_spec(1.0, 10, c=-1.0).scale == finite_spec(1.0, 10).scale
+
+    def test_standard_scaling_is_the_member_c_minus_a(self):
+        # the plain scaling is stored as c = -a, so it is that family member,
+        # scale included, and its tables are the custom(-a) tables
+        for a in (-0.999, -0.5, -0.0, 0.0, 1e-300, 1.0 / 3.0, 0.5, 2.0, 7.25, 101.5, 1000.0):
+            for n in (1, 2, 3, 7, 20, 999, 1000, 10**6):
+                spec = finite_spec(a, n)
+                assert spec == finite_spec(a, n, c=-a) == KernelSpec(a=a, family="finite", n=n)
+                assert spec.c == -a
+                assert spec.scale == finite_spec(a, n, c=-a).scale
+        for a, n, s in ((0.5, 20, 4.0), (2.0, 1, 4.0), (1.0 / 3.0, 1000, 40.0)):
+            s_values = [0.5 * s, s]
+            assert (finite_table(a, n, s_values).rows
+                    == finite_table(a, n, s_values, "custom", c=-a).rows)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -278,8 +293,8 @@ class TestHatJ:
     # resolvent right-hand side; these are its oracles
 
     def blocks_hat_j(self, a, x):
-        [(_, values)] = _kernel_blocks(bessel_spec(a), [np.asarray(x, dtype=float)])
-        return values
+        [(_, values)] = _kernel_blocks(bessel_spec(a), [np.asarray(x, dtype=float)[None]])
+        return values[0]
 
     def test_origin(self):
         assert self.blocks_hat_j(0.0, [0.0, 1.0])[0] == pytest.approx(1.0, rel=1e-14)
@@ -404,8 +419,9 @@ class TestKernelMatrix:
         # the limit-kernel blocks carry hat_j_a at their nodes, the resolvent
         # right-hand side, bit for bit
         rule = scale_rule(gauss_jacobi(20, 1.5), 30.0)
-        [(matrix, values)] = _kernel_blocks(bessel_spec(1.5), [rule.nodes])
-        assert np.array_equal(matrix, kernel_matrix(bessel_spec(1.5), rule.nodes))
+        [(matrices, values)] = _kernel_blocks(bessel_spec(1.5), [rule.nodes[None]])
+        assert np.array_equal(matrices[0], kernel_matrix(bessel_spec(1.5), rule.nodes))
+        values = values[0]
         assert np.array_equal(values, hat_j(1.5, rule.nodes))
         assert list(values) == [hat_j(1.5, x) for x in rule.nodes]
 
@@ -430,12 +446,13 @@ class TestKernelMatrix:
             # a pair 1e-8 apart inside the second set takes the near-diagonal
             # midpoint branch; a node 1e-8 from one of the first set must not
             second = np.sort(np.concatenate((second, [second[10] + 1e-8, first[20] + 1e-8])))
-        blocks = _kernel_blocks(spec, [first, second])
-        assert [matrix.shape for matrix, _ in blocks] == [(50, 50), (second.size, second.size)]
+        blocks = _kernel_blocks(spec, [first[None], second[None]])
+        assert [matrix.shape for matrix, _ in blocks] == [(1, 50, 50),
+                                                          (1, second.size, second.size)]
         for nodes, (matrix, values) in zip((first, second), blocks):
-            assert np.array_equal(matrix, kernel_matrix(spec, nodes))
+            assert np.array_equal(matrix[0], kernel_matrix(spec, nodes))
             if spec.family == "bessel":
-                assert np.array_equal(values, hat_j(spec.a, nodes))
+                assert np.array_equal(values[0], hat_j(spec.a, nodes))
             else:
                 assert values is None
 
@@ -510,3 +527,10 @@ class TestKernelMatrix:
     def test_domain(self):
         with pytest.raises(DomainError):
             kernel_matrix(bessel_spec(0.0), np.array([-1.0, 2.0]))
+
+    @pytest.mark.parametrize("spec", [bessel_spec(0.5), finite_spec(0.5, 12)],
+                             ids=["bessel", "finite"])
+    def test_blocks_take_stacks_only(self, spec):
+        # a node set is an (S, m) stack; kernel_matrix passes its rule as (1, m)
+        with pytest.raises(DomainError):
+            _kernel_blocks(spec, [np.array([0.5, 1.0, 2.0])])

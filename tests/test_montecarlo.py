@@ -338,6 +338,15 @@ class TestChebyshevCdf:
         survival = np.exp(-n * t) * (1.0 if a == 0 else eval_laguerre(n, -t))
         assert np.max(np.abs(analytic_smallest_cdf(a, n)(t) - (1.0 - survival))) < 1e-14
 
+    @pytest.mark.parametrize("a", [1, 3])
+    def test_gamma_law_at_order_one(self, a):
+        # n = 1: lambda_min is a single Gamma(a+1) variable.  The survival
+        # bound, exact here, ends the ladder at L = 256 before the m-node
+        # survival leaves the determinants' accuracy
+        t = np.linspace(0.0, self.fit(a, 1).length, 2001) / 4.0
+        closed = [1.0 - reg_upper_gamma(a + 1.0, t_k) for t_k in t]
+        assert np.max(np.abs(analytic_smallest_cdf(a, 1)(t) - closed)) < 1e-14
+
     @pytest.mark.parametrize("a,n", [(0, 5), (1, 20), (3, 50), (10, 50)])
     def test_interpolant_against_the_determinants(self, a, n):
         t = np.linspace(0.0, self.fit(a, n).length, 502)[1:] / (4.0 * n)
@@ -381,10 +390,11 @@ class TestChebyshevCdf:
         values = analytic_smallest_cdf(a, n)(t)
         assert np.all(np.diff(values) >= -1e-14)
 
-    @pytest.mark.parametrize("a,n,tail", [(0.5, 20, 1e-14), (1, 1, 1e-14), (1, 20, 0.0)])
+    @pytest.mark.parametrize("a,n,tail", [(0.5, 20, 1e-14), (0, 1, 1e-14), (1, 20, 0.0)])
     def test_refused_fit_stays_direct(self, a, n, tail, monkeypatch):
-        # (0.5, 20): a non-integer a; (1, 1): a refused survival at L = 512;
-        # (1, 20): a tail that no bound of zero accepts
+        # (0.5, 20): a non-integer a; (0, 1): a refused node determinant of
+        # the fit on [0, 256], the first at s = 147; (1, 20): a tail that no
+        # bound of zero accepts
         monkeypatch.setattr(montecarlo, "CHEBYSHEV_TAIL", tail)
         spec = finite_spec(a, n)
         assert montecarlo._chebyshev_fit(spec, 50) is None

@@ -67,15 +67,11 @@ def limit_cdf(a, s, m=DEFAULT_NODES) -> DeterminantResult:
 def _finite_kernel_spec(a, n, scaling, c):
     if scaling not in SCALINGS:
         raise DomainError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
-    if scaling == "custom":
-        if c is None:
-            raise DomainError("custom scaling requires the parameter c")
-        return finite_spec(a, n, c=float(c))
-    if c is not None:
+    if scaling == "custom" and c is None:
+        raise DomainError("custom scaling requires the parameter c")
+    if scaling != "custom" and c is not None:
         raise DomainError(f"parameter c is only meaningful with custom scaling, got c={c!r}")
-    if scaling == "optimal":
-        return finite_spec(a, n, c=0.0)
-    return finite_spec(a, n, c=None)
+    return finite_spec(a, n, c=0.0 if scaling == "optimal" else c)
 
 
 def finite_cdf(a, n, s, scaling="standard", m=DEFAULT_NODES, c=None) -> DeterminantResult:

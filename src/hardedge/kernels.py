@@ -40,7 +40,7 @@ kernel_matrix is the one kernel entry: one factor routine, _factors, gives
 the factors of both families over a node vector, and _offdiag forms the
 entries from them.  kernel_expansion_residual takes the same two routines
 on the floats of one (x, y) pair, where a one-node array pass would cost
-some twenty-five times the float loop (see specfun).  A kernel matrix costs two
+twenty to thirty times the float loop (see specfun).  A kernel matrix costs two
 vector j calls (limit family) or one recurrence pass (order-n family) over
 its nodes, plus one midpoint per unordered node pair inside the
 near-diagonal window.  A stack of node vectors, one rule per s of a batch,

@@ -31,6 +31,7 @@ from ._parallel import ordered_map
 from .errors import AccuracyError, DomainError, HardEdgeError, NumericError
 from .fredholm import _batch, _check_m
 from .kernels import finite_spec
+from .quadrature import DEFAULT_NODES
 from .specfun import S_MAX, _require_integer, reg_upper_gamma
 
 MAX_SAMPLER_ORDER = 200
@@ -157,7 +158,7 @@ def ks_compare(batch: SampleBatch, cdf) -> tuple[float, bool]:
     return _ks_statistic(np.array(ordered_map(cdf, ordered), dtype=float), batch.count)
 
 
-def ks_validate(a, n, count, seed, m=50) -> tuple[float, bool]:
+def ks_validate(a, n, count, seed, m=DEFAULT_NODES) -> tuple[float, bool]:
     """ks_compare of sample_smallest(a, n, count, seed) against
     analytic_smallest_cdf(a, n, m), bit for bit, with the CDF evaluated on
     the whole sorted sample in one call: one interpolant build at integer a,
@@ -252,7 +253,7 @@ def _chebyshev_fit(spec, m: int) -> _Chebyshev | None:
     return None
 
 
-def analytic_smallest_cdf(a, n, m=50):
+def analytic_smallest_cdf(a, n, m=DEFAULT_NODES):
     """P(lambda_min < t) of the (n, a) ensemble from the determinant route.
 
     Returns a callable suitable for ks_compare.  It takes an ndarray of t
@@ -277,46 +278,43 @@ def analytic_smallest_cdf(a, n, m=50):
     (0.5, 1000) and t = 0.5 the bound is 0.80.
 
     Values are equal bit for bit to the float calls, and an array raises
-    the refusal of its first t, in input order, that is refused alone.  a
-    and n are checked here, when the CDF is made; m at each evaluation.
+    the refusal of its first t, in input order, that is refused alone.  a,
+    n and m are checked here, when the CDF is made.
     """
-    spec = finite_spec(a, n)
+    spec, m = finite_spec(a, n), _check_m(m)
     built, fit = False, None  # the interpolant, built at the first finite t > 0
 
     def cdf(t):
         nonlocal built, fit
         array = isinstance(t, np.ndarray)
         flat = np.ravel(t).tolist() if array else [float(t)]
-        values, direct, refusal = [], [], None
+        values, direct = [], {}  # direct: index -> s of each value that is a determinant
         for t_k in flat:
             s = 4.0 * spec.n * t_k
             if t_k == math.inf or s <= 0.0:
                 values.append(1.0 if s > 0.0 else 0.0)
                 continue
             if not built:
-                built, fit = True, _chebyshev_fit(spec, _check_m(m))
+                built, fit = True, _chebyshev_fit(spec, m)
             if fit is not None and not math.isnan(s):
                 values.append(fit(s))
             elif s > S_MAX:
                 survival_bound = _survival_bound(spec.a, spec.n, t_k)
                 if not survival_bound < NEGLIGIBLE_SURVIVAL:
-                    # raised after the determinants of the t before it, which come first
-                    refusal = AccuracyError(
+                    # the determinants of the t before it, whose refusals come first
+                    _batch(spec, list(direct.values()), m)
+                    raise AccuracyError(
                         f"s = 4 n t = {s!r} lies beyond {S_MAX:g}, and the survival bound "
                         f"{survival_bound!r} does not round the CDF to 1"
                     )
-                    break
                 values.append(1.0)
             else:
                 # a nan s too, which the determinants' s gate refuses
-                direct.append((len(values), s))
+                direct[len(values)] = s
                 values.append(None)
-        # also where no s is direct: this checks m at every evaluation
-        records = _batch(spec, [s for _, s in direct], m)
-        for (k, _), record in zip(direct, records):
-            values[k] = 1.0 - record.value
-        if refusal is not None:
-            raise refusal
+        if direct:
+            for k, record in zip(direct, _batch(spec, list(direct.values()), m)):
+                values[k] = 1.0 - record.value
         return np.array(values, dtype=float).reshape(t.shape) if array else values[0]
 
     return cdf

@@ -28,9 +28,10 @@ difference L_n^a - L_{n-1}^a, and the sum of squares sum_{k<n} w_k p_k^2 with
 w_k = binom(k+a, k) / Gamma(a+1), so that k!/Gamma(k+a+1) L_k^a(t)^2 = w_k p_k^2.
 
 On a float the pass is a plain Python loop, kept for the pair residual of
-the kernels: at n = 50 it takes about 10 us, where the array branch on one
-node takes about 240 us (a ufunc call per operation costs more than the
-arithmetic; Intel Xeon, numpy 2.4).  On an array, which is where a
+the kernels: at n = 50 it takes about 7 us, where the array branch on one
+node takes about 200 us, and at n = 400 about 50 us against 1.3 ms (a
+ufunc call per operation costs more than the arithmetic; medians of 31
+alternated rounds, Intel Xeon, numpy 2.4).  On an array, which is where a
 Nystrom assembly spends its time, it runs in place: five ufunc calls per
 degree into preallocated buffers, every operand an array (k and k+a+1 as
 0-d arrays), with p_k written into the rows of a block of degrees.  The

@@ -154,10 +154,20 @@ class TestChecks:
             {"kernel_expansion_rate":
                 lambda a, orders, c, axis: rate_report(a, 8.0, orders, lambda n: 1.0 / n)},
             "kernel-residual slope -1.000 outside (-2.3, -1.7)", id="kernel"),
+        pytest.param(
+            ["optimal-check", "--a", "2", "--s", "4"],
+            {"optimal_scaling_residual": lambda a, n, s, m: n ** -2.0,
+             "uncorrected_difference": lambda a, n, s, m: n ** -2.0},
+            "optimal/standard residual ratio 1.0000 at n=100 not below 0.1", id="optimal-ratio"),
+        pytest.param(
+            ["mc-validate", "--a", "1", "--n", "20"],
+            {"ks_validate": lambda a, n, count, seed, m: (0.5, False)},
+            "KS statistic 0.50000 at or above the 1% threshold 0.01153", id="mc-validate"),
     ])
     def test_failing_slope_is_reported(self, argv, residuals, line, monkeypatch, capsys):
-        # synthetic residuals of the wrong order move exactly one slope out of
-        # its window: one stderr line names it, and the exit code is 4
+        # synthetic residuals (or a KS result) that fail exactly one claim: a
+        # slope out of its window, a residual ratio or the KS test.  One
+        # stderr line names it, and the exit code is 4
         for name, residual in residuals.items():
             monkeypatch.setattr(cli, name, residual)
         assert run_cli(argv) == 4
@@ -169,6 +179,13 @@ class TestChecks:
         code = run_cli(["expansion-check", "--a", "0", "--s", "4", "--m", "40",
                         "--n-list", "10,20,40,80", "--output", str(out)])
         assert code == 0
+
+    def test_degenerate_optimal_check_passes(self, tmp_path):
+        # a = 0: both residuals sit at solver precision, so no slope is fitted
+        out = tmp_path / "opt.csv"
+        assert run_cli(["optimal-check", "--a", "0", "--s", "4", "--output", str(out)]) == 0
+        header, rows = read_table(out)
+        assert all(math.isnan(float(row[header.index("slope")])) for row in rows)
 
 
 class TestMcValidate:
@@ -340,6 +357,17 @@ class TestUsageAndErrors:
         # a domain refusal with one stderr line, not a ValueError traceback
         assert run_cli(["limit-cdf", "--a", "0", flag, value]) == 2
         err = capsys.readouterr().err
+        assert err.startswith("hardedge: domain error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["limit-cdf", "--a", "0", "--s", ","],
+        ["limit-cdf", "--a", "0", "--s-grid", "1:10"],
+        ["expansion-check", "--a", "1", "--s", "4", "--n-list", "50,abc"],
+    ], ids=["empty-s", "two-part-grid", "unparsed-order"])
+    def test_malformed_list_exits_2(self, argv, capsys):
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("hardedge: domain error: ") and err.count("\n") == 1
 
     @pytest.fixture

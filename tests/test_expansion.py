@@ -48,6 +48,8 @@ class TestFitSlope:
             fit_slope([(n, 0.0) for n in ORDERS])
         with pytest.raises(DomainError):
             fit_slope([(n, -1.0) for n in ORDERS])
+        with pytest.raises(DomainError, match="two distinct orders"):
+            fit_slope([(1, r) for r in (1.0, 0.5, 0.25, 0.125)])
         # nan slips past a bare r <= 0 check and would make the slope nan
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):

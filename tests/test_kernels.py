@@ -98,6 +98,8 @@ class TestKernelSpec:
             finite_spec(2.0, 1, c=0.0)  # tuned factor 1 - a/(2n) hits zero
         with pytest.raises(DomainError):
             bessel_spec(0.0).scale
+        with pytest.raises(DomainError, match="must be finite"):
+            KernelSpec(0.5, "finite", 5, c=math.inf)
         for n in (math.nan, math.inf, 2.5, None):
             with pytest.raises(DomainError):
                 KernelSpec(a=0.0, family="finite", n=n)
@@ -367,6 +369,14 @@ class TestKernelExpansion:
         assert math.isfinite(value)
         assert abs(value) * 100 ** 2 < 1.0
 
+    @pytest.mark.parametrize("x,message", [
+        (-1.0, "finite and >= 0"), (math.inf, "finite and >= 0"), (2000.0, r"lie in \[0, 1600\]"),
+    ])
+    def test_refused_arguments(self, x, message):
+        # below 0, not finite, and past the axis end S_MAX = 1600
+        with pytest.raises(DomainError, match=message):
+            kernel_expansion_residual(1.0, 20, 0.0, x, 1.0)
+
 
 class TestKernelMatrix:
     @pytest.mark.parametrize("spec,s", [
@@ -527,6 +537,8 @@ class TestKernelMatrix:
     def test_domain(self):
         with pytest.raises(DomainError):
             kernel_matrix(bessel_spec(0.0), np.array([-1.0, 2.0]))
+        with pytest.raises(DomainError, match="one-dimensional"):
+            kernel_matrix(bessel_spec(0.0), np.array([[1.0, 2.0]]))
 
     @pytest.mark.parametrize("spec", [bessel_spec(0.5), finite_spec(0.5, 12)],
                              ids=["bessel", "finite"])

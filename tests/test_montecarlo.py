@@ -256,6 +256,14 @@ class TestAnalyticCdf:
         monkeypatch.setattr(fredholm, "_kernel_blocks", counting)
         return sizes
 
+    @pytest.mark.parametrize("m", [3, 491, 50.5, math.nan])
+    def test_node_count_checked_when_made(self, m, monkeypatch):
+        # beside a and n, before any assembly, not at the first evaluation
+        sizes = self.count_assemblies(monkeypatch)
+        with pytest.raises(DomainError, match="node count"):
+            analytic_smallest_cdf(1, 20, m=m)
+        assert sizes == []
+
     def test_one_assembly_per_value(self, monkeypatch):
         # the m + 10 error estimate of finite_cdf is not needed for a CDF
         # value; at non-integer a every value is a determinant
@@ -400,6 +408,15 @@ class TestChebyshevCdf:
         assert montecarlo._chebyshev_fit(spec, 50) is None
         t = np.geomspace(1e-3, 10.0, 40) / n
         assert analytic_smallest_cdf(a, n)(t).tolist() == self.direct(a, n, t)
+
+    def test_ladder_past_the_axis_stays_direct(self, monkeypatch):
+        # at (1, 20) the ladder stops at L = 256; on an axis that ends at 64
+        # it passes the end at L = 128 first, so the build is refused and
+        # every s <= 64 keeps its determinant
+        monkeypatch.setattr(montecarlo, "S_MAX", 64.0)
+        assert montecarlo._chebyshev_fit(finite_spec(1, 20), 50) is None
+        t = np.geomspace(1e-3, 0.8, 20)
+        assert analytic_smallest_cdf(1, 20)(t).tolist() == self.direct(1, 20, t)
 
 
 class TestKsValidate:

@@ -133,6 +133,12 @@ class TestBesselEntire:
         assert isinstance(bessel_entire(0.5, -3.0), float)
         assert isinstance(bessel_entire(50.0, 1e-9), float)
 
+    @pytest.mark.parametrize("a,z", [(0.5, 3.0), (0.5, -3.0), (50.0, 1e-9), (2.5, 0.0)])
+    def test_zero_dimensional_array_is_the_float_call(self, a, z):
+        # the library route, the series, the range corner and the origin
+        value = bessel_entire(a, np.array(z))
+        assert isinstance(value, float) and value == bessel_entire(a, z)
+
     def test_array_refusals(self):
         with pytest.raises(AccuracyError):
             bessel_entire(0.0, np.array([1.0, 400.5, 2.0]))

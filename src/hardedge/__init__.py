@@ -29,9 +29,11 @@ from .errors import (
 from .expansion import (
     ExpansionReport,
     conjecture_residual,
+    expansion_rate,
     fit_slope,
     kernel_expansion_rate,
     mehler_heine_residual,
+    optimal_rate,
     optimal_scaling_residual,
     rate_report,
     taylor_step_residual,
@@ -83,6 +85,7 @@ __all__ = [
     "bessel_entire",
     "bessel_spec",
     "conjecture_residual",
+    "expansion_rate",
     "finite_cdf",
     "finite_spec",
     "finite_table",
@@ -102,6 +105,7 @@ __all__ = [
     "log_derivative",
     "mehler_heine_residual",
     "nystrom_det",
+    "optimal_rate",
     "optimal_scaling_residual",
     "rate_report",
     "reg_upper_gamma",

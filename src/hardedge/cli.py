@@ -25,12 +25,11 @@ from .errors import DomainError, HardEdgeError, NumericError
 from .expansion import (
     DEFAULT_ORDERS,
     STUDY_NODES,
-    conjecture_residual,
+    expansion_rate,
     kernel_expansion_rate,
     mehler_heine_residual,
-    optimal_scaling_residual,
+    optimal_rate,
     rate_report,
-    uncorrected_difference,
 )
 from .fredholm import log_derivative, resolvent_quadratic_form
 from .kernels import bessel_spec
@@ -158,15 +157,10 @@ def _cmd_density(args):
 
 
 def _cmd_expansion_check(args):
-    a, s, m = args.a, args.s, args.m
-    orders = _parse_orders(args.n_list)
-    corrected = rate_report(a, s, orders, lambda n: conjecture_residual(a, n, s, m))
-    plain = rate_report(a, s, orders, lambda n: uncorrected_difference(a, n, s, m))
-    rows = [
-        [n, corrected.residuals[i], plain.residuals[i],
-         corrected.fitted_slope, corrected.slope_stderr, plain.fitted_slope]
-        for i, n in enumerate(orders)
-    ]
+    a, m = args.a, args.m
+    corrected, plain = expansion_rate(a, args.s, _parse_orders(args.n_list), m)
+    rows = [[n, r, p, corrected.fitted_slope, corrected.slope_stderr, plain.fitted_slope]
+            for n, r, p in zip(corrected.n_list, corrected.residuals, plain.residuals)]
     _emit(args, _meta("expansion-check", a=_fmt(a), n=args.n_list, m=m, scaling="standard"),
           ["n", "residual", "residual_uncorrected",
            "slope", "slope_stderr", "slope_uncorrected"], rows)
@@ -177,15 +171,12 @@ def _cmd_expansion_check(args):
 
 
 def _cmd_optimal_check(args):
-    a, s, m = args.a, args.s, args.m
-    orders = _parse_orders(args.n_list)
-    tuned = rate_report(a, s, orders, lambda n: optimal_scaling_residual(a, n, s, m))
-    plain = [uncorrected_difference(a, n, s, m) for n in orders]
+    a, m = args.a, args.m
+    tuned, plain = optimal_rate(a, args.s, _parse_orders(args.n_list), m)
+    orders = tuned.n_list
     ratios = [t / p if p > 0.0 else math.nan for t, p in zip(tuned.residuals, plain)]
-    rows = [
-        [n, tuned.residuals[i], plain[i], ratios[i], tuned.fitted_slope, tuned.slope_stderr]
-        for i, n in enumerate(orders)
-    ]
+    rows = [[n, t, p, r, tuned.fitted_slope, tuned.slope_stderr]
+            for n, t, p, r in zip(orders, tuned.residuals, plain, ratios)]
     _emit(args, _meta("optimal-check", a=_fmt(a), n=args.n_list, m=m, scaling="optimal"),
           ["n", "residual_optimal", "residual_standard", "ratio", "slope", "slope_stderr"], rows)
     if tuned.degenerate:

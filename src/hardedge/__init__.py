@@ -63,6 +63,7 @@ from .montecarlo import (
 from .quadrature import QuadratureRule, gauss_jacobi, scale_rule
 from .specfun import (
     bessel_entire,
+    bessel_pair,
     laguerre,
     laguerre_pair,
     reg_upper_gamma,
@@ -83,6 +84,7 @@ __all__ = [
     "TableRow",
     "analytic_smallest_cdf",
     "bessel_entire",
+    "bessel_pair",
     "bessel_spec",
     "conjecture_residual",
     "expansion_rate",

@@ -40,12 +40,12 @@ kernel_matrix is the one kernel entry: one factor routine, _factors, gives
 the factors of both families over a node vector, and _offdiag forms the
 entries from them.  kernel_expansion_residual takes the same two routines
 on the floats of one (x, y) pair, where a one-node array pass would cost
-twenty to thirty times the float loop (see specfun).  A kernel matrix costs two
-vector j calls (limit family) or one recurrence pass (order-n family) over
-its nodes, plus one midpoint per unordered node pair inside the
-near-diagonal window.  A stack of node vectors, one rule per s of a batch,
-costs the same one pass over all of its nodes and yields a stack of
-matrices.
+twenty to thirty times the float loop (see specfun).  A kernel matrix
+costs one recurrence over its nodes, of j_a and j_{a+1} (limit family) or
+of the Laguerre polynomials (order-n family), plus one midpoint per
+unordered node pair inside the near-diagonal window.  A stack of node
+vectors, one rule per s of a batch, costs the same one pass over all of
+its nodes and yields a stack of matrices.
 """
 
 import math
@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import DomainError
 from .specfun import (S_MAX, _binomials, _laguerre_pass, _laguerre_weights, _require_integer,
-                      bessel_entire, require_order)
+                      bessel_pair, require_order)
 
 # Relative |x - y| below which the confluent branch replaces the divided
 # difference (the closed forms lose roughly |x-y|^{-1} digits there).  The
@@ -138,8 +138,7 @@ def _factors(spec: KernelSpec, x, diagonal: bool = True):
     a = spec.a
     if spec.family == "bessel":
         u = 0.25 * x
-        ja = bessel_entire(a, u)
-        jp = bessel_entire(a + 1.0, u)
+        ja, jp = bessel_pair(a, u)
         confluent = 4.0 ** (-a - 1.0) * (ja * (ja - a * jp) + u * jp * jp) if diagonal else None
         return (ja, u * jp), confluent, 2.0 ** (-a) * ja
     n, rho = spec.n, spec.scale

@@ -113,12 +113,22 @@ def _sample_block(a: int, n: int, seed: int, start: int, stop: int) -> list:
     return [value ** 2 for value in smallest.tolist()]
 
 
+def _sampler_arguments(a, n, count, seed) -> tuple:
+    """(a, n, count, seed) as the ints sample_smallest draws with, each checked
+    in that order."""
+    return (_require_integer(a, "sampler order a", 0),
+            _require_integer(n, "sampler order n", 1, MAX_SAMPLER_ORDER),
+            _require_integer(count, "count", 1),
+            _require_integer(seed, "seed", 0, 2 ** 64 - 1))
+
+
 def sample_smallest(a, n, count, seed) -> SampleBatch:
     """Draw `count` independent smallest eigenvalues of the (n, a) ensemble."""
-    a = _require_integer(a, "sampler order a", 0)
-    n = _require_integer(n, "sampler order n", 1, MAX_SAMPLER_ORDER)
-    count = _require_integer(count, "count", 1)
-    seed = _require_integer(seed, "seed", 0, 2 ** 64 - 1)
+    return _draw(*_sampler_arguments(a, n, count, seed))
+
+
+def _draw(a: int, n: int, count: int, seed: int) -> SampleBatch:
+    """sample_smallest on checked arguments."""
     block = max(1, BLOCK_ENTRIES // (n * (n + a)))
     values = []
     for start in range(0, count, block):
@@ -162,12 +172,13 @@ def ks_validate(a, n, count, seed, m=DEFAULT_NODES) -> tuple[float, bool]:
     """ks_compare of sample_smallest(a, n, count, seed) against
     analytic_smallest_cdf(a, n, m), bit for bit, with the CDF evaluated on
     the whole sorted sample in one call: one interpolant build at integer a,
-    else one batch of determinants.  count and m are checked before the
-    first draw."""
+    else one batch of determinants.  Every argument is checked before the
+    first draw: count against the KS floor, then the sampler's arguments,
+    then m, when the CDF is made."""
     _check_ks_count(count)
-    _check_m(m)
-    batch = sample_smallest(a, n, count, seed)
+    arguments = _sampler_arguments(a, n, count, seed)
     cdf = analytic_smallest_cdf(a, n, m)
+    batch = _draw(*arguments)
     return _ks_statistic(cdf(np.sort(batch.values)), batch.count)
 
 

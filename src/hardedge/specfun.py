@@ -9,12 +9,33 @@ z, defined for any real order.  Writing kernels in terms of j_a removes all
 fractional powers of the arguments, which is what makes spectrally accurate
 quadrature possible for non-integer weight exponents.
 
-``bessel_entire`` takes a scalar or an array of arguments.  For z > 0 it
-evaluates the library Bessel function, J_a(2 sqrt(z)) exp(-(a/2) log z),
-one vectorized call per argument array.  The in-house series remains for
-what that route cannot do: z <= 0, and the corner near z = 0 where
-J_a(2 sqrt(z)) or z^{-a/2} leaves the normal double range (large orders, or
-negative orders at tiny z); there the series has no cancellation.
+``bessel_pair`` gives j_a and j_{a+1} together, on a scalar or an array of
+arguments, from one backward (Miller) recurrence in this entire form,
+
+    j_{nu-1}(z) = nu j_nu(z) - z j_{nu+1}(z),
+
+run from a start order above a + 1 and above the turning point 2 sqrt(z)
+down to nu0 = a - floor(a), where the Neumann series (Watson, A Treatise on
+the Theory of Bessel Functions, 1944, ch. 5)
+
+    sum_{k>=0} (nu0+2k) Gamma(nu0+k)/k! z^k j_{nu0+2k}(z) = 1
+
+normalizes it; below nu0 (a < 0) the recurrence continues.  No square root
+of z and no power z^{-a/2} is formed.  Downward, the recurrence follows the
+minimal solution J_nu and damps the rest (Gautschi, SIAM Rev. 9 (1967) 24).
+Routes, by argument:
+
+    z <= 0                                  the series (all terms one sign)
+    z < a^2/5 at an integer order a <= -2   the series (the recurrence cancels)
+    a >= 178                                0.0 (|j_a| < 2^-1075)
+    otherwise                               the recurrence
+
+Each element starts at an order chosen from a and its own z, so an
+element of an array is bit-equal to the float call at its z, however it
+was batched.  Against 40-digit values the pair errs by at most 2.8e-15
+relative to the envelope max(|J_nu(x)|, sqrt(2/(pi x))), x = 2 sqrt(z), at
+orders -0.9 to 50 over z in (0, 400], and by 2e-15 relative to itself past
+the turning point.
 
 Laguerre polynomials come from one recurrence, in the normalized
 forward-difference form of scipy.special.eval_genlaguerre.  It carries
@@ -43,11 +64,9 @@ more than one entry; at a single node it would sum pairwise, so a one-node
 pass accumulates its column instead.  A pass that leaves the double range
 is refused with AccuracyError.
 
-1/Gamma comes from math.gamma (_rgamma), so the finite law runs on numpy
-alone and importing this package loads no scipy.  scipy.special supplies
-two functions, each imported on its first call: jv, for the library route
-of bessel_entire (the limit kernel and every limit-law value), and
-gammaincc, for reg_upper_gamma (the Monte Carlo survival bound).
+1/Gamma comes from math.gamma (_rgamma) and the regularized incomplete gamma
+Q(p, t) from a finite sum, a series or a continued fraction
+(reg_upper_gamma), so the library runs on numpy alone and loads no scipy.
 """
 
 import math
@@ -64,14 +83,15 @@ Z_MAX = 400.0
 # limit kernel evaluates bessel_entire at x/4 <= Z_MAX.
 S_MAX = 4.0 * Z_MAX
 
-# The library route forms J_a(2 sqrt(z)) and z^{-a/2} separately, so both must
-# stay inside the normal double range.  Near z = 0, J_a(2 sqrt(z)) follows its
-# leading term z^{nu/2} / Gamma(nu+1) (nu = |a| at negative integer orders,
-# where J_{-n} = (-1)^n J_n).  Scanned against a 60-digit series over orders
-# -2.9..50 and z in [1e-300, 400], the route failed only where the log of
-# that term or of z^{-a/2} had left [-660, 660] (subnormal results, or
-# overflow); this bound keeps a margin of e^60 inside.
-_LOG_RANGE = 600.0
+# |j_a(z)| <= 1/Gamma(a+1) for z >= 0 and a >= -1/2, and 1/Gamma(a+1) lies
+# below half the least subnormal, 2^-1075, from a = 177.48 on: both values of
+# the pair round to 0.
+_ZERO_ORDER = 178.0
+
+# The recurrence's start value.  From it the unnormalized values grow by at
+# most 2^1220 (z = 400 below _ZERO_ORDER; 2^383 at orders below 2), so they
+# stay normal doubles and no rescaling is needed.
+_SEED = 2.0 ** -600
 
 
 def require_order(a) -> float:
@@ -99,7 +119,18 @@ def bessel_entire(a, z):
     and all real orders a (series terms sitting on Gamma poles vanish).
     z may be a scalar (a float is returned) or an array (an array of the
     same shape is returned).  Refuses |z| > Z_MAX, elementwise, rather than
-    return silently degraded values.
+    return silently degraded values.  The first value of bessel_pair.
+    """
+    return bessel_pair(a, z)[0]
+
+
+def bessel_pair(a, z):
+    """(j_a(z), j_{a+1}(z)) from one backward recurrence (module docstring).
+
+    z may be a scalar (floats are returned) or an array (two arrays of its
+    shape are returned), refused as bessel_entire refuses it.  A value does
+    not depend on how its z was batched: each is bit-equal to the float
+    call at that z.
     """
     a = float(a)
     if not math.isfinite(a):
@@ -107,30 +138,40 @@ def bessel_entire(a, z):
     if not isinstance(z, float):
         z = np.asarray(z, dtype=float)
         if z.ndim:
-            return _bessel_entire_array(a, z)
+            return _bessel_pair_array(a, z)
         z = float(z)
-    _check_bessel_arguments(a, z, math.isfinite(z), abs(z))
-    if z > 0.0:
-        log_z = np.log(z)
-        if _library_route_safe(a, log_z):
-            return float(_library_route(a, z, log_z))
-    return _bessel_series(a, z)
+    _check_bessel_arguments(a, z, abs(z))
+    if z <= 0.0 or z < _series_bound(a):
+        return _bessel_series(a, z), _bessel_series(a + 1.0, z)
+    if a >= _ZERO_ORDER:
+        return 0.0, 0.0
+    return _miller(a, z)
 
 
-def _bessel_entire_array(a: float, z: np.ndarray) -> np.ndarray:
-    _check_bessel_arguments(a, z, np.all(np.isfinite(z)), np.max(np.abs(z), initial=0.0))
-    positive = z > 0.0
-    log_z = np.log(z, out=np.zeros_like(z), where=positive)
-    library = positive & _library_route_safe(a, log_z)
-    values = np.empty_like(z)
-    values[library] = _library_route(a, z[library], log_z[library])
-    for index in zip(*np.nonzero(~library)):
-        values[index] = _bessel_series(a, float(z[index]))
-    return values
+def _bessel_pair_array(a: float, z: np.ndarray) -> tuple:
+    _check_bessel_arguments(a, z, np.max(np.abs(z), initial=0.0))
+    flat = z.ravel()
+    bound = _series_bound(a)
+    series = flat < bound if bound else flat <= 0.0
+    pair = np.zeros(flat.size), np.zeros(flat.size)
+    if a < _ZERO_ORDER and not series.all():
+        if series.any():
+            taken = np.flatnonzero(~series)
+            order, values = _miller_array(a, flat[taken])
+            order = taken[order]
+        else:  # a kernel assembly: every z > 0
+            order, values = _miller_array(a, flat)
+        for out, sorted_values in zip(pair, values):
+            out[order] = sorted_values
+    for index in np.flatnonzero(series).tolist():
+        for out, nu in zip(pair, (a, a + 1.0)):
+            out[index] = _bessel_series(nu, float(flat[index]))
+    return pair[0].reshape(z.shape), pair[1].reshape(z.shape)
 
 
-def _check_bessel_arguments(a: float, z, finite: bool, largest: float) -> None:
-    if not finite:
+def _check_bessel_arguments(a: float, z, largest: float) -> None:
+    """largest is max |z|: nan or inf if any z is."""
+    if not math.isfinite(largest):
         raise DomainError(f"bessel_entire requires finite arguments, got a={a!r}, z={z!r}")
     if largest > Z_MAX:
         raise AccuracyError(
@@ -138,25 +179,166 @@ def _check_bessel_arguments(a: float, z, finite: bool, largest: float) -> None:
         )
 
 
-def _library_route_safe(a: float, log_z):
-    """Where J_a(2 sqrt(z)) and z^{-a/2} both stay far inside the double range."""
-    nu = -a if a < 0.0 and a == math.floor(a) else a
-    leading = 0.5 * nu * log_z - math.lgamma(nu + 1.0)
-    return (abs(leading) <= _LOG_RANGE) & (abs(0.5 * a * log_z) <= _LOG_RANGE)
+def _series_bound(a: float) -> float:
+    """The z below which bessel_pair takes the series at z > 0.
+
+    At a negative integer order a = -n <= -2, j_{-n}(z) = (-z)^n j_n(z),
+    which below the turning point, 2 sqrt(z) < n, is the solution that the
+    recurrence continued below order 0 loses to cancellation: relative
+    errors of 4e-7 at (n, z) = (10, 1) and 2e-6 at (20, 20).  Up to
+    z = n^2/5 the series is accurate to 1e-15 for n <= 20 (its terms
+    cancel like e^{2 sqrt(z)}), and from there on the recurrence is, to
+    6e-15.  Elsewhere the bound is 0.
+    """
+    return 0.2 * a * a if a <= -2.0 and a.is_integer() else 0.0
 
 
-def _library_route(a: float, z, log_z):
-    """j_a(z) = J_a(2 sqrt(z)) exp(-(a/2) log z) for z > 0, scalar or array."""
-    return _jv(a, 2.0 * np.sqrt(z)) * np.exp(-0.5 * a * log_z)
+def _start_offset(a: float, z):
+    """The odd offset i at which the recurrence for order a starts (order
+    nu0 + i), at a float z > 0 or elementwise on an array.
+
+    Below order 2, the pair is within 5e-15 of 40-digit values, relative to
+    the envelope max(|J_nu|, sqrt(2/(pi x))), from offset 4.0 + 10.4 z^{1/4}
+    + 1.2 z^{1/2} on (least squares over 80 z in [1e-8, 400]); this adds
+    about two steps to it: 77 at z = 400, 19 at z = 1, 7 as z -> 0.  (An
+    intercept of 5 instead of 6.5 already gave 5e-14.)  Past the turning
+    point, j_a and j_{a+1} are accurate relative to themselves from a third
+    of that beyond a + 3.  Only sqrt and the four basic operations enter,
+    each correctly rounded in numpy and in math, so an element of an array
+    starts where its float call does.
+    """
+    if isinstance(z, float):
+        root = math.sqrt(z)
+        low_orders = 6.5 + 10.5 * math.sqrt(root) + 1.2 * root
+        return int(max(low_orders, a + 3.0 + low_orders / 3.0)) | 1
+    root = np.sqrt(z)
+    low_orders = 6.5 + 10.5 * np.sqrt(root) + 1.2 * root
+    return np.maximum(low_orders, a + 3.0 + low_orders / 3.0).astype(int) | 1
 
 
-def _jv(a, x):
-    """scipy.special.jv.  The first call imports it and rebinds this name to
-    it, so a process that never takes the library route never imports
-    scipy, and later calls pay no import statement."""
-    global _jv
-    from scipy.special import jv as _jv
-    return _jv(a, x)
+@lru_cache(maxsize=128)
+def _recurrence_table(nu0: float, pairs: int) -> tuple:
+    """(nu0 + 2k + 1, q_k, nu0 + 2k) for k < pairs: the recurrence's factors
+    at offsets 2k + 1 and 2k, and q_k = c_{k+1} / (z c_k) for the
+    normalization's coefficients c_k = (nu0+2k) Gamma(nu0+k)/k! z^k, with
+    c_0 = Gamma(nu0+1)."""
+    return tuple(
+        (nu0 + (2 * k + 1), nu0 + 2.0 if k == 0 else
+         (nu0 + (2 * k + 2)) * (nu0 + k) / ((nu0 + 2 * k) * (k + 1.0)), nu0 + 2 * k)
+        for k in range(pairs)
+    )
+
+
+def _miller(a: float, z: float) -> tuple:
+    """(j_a(z), j_{a+1}(z)) at one z > 0: the float branch of the recurrence.
+
+    f runs down the offsets i of the orders nu0 + i, from the start offset
+    (f = _SEED, and 0 above it), by f_{i-1} = (nu0+i) f_i - z f_{i+1}.  At
+    every even offset 2k, total = f_{2k} + q_k (z total) adds the
+    normalization sum in Horner form, so that at offset 0,
+    sum_k c_k f_{2k} = Gamma(nu0+1) total.  Orders below nu0 (a < 0) take
+    their steps after that.  Above the offsets of a + 1 and 0 the steps go
+    by pairs, odd then even, with no test in the loop.
+    """
+    low = math.floor(a)
+    nu0 = a - low
+    top = _start_offset(a, z)
+    table = _recurrence_table(nu0, top // 2 + 1)
+    tail = max(low + 1, 0) | 1
+    f_next, f, total = 0.0, _SEED, 0.0
+    for nu_odd, q, nu_even in table[top // 2:tail // 2:-1]:
+        f, f_next = nu_odd * f - z * f_next, f
+        total = f + q * (z * total)
+        f, f_next = nu_even * f - z * f_next, f
+    stop = min(low, 0)
+    for i in range(tail, stop - 1, -1):
+        if i >= 0 and not i & 1:
+            total = f + table[i >> 1][1] * (z * total)
+        if i == low + 1:
+            upper = f
+        elif i == low:
+            lower = f
+        if i == stop:
+            break
+        f, f_next = (nu0 + i) * f - z * f_next, f
+    norm = math.gamma(nu0 + 1.0) * total
+    return lower / norm, upper / norm
+
+
+def _miller_array(a: float, z: np.ndarray) -> tuple:
+    """The ndarray branch of _miller on a flat z > 0: (order, (j_a, j_{a+1})),
+    the values of z[order].
+
+    order sorts the elements by start offset, largest first, so at each
+    offset the elements that have started form a prefix; an element starts
+    with the values its float call starts with.  A step is three ufunc
+    calls on that prefix and a Horner step three more, with the factors as
+    0-d arrays (see _laguerre_blocks), each in the float branch's order of
+    operations, so every value is bit-equal to its float call.  The pairs
+    of steps alternate two buffers, so none is copied.
+    """
+    low = math.floor(a)
+    nu0 = a - low
+    tops = _start_offset(a, z)
+    order = np.argsort(-tops, kind="stable")
+    z, tops = z[order], tops[order]
+    top = int(tops[0])
+    table = _recurrence_operands(nu0, top // 2 + 1)
+    # started[i]: how many elements start at an offset >= i (all from the tail on)
+    started = np.searchsorted(-tops, -np.arange(top + 1), side="right").tolist()
+    tail = max(low + 1, 0) | 1
+    f, f_next, total, work = (np.zeros(z.size) for _ in range(4))
+    multiply, subtract, add = np.multiply, np.subtract, np.add
+    count = 0
+    for k in range(top // 2, tail // 2, -1):
+        if started[2 * k + 1] != count:
+            f[count:started[2 * k + 1]] = _SEED
+            count = started[2 * k + 1]
+            zs, fs, nexts, totals, products = (
+                buffer[:count] for buffer in (z, f, f_next, total, work))
+        nu_odd, q, nu_even = table[k]
+        multiply(zs, nexts, nexts)
+        multiply(fs, nu_odd, products)
+        subtract(products, nexts, nexts)
+        multiply(zs, totals, totals)
+        multiply(totals, q, totals)
+        add(nexts, totals, totals)
+        multiply(zs, fs, fs)
+        multiply(nexts, nu_even, products)
+        subtract(products, fs, fs)
+    zs, fs, nexts, totals, products = z, f, f_next, total, work
+    stop = min(low, 0)
+    nu_op = np.empty(())
+    for i in range(tail, stop - 1, -1):
+        if i >= 0 and not i & 1:
+            multiply(zs, totals, totals)
+            multiply(totals, table[i >> 1][1], totals)
+            add(fs, totals, totals)
+        if i == low + 1:
+            upper = fs.copy()
+        elif i == low:
+            lower = fs.copy()
+        if i == stop:
+            break
+        # f_{i-1} = (nu0+i) f_i - z f_{i+1}, into the buffer of f_{i+1}
+        nu_op[()] = nu0 + i
+        multiply(zs, nexts, nexts)
+        multiply(fs, nu_op, products)
+        subtract(products, nexts, nexts)
+        fs, nexts = nexts, fs
+    norm = math.gamma(nu0 + 1.0) * total
+    return order, (lower / norm, upper / norm)
+
+
+@lru_cache(maxsize=128)
+def _recurrence_operands(nu0: float, pairs: int) -> tuple:
+    """_recurrence_table as read-only 0-d arrays, the ufunc operands."""
+    operands = tuple(tuple(np.array(value) for value in entry)
+                     for entry in _recurrence_table(nu0, pairs))
+    for entry in operands:
+        for value in entry:
+            value.setflags(write=False)
+    return operands
 
 
 def _rgamma(x: float) -> float:
@@ -373,16 +555,86 @@ def laguerre(n, a, x):
 
 
 def reg_upper_gamma(p, t) -> float:
-    """Regularized upper incomplete gamma Q(p, t) = Gamma(p, t) / Gamma(p)."""
+    """Regularized upper incomplete gamma Q(p, t) = Gamma(p, t) / Gamma(p).
+
+    At an integer p with e^{-t} a normal double (t <= 700), the finite sum
+    Q = e^{-t} sum_{j<p} t^j / j!, stopped once its terms fall below the
+    rounding of the sum.  Otherwise from D = t^p e^{-t} / Gamma(p+1): below
+    t = p + 1 (t = 1 at p < 1) the series P = D sum_k t^k / ((p+1) ... (p+k))
+    and Q = 1 - P, else the continued fraction
+    Q = p D / (t+1-p- 1(1-p)/(t+3-p- 2(2-p)/(t+5-p- ...))) by Lentz's method
+    (Numerical Recipes, 3rd ed., 2007, sec. 6.2).  Where the series is
+    taken, Q > 0.13 at p >= 1, but Q ~ p E_1(t) as p -> 0, so 1 - P loses
+    about log2(1/Q) bits there (Q(0.01, 0.5) = 0.0056).
+    """
     p = float(p)
     t = float(t)
     if not (math.isfinite(p) and math.isfinite(t)) or p <= 0.0 or t < 0.0:
         raise DomainError(f"reg_upper_gamma requires p > 0 and t >= 0, got p={p!r}, t={t!r}")
-    return float(_gammaincc(p, t))
+    if t == 0.0:
+        return 1.0
+    if p.is_integer() and t <= 700.0:
+        term = total = 1.0
+        for j in range(1, int(p)):
+            term *= t / j
+            total += term
+            if term < 1e-17 * total and j > t:
+                break
+        return math.exp(-t) * total
+    prefactor = _poisson_term(p, t)
+    if t < (p + 1.0 if p >= 1.0 else 1.0):
+        term = total = 1.0
+        k = 1
+        while term >= 1e-17 * total:
+            term *= t / (p + k)
+            total += term
+            k += 1
+        return 1.0 - prefactor * total
+    # Lentz's method on the even form of the continued fraction
+    b = t + 1.0 - p
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    fraction = d
+    for i in range(1, _MAX_FRACTION_TERMS):
+        an = -i * (i - p)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        c = c if abs(c) >= _TINY else _TINY
+        delta = d * c
+        fraction *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return p * prefactor * fraction
+    raise NumericError(f"reg_upper_gamma continued fraction stalled at p={p!r}, t={t!r}")
 
 
-def _gammaincc(p, t):
-    """scipy.special.gammaincc, imported on first use like _jv."""
-    global _gammaincc
-    from scipy.special import gammaincc as _gammaincc
-    return _gammaincc(p, t)
+# Lentz's guard against a zero denominator, its convergence test (one unit
+# in the last place of 1) and its iteration cap: at t >= p + 1 the fraction
+# has converged within 85 terms at p <= 400 and 902 at p = 10^6 (measured).
+_TINY = 1e-300
+_EPS = 2.0 ** -52
+_MAX_FRACTION_TERMS = 10000
+
+
+def _poisson_term(p: float, t: float) -> float:
+    """t^p e^{-t} / Gamma(p+1) for p > 0, t > 0, as
+
+        exp(-bd0 - stirlerr(p)) / sqrt(2 pi p),
+
+    bd0 = p log(p/t) + t - p and stirlerr(p) = log Gamma(p+1) - log(sqrt(2 pi p)
+    (p/e)^p) (Loader, Fast and accurate computation of binomial
+    probabilities, 2000), with p log(p/t) = p log1p((p - t)/t).  The
+    exponent is formed without the terms p log t, t and log Gamma(p+1),
+    which reach 3000 at p = 400, t = 1600, where it is -650, and its
+    rounding is of order (|p - t| + bd0) eps: Q stays within 2e-13 of
+    40-digit values at p <= 1000, t <= 1600.
+    """
+    bd0 = p * math.log1p((p - t) / t) + (t - p)
+    if p > 15.0:
+        square = p * p
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / square) / square)
+                              / square) / square) / p
+    else:
+        stirlerr = math.lgamma(p + 1.0) - (p + 0.5) * math.log(p) + p - 0.5 * math.log(2.0 * math.pi)
+    return math.exp(-bd0 - stirlerr) / math.sqrt(2.0 * math.pi * p)

@@ -425,16 +425,7 @@ def test_import_loads_no_scipy():
     assert scipy_modules_after("import hardedge") == []
 
 
-@pytest.mark.parametrize("argv", [argv for argv in TestReadmeCommands.readme_commands()
-                                  if argv[0] == "finite-cdf"], ids=" ".join)
-def test_finite_law_commands_load_no_scipy(argv):
+@pytest.mark.parametrize("argv", TestReadmeCommands.readme_commands(), ids=" ".join)
+def test_readme_commands_load_no_scipy(argv):
+    # the runtime is numpy alone: J_a, 1/Gamma and Q(p, t) are in-house
     assert scipy_modules_after(f"from hardedge import cli\nassert cli.main({argv!r}) == 0") == []
-
-
-def test_limit_command_loads_scipy_special_only():
-    # the library Bessel route imports scipy.special on its first value; every
-    # process would pay the tens of milliseconds scipy.linalg takes to import
-    argv = ["limit-cdf", "--a", "0", "--s-grid", "1:10:1", "--m", "50"]
-    modules = scipy_modules_after(f"from hardedge import cli\nassert cli.main({argv!r}) == 0")
-    assert "scipy.special" in modules
-    assert "scipy.linalg" not in modules

@@ -9,6 +9,7 @@ from hardedge import (
     DomainError,
     KernelSpec,
     bessel_entire,
+    bessel_pair,
     bessel_spec,
     finite_spec,
     finite_table,
@@ -393,20 +394,20 @@ class TestKernelMatrix:
         assert_pairs_match(spec, scale_rule(gauss_jacobi(12, spec.a), s).nodes)
 
     @pytest.mark.parametrize("s", [1e-12, 6.0])
-    def test_bessel_assembly_is_two_vector_calls(self, s, monkeypatch):
-        # j_a and j_{a+1}, each once over the nodes (plus the midpoints of
-        # any clustered pairs, as at s = 1e-12)
+    def test_bessel_assembly_is_one_pair_call(self, s, monkeypatch):
+        # j_a and j_{a+1} from one recurrence over the nodes (plus the
+        # midpoints of any clustered pairs, as at s = 1e-12)
         calls = []
 
         def counting(a, z):
             calls.append(np.shape(z))
-            return bessel_entire(a, z)
+            return bessel_pair(a, z)
 
-        monkeypatch.setattr(kernels, "bessel_entire", counting)
+        monkeypatch.setattr(kernels, "bessel_pair", counting)
         nodes = scale_rule(gauss_jacobi(50, 0.5), s).nodes
         kernel_matrix(bessel_spec(0.5), nodes)
-        assert len(calls) == 2
-        assert all(len(shape) == 1 and shape[0] >= 50 for shape in calls)
+        assert len(calls) == 1
+        assert len(calls[0]) == 1 and calls[0][0] >= 50
 
     @pytest.mark.parametrize("s", [1e-12, 6.0])
     def test_finite_assembly_is_one_recurrence_pass(self, s, monkeypatch):
@@ -493,7 +494,7 @@ class TestKernelMatrix:
         # estimate takes the factors at the 2m + 10 nodes and one midpoint
         # per unordered pair within each rule, none across the rules
         sizes = []
-        name = "bessel_entire" if spec.family == "bessel" else "_laguerre_pass"
+        name = "bessel_pair" if spec.family == "bessel" else "_laguerre_pass"
         real = getattr(kernels, name)
 
         def counting(*args, **kwargs):
@@ -504,8 +505,7 @@ class TestKernelMatrix:
         m = 50
         nystrom_det(spec, 1e-7, m)
         midpoints = (m * (m - 1) + (m + 10) * (m + 9)) // 2
-        calls = 2 if spec.family == "bessel" else 1
-        assert sizes == [2 * m + 10 + midpoints] * calls
+        assert sizes == [2 * m + 10 + midpoints]
 
     @pytest.mark.parametrize("nodes", [
         pytest.param(scale_rule(gauss_jacobi(30, 0.5), 6.0).nodes, id="spread"),

@@ -436,3 +436,30 @@ class TestKsValidate:
         # and the patched function is the one that draws: a block per sample here
         sample_smallest(0, 200, 2, seed=1)
         assert [args[3:] for args in draws] == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("a,n,count,seed,message", [
+        (0.5, 5, 999, 1, "KS comparison needs count >= 1000"),
+        (0.5, 5, 1000, 1, "sampler order a must be an integer >= 0"),
+        (-1, 5, 1000, 1, "sampler order a must be an integer >= 0"),
+        (0, 201, 1000, 1, r"sampler order n must be an integer in \[1, 200\]"),
+        (0, 5, 1000, -1, "seed must be an integer"),
+        (0, 5, 1000, 1, "node count"),
+    ])
+    def test_refusal_order(self, a, n, count, seed, message, monkeypatch):
+        # m = 3 is refused too: the count floor first, then the sampler's own
+        # refusals, then m when the CDF is made, all before any draw
+        draws = []
+        monkeypatch.setattr(montecarlo, "_sample_block", lambda *args: draws.append(args) or [1.0])
+        with pytest.raises(DomainError, match=message):
+            ks_validate(a, n, count, seed=seed, m=3)
+        assert draws == []
+
+    def test_cdf_made_before_the_draw_with_one_m_check(self, monkeypatch):
+        events = []
+        check_m, make_cdf, draw = montecarlo._check_m, montecarlo.analytic_smallest_cdf, montecarlo._draw
+        monkeypatch.setattr(montecarlo, "_check_m", lambda m: events.append("m") or check_m(m))
+        monkeypatch.setattr(montecarlo, "analytic_smallest_cdf",
+                            lambda *args: events.append("cdf") or make_cdf(*args))
+        monkeypatch.setattr(montecarlo, "_draw", lambda *args: events.append("draw") or draw(*args))
+        ks_validate(0, 5, 1000, seed=1, m=30)
+        assert events == ["cdf", "m", "draw"]

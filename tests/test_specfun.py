@@ -9,13 +9,14 @@ from hardedge import (
     AccuracyError,
     DomainError,
     bessel_entire,
+    bessel_pair,
     laguerre,
     laguerre_pair,
     reg_upper_gamma,
 )
 from hardedge.quadrature import gauss_jacobi, scale_rule
-from hardedge.specfun import (_BLOCK_ENTRIES, _BLOCK_ROWS, _binomials, _laguerre_pass,
-                              _laguerre_weights, _rgamma)
+from hardedge.specfun import (_BLOCK_ENTRIES, _BLOCK_ROWS, _ZERO_ORDER, _binomials,
+                              _laguerre_pass, _laguerre_weights, _rgamma)
 
 
 def bessel_series_oracle(a, z, terms=400, dps=60):
@@ -150,6 +151,94 @@ class TestBesselEntire:
             bessel_entire(0.0, np.array([math.inf, 1.0]))
         with pytest.raises(DomainError):
             bessel_entire(math.nan, np.array([1.0]))
+
+
+def envelope_error(nu, z, value):
+    """|J_nu(x) - z^{nu/2} value| / max(|J_nu(x)|, sqrt(2/(pi x))), x = 2 sqrt z,
+    against 40-digit mpmath."""
+    with mp.workdps(40):
+        x = 2 * mp.sqrt(mp.mpf(z))
+        exact = mp.besselj(nu, x)
+        envelope = max(abs(exact), mp.sqrt(2 / (mp.pi * x)))
+        return float(abs(mp.mpf(z) ** (mp.mpf(nu) / 2) * mp.mpf(value) - exact) / envelope)
+
+
+# 300 points in (0, 400]: geometric from 1e-6, and uniform over the oscillations
+PAIR_Z = np.concatenate([np.geomspace(1e-6, 400.0, 200), np.linspace(4.0, 396.0, 100)])
+
+
+class TestBesselPair:
+    """j_a and j_{a+1} from one backward recurrence."""
+
+    @pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 0.5, 1.0, 2.5, 7.25, 20.0, 50.0])
+    def test_against_40_digit_values(self, nu):
+        # scipy.special.jv, which this replaces, errs by up to 6.1e-14 here
+        lower, upper = bessel_pair(nu, PAIR_Z)
+        worst = max(envelope_error(order, z, value)
+                    for order, values in ((nu, lower), (nu + 1.0, upper))
+                    for z, value in zip(PAIR_Z.tolist(), values.tolist()))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("nu", [20.0, 50.0, 100.0, 160.0])
+    def test_relative_accuracy_past_the_turning_point(self, nu):
+        # where J_nu is not oscillating (nu + 1 > x) the pair is accurate
+        # relative to itself, and at nu = 160 the unnormalized values stay in
+        # range over the whole recurrence
+        z = np.geomspace(1e-6, min(400.0, 0.2 * nu * nu), 40)
+        lower, upper = bessel_pair(nu, z)
+        with mp.workdps(40):
+            for order, values in ((nu, lower), (nu + 1.0, upper)):
+                for zi, value in zip(z.tolist(), values.tolist()):
+                    exact = mp.besselj(order, 2 * mp.sqrt(zi)) * mp.mpf(zi) ** (-order / 2)
+                    assert abs(value - exact) <= 1e-14 * abs(exact), (order, zi)
+
+    @pytest.mark.parametrize("a,z", [(-2.0, 0.3), (-5.0, 0.1), (-10.0, 1.0), (-10.0, 19.0),
+                                     (-20.0, 20.0), (-20.0, 79.0)])
+    def test_negative_integer_orders_below_the_turning_point(self, a, z):
+        # j_{-n}(z) = (-z)^n j_n(z): continued below order 0 the recurrence
+        # loses it to cancellation there (2e-6 relative at (-20, 20)), so the
+        # series takes it
+        for nu, value in zip((a, a + 1.0), bessel_pair(a, z)):
+            ref = bessel_series_oracle(nu, z)
+            assert abs(value - ref) <= 1e-13 * abs(ref), (nu, z)
+
+    @pytest.mark.parametrize("a", [-2.0, -0.9, 0.0, 0.5, 1.0, 3.0, 50.0])
+    def test_batching_does_not_change_a_bit(self, a):
+        # an element of a mixed array, whose others start the recurrence
+        # higher or lower or take the series, equals its lone float call
+        z = np.array([3.0, 400.0, 1e-9, -2.0, 0.0, 0.7, 57.5, 1.0, 1e-300, 12.25, 399.0])
+        for order in (z, z[::-1], z.reshape(11, 1)):
+            pair = bessel_pair(a, order)
+            for zi, lower, upper in zip(order.ravel().tolist(), pair[0].ravel().tolist(),
+                                        pair[1].ravel().tolist()):
+                assert (lower, upper) == bessel_pair(a, zi), (a, zi)
+                assert lower == bessel_entire(a, zi)
+
+    def test_one_recurrence_gives_both_orders(self):
+        # j_{a+1} of the pair at a is j_a of the pair at a + 1, to rounding
+        z = np.linspace(0.5, 400.0, 50)
+        for a in (-0.5, 0.0, 1.5):
+            assert np.allclose(bessel_pair(a, z)[1], bessel_pair(a + 1.0, z)[0],
+                               rtol=0.0, atol=1e-15)
+
+    def test_zero_past_the_underflow_order(self):
+        # |j_a| <= 1/Gamma(a+1) < 2^-1075 from a = 177.48: both values round to 0
+        for z in (1e-9, 1.0, 400.0, np.array([1e-9, 1.0, 400.0])):
+            for order in (_ZERO_ORDER, 1000.0, 1e300):
+                for value in bessel_pair(order, z):
+                    assert np.all(value == 0.0)
+        # below it they are subnormal, not flushed: 1/175! and 1/176! (to the
+        # spacing of subnormals there, 8e-6 and 1.4e-3 relative)
+        lower, upper = bessel_pair(175.0, 1e-9)
+        assert lower == pytest.approx(math.exp(-math.lgamma(176.0)), rel=1e-4)
+        assert upper == pytest.approx(math.exp(-math.lgamma(177.0)), rel=1e-2)
+
+    def test_shapes(self):
+        z = np.linspace(0.0, 30.0, 12).reshape(3, 4)
+        lower, upper = bessel_pair(0.5, z)
+        assert lower.shape == upper.shape == (3, 4)
+        assert all(isinstance(value, float) for value in bessel_pair(0.5, np.float64(2.0)))
+        assert [v.shape for v in bessel_pair(0.5, np.array([]))] == [(0,), (0,)]
 
 
 class TestLaguerre:
@@ -399,6 +488,16 @@ class TestRegUpperGamma:
                 for t in [0.0, 0.2, 1.0, 3.0, 10.0, 80.0, 150.0, 400.0, 420.0, 800.0, 1600.0]:
                     ref = float(mp.gammainc(p, t, regularized=True))
                     assert reg_upper_gamma(p, t) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.5, 7.0, 12.25, 40.0, 41.5, 100.0])
+    def test_against_mpmath_at_moderate_arguments(self, p):
+        # the finite sum (integer p), the series (t < p + 1) and the
+        # continued fraction, where Q stays above about 1e-30
+        with mp.workdps(40):
+            for t in [0.01, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 45.0, 60.0, 90.0, 120.0]:
+                ref = mp.gammainc(p, t, regularized=True)
+                if ref > 1e-30:
+                    assert reg_upper_gamma(p, t) == pytest.approx(float(ref), rel=1e-13), (p, t)
 
     def test_domain(self):
         with pytest.raises(DomainError):

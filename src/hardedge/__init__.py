@@ -65,7 +65,6 @@ from .specfun import (
     bessel_entire,
     bessel_pair,
     laguerre,
-    laguerre_pair,
     reg_upper_gamma,
 )
 
@@ -100,7 +99,6 @@ __all__ = [
     "ks_compare",
     "ks_validate",
     "laguerre",
-    "laguerre_pair",
     "limit_cdf",
     "limit_density",
     "limit_table",

@@ -3,15 +3,34 @@
 Samples the smallest eigenvalue of W = X X* where X is an n x (n+a) matrix
 of independent standard complex Gaussians (real and imaginary parts each
 with variance 1/2), i.e. the integer-a ensemble whose eigenvalue density
-the determinants describe.  Each sample draws from its own counter-based
-Philox stream keyed by (seed, sample index).  The samples are drawn in
-blocks of at most BLOCK_ENTRIES complex matrix entries: one Philox,
-re-keyed at counter 0 for each sample, and one stacked SVD per block.  So
-sample i is the same whatever the count or the block size.
+the determinants describe.  It draws the beta = 2 bidiagonal model of
+Dumitriu and Edelman (J. Math. Phys. 43 (2002) 5830), which is that
+construction with its Householder reduction done in closed form.
+Reflections from alternate sides, and a unitary diagonal scaling, take X
+to a real bidiagonal matrix with the singular values of X.  Each
+reflection leaves of the Gaussian vector it acts on only its norm, whose
+square is Gamma distributed and independent of the entries still to be
+reduced.  So the upper bidiagonal B, the transpose of that matrix, has
+independent entries whose squares are Gamma(a+n), ..., Gamma(a+1) down the
+diagonal and Gamma(n-1), ..., Gamma(1) above it, and lambda_min has the
+law of the Gaussian construction exactly, from 2n - 1 variates in place of
+2n(n+a) normals.  It is the square of the smallest singular value of B,
+which LAPACK's SVD takes to a few units of rounding relative (Demmel and
+Kahan, SIAM J. Sci. Stat. Comput. 11 (1990) 873), however small it is: its
+reduction to bidiagonal form leaves B as it is.
 
-Restricted to integer a on purpose: the Gaussian-matrix construction is the
-only sampler whose law is beyond doubt, and an oracle must never be less
-trustworthy than the code it judges.
+The Gaussian construction stays in the tests as the reference this
+sampler is judged against: a two-sample Kolmogorov-Smirnov gate at
+alpha = 1e-6 between the two, beside the one-sample tests against the
+determinants and the closed forms.  Restricted to integer a, where that
+reference exists; the model itself holds at every real a > -1 (see
+_survival_bound).
+
+Each sample draws from its own counter-based Philox stream keyed by (seed,
+sample index).  The samples are solved in blocks of at most BLOCK_ENTRIES
+real matrix entries: one Philox, re-keyed at counter 0 for each sample,
+and one stacked SVD per block.  So sample i is the same whatever the count
+or the block size.
 
 ks_validate runs the whole check: it refuses a count below MIN_KS_COUNT
 before the first draw, then evaluates the analytic CDF on the sorted
@@ -37,9 +56,9 @@ from .specfun import S_MAX, _require_integer, reg_upper_gamma
 MAX_SAMPLER_ORDER = 200
 MIN_KS_COUNT = 1000
 
-# Complex matrix entries that one block of samples draws and decomposes at
-# once: 1 MB per (B, n, n+a) complex array, and one matrix per block from
-# n = 182 at a = 0.
+# Real matrix entries that one block of samples decomposes at once: 512 kB
+# per (B, n, n) array, and at most as much again for its (B, 2n - 1)
+# variates; 163 samples at n = 20, and one per block from n = 182.
 BLOCK_ENTRIES = 2 ** 16
 
 # Asymptotic two-sided Kolmogorov-Smirnov critical coefficient at alpha = 0.01.
@@ -87,30 +106,29 @@ def _singular_values(x: np.ndarray, a: int, n: int, seed: int, start: int) -> np
 def _sample_block(a: int, n: int, seed: int, start: int, stop: int) -> list:
     """Smallest eigenvalues of samples start, ..., stop - 1.
 
-    Sample i fills its (2, n, n+a) slice, the real then the imaginary
-    parts, with one draw from the Philox stream keyed by (seed, i) at
-    counter 0, which is the stream of a new Philox with that key.
+    Sample i draws the squares of its bidiagonal entries, the diagonal
+    top down then the entries above it, with one call on the Philox stream
+    keyed by (seed, i) at counter 0, which is the stream of a new Philox
+    with that key.
     """
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
     zero = np.zeros(4, dtype=np.uint64)
-    draws = np.empty((stop - start, 2, n, n + a))
-    for index, out in zip(range(start, stop), draws):
+    shapes = np.concatenate([np.arange(a + n, a, -1), np.arange(n - 1, 0, -1)], dtype=float)
+    squares = np.empty((stop - start, 2 * n - 1))
+    for index, out in zip(range(start, stop), squares):
         bits.state = {
             "bit_generator": "Philox",
             "state": {"counter": zero, "key": np.array([seed, index], dtype=np.uint64)},
             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
-        rng.standard_normal(out=out)
-    x = np.empty((stop - start, n, n + a), dtype=complex)
-    x.real = draws[:, 0]
-    x.imag = draws[:, 1]
-    x *= math.sqrt(0.5)
-    smallest = _singular_values(x, a, n, seed, start)[:, -1]
-    # squared one Python float at a time, by the C library's pow: numpy's
-    # array square, a plain product, differs from it in the last bit for
-    # about one value in a thousand
-    return [value ** 2 for value in smallest.tolist()]
+        rng.standard_gamma(shapes, out=out)
+    b = np.zeros((stop - start, n, n))
+    k = np.arange(n)
+    b[:, k, k] = np.sqrt(squares[:, :n])
+    b[:, k[:-1], k[1:]] = np.sqrt(squares[:, n:])
+    smallest = _singular_values(b, a, n, seed, start)[:, -1]
+    return (smallest * smallest).tolist()
 
 
 def _sampler_arguments(a, n, count, seed) -> tuple:
@@ -129,7 +147,7 @@ def sample_smallest(a, n, count, seed) -> SampleBatch:
 
 def _draw(a: int, n: int, count: int, seed: int) -> SampleBatch:
     """sample_smallest on checked arguments."""
-    block = max(1, BLOCK_ENTRIES // (n * (n + a)))
+    block = max(1, BLOCK_ENTRIES // (n * n))
     values = []
     for start in range(0, count, block):
         values += _sample_block(a, n, seed, start, min(start + block, count))
@@ -185,12 +203,12 @@ def ks_validate(a, n, count, seed, m=DEFAULT_NODES) -> tuple[float, bool]:
 def _survival_bound(a: float, n: int, t: float) -> float:
     """Upper bound prod_{k<n} Q(a+2k+1, t) on P(lambda_min >= t), any real a > -1.
 
-    In the bidiagonal model of the ensemble (Dumitriu and Edelman 2002),
-    lambda_min is the smallest eigenvalue of B^T B, B lower bidiagonal with
-    independent entries whose squares are Gamma(a+1), ..., Gamma(a+n) on the
-    diagonal (from the bottom up) and Gamma(1), ..., Gamma(n-1) below it.
-    The diagonal entries of B^T B are then independent Gamma(a+2k+1) for
-    k = 0, ..., n-1, and each bounds lambda_min from above.
+    In the bidiagonal model that the sampler draws (see the module
+    docstring), whose law holds at every real a > -1, lambda_min is the
+    smallest eigenvalue of T = B B^T.  Each diagonal entry of T is the sum
+    of the squares of a row of B, so they are independent Gamma(a+2k+1)
+    for k = 0, ..., n-1, from the bottom up, and each bounds lambda_min
+    from above.
     """
     return math.prod(reg_upper_gamma(a + 2.0 * k + 1.0, t) for k in range(n))
 

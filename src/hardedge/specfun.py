@@ -440,7 +440,7 @@ def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
     total = sum_{k<n} weights[k] p_k^2 for an ndarray of weights (zero when
     weights is None, and then no squares are formed); rows, if given for an
     ndarray t only, receives p_k in rows[k] for k < n.  Arguments are not
-    validated here (see laguerre_pair).  A pass that leaves the double range
+    validated here (see _laguerre_pair).  A pass that leaves the double range
     is refused with AccuracyError: a non-finite p_k stays non-finite in
     every later degree, so p_n and the total decide.
 
@@ -523,7 +523,7 @@ def _laguerre_blocks(n: int, a: float, t: np.ndarray, weights, rows):
     return (ps[count - 1] if n else np.zeros(t.shape)), ps[count], d, total
 
 
-def laguerre_pair(n, a, x):
+def _laguerre_pair(n, a, x):
     """(L_{n-1}^a(x), L_n^a(x)) from one pass of the recurrence (L_{-1} = 0).
 
     x may be a scalar (floats are returned) or an ndarray.  Orders a at a
@@ -551,7 +551,7 @@ def laguerre_pair(n, a, x):
 
 def laguerre(n, a, x):
     """Generalized Laguerre polynomial L_n^a(x); x may be a scalar or ndarray."""
-    return laguerre_pair(n, a, x)[1]
+    return _laguerre_pair(n, a, x)[1]
 
 
 def reg_upper_gamma(p, t) -> float:

@@ -11,12 +11,11 @@ from hardedge import (
     bessel_entire,
     bessel_pair,
     laguerre,
-    laguerre_pair,
     reg_upper_gamma,
 )
 from hardedge.quadrature import gauss_jacobi, scale_rule
 from hardedge.specfun import (_BLOCK_ENTRIES, _BLOCK_ROWS, _ZERO_ORDER, _binomials,
-                              _laguerre_pass, _laguerre_weights, _rgamma)
+                              _laguerre_pair, _laguerre_pass, _laguerre_weights, _rgamma)
 
 
 def bessel_series_oracle(a, z, terms=400, dps=60):
@@ -278,10 +277,10 @@ class TestLaguerre:
             n = int(rng.integers(1, 120))
             a = float(rng.uniform(-0.9, 5.0))
             x = rng.uniform(0.0, 20.0, size=5)
-            prev, curr = laguerre_pair(n, a, x)
+            prev, curr = _laguerre_pair(n, a, x)
             assert np.array_equal(prev, laguerre(n - 1, a, x))
             assert np.array_equal(curr, laguerre(n, a, x))
-        assert laguerre_pair(0, 0.5, 2.0) == (0.0, 1.0)
+        assert _laguerre_pair(0, 0.5, 2.0) == (0.0, 1.0)
 
     def test_scalar_equals_array_element(self):
         # the recurrence runs in float or ndarray arithmetic, with the same
@@ -306,7 +305,7 @@ class TestLaguerre:
         # (0, 40); scaled by the largest value
         n = 1000
         t = scale_rule(gauss_jacobi(10, a), 40.0).nodes / (4.0 * n)
-        prev, curr = laguerre_pair(n, a, t)
+        prev, curr = _laguerre_pair(n, a, t)
         with mp.workdps(50):
             for ours, degree in ((prev, n - 1), (curr, n)):
                 ref = np.array([float(mp.laguerre(degree, a, mp.mpf(ti))) for ti in t])
@@ -317,7 +316,7 @@ class TestLaguerre:
         with pytest.raises(AccuracyError):
             laguerre(10000, 200.0, 1.0)
         with pytest.raises(AccuracyError):
-            laguerre_pair(10000, 200.0, np.array([0.5, 1.0]))
+            _laguerre_pair(10000, 200.0, np.array([0.5, 1.0]))
         # binom(n+a, n) is in range but L_n^a(-x) ~ x^n / n! is not
         with pytest.raises(AccuracyError):
             laguerre(200, 0.5, -1e4)
@@ -360,7 +359,7 @@ class TestLaguerre:
             laguerre(2, 0.0, math.nan)
         for n in (math.nan, math.inf, 2.5):
             with pytest.raises(DomainError):
-                laguerre_pair(n, 0.5, 1.0)
+                _laguerre_pair(n, 0.5, 1.0)
         # binom(k+a, k) vanishes at negative integer a, where the normalized
         # recurrence is undefined
         for a in (-1.0, -2.0, -5.0):

@@ -65,7 +65,6 @@ from .specfun import (
     bessel_entire,
     bessel_pair,
     laguerre,
-    reg_upper_gamma,
 )
 
 __all__ = [
@@ -108,7 +107,6 @@ __all__ = [
     "optimal_rate",
     "optimal_scaling_residual",
     "rate_report",
-    "reg_upper_gamma",
     "resolvent_quadratic_form",
     "sample_smallest",
     "scale_rule",

@@ -54,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import (S_MAX, _binomials, _laguerre_pass, _laguerre_weights, _require_integer,
-                      bessel_pair, require_order)
+from .specfun import (MAX_ORDER, S_MAX, _binomials, _laguerre_pass, _laguerre_weights,
+                      _require_integer, bessel_pair, require_order)
 
 # Relative |x - y| below which the confluent branch replaces the divided
 # difference (the closed forms lose roughly |x-y|^{-1} digits there).  The
@@ -91,7 +91,7 @@ class KernelSpec:
                 raise DomainError("finite kernel needs an order n")
             # frozen: store an integral float such as 5.0 as the int 5, and
             # the plain scaling as the member c = -a
-            object.__setattr__(self, "n", _require_integer(self.n, "order n", 1))
+            object.__setattr__(self, "n", _require_integer(self.n, "order n", 1, MAX_ORDER))
             object.__setattr__(self, "c", -self.a if self.c is None else self.c)
             if not math.isfinite(self.c):
                 raise DomainError(f"scaling parameter c must be finite, got {self.c!r}")

@@ -23,8 +23,7 @@ The Gaussian construction stays in the tests as the reference this
 sampler is judged against: a two-sample Kolmogorov-Smirnov gate at
 alpha = 1e-6 between the two, beside the one-sample tests against the
 determinants and the closed forms.  Restricted to integer a, where that
-reference exists; the model itself holds at every real a > -1 (see
-_survival_bound).
+reference exists; the model itself holds at every real a > -1.
 
 Each sample draws from its own counter-based Philox stream keyed by (seed,
 sample index).  The samples are solved in blocks of at most BLOCK_ENTRIES
@@ -38,7 +37,8 @@ sample in one call, with values equal bit for bit to ks_compare's one call
 per sample.  At integer a that CDF is one Chebyshev interpolant of 1 - det
 on [0, L], and exactly 1 past L, which each callable builds at its first
 finite t > 0; at non-integer a, or where the build is refused, every value
-is a determinant, batched along the s axis (see fredholm).
+is a determinant, batched along the s axis, and every s = 4 n t past S_MAX
+is refused by the determinants' s gate (see fredholm).
 """
 
 import math
@@ -47,11 +47,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import ordered_map
-from .errors import AccuracyError, DomainError, HardEdgeError, NumericError
+from .errors import DomainError, HardEdgeError, NumericError
 from .fredholm import _batch, _check_m
 from .kernels import finite_spec
 from .quadrature import DEFAULT_NODES
-from .specfun import S_MAX, _require_integer, reg_upper_gamma
+from .specfun import S_MAX, _require_integer
 
 MAX_SAMPLER_ORDER = 200
 MIN_KS_COUNT = 1000
@@ -201,16 +201,28 @@ def ks_validate(a, n, count, seed, m=DEFAULT_NODES) -> tuple[float, bool]:
 
 
 def _survival_bound(a: float, n: int, t: float) -> float:
-    """Upper bound prod_{k<n} Q(a+2k+1, t) on P(lambda_min >= t), any real a > -1.
+    """Upper bound prod_{k<n} Q(a+2k+1, t) on P(lambda_min >= t), at an
+    integer a >= 0 and 0 <= t <= 700.
 
     In the bidiagonal model that the sampler draws (see the module
-    docstring), whose law holds at every real a > -1, lambda_min is the
-    smallest eigenvalue of T = B B^T.  Each diagonal entry of T is the sum
-    of the squares of a row of B, so they are independent Gamma(a+2k+1)
-    for k = 0, ..., n-1, from the bottom up, and each bounds lambda_min
-    from above.
+    docstring), lambda_min is the smallest eigenvalue of T = B B^T.  Each
+    diagonal entry of T is the sum of the squares of a row of B, so they
+    are independent Gamma(a+2k+1) for k = 0, ..., n-1, from the bottom up,
+    and each bounds lambda_min from above.  At an integer p, and t <= 700
+    where e^{-t} is a normal double, the regularized incomplete gamma is
+    the finite sum Q(p, t) = e^{-t} sum_{j<p} t^j / j!, stopped once its
+    terms fall below the rounding of the sum.
     """
-    return math.prod(reg_upper_gamma(a + 2.0 * k + 1.0, t) for k in range(n))
+    bound = 1.0
+    for k in range(n):
+        term = total = 1.0
+        for j in range(1, int(a) + 2 * k + 1):
+            term *= t / j
+            total += term
+            if term < 1e-17 * total and j > t:
+                break
+        bound *= math.exp(-t) * total
+    return bound
 
 
 @dataclass(frozen=True)
@@ -295,16 +307,10 @@ def analytic_smallest_cdf(a, n, m=DEFAULT_NODES):
     absolute, and every s > L takes exactly 1, since the survival is
     non-increasing in s and below 2^-54 at L.
 
-    Without an interpolant (non-integer a, or a refused build), every s in
-    (0, S_MAX] takes the determinant at m nodes alone, without the m+10
-    error estimate, and an array takes those as one batch along the s
-    axis.  Beyond the kernels' validated axis, s > S_MAX, the CDF is then
-    clamped to 1 where the survival probability is provably below 2^-54
-    (see _survival_bound) and refused with AccuracyError elsewhere.  The
-    bound falls below 2^-54 near t = 14 at a = 0.5 whatever n > 1, while
-    the survival decays like e^{-n t}, so at larger n the t between 400/n
-    and there are refused although the CDF rounds to 1: at (a, n) =
-    (0.5, 1000) and t = 0.5 the bound is 0.80.
+    Without an interpolant (non-integer a, or a refused build), every s
+    takes the determinant at m nodes alone, without the m+10 error
+    estimate, and an array takes those as one batch along the s axis, so
+    the determinants' s gate refuses s > S_MAX with DomainError.
 
     Values are equal bit for bit to the float calls, and an array raises
     the refusal of its first t, in input order, that is refused alone.  a,
@@ -327,18 +333,8 @@ def analytic_smallest_cdf(a, n, m=DEFAULT_NODES):
                 built, fit = True, _chebyshev_fit(spec, m)
             if fit is not None and not math.isnan(s):
                 values.append(fit(s))
-            elif s > S_MAX:
-                survival_bound = _survival_bound(spec.a, spec.n, t_k)
-                if not survival_bound < NEGLIGIBLE_SURVIVAL:
-                    # the determinants of the t before it, whose refusals come first
-                    _batch(spec, list(direct.values()), m)
-                    raise AccuracyError(
-                        f"s = 4 n t = {s!r} lies beyond {S_MAX:g}, and the survival bound "
-                        f"{survival_bound!r} does not round the CDF to 1"
-                    )
-                values.append(1.0)
             else:
-                # a nan s too, which the determinants' s gate refuses
+                # a nan s too, and s > S_MAX: the determinants' s gate refuses both
                 direct[len(values)] = s
                 values.append(None)
         if direct:

@@ -64,9 +64,8 @@ more than one entry; at a single node it would sum pairwise, so a one-node
 pass accumulates its column instead.  A pass that leaves the double range
 is refused with AccuracyError.
 
-1/Gamma comes from math.gamma (_rgamma) and the regularized incomplete gamma
-Q(p, t) from a finite sum, a series or a continued fraction
-(reg_upper_gamma), so the library runs on numpy alone and loads no scipy.
+1/Gamma comes from math.gamma (_rgamma), so the library runs on numpy alone
+and loads no scipy.
 """
 
 import math
@@ -82,6 +81,11 @@ Z_MAX = 400.0
 # Largest kernel argument, and so the one bound on the interval end s: the
 # limit kernel evaluates bessel_entire at x/4 <= Z_MAX.
 S_MAX = 4.0 * Z_MAX
+
+# Largest finite-kernel order n and Laguerre degree: each order costs a pass
+# over arrays of n + 1 doubles (binomials, weights), so an order near 10^8
+# asks for about a gigabyte.  finite_cdf takes about 1.4 s at n = 10^6.
+MAX_ORDER = 10 ** 6
 
 # |j_a(z)| <= 1/Gamma(a+1) for z >= 0 and a >= -1/2, and 1/Gamma(a+1) lies
 # below half the least subnormal, 2^-1075, from a = 177.48 on: both values of
@@ -532,7 +536,7 @@ def _laguerre_pair(n, a, x):
     are refused with AccuracyError, and so is every x once binom(n+a, n)
     is (large n and a: L_n^a(0) = binom(n+a, n)).
     """
-    n = _require_integer(n, "laguerre degree", 0)
+    n = _require_integer(n, "laguerre degree", 0, MAX_ORDER)
     a = float(a)
     arr = np.asarray(x, dtype=float)
     if not (math.isfinite(a) and np.all(np.isfinite(arr))):
@@ -552,89 +556,3 @@ def _laguerre_pair(n, a, x):
 def laguerre(n, a, x):
     """Generalized Laguerre polynomial L_n^a(x); x may be a scalar or ndarray."""
     return _laguerre_pair(n, a, x)[1]
-
-
-def reg_upper_gamma(p, t) -> float:
-    """Regularized upper incomplete gamma Q(p, t) = Gamma(p, t) / Gamma(p).
-
-    At an integer p with e^{-t} a normal double (t <= 700), the finite sum
-    Q = e^{-t} sum_{j<p} t^j / j!, stopped once its terms fall below the
-    rounding of the sum.  Otherwise from D = t^p e^{-t} / Gamma(p+1): below
-    t = p + 1 (t = 1 at p < 1) the series P = D sum_k t^k / ((p+1) ... (p+k))
-    and Q = 1 - P, else the continued fraction
-    Q = p D / (t+1-p- 1(1-p)/(t+3-p- 2(2-p)/(t+5-p- ...))) by Lentz's method
-    (Numerical Recipes, 3rd ed., 2007, sec. 6.2).  Where the series is
-    taken, Q > 0.13 at p >= 1, but Q ~ p E_1(t) as p -> 0, so 1 - P loses
-    about log2(1/Q) bits there (Q(0.01, 0.5) = 0.0056).
-    """
-    p = float(p)
-    t = float(t)
-    if not (math.isfinite(p) and math.isfinite(t)) or p <= 0.0 or t < 0.0:
-        raise DomainError(f"reg_upper_gamma requires p > 0 and t >= 0, got p={p!r}, t={t!r}")
-    if t == 0.0:
-        return 1.0
-    if p.is_integer() and t <= 700.0:
-        term = total = 1.0
-        for j in range(1, int(p)):
-            term *= t / j
-            total += term
-            if term < 1e-17 * total and j > t:
-                break
-        return math.exp(-t) * total
-    prefactor = _poisson_term(p, t)
-    if t < (p + 1.0 if p >= 1.0 else 1.0):
-        term = total = 1.0
-        k = 1
-        while term >= 1e-17 * total:
-            term *= t / (p + k)
-            total += term
-            k += 1
-        return 1.0 - prefactor * total
-    # Lentz's method on the even form of the continued fraction
-    b = t + 1.0 - p
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    fraction = d
-    for i in range(1, _MAX_FRACTION_TERMS):
-        an = -i * (i - p)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
-        c = b + an / c
-        c = c if abs(c) >= _TINY else _TINY
-        delta = d * c
-        fraction *= delta
-        if abs(delta - 1.0) <= _EPS:
-            return p * prefactor * fraction
-    raise NumericError(f"reg_upper_gamma continued fraction stalled at p={p!r}, t={t!r}")
-
-
-# Lentz's guard against a zero denominator, its convergence test (one unit
-# in the last place of 1) and its iteration cap: at t >= p + 1 the fraction
-# has converged within 85 terms at p <= 400 and 902 at p = 10^6 (measured).
-_TINY = 1e-300
-_EPS = 2.0 ** -52
-_MAX_FRACTION_TERMS = 10000
-
-
-def _poisson_term(p: float, t: float) -> float:
-    """t^p e^{-t} / Gamma(p+1) for p > 0, t > 0, as
-
-        exp(-bd0 - stirlerr(p)) / sqrt(2 pi p),
-
-    bd0 = p log(p/t) + t - p and stirlerr(p) = log Gamma(p+1) - log(sqrt(2 pi p)
-    (p/e)^p) (Loader, Fast and accurate computation of binomial
-    probabilities, 2000), with p log(p/t) = p log1p((p - t)/t).  The
-    exponent is formed without the terms p log t, t and log Gamma(p+1),
-    which reach 3000 at p = 400, t = 1600, where it is -650, and its
-    rounding is of order (|p - t| + bd0) eps: Q stays within 2e-13 of
-    40-digit values at p <= 1000, t <= 1600.
-    """
-    bd0 = p * math.log1p((p - t) / t) + (t - p)
-    if p > 15.0:
-        square = p * p
-        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / square) / square)
-                              / square) / square) / p
-    else:
-        stirlerr = math.lgamma(p + 1.0) - (p + 0.5) * math.log(p) + p - 0.5 * math.log(2.0 * math.pi)
-    return math.exp(-bd0 - stirlerr) / math.sqrt(2.0 * math.pi * p)

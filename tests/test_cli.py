@@ -9,9 +9,10 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from scipy.special import gammaincc
 
 import hardedge
-from hardedge import cli, fredholm, montecarlo, reg_upper_gamma
+from hardedge import cli, fredholm, montecarlo
 from hardedge.expansion import rate_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -74,7 +75,7 @@ class TestFiniteCdf:
                         "--output", str(out)])
         assert code == 0
         _, rows = read_table(out)
-        assert float(rows[0][1]) == pytest.approx(reg_upper_gamma(3.0, 1.0), abs=1e-10)
+        assert float(rows[0][1]) == pytest.approx(gammaincc(3.0, 1.0), abs=1e-10)
 
     def test_custom_scaling_requires_c(self, capsys):
         code = run_cli(["finite-cdf", "--a", "1", "--n", "5", "--s", "4",
@@ -323,6 +324,19 @@ class TestUsageAndErrors:
         assert run_cli(["limit-cdf", "--a", "-2", "--s", "4"]) == 2
         assert run_cli(["limit-cdf", "--a", "0", "--s", "-4"]) == 2
         assert run_cli(["limit-cdf", "--a", "0", "--s-grid", "1:0:1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["finite-cdf", "--a", "1", "--n", "1000000000000000000000", "--s", "4"],
+        ["finite-cdf", "--a", "1", "--n", "1000001", "--s", "4"],
+        ["mehler-heine", "--a", "1.5", "--z", "3", "--n-list", "50,100,200,1000001"],
+    ], ids=["finite-1e21", "finite-cap-plus-one", "mehler-heine-cap-plus-one"])
+    def test_order_past_the_cap_exits_2(self, argv, capsys):
+        # a domain refusal with one stderr line, not a ValueError traceback
+        # from sizing an array of n + 1 doubles
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("hardedge: domain error: ") and err.count("\n") == 1
 
     def test_mass_overflow_exits_2(self, capsys):
         # s^{a+1} leaves the double range: refused, not an OverflowError traceback

@@ -11,6 +11,7 @@ from hardedge import (
     bessel_entire,
     bessel_pair,
     bessel_spec,
+    finite_cdf,
     finite_spec,
     finite_table,
     kernel_expansion_residual,
@@ -104,6 +105,14 @@ class TestKernelSpec:
         for n in (math.nan, math.inf, 2.5, None):
             with pytest.raises(DomainError):
                 KernelSpec(a=0.0, family="finite", n=n)
+
+    @pytest.mark.parametrize("n", [10**6 + 1, 10**21])
+    def test_order_cap(self, n):
+        # one past the largest order, refused before an array of n + 1 doubles is sized
+        with pytest.raises(DomainError, match=r"order n must be an integer in \[1, 1000000\]"):
+            finite_spec(0.5, n)
+        with pytest.raises(DomainError, match="order n"):
+            finite_cdf(0.5, n, 4.0)
 
     def test_integral_float_order(self):
         # stored as an int, so the Laguerre recurrences can count with it

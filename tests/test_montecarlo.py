@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import eval_laguerre
+from scipy.special import eval_laguerre, gammainc, gammaincc
 
 from hardedge import (
     AccuracyError,
@@ -19,7 +19,7 @@ from hardedge import (
 from hardedge import fredholm, montecarlo
 from hardedge.kernels import _kernel_blocks, finite_spec
 from hardedge.montecarlo import SampleBatch, _survival_bound
-from hardedge.specfun import S_MAX, reg_upper_gamma
+from hardedge.specfun import S_MAX
 
 
 class TestSampler:
@@ -283,34 +283,26 @@ class TestAnalyticCdf:
         assert cdf(1e9) == 1.0
         assert cdf(0.0) == 0.0
 
-    @pytest.mark.parametrize("a,n,t", [(400, 1, 420.0), (300, 1, 401.0)])
-    def test_clamp_refused_where_the_survival_is_not_negligible(self, a, n, t):
-        # s = 4 n t > 1600, but at n = 1 the law is Gamma(a + 1): at a = 400
-        # the CDF at t = 420 is 0.83, not 1
-        with pytest.raises(AccuracyError):
-            analytic_smallest_cdf(a, n)(t)
-
-    def test_clamp_kept_where_the_survival_bound_is_negligible(self):
-        assert analytic_smallest_cdf(1, 20)(40.0) == 1.0
-
     @pytest.mark.parametrize("a,n,t", [
-        (1, 20, 21.0), (0, 200, 14.0), (2.5, 30, 40.0), (-0.9, 1000, 12.0), (0, 1, math.inf),
-        (400, 1, math.inf), (0, 200, 3.0), (10, 50, 20.0),
+        (1, 20, 21.0), (1, 20, 40.0), (0, 200, 14.0), (0, 1, math.inf), (400, 1, math.inf),
+        (0, 200, 3.0), (10, 50, 20.0), (2.5, 30, math.inf),
     ])
     def test_clamped_beyond_the_axis(self, a, n, t):
-        # non-integer a included: the bidiagonal model holds for every a > -1.
-        # At integer a past the interpolant's L the survival bound is not
-        # asked: at (0, 200, 3.0) the survival is e^{-600}, the bound 0.017
+        # past the interpolant's L, and t = inf with or without one: at
+        # (0, 200, 3.0) the survival is e^{-600}
         assert analytic_smallest_cdf(a, n)(t) == 1.0
 
-    @pytest.mark.parametrize("a,n,t", [(0.5, 1000, 0.5)])
-    def test_loose_bound_refuses_beyond_the_axis(self, a, n, t):
-        # without an interpolant: the survival is negligible here, but the
-        # diagonal bound is not (0.80)
-        with pytest.raises(AccuracyError):
+    @pytest.mark.parametrize("a,n,t", [
+        (400, 1, 420.0), (300, 1, 401.0), (2.5, 30, 40.0), (-0.9, 1000, 12.0), (0.5, 1000, 0.5),
+    ])
+    def test_refused_past_the_axis_without_an_interpolant(self, a, n, t):
+        # s = 4 n t > 1600 meets the determinants' s gate, whatever the law
+        # there: at (400, 1) the CDF at t = 420 is 0.83, at (0.5, 1000) and
+        # t = 0.5 it rounds to 1
+        with pytest.raises(DomainError, match=r"s must lie in \(0, 1600\]"):
             analytic_smallest_cdf(a, n)(t)
 
-    @pytest.mark.parametrize("a,n", [(-0.9, 5), (0.5, 20), (1, 10), (3, 4), (0, 3)])
+    @pytest.mark.parametrize("a,n", [(0, 5), (1, 20), (1, 10), (3, 4), (0, 3)])
     def test_survival_bound_holds_on_the_axis(self, a, n):
         # out to where the survival leaves the determinant's absolute accuracy,
         # since the bound is closest to it in the tail
@@ -323,14 +315,11 @@ class TestAnalyticCdf:
                 break
 
     @pytest.mark.parametrize("a", [-0.9, 0.5, 2.0])
-    def test_survival_bound_is_the_law_at_order_one(self, a):
+    def test_determinant_is_the_law_at_order_one(self, a):
         # n = 1: lambda_min is a single Gamma(a+1) variable
         for t in (0.1, 1.0, 5.0):
-            assert _survival_bound(a, 1, t) == reg_upper_gamma(a + 1.0, t)
             [record] = fredholm._batch(finite_spec(a, 1), [4.0 * t], 50)
-            assert record.value == pytest.approx(
-                reg_upper_gamma(a + 1.0, t), rel=1e-12
-            )
+            assert record.value == pytest.approx(gammaincc(a + 1.0, t), rel=1e-12)
 
     @staticmethod
     def count_assemblies(monkeypatch) -> list:
@@ -377,6 +366,49 @@ class TestAnalyticCdf:
         assert len(sizes) == built
 
 
+class TestSurvivalBound:
+    """_survival_bound against scipy's Q on the ladder's domain, and at n = 1,
+    where it is Q(a+1, t), against closed forms and 40-digit values at
+    integer p = a + 1 and t <= 700."""
+
+    def test_diagonal_product(self):
+        # integer a, and t = L/(4n) for L = 16, ..., 1024
+        for a in range(41):
+            for n in (1, 2, 3, 5, 7, 10, 20, 33, 50, 100, 150, 200):
+                shapes = a + 2.0 * np.arange(n) + 1.0
+                for length in (16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0):
+                    t = length / (4.0 * n)
+                    expected = math.prod(gammaincc(shapes, t).tolist())
+                    assert _survival_bound(float(a), n, t) == pytest.approx(expected, rel=1e-13)
+
+    def test_anchors(self):
+        assert _survival_bound(0.0, 1, 0.0) == 1.0
+        for t in [0.1, 1.0, 5.0]:
+            assert _survival_bound(0.0, 1, t) == pytest.approx(math.exp(-t), rel=1e-13)
+        # Gamma(2, t) = (1 + t) e^{-t}
+        assert _survival_bound(1.0, 1, 1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
+        assert _survival_bound(1.0, 1, 1.0) == pytest.approx(0.7357588823428847, rel=1e-12)
+
+    def test_against_mpmath(self):
+        # past t = 256, the largest t of the ladder (L = 1024 at n = 1)
+        with mpmath.workdps(40):
+            for p in [1, 7, 40, 150, 400]:
+                for t in [0.0, 0.2, 1.0, 3.0, 10.0, 80.0, 150.0, 400.0, 420.0]:
+                    ref = float(mpmath.gammainc(p, t, regularized=True))
+                    bound = _survival_bound(p - 1.0, 1, t)
+                    assert bound == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 40, 100])
+    def test_against_mpmath_at_moderate_arguments(self, p):
+        # where Q stays above about 1e-30
+        with mpmath.workdps(40):
+            for t in [0.01, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 45.0, 60.0, 90.0, 120.0]:
+                ref = mpmath.gammainc(p, t, regularized=True)
+                if ref > 1e-30:
+                    bound = _survival_bound(p - 1.0, 1, t)
+                    assert bound == pytest.approx(float(ref), rel=1e-13), (p, t)
+
+
 class TestBatchedCdf:
     def test_array_equals_the_scalar_calls(self):
         # t <= 0, on the axis, clamped beyond s = 4 n t = 1600, and t = inf
@@ -398,12 +430,13 @@ class TestBatchedCdf:
         return None
 
     @pytest.mark.parametrize("a,n,t,error", [
-        pytest.param(0.5, 200, [1e-3, 3.0, 6.0], AccuracyError, id="0.5-200-3.0-AccuracyError"),
+        # s = 4 n t = 2400 meets the determinants' s gate
+        pytest.param(0.5, 200, [1e-3, 3.0, 6.0], DomainError, id="0.5-200-3.0-DomainError"),
         # 1e-3 is refused alone: the weights underflow at s = 0.004
         pytest.param(400, 1, [1e-3, 420.0, 840.0], AccuracyError,
                      id="400-1-420.0-AccuracyError"),
         pytest.param(1, 20, [1e-3, math.nan, math.nan], DomainError, id="1-20-nan-DomainError"),
-        # a negative determinant at s = 800 before the survival bound at t = 3
+        # a negative determinant at s = 800 before the s gate at t = 3
         pytest.param(0.5, 200, [1.0, 3.0], NumericError, id="0.5-200-1.0-NumericError"),
     ])
     def test_refused_t_keeps_the_scalar_refusal(self, a, n, t, error):
@@ -413,6 +446,21 @@ class TestBatchedCdf:
         expected = next(refusal for refusal in one_t if refusal is not None)
         assert expected[0] is error
         assert self.refusal(lambda: cdf(np.array(t))) == expected
+
+    @pytest.mark.parametrize("a,n,tail", [(0.5, 20, 1e-14), (1, 20, 0.0)])
+    def test_past_the_axis_takes_the_s_gate(self, a, n, tail, monkeypatch):
+        # without an interpolant: a non-integer a, and an integer build
+        # refused by a tail that no bound of zero accepts.  t = 21 is s = 1680,
+        # and t = 10 (s = 800) has a negative determinant
+        monkeypatch.setattr(montecarlo, "CHEBYSHEV_TAIL", tail)
+        cdf = analytic_smallest_cdf(a, n)
+        gate = self.refusal(lambda: cdf(21.0))
+        assert gate == (DomainError, "s must lie in (0, 1600], got 1680.0")
+        assert self.refusal(lambda: cdf(np.array([0.01, 21.0, 0.02]))) == gate
+        earlier = self.refusal(lambda: cdf(10.0))
+        assert earlier[0] is NumericError
+        assert self.refusal(lambda: cdf(np.array([0.01, 10.0, 21.0]))) == earlier
+        assert self.refusal(lambda: cdf(np.array([21.0, 10.0]))) == gate
 
 
 class TestChebyshevCdf:
@@ -439,7 +487,7 @@ class TestChebyshevCdf:
         # bound, exact here, ends the ladder at L = 256 before the m-node
         # survival leaves the determinants' accuracy
         t = np.linspace(0.0, self.fit(a, 1).length, 2001) / 4.0
-        closed = [1.0 - reg_upper_gamma(a + 1.0, t_k) for t_k in t]
+        closed = gammainc(a + 1.0, t)
         assert np.max(np.abs(analytic_smallest_cdf(a, 1)(t) - closed)) < 1e-14
 
     @pytest.mark.parametrize("a,n", [(0, 5), (1, 20), (3, 50), (10, 50)])

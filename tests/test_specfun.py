@@ -11,7 +11,6 @@ from hardedge import (
     bessel_entire,
     bessel_pair,
     laguerre,
-    reg_upper_gamma,
 )
 from hardedge.quadrature import gauss_jacobi, scale_rule
 from hardedge.specfun import (_BLOCK_ENTRIES, _BLOCK_ROWS, _ZERO_ORDER, _binomials,
@@ -360,6 +359,10 @@ class TestLaguerre:
         for n in (math.nan, math.inf, 2.5):
             with pytest.raises(DomainError):
                 _laguerre_pair(n, 0.5, 1.0)
+        # one past the largest degree, refused before the binomials are sized
+        for n in (10**6 + 1, 10**21):
+            with pytest.raises(DomainError, match=r"degree must be an integer in \[0, 1000000\]"):
+                laguerre(n, 0.5, 1.0)
         # binom(k+a, k) vanishes at negative integer a, where the normalized
         # recurrence is undefined
         for a in (-1.0, -2.0, -5.0):
@@ -468,41 +471,6 @@ class TestLaguerrePass:
         for t in (2000.0, np.array([1.0, 2000.0])):
             with pytest.raises(AccuracyError):
                 _laguerre_pass(1000, 0.5, t, _laguerre_weights(1000, 0.5))
-
-
-class TestRegUpperGamma:
-    def test_anchors(self):
-        assert reg_upper_gamma(1.7, 0.0) == 1.0
-        for t in [0.1, 1.0, 5.0]:
-            assert reg_upper_gamma(1.0, t) == pytest.approx(math.exp(-t), rel=1e-13)
-        # Gamma(2, t) = (1 + t) e^{-t}
-        assert reg_upper_gamma(2.0, 1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
-        assert reg_upper_gamma(2.0, 1.0) == pytest.approx(0.7357588823428847, rel=1e-12)
-
-    def test_against_mpmath(self):
-        # past t = 400, the largest argument of the order-one law Q(a+1, s/4)
-        # on the accepted s <= 1600, and over large and small orders
-        with mp.workdps(40):
-            for p in [0.3, 1.0, 2.5, 7.0, 40.0, 150.0, 400.0]:
-                for t in [0.0, 0.2, 1.0, 3.0, 10.0, 80.0, 150.0, 400.0, 420.0, 800.0, 1600.0]:
-                    ref = float(mp.gammainc(p, t, regularized=True))
-                    assert reg_upper_gamma(p, t) == pytest.approx(ref, rel=1e-12, abs=1e-300)
-
-    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.5, 7.0, 12.25, 40.0, 41.5, 100.0])
-    def test_against_mpmath_at_moderate_arguments(self, p):
-        # the finite sum (integer p), the series (t < p + 1) and the
-        # continued fraction, where Q stays above about 1e-30
-        with mp.workdps(40):
-            for t in [0.01, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 45.0, 60.0, 90.0, 120.0]:
-                ref = mp.gammainc(p, t, regularized=True)
-                if ref > 1e-30:
-                    assert reg_upper_gamma(p, t) == pytest.approx(float(ref), rel=1e-13), (p, t)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            reg_upper_gamma(0.0, 1.0)
-        with pytest.raises(DomainError):
-            reg_upper_gamma(1.0, -0.1)
 
 
 class TestRgamma:

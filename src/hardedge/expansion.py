@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .fredholm import _batch
 from .kernels import _kernel_blocks, bessel_spec, finite_spec, kernel_matrix
-from .specfun import _require_integer, bessel_entire, laguerre, require_order
+from .specfun import MAX_ORDER, _require_integer, bessel_entire, laguerre, require_order
 
 # Quadrature order for rate studies: determinant errors (~1e-14 at m=60)
 # must stay far below the smallest residuals being measured (~1e-7).
@@ -70,7 +70,8 @@ def fit_slope(pairs) -> tuple[float, float]:
 
 
 def _check_orders(n_list) -> tuple[int, ...]:
-    orders = tuple(_require_integer(n, "order n", 1) for n in n_list)
+    # every order against the cap, before the first F_n
+    orders = tuple(_require_integer(n, "order n", 1, MAX_ORDER) for n in n_list)
     if len(orders) < 4:
         raise DomainError("rate measurement needs at least 4 orders")
     if any(b <= a for a, b in zip(orders, orders[1:])):
@@ -188,11 +189,12 @@ def kernel_expansion_rate(a, n_list, c, axis=None) -> ExpansionReport:
     and hat_j_a assembled once on the axis."""
     c = float(c)
     axis = np.linspace(0.0, 8.0, 9) if axis is None else np.asarray(axis, dtype=float)
-    [(limit, hat_j)] = _kernel_blocks(bessel_spec(a), [axis[None]])
+    spec, orders = bessel_spec(a), _check_orders(n_list)
+    [(limit, hat_j)] = _kernel_blocks(spec, [axis[None]])
     limit, correction = limit[0], np.outer(hat_j[0], hat_j[0])
 
     def worst(n: int) -> float:
         residual = kernel_matrix(finite_spec(a, n, c), axis) - limit + (c / (8.0 * n)) * correction
         return float(np.max(np.abs(residual)))
 
-    return rate_report(a, float(np.max(axis)), n_list, worst)
+    return rate_report(a, float(np.max(axis)), orders, worst)

@@ -35,14 +35,17 @@ ks_validate runs the whole check: it refuses a count below MIN_KS_COUNT
 before the first draw, then evaluates the analytic CDF on the sorted
 sample in one call, with values equal bit for bit to ks_compare's one call
 per sample.  At integer a that CDF is one Chebyshev interpolant of 1 - det
-on [0, L], and exactly 1 past L, which each callable builds at its first
-finite t > 0; at non-integer a, or where the build is refused, every value
-is a determinant, batched along the s axis, and every s = 4 n t past S_MAX
-is refused by the determinants' s gate (see fredholm).
+on [0, L], and exactly 1 past L.  A process holds one interpolant per
+(a, n, m): the first callable at that key builds it at its first finite
+t > 0, and every later callable shares it, a refused build included.  At
+non-integer a, or where the build is refused, every value is a
+determinant, batched along the s axis, and every s = 4 n t past S_MAX is
+refused by the determinants' s gate (see fredholm).
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,14 +117,18 @@ def _sample_block(a: int, n: int, seed: int, start: int, stop: int) -> list:
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
     zero = np.zeros(4, dtype=np.uint64)
+    key = np.array([seed, 0], dtype=np.uint64)
+    # one state for the block: setting bits.state copies the key out, so
+    # writing the next index into it re-keys the stream
+    state = {
+        "bit_generator": "Philox", "state": {"counter": zero, "key": key},
+        "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     shapes = np.concatenate([np.arange(a + n, a, -1), np.arange(n - 1, 0, -1)], dtype=float)
     squares = np.empty((stop - start, 2 * n - 1))
     for index, out in zip(range(start, stop), squares):
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zero, "key": np.array([seed, index], dtype=np.uint64)},
-            "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
+        key[1] = index
+        bits.state = state
         rng.standard_gamma(shapes, out=out)
     b = np.zeros((stop - start, n, n))
     k = np.arange(n)
@@ -189,8 +196,9 @@ def ks_compare(batch: SampleBatch, cdf) -> tuple[float, bool]:
 def ks_validate(a, n, count, seed, m=DEFAULT_NODES) -> tuple[float, bool]:
     """ks_compare of sample_smallest(a, n, count, seed) against
     analytic_smallest_cdf(a, n, m), bit for bit, with the CDF evaluated on
-    the whole sorted sample in one call: one interpolant build at integer a,
-    else one batch of determinants.  Every argument is checked before the
+    the whole sorted sample in one call: at integer a the one interpolant
+    at (a, n, m), built by the first CDF at that key in the process, else
+    one batch of determinants.  Every argument is checked before the
     first draw: count against the KS floor, then the sampler's arguments,
     then m, when the CDF is made."""
     _check_ks_count(count)
@@ -250,6 +258,7 @@ class _Chebyshev:
         return min(max(self.c0 + x * b1 - b2, 0.0), 1.0)
 
 
+@lru_cache(maxsize=128)
 def _chebyshev_fit(spec, m: int) -> _Chebyshev | None:
     """The interpolant of s -> 1 - det(I - A) on [0, L] at integer a, else
     None.
@@ -268,6 +277,10 @@ def _chebyshev_fit(spec, m: int) -> _Chebyshev | None:
     refused survival or node, or a tail that stays above CHEBYSHEV_TAIL,
     gives None, and so does a non-integer a, where the law has a branch
     point at s = 0.
+
+    Memoized per (spec, m), None included, so that a process builds, or
+    refuses, each interpolant once: every caller shares the object, which
+    is frozen, with its coefficients in a tuple.
     """
     if not spec.a.is_integer():
         return None
@@ -301,8 +314,10 @@ def analytic_smallest_cdf(a, n, m=DEFAULT_NODES):
     elementwise, or a float t as the array of that t alone.  Unscaled
     eigenvalues t map to the hard-edge axis via s = 4 n t; t <= 0 gives 0
     and t = inf gives 1.  At integer a the callable's first finite t > 0
-    builds one Chebyshev interpolant of 1 - det on [0, L] at m nodes (see
-    _chebyshev_fit), and once built it is the CDF's only route: every s in
+    takes the process's one Chebyshev interpolant of 1 - det on [0, L] at m
+    nodes for (a, n, m) (see _chebyshev_fit): the first callable at that key
+    builds it there, and every later one shares it, or shares the refusal
+    of its build.  Once taken it is the CDF's only route: every s in
     (0, L] takes its value, clamped to [0, 1] and accurate to about 1e-14
     absolute, and every s > L takes exactly 1, since the survival is
     non-increasing in s and below 2^-54 at L.
@@ -317,7 +332,7 @@ def analytic_smallest_cdf(a, n, m=DEFAULT_NODES):
     n and m are checked here, when the CDF is made.
     """
     spec, m = finite_spec(a, n), _check_m(m)
-    built, fit = False, None  # the interpolant, built at the first finite t > 0
+    built, fit = False, None  # the shared interpolant, taken at the first finite t > 0
 
     def cdf(t):
         nonlocal built, fit

@@ -329,7 +329,9 @@ class TestUsageAndErrors:
         ["finite-cdf", "--a", "1", "--n", "1000000000000000000000", "--s", "4"],
         ["finite-cdf", "--a", "1", "--n", "1000001", "--s", "4"],
         ["mehler-heine", "--a", "1.5", "--z", "3", "--n-list", "50,100,200,1000001"],
-    ], ids=["finite-1e21", "finite-cap-plus-one", "mehler-heine-cap-plus-one"])
+        ["expansion-check", "--a", "1", "--s", "4", "--n-list", "100000,200000,400000,1000001"],
+    ], ids=["finite-1e21", "finite-cap-plus-one", "mehler-heine-cap-plus-one",
+            "expansion-check-cap-plus-one"])
     def test_order_past_the_cap_exits_2(self, argv, capsys):
         # a domain refusal with one stderr line, not a ValueError traceback
         # from sizing an array of n + 1 doubles

@@ -22,7 +22,7 @@ from hardedge import (
     taylor_step_residual,
     uncorrected_difference,
 )
-from hardedge import fredholm
+from hardedge import expansion, fredholm, kernels
 from hardedge.expansion import STUDY_NODES
 from hardedge.kernels import _kernel_blocks
 
@@ -215,6 +215,25 @@ class TestRateReports:
         outcome = _outcome(report, a, s, orders, m)
         assert isinstance(outcome, tuple), outcome
         assert outcome == _outcome(COMPOSED[report], a, s, orders, m)
+
+    @pytest.mark.parametrize("report", [
+        lambda orders: expansion_rate(1.0, 4.0, orders),
+        lambda orders: optimal_rate(1.0, 4.0, orders),
+        lambda orders: kernel_expansion_rate(1.0, orders, 0.0),
+        lambda orders: rate_report(1.5, 3.0, orders, lambda n: mehler_heine_residual(1.5, n, 3.0)),
+    ], ids=["expansion_rate", "optimal_rate", "kernel_expansion_rate", "mehler_heine"])
+    def test_order_cap_refused_before_any_work(self, report, monkeypatch):
+        # an order past the cap at the end of the list is refused before the
+        # first F_n, limit record, kernel or Laguerre value
+        def no_work(*args, **kwargs):
+            raise AssertionError("work before the order check")
+
+        for module, name in [(expansion, "_batch"), (expansion, "_kernel_blocks"),
+                             (fredholm, "_kernel_blocks"), (kernels, "_kernel_blocks"),
+                             (expansion, "laguerre")]:
+            monkeypatch.setattr(module, name, no_work)
+        with pytest.raises(DomainError, match=r"order n must be an integer in \[1, 1000000\]"):
+            report((100000, 200000, 400000, 1000001))
 
     def test_order_traps(self):
         # the limit record comes right after the first F_n: later, and the

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import mpmath
 import numpy as np
@@ -20,6 +21,16 @@ from hardedge import fredholm, montecarlo
 from hardedge.kernels import _kernel_blocks, finite_spec
 from hardedge.montecarlo import SampleBatch, _survival_bound
 from hardedge.specfun import S_MAX
+
+
+@pytest.fixture(autouse=True)
+def fresh_interpolants():
+    # each test builds its own interpolants: a fit cached by an earlier test
+    # would outlive that test, and one cached before a test patches
+    # CHEBYSHEV_TAIL or S_MAX would stand in for the build the test asks
+    montecarlo._chebyshev_fit.cache_clear()
+    yield
+    montecarlo._chebyshev_fit.cache_clear()
 
 
 class TestSampler:
@@ -349,10 +360,11 @@ class TestAnalyticCdf:
         assert sizes == [(50,)] * len(grid)
         assert values == [1.0 - finite_cdf(0.5, 20, 4.0 * 20 * t, m=50).value for t in grid]
 
-    def test_one_interpolant_build_per_callable(self, monkeypatch):
+    def test_one_interpolant_build_per_key(self, monkeypatch):
         # at integer a: nothing at construction, the whole build at the first
-        # evaluation (survivals at L = 16, ..., 256, then 32 and 64 points),
-        # and no assembly for a later t inside the hull
+        # evaluation of the first callable at (a, n, m) (survivals at L = 16,
+        # ..., 256, then 32 and 64 points), and no assembly after it, for a
+        # later t of that callable or for any t of a later one
         sizes = self.count_assemblies(monkeypatch)
         cdf = analytic_smallest_cdf(1, 20, m=50)
         assert sizes == []
@@ -363,7 +375,13 @@ class TestAnalyticCdf:
         grid = [0.005, 0.02, 0.1, 1.0, 3.0]
         values = [cdf(t) for t in grid]
         assert cdf(np.array(grid)).tolist() == values and values[0] == first
+        again = analytic_smallest_cdf(1, 20, m=50)
+        assert [again(t) for t in grid] == values
+        assert again(np.array(grid)).tolist() == values
         assert len(sizes) == built
+        # one cache lookup per callable, at its first finite t > 0, not per value
+        info = montecarlo._chebyshev_fit.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestSurvivalBound:
@@ -552,6 +570,49 @@ class TestChebyshevCdf:
         assert montecarlo._chebyshev_fit(finite_spec(1, 20), 50) is None
         t = np.geomspace(1e-3, 0.8, 20)
         assert analytic_smallest_cdf(1, 20)(t).tolist() == self.direct(1, 20, t)
+
+
+class TestInterpolantCache:
+    """One interpolant per (a, n, m) in a process, a refused build included."""
+
+    @pytest.mark.parametrize("a,n", [(0, 5), (1, 1), (1, 20), (3, 50)])
+    def test_cached_fit_is_a_fresh_build(self, a, n):
+        cached = montecarlo._chebyshev_fit(finite_spec(a, n), 50)
+        fresh = montecarlo._chebyshev_fit.__wrapped__(finite_spec(a, n), 50)
+        assert [repr(getattr(cached, field.name)) for field in fields(cached)] == \
+            [repr(getattr(fresh, field.name)) for field in fields(fresh)]
+        # an equal spec made anew finds the same entry
+        assert montecarlo._chebyshev_fit(finite_spec(float(a), n), 50) is cached
+
+    def test_refused_build_is_cached(self, monkeypatch):
+        # (0, 1) at m = 50: a node determinant of the fit on [0, 256] is
+        # refused, so every value stays a determinant, one assembly each
+        assert montecarlo._chebyshev_fit(finite_spec(0, 1), 50) is None
+        grid = [0.05, 0.5, 5.0]
+        direct = TestChebyshevCdf.direct(0, 1, grid)
+        sizes = TestAnalyticCdf.count_assemblies(monkeypatch)
+        for _ in range(2):
+            cdf = analytic_smallest_cdf(0, 1, m=50)
+            assert [cdf(t) for t in grid] == direct
+        assert sizes == [(50,)] * (2 * len(grid))
+        info = montecarlo._chebyshev_fit.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    def test_node_count_is_part_of_the_key(self):
+        spec = finite_spec(1, 20)
+        at_50, at_60 = (montecarlo._chebyshev_fit(spec, m) for m in (50, 60))
+        assert montecarlo._chebyshev_fit.cache_info().currsize == 2
+        assert at_50 != at_60
+        assert at_60 == montecarlo._chebyshev_fit.__wrapped__(spec, 60)
+        assert montecarlo._chebyshev_fit(spec, 50) is at_50
+        assert analytic_smallest_cdf(1, 20, m=60)(0.1) == at_60(8.0)
+
+    def test_shared_fit_is_frozen(self):
+        fit = montecarlo._chebyshev_fit(finite_spec(1, 20), 50)
+        for field in fields(fit):
+            with pytest.raises(FrozenInstanceError):
+                setattr(fit, field.name, getattr(fit, field.name))
+        assert isinstance(fit.tail, tuple)
 
 
 class TestKsValidate:

@@ -39,6 +39,54 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def unbounded_caches(source: str) -> list:
+    """Lines that memoize without an integer bound: an lru_cache not called
+    with an int maxsize (bare, maxsize=None, or maxsize left to its
+    default), and functools.cache, imported by name or read as an attribute."""
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    tree = ast.parse(source)
+    bounded = set()  # the lru_cache of each call with an int maxsize
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name(node.func) == "lru_cache":
+            sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+            if sizes and all(isinstance(size, ast.Constant) and type(size.value) is int
+                             for size in sizes):
+                bounded.add(id(node.func))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found.update(node.lineno for alias in node.names if alias.name == "cache")
+        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+              and name(node.value) == "functools"):
+            found.add(node.lineno)
+        elif name(node) == "lru_cache" and id(node) not in bounded:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_unbounded_caches_are_found():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=128)\ndef f(x):\n    pass\n"
+        "@functools.lru_cache(64)\ndef g(x):\n    pass\n"
+        "@lru_cache\ndef h(x):\n    pass\n"
+        "@lru_cache(maxsize=None)\ndef i(x):\n    pass\n"
+        "@functools.cache\ndef j(x):\n    pass\n"
+        "@lru_cache(typed=True)\ndef k(x):\n    pass\n"
+        "memo = functools.lru_cache(None)(f)\n"
+    )
+    assert unbounded_caches(source) == [2, 9, 12, 15, 18, 21]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_caches_are_bounded(path):
+    # a memo table lives as long as the process, so each holds a fixed
+    # number of entries
+    assert unbounded_caches(path.read_text()) == []
+
+
 def z_max_products(source: str, exempt=None) -> list:
     """Lines that multiply Z_MAX (as a name or an attribute), apart from the
     value of a module-level assignment to the name `exempt`."""

@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
                   "resolvent quadratic form against the log-derivative: residual_fd, "
                   "against a finite difference of log det, tests the identity; "
                   "residual_resolvent compares -Q/4 with s (-Q/(4s)) from the same "
-                  "solve, so it measures rounding alone and cannot fail")
+                  "factorization, so it measures rounding alone and cannot fail")
     sub.add_argument("--s", type=float, required=True)
     sub.add_argument("--m", type=int, default=DEFAULT_NODES)
 

@@ -83,7 +83,7 @@ def limit_density(a, s, m=DEFAULT_NODES) -> float:
     """Derivative f(s) = dF/ds of the limit law (nonpositive).
 
     f = F * d/ds log F, with F and the log-derivative (the resolvent
-    quadratic form) from one assembly of I - A at m nodes.
+    quadratic form) from one factorization of I - A at m nodes.
     """
     return _batch(bessel_spec(a), [s], m, resolvent=True)[0].density
 

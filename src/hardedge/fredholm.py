@@ -6,21 +6,22 @@ matrix A_ij = sqrt(w_i) Khat(x_i, x_j) sqrt(w_j); then
 
     det(I - Khat) ~ det(I - A),
 
-with spectral accuracy because the kernel is entire.  The determinant is
-accumulated as a signed sum of log pivots (LU with row pivoting), so large
-intervals cannot underflow.  One assembly of I - A serves both the
-determinant and the resolvent solve wherever a caller needs the two at the
-same (kernel, s, m), and one evaluation of the kernel factors over the
-nodes of both rules serves the m and m+10 systems of an error estimate,
-each built as its own block.  Every value comes out of _batch as one
-record per s: the checked m-node determinant, and where asked for the
-m+10-node one and the resolvent quadratic form Q, solved after that check.
-The record forms d/ds log det = -Q/(4s), the density det * d/ds log det
-and the DeterminantResult of an error estimate.
+with spectral accuracy because the kernel is entire.  One Cholesky factor
+L L^T = I - A per system gives log det = 2 sum log L_kk, so large
+intervals cannot underflow, and a system with no factor is refused.  The
+limit kernel's m-node system is bordered by the resolvent right-hand side
+b, so the last row y = L^{-1} b of its factor gives the resolvent
+quadratic form Q = y.y from the same factorization.  One evaluation of the
+kernel factors over the nodes of both rules serves the m and m+10 systems
+of an error estimate, each built as its own block.  Every value comes out
+of _batch as one record per s: the checked m-node determinant, and where
+asked for the m+10-node one and Q.  The record forms
+d/ds log det = -Q/(4s), the density det * d/ds log det and the
+DeterminantResult of an error estimate.
 
 The s axis is batched: the rule for (0, s) is the (0, 1) rule scaled by s,
 so many s share one evaluation of the kernel factors, one block build per
-rule and one batched slogdet (and solve), in chunks of at most
+rule and one batched Cholesky factorization, in chunks of at most
 CHUNK_ENTRIES matrix entries.  A one-s value is the batch of that s alone,
 and batching changes no value: every entry, factorization and check is the
 one of each s, bit for bit.  Nor does it change a refusal: a batch raises
@@ -109,8 +110,8 @@ def _batch(spec: KernelSpec, s_values, m, refine=False, resolvent=False) -> list
     """[_Values], one record per s of the list s_values in input order, from
     the systems I - A on the m-node rules for (0, s): the checked det(I - A),
     the det on the m+10-node rule too if refine, and if resolvent the
-    quadratic form of the m-node system, solved after that check (limit
-    kernel only).  m is checked here; m + 10 may exceed MAX_DET_NODES.
+    quadratic form of the m-node system, from its factor and checked after
+    that det (limit kernel only).  m is checked here; m + 10 may exceed MAX_DET_NODES.
 
     The s values are evaluated in chunks of at most CHUNK_ENTRIES matrix
     entries.  Every entry, factorization and check is the one of each s
@@ -147,73 +148,59 @@ def _chunk_values(spec: KernelSpec, s_values: list, ms, resolvent) -> list:
     One _kernel_blocks call evaluates the kernel factors once over the nodes
     of all the rules and forms one stacked block per m, no cross blocks;
     each matrix equals the one assembled on its rule alone, bit for bit.
-    Then one batched slogdet per m, checked, and one batched solve.  b_i =
-    sqrt(w_i) hat_j_a(x_i) is the resolvent right-hand side; it comes out
-    of the limit-kernel assembly.
+    Then one batched Cholesky factor per m.  The m-node limit-kernel system
+    is bordered by b_i = sqrt(w_i) hat_j_a(x_i), out of the assembly, and by
+    2^600, so huge that the last pivot 2^600 - Q stays positive.
     """
     s = [_check_interval(t) for t in s_values]
     rules = [_scaled_stack(gauss_jacobi(m, spec.a), s) for m in ms]
     blocks = _kernel_blocks(spec, [nodes for nodes, _ in rules])
-    refined = forms = [None] * len(s)
+    refined = [None] * len(s)
     for m, (_, weights), (kernel, hat_j) in zip(ms, rules, blocks):
         sqrt_w = np.sqrt(weights)
+        size = m + 1 if hat_j is not None and m == ms[0] else m
+        systems = np.empty((len(s), size, size))
         # I - A in place, where a fresh (S, m, m) array would cost more than
         # the arithmetic; the order is that of eye(m) - sqrt_w_i K_ij sqrt_w_j
-        system = sqrt_w[:, :, None] * kernel
+        system = np.multiply(sqrt_w[:, :, None], kernel, out=systems[:, :m, :m])
         system *= sqrt_w[:, None, :]
         np.subtract(np.eye(m), system, out=system)
+        if size > m:
+            systems[:, m, :m] = systems[:, :m, m] = sqrt_w * hat_j
+            systems[:, m, m] = 2.0 ** 600
         if m > ms[0]:
-            refined = _determinants(system, s, m)
-            continue
-        values = _determinants(system, s, m)
-        if resolvent:
-            forms = _quadratic_forms(system, sqrt_w * hat_j, s, m)
+            refined, _ = _factored(systems, s, m, resolvent=False)
+        else:
+            values, forms = _factored(systems, s, m, resolvent)
     return [_Values(s_k, ms[0], *fields) for s_k, *fields in zip(s, values, refined, forms)]
 
 
-def _determinants(system: np.ndarray, s: list, m: int) -> list:
-    """det(I - A) of each system[k], checked as a value on (0, s[k]); one
-    batched slogdet, and the first bad k raises."""
-    signs, log_abs = np.linalg.slogdet(system)
-    values = []
-    for s_k, sign, log_abs_k in zip(s, signs, log_abs):
-        if sign == 0.0:
-            raise NumericError(
-                f"discretized determinant is exactly singular at s={s_k!r}, m={m}")
-        if sign < 0.0:
-            raise NumericError(
-                f"discretized determinant came out negative (s={s_k!r}, m={m}); "
-                "the projection-kernel range invariant 0 < det <= 1 is violated"
-            )
-        value = math.exp(log_abs_k)
-        if not 0.0 < value <= 1.0 + 1e-8:
-            raise NumericError(f"determinant {value!r} escaped (0, 1] at s={s_k!r}, m={m}")
-        values.append(value)
-    return values
-
-
-def _quadratic_forms(system: np.ndarray, b: np.ndarray, s: list, m: int) -> list:
-    """<(I - A)^{-1} b, b> of each system[k] and b[k], checked positive and
-    normal; one batched solve, and the first bad k raises.  A form that is
-    0.0 or subnormal has underflowed (at large a, b is below the double
-    range) and is refused as inaccurate; a negative form is a failure."""
+def _factored(systems: np.ndarray, s: list, m: int, resolvent: bool) -> tuple:
+    """(values, forms) from one batched Cholesky factor L of the stack
+    systems, each with I - A on the m-node rule for (0, s[k]) in its leading
+    block: det(I - A) = prod_{k<m} L_kk^2, checked in (0, 1], and if
+    resolvent Q = y.y of the bordered last row y = L^{-1} b (else None).  A
+    system with no factor is refused, as is a Q that is 0.0 or subnormal:
+    it has underflowed (at large a, b is below the double range)."""
     try:
-        solutions = np.linalg.solve(system, b[..., None])[..., 0]
+        factor = np.linalg.cholesky(systems)
     except np.linalg.LinAlgError as exc:
         # only a one-s chunk raises this: _batch replays a refused chunk one s at a time
-        raise NumericError(f"resolvent system is singular at s={s[0]!r}, m={m}") from exc
-    values = [float(b_k @ v) for b_k, v in zip(b, solutions)]
+        raise NumericError(
+            f"discretized I - A is not positive definite at s={s[0]!r}, m={m}") from exc
+    log_values = np.log(np.diagonal(factor, axis1=1, axis2=2)[:, :m]).sum(axis=1).tolist()
+    values = [math.exp(2.0 * log_value) for log_value in log_values]
     for s_k, value in zip(s, values):
-        if value < 0.0:
-            raise NumericError(
-                f"resolvent quadratic form lost positivity at s={s_k!r}, m={m}: {value!r}"
-            )
-        if value < sys.float_info.min:
-            raise AccuracyError(
-                f"resolvent quadratic form underflows the double range at s={s_k!r}, "
-                f"m={m}: {value!r}"
-            )
-    return values
+        if not 0.0 < value <= 1.0 + 1e-8:
+            raise NumericError(f"determinant {value!r} escaped (0, 1] at s={s_k!r}, m={m}")
+    if not resolvent:
+        return values, [None] * len(s)
+    forms = np.square(factor[:, m, :m]).sum(axis=1).tolist()
+    for s_k, form in zip(s, forms):
+        if form < sys.float_info.min:
+            raise AccuracyError(f"resolvent quadratic form underflows the double range at "
+                                f"s={s_k!r}, m={m}: {form!r}")
+    return values, forms
 
 
 def nystrom_det(spec: KernelSpec, s, m=DEFAULT_NODES) -> DeterminantResult:
@@ -255,8 +242,9 @@ def resolvent_quadratic_form(spec: KernelSpec, s, m=DEFAULT_NODES) -> float:
     """<(I - K)^{-1} phi_a, phi_a> on L^2(0,s) with phi_a(x) = J_a(sqrt(x)).
 
     Realized in the x^a dx space, where phi_a becomes the entire hat_j_a:
-    solve (I - A) v = b with b_i = sqrt(w_i) hat_j_a(x_i) and return b.v.
-    Restricted to the limit kernel; refused where the m-node det(I - A) is.
+    with b_i = sqrt(w_i) hat_j_a(x_i), it is y.y for y = L^{-1} b, the last
+    row of the Cholesky factor of I - A bordered by b.  Restricted to the
+    limit kernel; refused where the m-node det(I - A) is.
     """
     return _batch(spec, [s], m, resolvent=True)[0].quadratic_form
 

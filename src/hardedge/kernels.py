@@ -255,7 +255,8 @@ def _kernel_blocks(spec: KernelSpec, node_sets) -> list:
         rules = np.asarray(nodes, dtype=float)
         if rules.ndim != 2 or rules.size == 0:
             raise DomainError("kernel nodes must form a non-empty (S, m) stack")
-        if np.any(rules < 0.0) or np.any(rules > S_MAX) or not np.all(np.isfinite(rules)):
+        # nan and +-inf fail one of the two bounds: min and max carry them
+        if not (rules.min() >= 0.0 and rules.max() <= S_MAX):
             raise DomainError(f"kernel nodes must lie in [0, {S_MAX:g}]")
         den = rules[:, :, None] - rules[:, None, :]
         pairs = _window_pairs(rules, den)

@@ -107,7 +107,8 @@ def scale_rule(rule: QuadratureRule, s) -> QuadratureRule:
 def _scaled_stack(rule: QuadratureRule, s: list) -> tuple:
     """(nodes, weights), each (S, m): the rule under x -> s_k x for every
     float s_k > 0 of s, each row checked as scale_rule checks its rule, so
-    that a stack refuses where one of its rows would alone."""
+    that a stack refuses where one of its rows would alone (the ordered
+    checks, which name the first bad row, run only where _all_rules fails)."""
     factors = []
     for t in s:
         try:
@@ -116,11 +117,31 @@ def _scaled_stack(rule: QuadratureRule, s: list) -> tuple:
             factors.append(math.inf)
     weights = rule.weights * np.array(factors)[:, None]
     ends = [rule.s * t for t in s]
-    _refuse((weights > 0.0) & (weights < math.inf), AccuracyError,
-            f"the weights of x^a dx on (0, {{end!r}}) leave the double range at a={rule.a!r}", ends)
     nodes = rule.nodes * np.array(s)[:, None]
-    _check(nodes, weights, ends, rule.a)
+    if not _all_rules(nodes, weights, ends, rule.a):
+        _refuse((weights > 0.0) & (weights < math.inf), AccuracyError,
+                f"the weights of x^a dx on (0, {{end!r}}) leave the double range at a={rule.a!r}",
+                ends)
+        _check(nodes, weights, ends, rule.a)
     return nodes, weights
+
+
+def _all_rules(nodes: np.ndarray, weights: np.ndarray, ends: list, a: float) -> bool:
+    """Whether every row passes the weight range check of _scaled_stack and
+    _check, in one pass: positive finite weights, strictly increasing nodes
+    whose first and last lie inside (0, end), and the mass, the Python float
+    _check computes, met to 1e-12.  nan fails every test."""
+    if not (weights.min() > 0.0 and weights.max() < math.inf
+            and (nodes[:, 1:] > nodes[:, :-1]).all()):
+        return False
+    try:
+        masses = [end ** (a + 1.0) / (a + 1.0) for end in ends]
+    except OverflowError:
+        return False
+    rows = zip(ends, masses, nodes[:, 0].tolist(), nodes[:, -1].tolist(),
+               weights.sum(axis=1).tolist())
+    return all(0.0 < first and last < end and abs(total - mass) <= 1e-12 * mass
+               for end, mass, first, last, total in rows)
 
 
 @lru_cache(maxsize=512)

@@ -161,12 +161,9 @@ def _bessel_pair_array(a: float, z: np.ndarray) -> tuple:
     if a < _ZERO_ORDER and not series.all():
         if series.any():
             taken = np.flatnonzero(~series)
-            order, values = _miller_array(a, flat[taken])
-            order = taken[order]
+            pair[0][taken], pair[1][taken] = _miller_array(a, flat[taken])
         else:  # a kernel assembly: every z > 0
-            order, values = _miller_array(a, flat)
-        for out, sorted_values in zip(pair, values):
-            out[order] = sorted_values
+            pair = _miller_array(a, flat)
     for index in np.flatnonzero(series).tolist():
         for out, nu in zip(pair, (a, a + 1.0)):
             out[index] = _bessel_series(nu, float(flat[index]))
@@ -270,52 +267,44 @@ def _miller(a: float, z: float) -> tuple:
 
 
 def _miller_array(a: float, z: np.ndarray) -> tuple:
-    """The ndarray branch of _miller on a flat z > 0: (order, (j_a, j_{a+1})),
-    the values of z[order].
+    """The ndarray branch of _miller on a flat z > 0: (j_a, j_{a+1}) at z.
 
-    order sorts the elements by start offset, largest first, so at each
-    offset the elements that have started form a prefix; an element starts
-    with the values its float call starts with.  A step is three ufunc
-    calls on that prefix and a Horner step three more, with the factors as
-    0-d arrays (see _laguerre_blocks), each in the float branch's order of
+    Every element runs down from the largest start offset.  Above its own
+    it stays exactly 0 (0 nu - z 0 = 0), and there it takes _SEED, so it
+    starts with the values its float call starts with.  A step is three
+    ufunc calls and a Horner step three more, with the factors as 0-d
+    arrays (see _laguerre_blocks), each in the float branch's order of
     operations, so every value is bit-equal to its float call.  The pairs
     of steps alternate two buffers, so none is copied.
     """
     low = math.floor(a)
     nu0 = a - low
     tops = _start_offset(a, z)
-    order = np.argsort(-tops, kind="stable")
-    z, tops = z[order], tops[order]
-    top = int(tops[0])
+    # starts[i]: how many elements start at offset i
+    starts = np.bincount(tops).tolist()
+    top = len(starts) - 1
     table = _recurrence_operands(nu0, top // 2 + 1)
-    # started[i]: how many elements start at an offset >= i (all from the tail on)
-    started = np.searchsorted(-tops, -np.arange(top + 1), side="right").tolist()
     tail = max(low + 1, 0) | 1
-    f, f_next, total, work = (np.zeros(z.size) for _ in range(4))
+    fs, nexts, totals, products = (np.zeros(z.size) for _ in range(4))
     multiply, subtract, add = np.multiply, np.subtract, np.add
-    count = 0
     for k in range(top // 2, tail // 2, -1):
-        if started[2 * k + 1] != count:
-            f[count:started[2 * k + 1]] = _SEED
-            count = started[2 * k + 1]
-            zs, fs, nexts, totals, products = (
-                buffer[:count] for buffer in (z, f, f_next, total, work))
+        if starts[2 * k + 1]:
+            fs[tops == 2 * k + 1] = _SEED
         nu_odd, q, nu_even = table[k]
-        multiply(zs, nexts, nexts)
+        multiply(z, nexts, nexts)
         multiply(fs, nu_odd, products)
         subtract(products, nexts, nexts)
-        multiply(zs, totals, totals)
+        multiply(z, totals, totals)
         multiply(totals, q, totals)
         add(nexts, totals, totals)
-        multiply(zs, fs, fs)
+        multiply(z, fs, fs)
         multiply(nexts, nu_even, products)
         subtract(products, fs, fs)
-    zs, fs, nexts, totals, products = z, f, f_next, total, work
     stop = min(low, 0)
     nu_op = np.empty(())
     for i in range(tail, stop - 1, -1):
         if i >= 0 and not i & 1:
-            multiply(zs, totals, totals)
+            multiply(z, totals, totals)
             multiply(totals, table[i >> 1][1], totals)
             add(fs, totals, totals)
         if i == low + 1:
@@ -326,12 +315,12 @@ def _miller_array(a: float, z: np.ndarray) -> tuple:
             break
         # f_{i-1} = (nu0+i) f_i - z f_{i+1}, into the buffer of f_{i+1}
         nu_op[()] = nu0 + i
-        multiply(zs, nexts, nexts)
+        multiply(z, nexts, nexts)
         multiply(fs, nu_op, products)
         subtract(products, nexts, nexts)
         fs, nexts = nexts, fs
-    norm = math.gamma(nu0 + 1.0) * total
-    return order, (lower / norm, upper / norm)
+    norm = math.gamma(nu0 + 1.0) * totals
+    return lower / norm, upper / norm
 
 
 @lru_cache(maxsize=128)

@@ -8,6 +8,7 @@ from hardedge import (
     AccuracyError,
     DeterminantResult,
     DomainError,
+    bessel_entire,
     bessel_spec,
     finite_cdf,
     finite_spec,
@@ -142,15 +143,20 @@ class TestFiniteCdf:
 
 
 def two_assembly_result(spec, s, m) -> DeterminantResult:
-    """The m vs m+10 estimate from a separate kernel_matrix per rule."""
+    """The m vs m+10 estimate from a separate kernel_matrix per rule, each
+    I - A factored as the library factors it: by Cholesky, the m-node
+    limit-kernel system bordered by b = sqrt(w) hat_j_a and 2^600."""
     values = []
     for size in (m, m + 10):
         rule = scale_rule(gauss_jacobi(size, spec.a), s)
         sqrt_w = np.sqrt(rule.weights)
         a_mat = sqrt_w[:, None] * kernel_matrix(spec, rule.nodes) * sqrt_w[None, :]
-        sign, log_abs = np.linalg.slogdet(np.eye(size) - a_mat)
-        assert sign > 0.0
-        values.append(math.exp(log_abs))
+        system = np.eye(size) - a_mat
+        if spec.family == "bessel" and size == m:
+            b = sqrt_w * (2.0 ** -spec.a * bessel_entire(spec.a, 0.25 * rule.nodes))
+            system = np.block([[system, b[:, None]], [b[None, :], 2.0 ** 600]])
+        pivots = np.diag(np.linalg.cholesky(system))[:size]
+        values.append(math.exp(2.0 * np.log(pivots).sum()))
     return DeterminantResult(value=values[0], error_estimate=abs(values[0] - values[1]), m=m)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,13 +179,16 @@ class TestResolventQuadraticForm:
         (-1.0, 1e-160, NumericError), (-1.0, 1.0, NumericError),
     ], ids=["zero", "subnormal", "normal", "negative-subnormal", "negative"])
     def test_form_classes(self, diagonal, b, refusal):
-        # (I - A) = diagonal * I on two nodes, so the form is 2 b^2 / diagonal
-        system, rhs = diagonal * np.eye(2)[None], np.full((1, 2), b)
+        # (I - A) = diagonal * I on two nodes, bordered by (b, b) and 2^600:
+        # where the factor exists its last row is (b, b), so the form is 2 b^2
+        system = np.diag([diagonal, diagonal, 2.0 ** 600])[None]
+        system[0, 2, :2] = system[0, :2, 2] = b
         if refusal is None:
-            assert fredholm._quadratic_forms(system, rhs, [1.0], 2) == [2.0 * b * b]
+            assert fredholm._factored(system, [1.0], 2, resolvent=True) == ([diagonal ** 2],
+                                                                              [2.0 * b * b])
         else:
-            with pytest.raises(refusal):
-                fredholm._quadratic_forms(system, rhs, [1.0], 2)
+            with pytest.raises(refusal, match=re.escape("at s=1.0, m=2")):
+                fredholm._factored(system, [1.0], 2, resolvent=True)
 
 
 class TestLogDerivative:
@@ -415,3 +419,63 @@ class TestBatchedSAxis:
         fredholm._batch(bessel_spec(5.0), list(np.linspace(1.0, 40.0, per_chunk + 1)), 50,
                         refine=True)
         assert shapes == [[(per_chunk, 50), (per_chunk, 60)], [(1, 50), (1, 60)]]
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """(name, shape) of every numpy.linalg factorization made from here on in
+    a test: cholesky, slogdet and solve, each with the shape of its stack."""
+    calls = []
+    for name in ("cholesky", "slogdet", "solve"):
+        def counting(matrix, *args, _name=name, _call=getattr(np.linalg, name)):
+            calls.append((_name, np.shape(matrix)))
+            return _call(matrix, *args)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestOneFactorization:
+    @pytest.mark.parametrize("evaluate,shapes", [
+        pytest.param(lambda: limit_cdf(1.0, 4.0, 50), [(1, 51, 51), (1, 60, 60)], id="limit_cdf"),
+        pytest.param(lambda: limit_density(1.0, 4.0, 50), [(1, 51, 51)], id="limit_density"),
+        pytest.param(lambda: finite_cdf(1.0, 20, 4.0, m=50), [(1, 50, 50), (1, 60, 60)],
+                     id="finite_cdf"),
+        pytest.param(lambda: limit_table(1.0, np.linspace(0.5, 10.0, 20), 50, density=True),
+                     [(20, 51, 51), (20, 60, 60)], id="limit_table-density"),
+    ])
+    def test_one_cholesky_per_system(self, factorizations, evaluate, shapes):
+        # one Cholesky factor per Nystrom system, the m-node limit-kernel
+        # system bordered by the resolvent right-hand side; no LU anywhere
+        evaluate()
+        assert factorizations == [("cholesky", shape) for shape in shapes]
+
+    def test_gram_oracle_keeps_its_own_factorization(self, factorizations):
+        # the independent oracle shares no arithmetic with the Nystrom route
+        gram_det(1.0, 10, 0.3, 50)
+        assert factorizations == [("slogdet", (10, 10))]
+
+    @pytest.mark.parametrize("m", [5, 43, 50, 127, 200, 489, 490])
+    def test_value_bit_equal_across_routes(self, m):
+        # F of a value, of a density table row and of a density record comes
+        # from one identical bordered factorization, whatever LAPACK's
+        # blocking: at odd m (OpenBLAS 0.3, Haswell kernels) the leading
+        # factor of a bordered system need not equal the plain factor
+        a, s_values = 1.5, [0.5, 4.0, 20.0]
+        table = limit_table(a, s_values, m, density=True)
+        for s, row in zip(s_values, table.rows):
+            [record] = fredholm._batch(bessel_spec(a), [s], m, resolvent=True)
+            assert row.F == limit_cdf(a, s, m).value == record.value
+            assert row.f == record.density == limit_density(a, s, m)
+
+    @pytest.mark.parametrize("a,s", [(0.0, 1200.0), (1.0, 1600.0), (5.0, 1600.0)])
+    def test_failed_factor_is_refused(self, a, s):
+        # deep in the tail the rounding of I - A outweighs its smallest
+        # eigenvalues, and at m = 50 it has no Cholesky factor: refused by
+        # name, alone and as the middle s of a batch
+        message = re.escape(f"not positive definite at s={s!r}, m=50")
+        for evaluate in (lambda: limit_cdf(a, s, 50), lambda: limit_density(a, s, 50),
+                         lambda: limit_table(a, [1.0, s, 2.0], 50),
+                         lambda: limit_table(a, [1.0, s, 2.0], 50, density=True)):
+            with pytest.raises(NumericError, match=message):
+                evaluate()

@@ -549,6 +549,16 @@ class TestKernelMatrix:
         with pytest.raises(DomainError, match="one-dimensional"):
             kernel_matrix(bessel_spec(0.0), np.array([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, 1600.5, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("spec", [bessel_spec(0.5), finite_spec(0.5, 12)],
+                             ids=["bessel", "finite"])
+    def test_nodes_off_the_axis(self, spec, bad):
+        # below 0, past S_MAX, nan or infinite, wherever it sits in the stack
+        for nodes in ([bad, 1.0, 2.0], [1.0, bad, 2.0], [1.0, 2.0, bad]):
+            with pytest.raises(DomainError, match=r"kernel nodes must lie in \[0, 1600\]"):
+                _kernel_blocks(spec, [np.array([[0.5, 1.0, 2.0], nodes])])
+        assert kernel_matrix(spec, np.array([0.0, 1600.0])).shape == (2, 2)
+
     @pytest.mark.parametrize("spec", [bessel_spec(0.5), finite_spec(0.5, 12)],
                              ids=["bessel", "finite"])
     def test_blocks_take_stacks_only(self, spec):

@@ -219,3 +219,59 @@ def test_underflowing_weights_are_refused():
     # overflows, and the zero weight is refused by the build's check
     with pytest.raises(NumericError):
         gauss_jacobi(MAX_NODES, 300.0)
+
+
+def _refusal(evaluate):
+    try:
+        evaluate()
+    except (AccuracyError, NumericError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _ordered_checks(nodes, weights, ends, a):
+    """The ordered checks of _scaled_stack on a stack: the first row whose
+    weights leave the double range, then _check."""
+    quadrature._refuse(
+        (weights > 0.0) & (weights < math.inf), AccuracyError,
+        f"the weights of x^a dx on (0, {{end!r}}) leave the double range at a={a!r}", ends)
+    quadrature._check(nodes, weights, ends, a)
+
+
+# two-node stacks for x dx (a = 1) on (0, 2) and (0, 4), masses 2 and 8;
+# each case spoils one row
+GOOD_NODES, GOOD_WEIGHTS = [[0.5, 1.5], [1.0, 3.0]], [[1.0, 1.0], [4.0, 4.0]]
+
+
+@pytest.mark.parametrize("row,nodes,weights", [
+    pytest.param(1, [1.0, 3.0], [4.0, 4.0], id="rules"),
+    pytest.param(1, [0.0, 3.0], [4.0, 4.0], id="first-node-at-zero"),
+    pytest.param(1, [1.0, 4.0], [4.0, 4.0], id="last-node-at-end"),
+    pytest.param(1, [3.0, 1.0], [4.0, 4.0], id="decreasing"),
+    pytest.param(1, [1.0, 1.0], [4.0, 4.0], id="repeated"),
+    pytest.param(1, [1.0, math.nan], [4.0, 4.0], id="nan-node"),
+    pytest.param(1, [1.0, 3.0], [8.0, 0.0], id="zero-weight"),
+    pytest.param(1, [1.0, 3.0], [8.0, -0.0], id="negative-zero-weight"),
+    pytest.param(1, [1.0, 3.0], [4.0, math.inf], id="infinite-weight"),
+    pytest.param(1, [1.0, 3.0], [4.0, math.nan], id="nan-weight"),
+    pytest.param(1, [1.0, 3.0], [4.0, 4.0 + 16e-12], id="mass-missed"),
+    pytest.param(0, [0.5, 2.0], [1.0, 1.0], id="first-row-spoilt"),
+])
+def test_one_pass_accepts_what_the_ordered_checks_accept(row, nodes, weights):
+    # the one pass over a stack is a shortcut: it accepts exactly the stacks
+    # that the ordered checks accept, and where it does not, scale_rule
+    # raises the ordered refusal, type and message
+    stack_nodes, stack_weights = np.array(GOOD_NODES), np.array(GOOD_WEIGHTS)
+    stack_nodes[row], stack_weights[row] = nodes, weights
+    ends = [2.0, 4.0]
+    expected = _refusal(lambda: _ordered_checks(stack_nodes, stack_weights, ends, 1.0))
+    assert quadrature._all_rules(stack_nodes, stack_weights, ends, 1.0) == (expected is None)
+    # the spoilt row as the image of a rule on (0, 1): scaling by a power of
+    # two is exact, so scale_rule checks this very row
+    end = ends[row]
+    rule = quadrature.QuadratureRule(stack_nodes[row] / end, stack_weights[row] / end ** 2,
+                                     1.0, 1.0)
+    alone = _refusal(lambda: _ordered_checks(stack_nodes[row:row + 1],
+                                             stack_weights[row:row + 1], [end], 1.0))
+    assert _refusal(lambda: scale_rule(rule, end)) == alone
+    assert (alone is None) == (expected is None)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import FrozenInstanceError, fields
 
 import mpmath
@@ -100,43 +101,41 @@ def _gaussian_sample(a, n, seed, index):
     return float(singular_values[-1] ** 2)
 
 
-def _reference_squares(a, n, seed, index):
-    """The squared entries of sample `index`'s bidiagonal, the diagonal top
-    down then the entries above it, from a new Philox and Generator."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-    shapes = [a + n - k for k in range(n)] + [n - 1 - k for k in range(n - 1)]
-    return rng.standard_gamma(np.array(shapes, dtype=float))
-
-
-def _reference_bidiagonal(a, n, seed, index):
-    squares = _reference_squares(a, n, seed, index)
-    return np.diag(np.sqrt(squares[:n])) + np.diag(np.sqrt(squares[n:]), 1)
-
-
-def _reference_sample(a, n, seed, index):
-    """One sample with one SVD of its own: the reference that the block
-    sampler equals bit for bit."""
-    smallest = float(np.linalg.svd(_reference_bidiagonal(a, n, seed, index),
-                                   compute_uv=False)[-1])
-    return smallest * smallest
+def _reference_stack(a, n, seed, count):
+    """The squared entries of the bidiagonals of samples 0, ..., count - 1,
+    one row each, the diagonal top down then the entries above it, every row
+    from a new Philox and Generator."""
+    shapes = np.array([a + n - k for k in range(n)] + [n - 1 - k for k in range(n - 1)],
+                      dtype=float)
+    return np.array([
+        np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        .standard_gamma(shapes) for i in range(count)])
 
 
 def _block_size(a, n):
-    return max(1, montecarlo.BLOCK_ENTRIES // (n * n))
+    return montecarlo.BLOCK_VARIATES // (2 * n - 1)
 
 
 class TestBlockSampler:
     @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
     @pytest.mark.parametrize("a,n", [(0, 1), (0, 5), (1, 20), (3, 7), (2, 200)])
     def test_equals_the_per_sample_reference(self, a, n, seed):
-        # counts on either side of the first block boundary. At n = 200 every
-        # block is one sample, so 3 stands in for 1000: an SVD there takes
-        # 1.7 ms (x86-64, OpenBLAS), and 1000 would take 1.7 s per seed
-        block = _block_size(a, n)
-        counts = sorted({1, block - 1, block, block + 1, 1000 if n < 200 else 3} - {0})
-        reference = [_reference_sample(a, n, seed, i) for i in range(counts[-1])]
+        # the whole first block and the one sample after it; the reference
+        # draws each sample alone and solves them in one stack, which equals
+        # each row solved alone (test_row_alone_equals_the_row_in_a_stack).
+        # Shorter counts give prefixes (test_prefix_of_a_longer_sample)
+        counts = sorted({1, _block_size(a, n) + 1, 1000})
+        reference = montecarlo._smallest_eigenvalues(
+            _reference_stack(a, n, seed, counts[-1])).tolist()
         for count in counts:
             assert sample_smallest(a, n, count, seed).values.tolist() == reference[:count]
+
+    @pytest.mark.parametrize("a,n", [(0, 1), (0, 5), (1, 20), (3, 7), (2, 200)])
+    def test_row_alone_equals_the_row_in_a_stack(self, a, n):
+        squares = _reference_stack(a, n, 11, 64)
+        stacked = montecarlo._smallest_eigenvalues(squares).tolist()
+        assert [montecarlo._smallest_eigenvalues(row[None])[0] for row in squares] == stacked
+        assert montecarlo._smallest_eigenvalues(squares[::-1]).tolist() == stacked[::-1]
 
     @pytest.mark.parametrize("a,n", [(0, 5), (1, 20), (3, 7)])
     def test_prefix_of_a_longer_sample(self, a, n):
@@ -145,33 +144,53 @@ class TestBlockSampler:
         for count in (1, block - 1, block, block + 1, 2 * block + 2):
             assert sample_smallest(a, n, count, 8).values.tolist() == longer[:count]
 
-    def test_one_svd_call_per_block(self, monkeypatch):
-        svd, stacks = np.linalg.svd, []
+    def test_no_linear_algebra(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the sampler called numpy.linalg")
 
-        def counting(x, *args, **kwargs):
-            stacks.append(x.shape)
-            return svd(x, *args, **kwargs)
+        for name in ("svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        for a, n in [(0, 1), (1, 20), (2, 200)]:
+            assert np.all(sample_smallest(a, n, 200, 7).values > 0.0)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        sample_smallest(1, 20, 1000, 7)
-        # blocks of 2^16 // 20^2 = 163 bidiagonal 20 x 20 matrices
-        assert stacks == [(163, 20, 20)] * 6 + [(22, 20, 20)]
+    @pytest.mark.parametrize("a,n,count,stacks", [
+        (1, 20, 1000, [(1000, 39)]),
+        # blocks of 2^16 // 39 = 1680 samples at n = 20, 2^16 // 399 = 164 at n = 200
+        (1, 20, 4000, [(1680, 39)] * 2 + [(640, 39)]),
+        (2, 200, 400, [(164, 399)] * 2 + [(72, 399)]),
+    ])
+    def test_one_solve_per_block(self, a, n, count, stacks, monkeypatch):
+        solve, shapes = montecarlo._smallest_eigenvalues, []
 
-    @pytest.mark.parametrize("index", [0, 100, 163, 999])
-    def test_failed_svd_names_the_sample(self, index, monkeypatch):
-        a, n, seed = 1, 20, 7
-        svd, failing = np.linalg.svd, _reference_bidiagonal(a, n, seed, index)
+        def counting(squares):
+            shapes.append(squares.shape)
+            return solve(squares)
 
-        def refusing(x, *args, **kwargs):
-            if np.any(np.all(x == failing, axis=(-2, -1))):
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(x, *args, **kwargs)
+        monkeypatch.setattr(montecarlo, "_smallest_eigenvalues", counting)
+        sample_smallest(a, n, count, 7)
+        assert shapes == stacks
 
-        monkeypatch.setattr(np.linalg, "svd", refusing)
-        with pytest.raises(NumericError) as raised:
-            sample_smallest(a, n, 1000, seed)
-        assert str(raised.value) == f"SVD failed for sample {index} (a=1, n=20, seed=7)"
-        assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
+    # a diagonal square of 0 makes B singular; a nan anywhere poisons the
+    # pivots below it (a 0 above the diagonal only splits B, and is no fault)
+    @pytest.mark.parametrize("index,column,bad", [
+        (0, 0, 0.0), (100, 19, 0.0), (999, 10, 0.0),
+        (0, 0, math.nan), (163, 19, math.nan), (999, 25, math.nan), (500, 38, math.nan),
+    ])
+    def test_bad_variate_is_refused(self, index, column, bad, monkeypatch):
+        solve = montecarlo._smallest_eigenvalues
+
+        def poisoned(squares):
+            squares[index, column] = bad
+            return solve(squares)
+
+        monkeypatch.setattr(montecarlo, "_smallest_eigenvalues", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as raised:
+                sample_smallest(1, 20, 1000, 7)
+        # the solve stops at x = 0, whose pivots are not all positive
+        assert str(raised.value) == (
+            f"sampler produced eigenvalue 0.0 for sample {index} (a=1, n=20, seed=7)")
 
 
 def _two_sample_ks(x, y):
@@ -226,16 +245,17 @@ class TestBidiagonalModel:
         statistic = _two_sample_ks(bidiagonal, gaussian)
         assert statistic < self.KS_COEFF_1E6 * math.sqrt(2.0 / count), statistic
 
-    @pytest.mark.parametrize("a,n,count,ulps", [(1, 20, 10, 4), (0, 200, 3, 8)])
+    @pytest.mark.parametrize("a,n,count,ulps", [
+        (1, 20, 10, 4), (0, 200, 3, 8), (3, 7, 10, 2), (2, 50, 10, 4), (0, 1, 10, 2)])
     def test_relative_accuracy_against_40_digits(self, a, n, count, ulps):
-        # the smallest singular value of the bidiagonal keeps high relative
-        # accuracy, however small it is.  The worst relative errors measured
-        # here were 6.7e-16 at (1, 20) and 1.7e-15 at (0, 200), 3.0 and 7.5
-        # units of 2^-52 (x86-64, OpenBLAS 0.3.31); over 300 and 30 samples
-        # of seed 4 they were 1.6e-15 and 3.0e-15
+        # lambda_min of the bidiagonal keeps high relative accuracy, however
+        # small it is.  The worst errors measured here, in units of 2^-52, were
+        # 1, 4, 1, 2 and 1 at seed 3; over seeds 0-19 they were 4, 17, 1, 3
+        # and 1, where LAPACK's bidiagonal SVD read 5, 22, 4, 9 and 1
         values = sample_smallest(a, n, count, seed=3).values
-        errors = [abs(float(value / _exact_smallest(_reference_squares(a, n, 3, i), n, value))
-                      - 1.0) for i, value in enumerate(values)]
+        squares = _reference_stack(a, n, 3, count)
+        errors = [abs(float(value / _exact_smallest(row, n, value)) - 1.0)
+                  for row, value in zip(squares, values)]
         assert max(errors) < ulps * 2.0 ** -52, errors
 
 
@@ -629,9 +649,9 @@ class TestKsValidate:
         with pytest.raises(DomainError):
             ks_validate(0, 200, count, seed=1, m=m)
         assert draws == []
-        # and the patched function is the one that draws: a block per sample here
+        # and the patched function is the one that draws: one block of both samples
         sample_smallest(0, 200, 2, seed=1)
-        assert [args[3:] for args in draws] == [(0, 1), (1, 2)]
+        assert [args[3:] for args in draws] == [(0, 2)]
 
     @pytest.mark.parametrize("a,n,count,seed,message", [
         (0.5, 5, 999, 1, "KS comparison needs count >= 1000"),

@@ -193,6 +193,38 @@ def test_fredholm_exports_only_its_surface():
     assert private_fredholm_imports({path.stem: path.read_text() for path in SOURCES}) == []
 
 
+def linalg_reads(source: str) -> list:
+    """Lines that name numpy.linalg: an attribute `.linalg`, an import of
+    numpy.linalg or of a name from it, or `from numpy import linalg`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found.add(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+                alias.name.startswith("numpy.linalg") for alias in node.names):
+            found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("numpy.linalg")
+                or node.module == "numpy" and any(alias.name == "linalg" for alias in node.names)):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_linalg_reads_are_found():
+    source = (
+        "import numpy as np\nnp.linalg.svd(x)\nimport numpy.linalg\n"
+        "from numpy.linalg import eigh\nfrom numpy import linalg as la\n"
+        "from numpy import sqrt\nlinalg = 1\nx.linalg_free\n"
+    )
+    assert linalg_reads(source) == [2, 3, 4, 5]
+
+
+def test_sampler_takes_no_linear_algebra():
+    # every sample's lambda_min comes from the qd solve over its drawn
+    # squares; a per-block LAPACK call would cost several times that solve
+    assert linalg_reads((Path(hardedge.__file__).parent / "montecarlo.py").read_text()) == []
+
+
 def hardedge_reads(source: str) -> list:
     """Dotted hardedge paths a source reads: every name of a `from hardedge...
     import`, and every attribute read of a name that a module-level import

@@ -21,7 +21,8 @@ _smallest_eigenvalues).  The transform is mixed relatively stable, so the
 value keeps high relative accuracy however small it is: against 40-digit
 bisection on the same squares, over seeds 0-19, it was within 4 units of
 2^-52 at n <= 50 and 17 at n = 200, where LAPACK's SVD of B was within 9
-and 22 (see the tests).
+and 22 (see the tests).  At n = 1 lambda_min is the one drawn square, which
+the sampler returns as drawn, so it is exact.
 
 The Gaussian construction stays in the tests as the reference this
 sampler is judged against: a two-sample Kolmogorov-Smirnov gate at
@@ -119,8 +120,12 @@ def _smallest_eigenvalues(squares: np.ndarray) -> np.ndarray:
     positive, with that x, past lambda_min by rounding only (0 where a
     diagonal square is 0 or any square nan), or else at a step of at most
     _NEWTON_TOL x, with the step taken.  Rows share no arithmetic, so a
-    row's value does not depend on the others.
+    row's value does not depend on the others.  At n = 1, lambda_min is the
+    one square q, returned as drawn where q > 0 and as 0 elsewhere, nan
+    included: a Newton step would round it to 1 / (1 / q).
     """
+    if squares.shape[1] == 1:
+        return np.where(squares[:, 0] > 0.0, squares[:, 0], 0.0)
     n = (squares.shape[1] + 1) // 2
     q, e = squares[:, :n].T.copy(), squares[:, n:].T.copy()
     values = np.empty(len(squares))
@@ -154,7 +159,7 @@ def _smallest_eigenvalues(squares: np.ndarray) -> np.ndarray:
     return values
 
 
-def _sample_block(a: int, n: int, seed: int, start: int, stop: int) -> list:
+def _sample_block(a: int, n: int, seed: int, start: int, stop: int) -> np.ndarray:
     """Smallest eigenvalues of samples start, ..., stop - 1.
 
     Sample i draws the squares of its bidiagonal entries, the diagonal
@@ -178,7 +183,7 @@ def _sample_block(a: int, n: int, seed: int, start: int, stop: int) -> list:
         key[1] = index
         bits.state = state
         rng.standard_gamma(shapes, out=out)
-    return _smallest_eigenvalues(squares).tolist()
+    return _smallest_eigenvalues(squares)
 
 
 def _sampler_arguments(a, n, count, seed) -> tuple:
@@ -198,10 +203,8 @@ def sample_smallest(a, n, count, seed) -> SampleBatch:
 def _draw(a: int, n: int, count: int, seed: int) -> SampleBatch:
     """sample_smallest on checked arguments."""
     block = BLOCK_VARIATES // (2 * n - 1)
-    values = []
-    for start in range(0, count, block):
-        values += _sample_block(a, n, seed, start, min(start + block, count))
-    values = np.array(values)
+    values = np.concatenate([_sample_block(a, n, seed, start, min(start + block, count))
+                             for start in range(0, count, block)])
     positive = values > 0.0  # and not nan
     if not positive.all():
         index = int(np.argmin(positive))

@@ -11,7 +11,8 @@ symmetric eigensolver gives them, and one Newton step on the degree-m
 polynomial refines them.  The weights are the Christoffel numbers
 1 / sum_{k<m} p_k(t)^2 of the orthonormal polynomials p_k, from a second
 vectorized pass of the same recurrence over all nodes, rather than squared
-eigenvector components, which lose relative accuracy on small weights.
+eigenvector components, which lose relative accuracy on small weights.  One
+rule check, _check, judges the cached build once and every scaled stack.
 """
 
 import math
@@ -58,13 +59,18 @@ def _check(nodes: np.ndarray, weights: np.ndarray, ends: list, a: float) -> None
     """Refuse with NumericError the first row k of (S, m) nodes and weights
     that is not a rule for x^a dx on (0, ends[k]): nodes strictly increasing
     inside the open interval, weights positive and summing to within 1e-12
-    of the mass ends[k]^{a+1} / (a+1).  Each test runs on every row before
-    the next one, and each is written so that nan fails it."""
-    _refuse((nodes > 0.0) & (nodes < np.array(ends)[:, None]), NumericError,
-            "quadrature nodes escaped the open interval (0, {end!r})", ends)
-    _refuse(nodes[:, 1:] > nodes[:, :-1], NumericError,
-            "quadrature nodes are not strictly increasing", ends)
-    _refuse(weights > 0.0, NumericError, "quadrature produced non-positive weights", ends)
+    of the mass ends[k]^{a+1} / (a+1).  Each test, which nan fails, is decided
+    on the whole stack (increasing nodes are inside when the first and last
+    are), before the next; only a failed one looks for the row to name."""
+    rows = zip(nodes[:, 0].tolist(), nodes[:, -1].tolist(), ends)
+    if not ((nodes[:, 1:] > nodes[:, :-1]).all()
+            and all(0.0 < first and last < end for first, last, end in rows)):
+        _refuse((nodes > 0.0) & (nodes < np.array(ends)[:, None]), NumericError,
+                "quadrature nodes escaped the open interval (0, {end!r})", ends)
+        _refuse(nodes[:, 1:] > nodes[:, :-1], NumericError,
+                "quadrature nodes are not strictly increasing", ends)
+    if not weights.min() > 0.0:
+        _refuse(weights > 0.0, NumericError, "quadrature produced non-positive weights", ends)
     for end, total in zip(ends, weights.sum(axis=1).tolist()):
         mass = end ** (a + 1.0) / (a + 1.0)
         if not abs(total - mass) <= 1e-12 * mass:
@@ -107,8 +113,8 @@ def scale_rule(rule: QuadratureRule, s) -> QuadratureRule:
 def _scaled_stack(rule: QuadratureRule, s: list) -> tuple:
     """(nodes, weights), each (S, m): the rule under x -> s_k x for every
     float s_k > 0 of s, each row checked as scale_rule checks its rule, so
-    that a stack refuses where one of its rows would alone (the ordered
-    checks, which name the first bad row, run only where _all_rules fails)."""
+    that a stack refuses where one of its rows would alone: AccuracyError at
+    the first row whose weights leave the double range, then _check."""
     factors = []
     for t in s:
         try:
@@ -118,30 +124,12 @@ def _scaled_stack(rule: QuadratureRule, s: list) -> tuple:
     weights = rule.weights * np.array(factors)[:, None]
     ends = [rule.s * t for t in s]
     nodes = rule.nodes * np.array(s)[:, None]
-    if not _all_rules(nodes, weights, ends, rule.a):
+    if not (weights.min() > 0.0 and weights.max() < math.inf):
         _refuse((weights > 0.0) & (weights < math.inf), AccuracyError,
                 f"the weights of x^a dx on (0, {{end!r}}) leave the double range at a={rule.a!r}",
                 ends)
-        _check(nodes, weights, ends, rule.a)
+    _check(nodes, weights, ends, rule.a)
     return nodes, weights
-
-
-def _all_rules(nodes: np.ndarray, weights: np.ndarray, ends: list, a: float) -> bool:
-    """Whether every row passes the weight range check of _scaled_stack and
-    _check, in one pass: positive finite weights, strictly increasing nodes
-    whose first and last lie inside (0, end), and the mass, the Python float
-    _check computes, met to 1e-12.  nan fails every test."""
-    if not (weights.min() > 0.0 and weights.max() < math.inf
-            and (nodes[:, 1:] > nodes[:, :-1]).all()):
-        return False
-    try:
-        masses = [end ** (a + 1.0) / (a + 1.0) for end in ends]
-    except OverflowError:
-        return False
-    rows = zip(ends, masses, nodes[:, 0].tolist(), nodes[:, -1].tolist(),
-               weights.sum(axis=1).tolist())
-    return all(0.0 < first and last < end and abs(total - mass) <= 1e-12 * mass
-               for end, mass, first, last, total in rows)
 
 
 @lru_cache(maxsize=512)

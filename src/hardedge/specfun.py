@@ -433,7 +433,7 @@ def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
     total = sum_{k<n} weights[k] p_k^2 for an ndarray of weights (zero when
     weights is None, and then no squares are formed); rows, if given for an
     ndarray t only, receives p_k in rows[k] for k < n.  Arguments are not
-    validated here (see _laguerre_pair).  A pass that leaves the double range
+    validated here (see laguerre).  A pass that leaves the double range
     is refused with AccuracyError: a non-finite p_k stays non-finite in
     every later degree, so p_n and the total decide.
 
@@ -516,10 +516,10 @@ def _laguerre_blocks(n: int, a: float, t: np.ndarray, weights, rows):
     return (ps[count - 1] if n else np.zeros(t.shape)), ps[count], d, total
 
 
-def _laguerre_pair(n, a, x):
-    """(L_{n-1}^a(x), L_n^a(x)) from one pass of the recurrence (L_{-1} = 0).
+def laguerre(n, a, x):
+    """Generalized Laguerre polynomial L_n^a(x) from one pass of the recurrence.
 
-    x may be a scalar (floats are returned) or an ndarray.  Orders a at a
+    x may be a scalar (a float is returned) or an ndarray.  Orders a at a
     negative integer are refused: binom(k+a, k) vanishes there, so the
     normalized recurrence is undefined.  Values outside the double range
     are refused with AccuracyError, and so is every x once binom(n+a, n)
@@ -532,16 +532,9 @@ def _laguerre_pair(n, a, x):
         raise DomainError("laguerre requires finite arguments")
     if a < 0.0 and a == math.floor(a):
         raise DomainError(f"laguerre requires an order a that is not a negative integer, got {a!r}")
-    t = float(arr) if arr.ndim == 0 else arr
-    binom = _binomials(n, a)
-    p_prev, p, _, _ = _laguerre_pass(n, a, t)
+    _, p, _, _ = _laguerre_pass(n, a, float(arr) if arr.ndim == 0 else arr)
     with np.errstate(over="ignore"):
-        pair = float(binom[max(n - 1, 0)]) * p_prev, float(binom[n]) * p
-    if not all(np.isfinite(value).all() for value in pair):
+        value = float(_binomials(n, a)[n]) * p
+    if not np.isfinite(value).all():
         raise AccuracyError(f"L_n^a leaves the double range at n={n}, a={a!r}")
-    return pair
-
-
-def laguerre(n, a, x):
-    """Generalized Laguerre polynomial L_n^a(x); x may be a scalar or ndarray."""
-    return _laguerre_pair(n, a, x)[1]
+    return value

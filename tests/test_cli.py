@@ -350,6 +350,14 @@ class TestUsageAndErrors:
         assert run_cli(["limit-cdf", "--a", "200", "--s", "0.001"]) == 2
         assert "double range" in capsys.readouterr().err
 
+    def test_refused_rule_build_exits_3(self, capsys):
+        # at a = 300 the 490-node rule on (0, 1) has a weight below the double
+        # range: the build's check refuses it, a numeric failure (3)
+        assert run_cli(["limit-cdf", "--a", "300", "--s", "1", "--m", "490"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "hardedge: numeric error: quadrature produced non-positive weights\n"
+
     def test_numeric_error_exits_3(self, capsys):
         # a negative determinant at s = 600 refuses the whole table before its first row
         assert run_cli(["limit-cdf", "--a", "0", "--s", "1,600,2"]) == 3

@@ -144,6 +144,13 @@ class TestBlockSampler:
         for count in (1, block - 1, block, block + 1, 2 * block + 2):
             assert sample_smallest(a, n, count, 8).values.tolist() == longer[:count]
 
+    @pytest.mark.parametrize("a", [0, 1, 3])
+    def test_order_one_is_the_drawn_square(self, a):
+        # at n = 1, lambda_min is the one Gamma(a+1) square, bit for bit
+        for seed in (0, 7, 19):
+            drawn = _reference_stack(a, 1, seed, 200)[:, 0]
+            assert sample_smallest(a, 1, 200, seed).values.tolist() == drawn.tolist()
+
     def test_no_linear_algebra(self, monkeypatch):
         def refused(*args, **kwargs):
             raise AssertionError("the sampler called numpy.linalg")
@@ -172,11 +179,12 @@ class TestBlockSampler:
 
     # a diagonal square of 0 makes B singular; a nan anywhere poisons the
     # pivots below it (a 0 above the diagonal only splits B, and is no fault)
-    @pytest.mark.parametrize("index,column,bad", [
-        (0, 0, 0.0), (100, 19, 0.0), (999, 10, 0.0),
-        (0, 0, math.nan), (163, 19, math.nan), (999, 25, math.nan), (500, 38, math.nan),
+    @pytest.mark.parametrize("n,index,column,bad", [
+        (20, 0, 0, 0.0), (20, 100, 19, 0.0), (20, 999, 10, 0.0),
+        (20, 0, 0, math.nan), (20, 163, 19, math.nan), (20, 999, 25, math.nan),
+        (20, 500, 38, math.nan), (1, 0, 0, 0.0), (1, 999, 0, math.nan),
     ])
-    def test_bad_variate_is_refused(self, index, column, bad, monkeypatch):
+    def test_bad_variate_is_refused(self, n, index, column, bad, monkeypatch):
         solve = montecarlo._smallest_eigenvalues
 
         def poisoned(squares):
@@ -187,10 +195,11 @@ class TestBlockSampler:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError) as raised:
-                sample_smallest(1, 20, 1000, 7)
-        # the solve stops at x = 0, whose pivots are not all positive
+                sample_smallest(1, n, 1000, 7)
+        # the solve stops at x = 0, whose pivots are not all positive; at
+        # n = 1 the square that is not positive gives 0 too
         assert str(raised.value) == (
-            f"sampler produced eigenvalue 0.0 for sample {index} (a=1, n=20, seed=7)")
+            f"sampler produced eigenvalue 0.0 for sample {index} (a=1, n={n}, seed=7)")
 
 
 def _two_sample_ks(x, y):
@@ -250,8 +259,9 @@ class TestBidiagonalModel:
     def test_relative_accuracy_against_40_digits(self, a, n, count, ulps):
         # lambda_min of the bidiagonal keeps high relative accuracy, however
         # small it is.  The worst errors measured here, in units of 2^-52, were
-        # 1, 4, 1, 2 and 1 at seed 3; over seeds 0-19 they were 4, 17, 1, 3
-        # and 1, where LAPACK's bidiagonal SVD read 5, 22, 4, 9 and 1
+        # 1, 4, 1, 2 and 0 at seed 3; over seeds 0-19 they were 4, 17, 1, 3
+        # and 0, where LAPACK's bidiagonal SVD read 5, 22, 4, 9 and 1.  At
+        # n = 1 the sample is the drawn square itself
         values = sample_smallest(a, n, count, seed=3).values
         squares = _reference_stack(a, n, 3, count)
         errors = [abs(float(value / _exact_smallest(row, n, value)) - 1.0)

@@ -214,6 +214,15 @@ def test_mass_refusal_names_the_rule():
         "quadrature weights miss the mass on (0, 4.0) at a=1.0, m=2 by a relative 2e-12")
 
 
+def test_escaped_middle_node_is_refused_as_escaped():
+    # first and last node inside (0, 4) decide the interval test only for
+    # increasing nodes: an unordered row whose middle node escapes keeps the
+    # first refusal of the test order
+    nodes, weights = np.array([[1.0, 5.0, 3.0]]), np.array([[3.0, 3.0, 2.0]])
+    with pytest.raises(NumericError, match=r"escaped the open interval \(0, 4\.0\)"):
+        quadrature._check(nodes, weights, [4.0], 1.0)
+
+
 def test_underflowing_weights_are_refused():
     # the smallest weight lies below the double range: its sum of squares
     # overflows, and the zero weight is refused by the build's check
@@ -229,49 +238,45 @@ def _refusal(evaluate):
     return None
 
 
-def _ordered_checks(nodes, weights, ends, a):
-    """The ordered checks of _scaled_stack on a stack: the first row whose
-    weights leave the double range, then _check."""
-    quadrature._refuse(
-        (weights > 0.0) & (weights < math.inf), AccuracyError,
-        f"the weights of x^a dx on (0, {{end!r}}) leave the double range at a={a!r}", ends)
-    quadrature._check(nodes, weights, ends, a)
-
-
 # two-node stacks for x dx (a = 1) on (0, 2) and (0, 4), masses 2 and 8;
 # each case spoils one row
 GOOD_NODES, GOOD_WEIGHTS = [[0.5, 1.5], [1.0, 3.0]], [[1.0, 1.0], [4.0, 4.0]]
+ESCAPED = (NumericError, "quadrature nodes escaped the open interval (0, 4.0)")
+UNORDERED = (NumericError, "quadrature nodes are not strictly increasing")
+OUT_OF_RANGE = (AccuracyError, "the weights of x^a dx on (0, 4.0) leave the double range at a=1.0")
 
 
-@pytest.mark.parametrize("row,nodes,weights", [
-    pytest.param(1, [1.0, 3.0], [4.0, 4.0], id="rules"),
-    pytest.param(1, [0.0, 3.0], [4.0, 4.0], id="first-node-at-zero"),
-    pytest.param(1, [1.0, 4.0], [4.0, 4.0], id="last-node-at-end"),
-    pytest.param(1, [3.0, 1.0], [4.0, 4.0], id="decreasing"),
-    pytest.param(1, [1.0, 1.0], [4.0, 4.0], id="repeated"),
-    pytest.param(1, [1.0, math.nan], [4.0, 4.0], id="nan-node"),
-    pytest.param(1, [1.0, 3.0], [8.0, 0.0], id="zero-weight"),
-    pytest.param(1, [1.0, 3.0], [8.0, -0.0], id="negative-zero-weight"),
-    pytest.param(1, [1.0, 3.0], [4.0, math.inf], id="infinite-weight"),
-    pytest.param(1, [1.0, 3.0], [4.0, math.nan], id="nan-weight"),
-    pytest.param(1, [1.0, 3.0], [4.0, 4.0 + 16e-12], id="mass-missed"),
-    pytest.param(0, [0.5, 2.0], [1.0, 1.0], id="first-row-spoilt"),
+@pytest.mark.parametrize("row,nodes,weights,expected", [
+    pytest.param(1, [1.0, 3.0], [4.0, 4.0], None, id="rules"),
+    pytest.param(1, [0.0, 3.0], [4.0, 4.0], ESCAPED, id="first-node-at-zero"),
+    pytest.param(1, [1.0, 4.0], [4.0, 4.0], ESCAPED, id="last-node-at-end"),
+    pytest.param(1, [3.0, 1.0], [4.0, 4.0], UNORDERED, id="decreasing"),
+    pytest.param(1, [1.0, 1.0], [4.0, 4.0], UNORDERED, id="repeated"),
+    pytest.param(1, [1.0, math.nan], [4.0, 4.0], ESCAPED, id="nan-node"),
+    pytest.param(1, [1.0, 3.0], [8.0, 0.0], OUT_OF_RANGE, id="zero-weight"),
+    pytest.param(1, [1.0, 3.0], [8.0, -0.0], OUT_OF_RANGE, id="negative-zero-weight"),
+    pytest.param(1, [1.0, 3.0], [4.0, math.inf], OUT_OF_RANGE, id="infinite-weight"),
+    pytest.param(1, [1.0, 3.0], [4.0, math.nan], OUT_OF_RANGE, id="nan-weight"),
+    pytest.param(1, [1.0, 3.0], [4.0, 4.0 + 16e-12], (
+        NumericError, "quadrature weights miss the mass on (0, 4.0) at a=1.0, m=2 "
+                      "by a relative 2e-12"), id="mass-missed"),
+    pytest.param(0, [0.5, 2.0], [1.0, 1.0], (
+        NumericError, "quadrature nodes escaped the open interval (0, 2.0)"),
+        id="first-row-spoilt"),
 ])
-def test_one_pass_accepts_what_the_ordered_checks_accept(row, nodes, weights):
-    # the one pass over a stack is a shortcut: it accepts exactly the stacks
-    # that the ordered checks accept, and where it does not, scale_rule
-    # raises the ordered refusal, type and message
+def test_stack_and_row_refuse_alike(row, nodes, weights, expected):
+    # the stack as _scaled_stack judges it, and the spoilt row as scale_rule
+    # judges it, raise the same refusal, type and message.  Both are images
+    # of rules on (0, 1) whose arrays are the rows divided by end and end^2:
+    # scaling by a power of two is exact, so the checks see these very rows
     stack_nodes, stack_weights = np.array(GOOD_NODES), np.array(GOOD_WEIGHTS)
     stack_nodes[row], stack_weights[row] = nodes, weights
-    ends = [2.0, 4.0]
-    expected = _refusal(lambda: _ordered_checks(stack_nodes, stack_weights, ends, 1.0))
-    assert quadrature._all_rules(stack_nodes, stack_weights, ends, 1.0) == (expected is None)
-    # the spoilt row as the image of a rule on (0, 1): scaling by a power of
-    # two is exact, so scale_rule checks this very row
-    end = ends[row]
+    ends = np.array([[2.0], [4.0]])
+    # a rule whose arrays hold one row per scale factor: _scaled_stack scales
+    # row k by the k-th factor
+    stacked = quadrature.QuadratureRule(stack_nodes / ends, stack_weights / ends ** 2, 1.0, 1.0)
+    assert _refusal(lambda: quadrature._scaled_stack(stacked, [2.0, 4.0])) == expected
+    end = float(ends[row, 0])
     rule = quadrature.QuadratureRule(stack_nodes[row] / end, stack_weights[row] / end ** 2,
                                      1.0, 1.0)
-    alone = _refusal(lambda: _ordered_checks(stack_nodes[row:row + 1],
-                                             stack_weights[row:row + 1], [end], 1.0))
-    assert _refusal(lambda: scale_rule(rule, end)) == alone
-    assert (alone is None) == (expected is None)
+    assert _refusal(lambda: scale_rule(rule, end)) == expected

@@ -14,7 +14,7 @@ from hardedge import (
 )
 from hardedge.quadrature import gauss_jacobi, scale_rule
 from hardedge.specfun import (_BLOCK_ENTRIES, _BLOCK_ROWS, _ZERO_ORDER, _binomials,
-                              _laguerre_pair, _laguerre_pass, _laguerre_weights, _rgamma)
+                              _laguerre_pass, _laguerre_weights, _rgamma)
 
 
 def bessel_series_oracle(a, z, terms=400, dps=60):
@@ -242,6 +242,7 @@ class TestBesselPair:
 class TestLaguerre:
     def test_degree_zero_and_one(self):
         assert laguerre(0, 1.7, 5.0) == 1.0
+        assert laguerre(0, 0.5, 2.0) == 1.0
         assert laguerre(1, 2.0, 3.0) == 0.0  # 1 + a - x at a=2, x=3
 
     def test_against_scipy(self):
@@ -270,17 +271,6 @@ class TestLaguerre:
         assert vals.shape == x.shape
         assert vals[0] == pytest.approx(laguerre(3, 0.5, 0.0))
 
-    def test_pair_is_one_pass_of_the_recurrence(self):
-        rng = np.random.default_rng(13)
-        for _ in range(40):
-            n = int(rng.integers(1, 120))
-            a = float(rng.uniform(-0.9, 5.0))
-            x = rng.uniform(0.0, 20.0, size=5)
-            prev, curr = _laguerre_pair(n, a, x)
-            assert np.array_equal(prev, laguerre(n - 1, a, x))
-            assert np.array_equal(curr, laguerre(n, a, x))
-        assert _laguerre_pair(0, 0.5, 2.0) == (0.0, 1.0)
-
     def test_scalar_equals_array_element(self):
         # the recurrence runs in float or ndarray arithmetic, with the same
         # operations in the same order, so batching cannot change a value
@@ -304,9 +294,9 @@ class TestLaguerre:
         # (0, 40); scaled by the largest value
         n = 1000
         t = scale_rule(gauss_jacobi(10, a), 40.0).nodes / (4.0 * n)
-        prev, curr = _laguerre_pair(n, a, t)
         with mp.workdps(50):
-            for ours, degree in ((prev, n - 1), (curr, n)):
+            for degree in (n - 1, n):
+                ours = laguerre(degree, a, t)
                 ref = np.array([float(mp.laguerre(degree, a, mp.mpf(ti))) for ti in t])
                 assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref)), degree
 
@@ -315,7 +305,7 @@ class TestLaguerre:
         with pytest.raises(AccuracyError):
             laguerre(10000, 200.0, 1.0)
         with pytest.raises(AccuracyError):
-            _laguerre_pair(10000, 200.0, np.array([0.5, 1.0]))
+            laguerre(10000, 200.0, np.array([0.5, 1.0]))
         # binom(n+a, n) is in range but L_n^a(-x) ~ x^n / n! is not
         with pytest.raises(AccuracyError):
             laguerre(200, 0.5, -1e4)
@@ -358,7 +348,7 @@ class TestLaguerre:
             laguerre(2, 0.0, math.nan)
         for n in (math.nan, math.inf, 2.5):
             with pytest.raises(DomainError):
-                _laguerre_pair(n, 0.5, 1.0)
+                laguerre(n, 0.5, 1.0)
         # one past the largest degree, refused before the binomials are sized
         for n in (10**6 + 1, 10**21):
             with pytest.raises(DomainError, match=r"degree must be an integer in \[0, 1000000\]"):

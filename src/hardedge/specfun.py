@@ -49,20 +49,24 @@ difference L_n^a - L_{n-1}^a, and the sum of squares sum_{k<n} w_k p_k^2 with
 w_k = binom(k+a, k) / Gamma(a+1), so that k!/Gamma(k+a+1) L_k^a(t)^2 = w_k p_k^2.
 
 On a float the pass is a plain Python loop, kept for the pair residual of
-the kernels: at n = 50 it takes about 7 us, where the array branch on one
-node takes about 200 us, and at n = 400 about 50 us against 1.3 ms (a
-ufunc call per operation costs more than the arithmetic; medians of 31
-alternated rounds, Intel Xeon, numpy 2.4).  On an array, which is where a
-Nystrom assembly spends its time, it runs in place: five ufunc calls per
-degree into preallocated buffers, every operand an array (k and k+a+1 as
-0-d arrays), with p_k written into the rows of a block of degrees.  The
-squares w_k p_k^2 are formed once per block, and the block is added to the
-running total by one reduction that visits the degrees in order
-k = 0, 1, 2, ..., so both branches round identically and every value is
-bit-equal to the plain loop.  numpy keeps that order only while a row has
-more than one entry; at a single node it would sum pairwise, so a one-node
-pass accumulates its column instead.  A pass that leaves the double range
-is refused with AccuracyError.
+the kernels.  It tests nothing per degree: one loop without weights and
+one with them read the pairs (float(k), (k + a) + 1.0) from a step table
+per order a and block of 128 degrees, so no int becomes a float in the
+loop; 128 tables (about 1.8 MB) are cached.  At n = 50 the loop takes
+about 4.7 us, where the array branch on one node takes about 200 us, and
+at n = 400 about 28 us against 1.5 ms: a ufunc call per operation costs
+more than the arithmetic (medians of 31 rounds, Intel Xeon, Python 3.11,
+numpy 2.4).  On an array, which is where a Nystrom assembly spends its
+time, it runs in place: five ufunc calls per degree into preallocated
+buffers, every operand an array (k and k+a+1 as 0-d arrays), with p_k
+written into the rows of a block of degrees.  The squares w_k p_k^2 are
+formed once per block, and the block is added to the running total by one
+reduction that visits the degrees in order k = 0, 1, 2, ..., so both
+branches round identically and every value is bit-equal to the plain
+loop.  numpy keeps that order only while a row has more than one entry;
+at a single node it would sum pairwise, so a one-node pass accumulates
+its column instead.  A pass that leaves the double range is refused with
+AccuracyError.
 
 1/Gamma comes from math.gamma (_rgamma), so the library runs on numpy alone
 and loads no scipy.
@@ -426,6 +430,22 @@ _BLOCK_ROWS = 128
 _BLOCK_ENTRIES = 1 << 15
 
 
+@lru_cache(maxsize=128)  # about 14 kB a block
+def _step_table(a: float, block: int) -> tuple:
+    """(float(k), (k + a) + 1.0) for the degrees k of one block of
+    _BLOCK_ROWS, block * _BLOCK_ROWS on, as a tuple: the float pass's
+    constants, the denominator formed from the int k as the array branch
+    forms it (at a = 1/3, k + (a + 1.0) would differ)."""
+    k = np.arange(block * _BLOCK_ROWS, (block + 1) * _BLOCK_ROWS)
+    return tuple(zip(k.astype(float).tolist(), (k + a + 1.0).tolist()))
+
+
+def _step_blocks(n: int, a: float):
+    """The _step_table entries of degrees k < n, block by block."""
+    return (_step_table(a, start // _BLOCK_ROWS)[:n - start]
+            for start in range(0, n, _BLOCK_ROWS))
+
+
 def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
     """One pass of the normalized recurrence (module docstring) to degree n.
 
@@ -440,8 +460,11 @@ def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
     Both branches round identically, so a value does not depend on how its
     argument was batched: each degree forms d_{k+1} = (k d_k - t p_k)/(k+a+1)
     and p_{k+1} = p_k + d_{k+1}, and total = ((0 + w_0 p_0 p_0) + w_1 p_1 p_1) + ...
-    On an ndarray that is five in-place ufunc calls per degree, p_k going
-    into row k of a block buffer.  Per block, two array operations form the
+    On a float that is a loop with weights or one without, each reading k
+    and k+a+1 from the _step_blocks of its (n, a), with no test per degree
+    (about 28 us at n = 400 without weights, 52 us with them).  On an
+    ndarray that is five in-place ufunc calls per degree, p_k going into
+    row k of a block buffer.  Per block, two array operations form the
     squares (w_k p_k) p_k and one reduction adds them to the running total,
     which heads the block, so the degrees are summed in order.  numpy
     reduces that axis row by row only while a row has more than one entry
@@ -450,14 +473,21 @@ def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
     """
     if not isinstance(t, np.ndarray):
         p_prev, p, d, total = 0.0, 1.0, 0.0, 0.0
-        if weights is not None:
-            weights = weights[:n].tolist()  # Python floats keep the scalar loop fast
-        for k in range(n):
-            if weights is not None:
-                total += weights[k] * p * p
-            p_prev = p
-            d = (k * d - t * p) / (k + a + 1.0)
-            p = p + d
+        blocks = _step_blocks(n, a)
+        if weights is None:
+            for table in blocks:
+                for k, den in table:
+                    p_prev = p
+                    d = (k * d - t * p) / den
+                    p = p + d
+        else:
+            weights = iter(weights[:n].tolist())  # Python floats keep the loop fast
+            for table in blocks:
+                for (k, den), w in zip(table, weights):
+                    total += w * p * p
+                    p_prev = p
+                    d = (k * d - t * p) / den
+                    p = p + d
         finite = math.isfinite(p) and math.isfinite(total)
     else:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -379,6 +379,15 @@ class TestKernelExpansion:
         assert math.isfinite(value)
         assert abs(value) * 100 ** 2 < 1.0
 
+    @pytest.mark.parametrize("a", [1 / 3, 2.0])
+    @pytest.mark.parametrize("n", [127, 128, 129, 400])
+    def test_float_route_equals_the_matrices(self, n, a):
+        # around a block of the float pass's step tables (128 degrees) and at
+        # n = 400: diagonal pairs, near-diagonal pairs inside the window
+        # (2e-6 < 1e-6 * 5) and off-diagonal pairs, one of them at x = 0
+        nodes = np.array([0.0, 0.5, 2.0, 2.0 + 1e-7, 5.0, 5.0 + 2e-6, 7.5])
+        assert_pairs_match(finite_spec(a, n, 0.0), nodes, n)
+
     @pytest.mark.parametrize("x,message", [
         (-1.0, "finite and >= 0"), (math.inf, "finite and >= 0"), (2000.0, r"lie in \[0, 1600\]"),
     ])

@@ -14,7 +14,7 @@ from hardedge import (
 )
 from hardedge.quadrature import gauss_jacobi, scale_rule
 from hardedge.specfun import (_BLOCK_ENTRIES, _BLOCK_ROWS, _ZERO_ORDER, _binomials,
-                              _laguerre_pass, _laguerre_weights, _rgamma)
+                              _laguerre_pass, _laguerre_weights, _rgamma, _step_table)
 
 
 def bessel_series_oracle(a, z, terms=400, dps=60):
@@ -411,6 +411,30 @@ class TestLaguerrePass:
                 single = _laguerre_pass(n, a, float(t[index]), weights)
                 for want, got in zip(expected[:4], single):
                     assert got == want[index], (n, index)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weights"])
+    @pytest.mark.parametrize("a", [-0.5, 1 / 3, 7.25])
+    @pytest.mark.parametrize("n", [3 * _BLOCK_ROWS + 5, 1000])
+    def test_float_pass_across_step_tables(self, n, a, weighted):
+        # the float pass reads k and (k + a) + 1 from one table per block of
+        # _BLOCK_ROWS degrees, the last one cut short; across all of them it
+        # equals the reference loop bit for bit (at a = 1/3, k + (a + 1)
+        # would not)
+        weights = _laguerre_weights(n, a) if weighted else None
+        for t in (0.3, 1.7, 4.0):
+            assert _laguerre_pass(n, a, t, weights) == reference_pass(n, a, t, weights), t
+
+    def test_step_tables_are_immutable_tuples(self):
+        # one cached table serves every later float pass at its a, so neither
+        # it nor an entry can be changed; each denominator is (k + a) + 1
+        a, block = 1 / 3, 2
+        table = _step_table(a, block)
+        assert _step_table(a, block) is table
+        assert type(table) is tuple and len(table) == _BLOCK_ROWS
+        assert all(type(entry) is tuple for entry in table)
+        degrees = range(block * _BLOCK_ROWS, (block + 1) * _BLOCK_ROWS)
+        assert table == tuple((float(k), k + a + 1.0) for k in degrees)
+        assert all(type(value) is float for entry in table for value in entry)
 
     def test_ufunc_operands_are_arrays(self, monkeypatch):
         # the array pass hands every ufunc arrays (k and k+a+1 as 0-d ones):

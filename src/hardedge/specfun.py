@@ -32,7 +32,11 @@ Routes, by argument:
 
 Each element starts at an order chosen from a and its own z, so an
 element of an array is bit-equal to the float call at its z, however it
-was batched.  Against 40-digit values the pair errs by at most 2.8e-15
+was batched.  The recurrence has one body (_miller) for a float and for an
+array: only its pair loop above the orders a + 1 and nu0 forks, into a
+Python loop on a float and in-place ufunc calls on an array, and the steps
+below, the capture of j_a and j_{a+1} and the normalization are written
+once.  Against 40-digit values the pair errs by at most 2.8e-15
 relative to the envelope max(|J_nu(x)|, sqrt(2/(pi x))), x = 2 sqrt(z), at
 orders -0.9 to 50 over z in (0, 400], and by 2e-15 relative to itself past
 the turning point.
@@ -165,12 +169,11 @@ def _bessel_pair_array(a: float, z: np.ndarray) -> tuple:
     if a < _ZERO_ORDER and not series.all():
         if series.any():
             taken = np.flatnonzero(~series)
-            pair[0][taken], pair[1][taken] = _miller_array(a, flat[taken])
+            pair[0][taken], pair[1][taken] = _miller(a, flat[taken])
         else:  # a kernel assembly: every z > 0
-            pair = _miller_array(a, flat)
-    for index in np.flatnonzero(series).tolist():
-        for out, nu in zip(pair, (a, a + 1.0)):
-            out[index] = _bessel_series(nu, float(flat[index]))
+            pair = _miller(a, flat)
+    for index in np.flatnonzero(series).tolist():  # each by its float call
+        pair[0][index], pair[1][index] = bessel_pair(a, float(flat[index]))
     return pair[0].reshape(z.shape), pair[1].reshape(z.shape)
 
 
@@ -234,27 +237,34 @@ def _recurrence_table(nu0: float, pairs: int) -> tuple:
     )
 
 
-def _miller(a: float, z: float) -> tuple:
-    """(j_a(z), j_{a+1}(z)) at one z > 0: the float branch of the recurrence.
+def _miller(a: float, z) -> tuple:
+    """(j_a(z), j_{a+1}(z)) at a float z > 0, or elementwise on a flat
+    ndarray of them: the one body of the recurrence.
 
     f runs down the offsets i of the orders nu0 + i, from the start offset
     (f = _SEED, and 0 above it), by f_{i-1} = (nu0+i) f_i - z f_{i+1}.  At
     every even offset 2k, total = f_{2k} + q_k (z total) adds the
     normalization sum in Horner form, so that at offset 0,
     sum_k c_k f_{2k} = Gamma(nu0+1) total.  Orders below nu0 (a < 0) take
-    their steps after that.  Above the offsets of a + 1 and 0 the steps go
-    by pairs, odd then even, with no test in the loop.
+    their steps after that.  Above the offsets of a + 1 and 0 (offset
+    tail) the steps go by pairs, odd then even, with no test in the loop;
+    only that loop forks, an ndarray going to _miller_pairs.  The steps
+    below tail are plain arithmetic on either, in the same operations and
+    order as the pair loops, so an element is bit-equal to its float call.
     """
     low = math.floor(a)
     nu0 = a - low
-    top = _start_offset(a, z)
-    table = _recurrence_table(nu0, top // 2 + 1)
     tail = max(low + 1, 0) | 1
-    f_next, f, total = 0.0, _SEED, 0.0
-    for nu_odd, q, nu_even in table[top // 2:tail // 2:-1]:
-        f, f_next = nu_odd * f - z * f_next, f
-        total = f + q * (z * total)
-        f, f_next = nu_even * f - z * f_next, f
+    if isinstance(z, float):
+        top = _start_offset(a, z)
+        table = _recurrence_table(nu0, top // 2 + 1)
+        f_next, f, total = 0.0, _SEED, 0.0
+        for nu_odd, q, nu_even in table[top // 2:tail // 2:-1]:
+            f, f_next = nu_odd * f - z * f_next, f
+            total = f + q * (z * total)
+            f, f_next = nu_even * f - z * f_next, f
+    else:
+        table, f, f_next, total = _miller_pairs(nu0, tail, z, _start_offset(a, z))
     stop = min(low, 0)
     for i in range(tail, stop - 1, -1):
         if i >= 0 and not i & 1:
@@ -270,25 +280,23 @@ def _miller(a: float, z: float) -> tuple:
     return lower / norm, upper / norm
 
 
-def _miller_array(a: float, z: np.ndarray) -> tuple:
-    """The ndarray branch of _miller on a flat z > 0: (j_a, j_{a+1}) at z.
+def _miller_pairs(nu0: float, tail: int, z: np.ndarray, tops: np.ndarray) -> tuple:
+    """_miller's pair loop on a flat ndarray z > 0 whose elements start at
+    offsets tops: (table, f, f_next, total) at offset tail, elementwise as
+    the float loop leaves them.
 
     Every element runs down from the largest start offset.  Above its own
     it stays exactly 0 (0 nu - z 0 = 0), and there it takes _SEED, so it
     starts with the values its float call starts with.  A step is three
     ufunc calls and a Horner step three more, with the factors as 0-d
-    arrays (see _laguerre_blocks), each in the float branch's order of
-    operations, so every value is bit-equal to its float call.  The pairs
-    of steps alternate two buffers, so none is copied.
+    arrays (see _laguerre_blocks), each in the float loop's order of
+    operations.  The pairs of steps alternate two buffers, so none is
+    copied.
     """
-    low = math.floor(a)
-    nu0 = a - low
-    tops = _start_offset(a, z)
     # starts[i]: how many elements start at offset i
     starts = np.bincount(tops).tolist()
     top = len(starts) - 1
     table = _recurrence_operands(nu0, top // 2 + 1)
-    tail = max(low + 1, 0) | 1
     fs, nexts, totals, products = (np.zeros(z.size) for _ in range(4))
     multiply, subtract, add = np.multiply, np.subtract, np.add
     for k in range(top // 2, tail // 2, -1):
@@ -304,27 +312,7 @@ def _miller_array(a: float, z: np.ndarray) -> tuple:
         multiply(z, fs, fs)
         multiply(nexts, nu_even, products)
         subtract(products, fs, fs)
-    stop = min(low, 0)
-    nu_op = np.empty(())
-    for i in range(tail, stop - 1, -1):
-        if i >= 0 and not i & 1:
-            multiply(z, totals, totals)
-            multiply(totals, table[i >> 1][1], totals)
-            add(fs, totals, totals)
-        if i == low + 1:
-            upper = fs.copy()
-        elif i == low:
-            lower = fs.copy()
-        if i == stop:
-            break
-        # f_{i-1} = (nu0+i) f_i - z f_{i+1}, into the buffer of f_{i+1}
-        nu_op[()] = nu0 + i
-        multiply(z, nexts, nexts)
-        multiply(fs, nu_op, products)
-        subtract(products, nexts, nexts)
-        fs, nexts = nexts, fs
-    norm = math.gamma(nu0 + 1.0) * totals
-    return lower / norm, upper / norm
+    return table, fs, nexts, totals
 
 
 @lru_cache(maxsize=128)

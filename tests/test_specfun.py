@@ -200,10 +200,12 @@ class TestBesselPair:
             ref = bessel_series_oracle(nu, z)
             assert abs(value - ref) <= 1e-13 * abs(ref), (nu, z)
 
-    @pytest.mark.parametrize("a", [-2.0, -0.9, 0.0, 0.5, 1.0, 3.0, 50.0])
+    @pytest.mark.parametrize("a", [-2.0, -0.9, -0.5, 0.0, 0.5, 1.0, 3.0, 7.25, 50.0, 120.5, 177.0])
     def test_batching_does_not_change_a_bit(self, a):
         # an element of a mixed array, whose others start the recurrence
-        # higher or lower or take the series, equals its lone float call
+        # higher or lower or take the series, equals its lone float call;
+        # the orders include long steps below the pair loop (7.25, 120.5,
+        # 177 < _ZERO_ORDER) and steps that cross offset 0 (a < 0)
         z = np.array([3.0, 400.0, 1e-9, -2.0, 0.0, 0.7, 57.5, 1.0, 1e-300, 12.25, 399.0])
         for order in (z, z[::-1], z.reshape(11, 1)):
             pair = bessel_pair(a, order)

@@ -36,7 +36,6 @@ from .expansion import (
     optimal_rate,
     optimal_scaling_residual,
     rate_report,
-    taylor_step_residual,
     uncorrected_difference,
 )
 from .fredholm import (
@@ -110,6 +109,5 @@ __all__ = [
     "resolvent_quadratic_form",
     "sample_smallest",
     "scale_rule",
-    "taylor_step_residual",
     "uncorrected_difference",
 ]

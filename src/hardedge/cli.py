@@ -34,7 +34,7 @@ from .expansion import (
 from .fredholm import log_derivative, resolvent_quadratic_form
 from .kernels import bessel_spec
 from .montecarlo import KS_COEFF_1PCT, ks_validate
-from .quadrature import DEFAULT_NODES
+from .quadrature import DEFAULT_NODES, MAX_NODES
 
 # Pass/fail tolerances for the *-check subcommands.
 SECOND_ORDER_WINDOW = (-2.3, -1.7)
@@ -202,6 +202,8 @@ def _cmd_kernel_check(args):
     orders = _parse_orders(args.n_list)
     if args.grid_points < 1:
         raise DomainError(f"--grid-points must be >= 1, got {args.grid_points}")
+    if args.grid_points > MAX_NODES:
+        raise DomainError(f"--grid-points must be <= {MAX_NODES}, got {args.grid_points}")
     if not math.isfinite(args.grid_max):
         raise DomainError(f"--grid-max must be finite, got {args.grid_max}")
     axis = np.linspace(0.0, args.grid_max, args.grid_points)

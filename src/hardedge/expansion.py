@@ -7,8 +7,9 @@ residual lands near -2, while dropping the first-order correction degrades
 it to near -1 -- which is precisely the distinction these measurements are
 built to exhibit.
 
-A per-order residual takes one record of the finite or stretched law and one
-of the limit law; a rate report shares one limit record across all orders.
+A per-order residual takes one record of the finite law and one of the
+limit law; it is the one-order case of a rate report, which shares one
+limit record across all orders.
 """
 
 import math
@@ -97,6 +98,21 @@ def rate_report(a, s, n_list, residual_fn) -> ExpansionReport:
                            fitted_slope=slope, slope_stderr=stderr, degenerate=degenerate)
 
 
+def _rate_values(a, s, orders, m, c=None, density=False):
+    """{n: F_n(s)} at the scaling c over checked orders, and the limit record
+    at s (with f if density), made right after the first F_n.  The one
+    composition of every residual below: a per-order residual is the case
+    orders = [n], so a report's values and refusals are its per-order
+    residuals' by construction.  Keys are ints, the first one the validated
+    order, since an order as given need not be hashable (a 0-d array)."""
+    first, *rest = orders
+    spec = finite_spec(a, first, c)
+    values = {spec.n: _batch(spec, [s], m)[0].value}
+    [limit] = _batch(bessel_spec(a), [s], m, resolvent=density)
+    values.update((n, _batch(finite_spec(a, n, c), [s], m)[0].value) for n in rest)
+    return values, limit
+
+
 def _corrected(value_n, limit, a, n, s) -> float:
     """|value_n - F(s) - (a/2n) s f(s)|, with F and f from the limit record."""
     return abs(value_n - limit.value - (a / (2.0 * n)) * s * limit.density)
@@ -108,60 +124,32 @@ def conjecture_residual(a, n, s, m=STUDY_NODES) -> float:
     The second-order remainder of the corrected expansion; without the
     (a/2n) s f(s) term the difference |F_n - F| only decays like 1/n.
     """
-    value_n = _batch(finite_spec(a, n), [s], m)[0].value
-    [limit] = _batch(bessel_spec(a), [s], m, resolvent=True)
-    return _corrected(value_n, limit, a, n, s)
+    values, limit = _rate_values(a, s, [n], m, density=True)
+    return _corrected(values[int(n)], limit, a, n, s)
 
 
 def uncorrected_difference(a, n, s, m=STUDY_NODES) -> float:
     """|F_n(s) - F(s)|, the first-order benchmark for conjecture_residual."""
-    value_n = _batch(finite_spec(a, n), [s], m)[0].value
-    return abs(value_n - _batch(bessel_spec(a), [s], m)[0].value)
+    values, limit = _rate_values(a, s, [n], m)
+    return abs(values[int(n)] - limit.value)
 
 
 def optimal_scaling_residual(a, n, s, m=STUDY_NODES) -> float:
     """|F_n under the optimally tuned scaling - F(s)|; decays like n^-2."""
-    value_n = _batch(finite_spec(a, n, c=0.0), [s], m)[0].value
-    return abs(value_n - _batch(bessel_spec(a), [s], m)[0].value)
-
-
-def taylor_step_residual(a, n, s, m=STUDY_NODES) -> float:
-    """|F((1 - a/2n)^{-1} s) - F(s) - (a/2n) s f(s)| for the limit law alone.
-
-    Isolates the Taylor step that converts the tuned-scaling statement into
-    the corrected expansion at the plain scaling; also O(n^-2).  Needs
-    1 - a/2n > 0, so that the stretched endpoint is positive.
-    """
-    a, n = require_order(a), _require_integer(n, "order n", 1)
-    shrink = 1.0 - a / (2.0 * n)
-    if shrink <= 0.0:
-        raise DomainError(f"taylor_step_residual needs 1 - a/(2n) > 0, got a={a!r}, n={n}")
-    spec = bessel_spec(a)
-    value_stretched = _batch(spec, [s / shrink], m)[0].value
-    [limit] = _batch(spec, [s], m, resolvent=True)
-    return _corrected(value_stretched, limit, a, n, s)
-
-
-def _rate_values(a, s, n_list, m, c=None, density=False):
-    """{n: F_n(s)} at the scaling c, and the limit record at s (with f if density)
-    made after the first F_n, as the per-order residuals make it and refuse."""
-    first, *rest = _check_orders(n_list)
-    values = {first: _batch(finite_spec(a, first, c), [s], m)[0].value}
-    [limit] = _batch(bessel_spec(a), [s], m, resolvent=density)
-    values.update((n, _batch(finite_spec(a, n, c), [s], m)[0].value) for n in rest)
-    return values, limit
+    values, limit = _rate_values(a, s, [n], m, c=0.0)
+    return abs(values[int(n)] - limit.value)
 
 
 def expansion_rate(a, s, n_list, m=STUDY_NODES) -> tuple[ExpansionReport, ExpansionReport]:
     """(corrected, uncorrected): rate_report over conjecture_residual and uncorrected_difference."""
-    values, limit = _rate_values(a, s, n_list, m, density=True)
+    values, limit = _rate_values(a, s, _check_orders(n_list), m, density=True)
     return (rate_report(a, s, values, lambda n: _corrected(values[n], limit, a, n, s)),
             rate_report(a, s, values, lambda n: abs(values[n] - limit.value)))
 
 
 def optimal_rate(a, s, n_list, m=STUDY_NODES) -> tuple[ExpansionReport, tuple[float, ...]]:
     """(rate_report over optimal_scaling_residual, uncorrected_difference at each order)."""
-    values, limit = _rate_values(a, s, n_list, m, c=0.0)
+    values, limit = _rate_values(a, s, _check_orders(n_list), m, c=0.0)
     return (rate_report(a, s, values, lambda n: abs(values[n] - limit.value)),
             tuple(abs(_batch(finite_spec(a, n), [s], m)[0].value - limit.value) for n in values))
 
@@ -184,9 +172,10 @@ def mehler_heine_residual(a, n, z) -> float:
 
 def kernel_expansion_rate(a, n_list, c, axis=None) -> ExpansionReport:
     """Worst kernel_expansion_residual over all (x, y) pairs of a mesh axis
-    (default: 9 points on [0, 8]) per order, with the fitted decay slope
-    (expected near -2): one kernel_matrix per order, against the limit kernel
-    and hat_j_a assembled once on the axis."""
+    (default: 9 points on [0, 8]; at most MAX_NODES, as in kernel_matrix)
+    per order, with the fitted decay slope (expected near -2): one
+    kernel_matrix per order, against the limit kernel and hat_j_a assembled
+    once on the axis."""
     c = float(c)
     axis = np.linspace(0.0, 8.0, 9) if axis is None else np.asarray(axis, dtype=float)
     spec, orders = bessel_spec(a), _check_orders(n_list)

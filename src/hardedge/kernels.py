@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .quadrature import MAX_NODES
 from .specfun import (MAX_ORDER, S_MAX, _binomials, _laguerre_pass, _laguerre_weights,
                       _require_integer, bessel_pair, require_order)
 
@@ -255,6 +256,9 @@ def _kernel_blocks(spec: KernelSpec, node_sets) -> list:
         rules = np.asarray(nodes, dtype=float)
         if rules.ndim != 2 or rules.size == 0:
             raise DomainError("kernel nodes must form a non-empty (S, m) stack")
+        # the largest rule a determinant builds, checked before the (S, m, m) arrays
+        if rules.shape[1] > MAX_NODES:
+            raise DomainError(f"a kernel rule has at most {MAX_NODES} nodes, got {rules.shape[1]}")
         # nan and +-inf fail one of the two bounds: min and max carry them
         if not (rules.min() >= 0.0 and rules.max() <= S_MAX):
             raise DomainError(f"kernel nodes must lie in [0, {S_MAX:g}]")
@@ -298,7 +302,8 @@ def kernel_matrix(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
 
     Off-diagonal entries come from the closed forms; entries whose arguments
     fall inside the near-diagonal window (including the diagonal itself) use
-    the confluent branch at the pair midpoint.
+    the confluent branch at the pair midpoint.  At most MAX_NODES nodes, the
+    largest rule a determinant builds.
     """
     if np.ndim(nodes) != 1 or np.size(nodes) == 0:
         raise DomainError("kernel_matrix needs a one-dimensional, non-empty node array")

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import gammaincc
 
 import hardedge
-from hardedge import cli, fredholm, montecarlo
+from hardedge import cli, fredholm, kernels, montecarlo
 from hardedge.expansion import rate_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -122,6 +122,24 @@ class TestChecks:
         header, rows = read_table(out)
         slope = float(rows[0][header.index("slope")])
         assert -2.3 <= slope <= -1.7
+
+    def test_failed_finite_difference_exits_4(self, monkeypatch, capsys):
+        # a finite-difference route off by 1e-3 relative fails its 1e-5
+        # check alone; the table is still printed
+        log_derivative = cli.log_derivative
+
+        def skewed(spec, s, m, method="resolvent"):
+            value = log_derivative(spec, s, m, method=method)
+            return value * (1.0 + 1e-3) if method == "finite_difference" else value
+
+        monkeypatch.setattr(cli, "log_derivative", skewed)
+        assert run_cli(["identity-check", "--a", "0.5", "--s", "4"]) == 4
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1] == ("s,quadratic_form,lhs,rhs_resolvent,rhs_fd,"
+                                       "residual_resolvent,residual_fd")
+        assert len(out.splitlines()) == 3
+        assert err.startswith("hardedge: check failed: finite-difference residual ")
+        assert err.endswith(" above 1e-05\n") and err.count("\n") == 1
 
     def test_failed_check_exits_4(self, tmp_path, monkeypatch):
         # synthetic first-order residual: the slope lands near -1, far from
@@ -365,9 +383,17 @@ class TestUsageAndErrors:
         assert out == ""
         assert "s=600.0" in err
 
-    @pytest.mark.parametrize("points", ["0", "-1"])
-    def test_kernel_check_needs_grid_points(self, points, capsys):
+    @pytest.mark.parametrize("points", ["0", "-1", "501"])
+    def test_kernel_check_needs_grid_points(self, points, monkeypatch, capsys):
+        # refused before the axis is built: past 500 points (the largest rule
+        # a kernel takes), no (P, P) array and no kernel factor
+        monkeypatch.setattr(kernels, "_factors", lambda *args: pytest.fail("factors computed"))
         assert run_cli(["kernel-check", "--a", "1", "--c", "0", "--grid-points", points]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hardedge: domain error: --grid-points must be ")
+
+    def test_kernel_check_takes_500_grid_points(self, capsys):
+        assert run_cli(["kernel-check", "--a", "1", "--c", "0", "--grid-points", "500"]) == 0
 
     @pytest.mark.parametrize("grid_max", ["inf", "-inf", "nan"])
     def test_kernel_check_needs_finite_grid_max(self, grid_max, capsys):

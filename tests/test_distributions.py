@@ -280,3 +280,10 @@ class TestTables:
         )
         with pytest.raises(NumericError):
             positive_f.validate()
+        for value in (0.0, 1.5):
+            out_of_range = DistributionTable(
+                a=0.0, n=None, scaling="limit", m=10,
+                rows=(TableRow(1.0, value, None, 0.0),),
+            )
+            with pytest.raises(NumericError, match=r"escaped \(0, 1\]"):
+                out_of_range.validate()

@@ -19,12 +19,12 @@ from hardedge import (
     optimal_rate,
     optimal_scaling_residual,
     rate_report,
-    taylor_step_residual,
     uncorrected_difference,
 )
 from hardedge import expansion, fredholm, kernels
 from hardedge.expansion import STUDY_NODES
-from hardedge.kernels import _kernel_blocks
+from hardedge.kernels import _kernel_blocks, bessel_spec
+from hardedge.specfun import _require_integer, require_order
 
 ORDERS = (50, 100, 200, 400)
 SECOND_ORDER = (-2.3, -1.7)
@@ -103,6 +103,24 @@ def _corrected(value_n, value, slope, a, n, s):
     return abs(value_n - value - (a / (2.0 * n)) * s * slope)
 
 
+def taylor_step_residual(a, n, s, m=STUDY_NODES):
+    """|F((1 - a/2n)^{-1} s) - F(s) - (a/2n) s f(s)|: the Taylor step that turns
+    the tuned-scaling statement into the corrected expansion, from the limit
+    law alone.  Assembled as a per-order residual is, from two m-node limit
+    records, with the order checked as a residual checks it."""
+    a, n = require_order(a), _require_integer(n, "order n", 1)
+    spec = bessel_spec(a)
+    [stretched] = fredholm._batch(spec, [s / (1.0 - a / (2.0 * n))], m)
+    [limit] = fredholm._batch(spec, [s], m, resolvent=True)
+    return expansion._corrected(stretched.value, limit, a, n, s)
+
+
+def _taylor_step(a, n, s, m=STUDY_NODES):
+    """taylor_step_residual from the public limit_cdf and limit_density."""
+    return _corrected(limit_cdf(a, s / (1.0 - a / (2.0 * n)), m).value,
+                      limit_cdf(a, s, m).value, limit_density(a, s, m), a, n, s)
+
+
 # Each residual as the public functions give it: every term from a full
 # evaluation with its m + 10 error estimate, which the residual discards.
 PUBLIC_FORMULAS = {
@@ -113,9 +131,7 @@ PUBLIC_FORMULAS = {
         finite_cdf(a, n, s, scaling="standard", m=m).value - limit_cdf(a, s, m).value),
     optimal_scaling_residual: lambda a, n, s, m: abs(
         finite_cdf(a, n, s, scaling="optimal", m=m).value - limit_cdf(a, s, m).value),
-    taylor_step_residual: lambda a, n, s, m: _corrected(
-        limit_cdf(a, s / (1.0 - a / (2.0 * n)), m).value,
-        limit_cdf(a, s, m).value, limit_density(a, s, m), a, n, s),
+    taylor_step_residual: _taylor_step,
 }
 
 
@@ -145,11 +161,8 @@ class TestResidualAssemblies:
     @pytest.mark.parametrize("residual", list(PUBLIC_FORMULAS), ids=lambda f: f.__name__)
     def test_integral_float_order(self, residual):
         assert residual(1.0, 100.0, 4.0) == residual(1.0, 100, 4.0)
-
-    @pytest.mark.parametrize("a,n", [(2.0, 1), (3.0, 1), (5.0, 2)])
-    def test_taylor_step_needs_positive_stretch(self, a, n):
-        with pytest.raises(DomainError, match=r"1 - a/\(2n\) > 0"):
-            taylor_step_residual(a, n, 4.0)
+        # a 0-d array is a valid order too, though no dict key
+        assert residual(1.0, np.array(100), 4.0) == residual(1.0, 100, 4.0)
 
 
 # Each rate report as composing rate_report over the per-order functions
@@ -280,7 +293,7 @@ class TestOptimalScaling:
 
 class TestTaylorStep:
     def test_second_order(self):
-        scaled = [taylor_step_residual(1.0, n, 4.0) * n * n for n in ORDERS]
+        scaled = [_taylor_step(1.0, n, 4.0) * n * n for n in ORDERS]
         assert max(scaled) < 1.0
         assert max(scaled) < 2.0 * min(scaled)
 

@@ -24,7 +24,6 @@ from hardedge import (
     nystrom_det,
     optimal_scaling_residual,
     resolvent_quadratic_form,
-    taylor_step_residual,
     uncorrected_difference,
 )
 from hardedge import HardEdgeError, NumericError, fredholm
@@ -247,7 +246,9 @@ DETERMINANT_ENTRY_POINTS = {
     "conjecture_residual": lambda s: conjecture_residual(1.0, 20, s, 50),
     "uncorrected_difference": lambda s: uncorrected_difference(1.0, 20, s, 50),
     "optimal_scaling_residual": lambda s: optimal_scaling_residual(1.0, 20, s, 50),
-    "taylor_step_residual": lambda s: taylor_step_residual(1.0, 20, s, 50),
+    # the Taylor step's limit records, at the stretched s and at s
+    "taylor_step_residual": lambda s: (limit_cdf(1.0, s / (1.0 - 1.0 / 40.0), 50),
+                                       limit_density(1.0, s, 50)),
 }
 
 

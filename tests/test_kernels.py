@@ -19,7 +19,7 @@ from hardedge import (
 )
 from hardedge import kernels, nystrom_det
 from hardedge.kernels import _kernel_blocks
-from hardedge.quadrature import gauss_jacobi, scale_rule
+from hardedge.quadrature import MAX_NODES, gauss_jacobi, scale_rule
 
 
 def bessel_kernel_direct(a, x, y):
@@ -567,6 +567,16 @@ class TestKernelMatrix:
             with pytest.raises(DomainError, match=r"kernel nodes must lie in \[0, 1600\]"):
                 _kernel_blocks(spec, [np.array([[0.5, 1.0, 2.0], nodes])])
         assert kernel_matrix(spec, np.array([0.0, 1600.0])).shape == (2, 2)
+
+    @pytest.mark.parametrize("spec", [bessel_spec(0.5), finite_spec(0.5, 12)],
+                             ids=["bessel", "finite"])
+    def test_rule_size_cap(self, spec, monkeypatch):
+        # a rule past the largest a determinant builds is refused before its
+        # (S, m, m) arrays or any factor exist; the largest one is accepted
+        assert kernel_matrix(spec, np.linspace(0.0, 8.0, MAX_NODES)).shape == (MAX_NODES,) * 2
+        monkeypatch.setattr(kernels, "_factors", lambda *args: pytest.fail("factors computed"))
+        with pytest.raises(DomainError, match=f"at most {MAX_NODES} nodes, got {MAX_NODES + 1}"):
+            kernel_matrix(spec, np.linspace(0.0, 8.0, MAX_NODES + 1))
 
     @pytest.mark.parametrize("spec", [bessel_spec(0.5), finite_spec(0.5, 12)],
                              ids=["bessel", "finite"])

@@ -311,6 +311,10 @@ class TestLaguerre:
         # binom(n+a, n) is in range but L_n^a(-x) ~ x^n / n! is not
         with pytest.raises(AccuracyError):
             laguerre(200, 0.5, -1e4)
+        # the normalized pass and binom(n+a, n) are in range, their product is not
+        for x in (-100.0, np.array([-100.0, 1.0])):
+            with pytest.raises(AccuracyError, match=r"L_n\^a leaves the double range"):
+                laguerre(1000, 200.0, x)
 
     def test_orders_below_minus_one(self):
         # outside the weight's range a > -1, but the polynomial is defined;

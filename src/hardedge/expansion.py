@@ -164,7 +164,7 @@ def mehler_heine_residual(a, n, z) -> float:
     z = float(z)
     if not 0.0 <= z <= 10.0:
         raise DomainError(f"mehler_heine_residual is validated for z in [0, 10], got {z!r}")
-    n = _require_integer(n, "order n", 1)
+    n = _require_integer(n, "order n", 1, MAX_ORDER)
     a = require_order(a)
     scaled = math.exp(-a * math.log(n + a)) * laguerre(n, a, z / (n + a))
     return abs(scaled - bessel_entire(a, z) + bessel_entire(a - 2.0, z) / (2.0 * n))

@@ -254,8 +254,9 @@ def log_derivative(spec: KernelSpec, s, m=DEFAULT_NODES, method="resolvent") -> 
 
     The resolvent path uses the quadratic-form identity (limit kernel only,
     refused where the m-node determinant is); the finite_difference path
-    differentiates log nystrom values centrally with step 1e-3 s (so
-    s + 1e-3 s must pass the s gate too) and one Richardson refinement, and
+    differentiates log nystrom values centrally with step 1e-3 s, its
+    largest point s + 1e-3 s checked against the s gate before any
+    determinant, and one Richardson refinement, and
     exists to validate the resolvent path: the one finite-difference route.
     m is checked before s, as in every other determinant entry point.
     """
@@ -265,6 +266,7 @@ def log_derivative(spec: KernelSpec, s, m=DEFAULT_NODES, method="resolvent") -> 
         return _batch(spec, [s], m, resolvent=True)[0].log_slope
     if method == "finite_difference":
         h = 1e-3 * s
+        _check_interval(s + h)
         points = [s + 0.5 * h, s - 0.5 * h, s + h, s - h]
         up_half, down_half, up, down = (math.log(r.value) for r in _batch(spec, points, m))
         central_half = (up_half - down_half) / (2.0 * (0.5 * h))

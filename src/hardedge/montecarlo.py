@@ -41,11 +41,11 @@ before the first draw, then evaluates the analytic CDF on the sorted
 sample in one call, with values equal bit for bit to ks_compare's one call
 per sample.  At integer a that CDF is one Chebyshev interpolant of 1 - det
 on [0, L], and exactly 1 past L.  A process holds one interpolant per
-(a, n, m): the first callable at that key builds it at its first finite
-t > 0, and every later callable shares it, a refused build included.  At
-non-integer a, or where the build is refused, every value is a
-determinant, batched along the s axis, and every s = 4 n t past S_MAX is
-refused by the determinants' s gate (see fredholm).
+(a, n, m): making the first callable at that key builds it, and every
+later callable shares it, a refused build included.  At non-integer a,
+or where the build is refused, every value is a determinant, batched
+along the s axis, and every s = 4 n t past S_MAX is refused by the
+determinants' s gate (see fredholm).
 """
 
 import math
@@ -54,7 +54,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .errors import DomainError, HardEdgeError, NumericError
 from .fredholm import _batch, _check_m
 from .kernels import finite_spec
@@ -197,11 +196,7 @@ def _sampler_arguments(a, n, count, seed) -> tuple:
 
 def sample_smallest(a, n, count, seed) -> SampleBatch:
     """Draw `count` independent smallest eigenvalues of the (n, a) ensemble."""
-    return _draw(*_sampler_arguments(a, n, count, seed))
-
-
-def _draw(a: int, n: int, count: int, seed: int) -> SampleBatch:
-    """sample_smallest on checked arguments."""
+    a, n, count, seed = _sampler_arguments(a, n, count, seed)
     block = BLOCK_VARIATES // (2 * n - 1)
     values = np.concatenate([_sample_block(a, n, seed, start, min(start + block, count))
                              for start in range(0, count, block)])
@@ -218,16 +213,16 @@ def _check_ks_count(count) -> None:
         raise DomainError(f"KS comparison needs count >= {MIN_KS_COUNT}, got {count}")
 
 
-def _ks_statistic(probs: np.ndarray, count: int) -> tuple[float, bool]:
-    """(statistic, passed) of CDF values at the sorted sample of `count` draws."""
+def _ks_statistic(probs: np.ndarray) -> tuple[float, bool]:
+    """(statistic, passed) of CDF values at the sorted sample, one per draw."""
     # written so that nan fails the range test too
     if not np.all((probs >= -1e-12) & (probs <= 1.0 + 1e-12)):
         raise DomainError("cdf callable returned values outside [0, 1]")
-    ranks = np.arange(1, count + 1, dtype=float)
-    d_plus = float(np.max(ranks / count - probs))
-    d_minus = float(np.max(probs - (ranks - 1.0) / count))
+    ranks = np.arange(1, probs.size + 1, dtype=float)
+    d_plus = float(np.max(ranks / probs.size - probs))
+    d_minus = float(np.max(probs - (ranks - 1.0) / probs.size))
     statistic = max(d_plus, d_minus)
-    return statistic, statistic < KS_COEFF_1PCT / math.sqrt(count)
+    return statistic, statistic < KS_COEFF_1PCT / math.sqrt(probs.size)
 
 
 def ks_compare(batch: SampleBatch, cdf) -> tuple[float, bool]:
@@ -235,26 +230,26 @@ def ks_compare(batch: SampleBatch, cdf) -> tuple[float, bool]:
 
     cdf maps an eigenvalue t to P(lambda_min < t); it is called once per
     sample, in ascending order.  Passes (second return value) iff the
-    statistic is below 1.63/sqrt(count), the asymptotic 1% critical value.
+    statistic is below 1.63/sqrt(count), the asymptotic 1% critical value,
+    with count the number of values in the batch.
     """
-    _check_ks_count(batch.count)
     ordered = np.sort(batch.values)
-    return _ks_statistic(np.array(ordered_map(cdf, ordered), dtype=float), batch.count)
+    _check_ks_count(ordered.size)
+    return _ks_statistic(np.array([cdf(t) for t in ordered], dtype=float))
 
 
 def ks_validate(a, n, count, seed, m=DEFAULT_NODES) -> tuple[float, bool]:
     """ks_compare of sample_smallest(a, n, count, seed) against
     analytic_smallest_cdf(a, n, m), bit for bit, with the CDF evaluated on
     the whole sorted sample in one call: at integer a the one interpolant
-    at (a, n, m), built by the first CDF at that key in the process, else
-    one batch of determinants.  Every argument is checked before the
+    at (a, n, m), built when the process makes its first CDF at that key,
+    else one batch of determinants.  Every argument is checked before the
     first draw: count against the KS floor, then the sampler's arguments,
     then m, when the CDF is made."""
     _check_ks_count(count)
     arguments = _sampler_arguments(a, n, count, seed)
     cdf = analytic_smallest_cdf(a, n, m)
-    batch = _draw(*arguments)
-    return _ks_statistic(cdf(np.sort(batch.values)), batch.count)
+    return _ks_statistic(cdf(np.sort(sample_smallest(*arguments).values)))
 
 
 def _survival_bound(a: float, n: int, t: float) -> float:
@@ -328,8 +323,9 @@ def _chebyshev_fit(spec, m: int) -> _Chebyshev | None:
     point at s = 0.
 
     Memoized per (spec, m), None included, so that a process builds, or
-    refuses, each interpolant once: every caller shares the object, which
-    is frozen, with its coefficients in a tuple.
+    refuses, each interpolant once, when analytic_smallest_cdf makes its
+    first callable at that key: every caller shares the object, which is
+    frozen, with its coefficients in a tuple.
     """
     if not spec.a.is_integer():
         return None
@@ -362,12 +358,12 @@ def analytic_smallest_cdf(a, n, m=DEFAULT_NODES):
     Returns a callable suitable for ks_compare.  It takes an ndarray of t
     elementwise, or a float t as the array of that t alone.  Unscaled
     eigenvalues t map to the hard-edge axis via s = 4 n t; t <= 0 gives 0
-    and t = inf gives 1.  At integer a the callable's first finite t > 0
-    takes the process's one Chebyshev interpolant of 1 - det on [0, L] at m
-    nodes for (a, n, m) (see _chebyshev_fit): the first callable at that key
-    builds it there, and every later one shares it, or shares the refusal
-    of its build.  Once taken it is the CDF's only route: every s in
-    (0, L] takes its value, clamped to [0, 1] and accurate to about 1e-14
+    and t = inf gives 1.  At integer a the callable is made with the
+    process's one Chebyshev interpolant of 1 - det on [0, L] at m nodes for
+    (a, n, m) (see _chebyshev_fit): making the first callable at that key
+    builds it, and every later one shares it, or shares the refusal of its
+    build.  The interpolant is then the CDF's only route: every s in (0, L]
+    takes its value, clamped to [0, 1] and accurate to about 1e-14
     absolute, and every s > L takes exactly 1, since the survival is
     non-increasing in s and below 2^-54 at L.
 
@@ -381,10 +377,9 @@ def analytic_smallest_cdf(a, n, m=DEFAULT_NODES):
     n and m are checked here, when the CDF is made.
     """
     spec, m = finite_spec(a, n), _check_m(m)
-    built, fit = False, None  # the shared interpolant, taken at the first finite t > 0
+    fit = _chebyshev_fit(spec, m)
 
     def cdf(t):
-        nonlocal built, fit
         array = isinstance(t, np.ndarray)
         flat = np.ravel(t).tolist() if array else [float(t)]
         values, direct = [], {}  # direct: index -> s of each value that is a determinant
@@ -393,8 +388,6 @@ def analytic_smallest_cdf(a, n, m=DEFAULT_NODES):
             if t_k == math.inf or s <= 0.0:
                 values.append(1.0 if s > 0.0 else 0.0)
                 continue
-            if not built:
-                built, fit = True, _chebyshev_fit(spec, m)
             if fit is not None and not math.isnan(s):
                 values.append(fit(s))
             else:

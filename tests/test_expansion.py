@@ -332,6 +332,10 @@ class TestMehlerHeine:
             mehler_heine_residual(1.0, 100, -0.1)
         with pytest.raises(DomainError):
             mehler_heine_residual(1.0, 0, 1.0)
+        # past MAX_ORDER under the caller's name for n, not laguerre's
+        with pytest.raises(DomainError, match=r"^order n must be an integer in \[1, 1000000\], "
+                                              r"got 1000001$"):
+            mehler_heine_residual(1.0, 10 ** 6 + 1, 3.0)
         # a <= -1 lies outside the weight domain, whatever n + a does
         for a, n in [(-1.5, 1), (-5.0, 2), (-1.5, 50), (-1.0, 50)]:
             with pytest.raises(DomainError):

@@ -261,6 +261,18 @@ def test_one_accepted_s_domain(entry, s):
         DETERMINANT_ENTRY_POINTS[entry](s)
 
 
+@pytest.mark.parametrize("s,largest", [(1598.5, "1600.0985"), (1599.0, "1600.599")])
+@pytest.mark.parametrize("spec", [bessel_spec(0.0), bessel_spec(1.0), finite_spec(1.0, 20)],
+                         ids=["bessel-0", "bessel-1", "finite-1-20"])
+def test_finite_difference_refuses_its_largest_point(spec, s, largest, monkeypatch):
+    # s passes the s gate but s + 1e-3 s does not: refused by that point
+    # before any determinant, where s + h/2 would reach the deep tail first
+    monkeypatch.setattr(fredholm, "_batch", lambda *args, **kwargs: pytest.fail("determinant"))
+    refusal = rf"^s must lie in \(0, 1600\], got {re.escape(largest)}$"
+    with pytest.raises(DomainError, match=refusal):
+        log_derivative(spec, s, 50, method="finite_difference")
+
+
 # The entry points that take an m, as functions of (s, m); gram_det's m
 # range depends on n and is not among them.
 M_ENTRY_POINTS = {

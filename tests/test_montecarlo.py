@@ -309,6 +309,19 @@ class TestKsCompare:
         with pytest.raises(DomainError):
             ks_compare(batch, self._exponential_cdf(3))
 
+    def test_sample_is_its_own_count(self):
+        # the statistic and the KS floor read the values, not the count the
+        # batch was built with
+        values = np.sort(sample_smallest(1, 20, 1500, seed=3).values)
+        cdf = analytic_smallest_cdf(1, 20)
+        expected = ks_compare(SampleBatch(a=1, n=20, count=1500, seed=3, values=values), cdf)
+        for count in (1000, 2000):
+            batch = SampleBatch(a=1, n=20, count=count, seed=3, values=values)
+            assert ks_compare(batch, cdf) == expected
+        short = SampleBatch(a=1, n=20, count=1000, seed=3, values=values[:999])
+        with pytest.raises(DomainError, match="count >= 1000, got 999"):
+            ks_compare(short, cdf)
+
 
 class TestAnalyticCdf:
     def test_matches_closed_form_at_a_zero(self):
@@ -391,25 +404,22 @@ class TestAnalyticCdf:
         assert values == [1.0 - finite_cdf(0.5, 20, 4.0 * 20 * t, m=50).value for t in grid]
 
     def test_one_interpolant_build_per_key(self, monkeypatch):
-        # at integer a: nothing at construction, the whole build at the first
-        # evaluation of the first callable at (a, n, m) (survivals at L = 16,
-        # ..., 256, then 32 and 64 points), and no assembly after it, for a
-        # later t of that callable or for any t of a later one
+        # at integer a: making the first callable at (a, n, m) does the whole
+        # build (survivals at L = 16, ..., 256, then 32 and 64 points), and no
+        # t of that callable or of a later one assembles anything
         sizes = self.count_assemblies(monkeypatch)
         cdf = analytic_smallest_cdf(1, 20, m=50)
-        assert sizes == []
-        first = cdf(0.005)
         assert sizes[:5] == [(50,)] * 5
         assert sum(size for (size,) in sizes) == 50 * (5 + 32 + 64)
         built = len(sizes)
         grid = [0.005, 0.02, 0.1, 1.0, 3.0]
         values = [cdf(t) for t in grid]
-        assert cdf(np.array(grid)).tolist() == values and values[0] == first
+        assert cdf(np.array(grid)).tolist() == values
         again = analytic_smallest_cdf(1, 20, m=50)
         assert [again(t) for t in grid] == values
         assert again(np.array(grid)).tolist() == values
         assert len(sizes) == built
-        # one cache lookup per callable, at its first finite t > 0, not per value
+        # one cache lookup per callable, when it is made, not per value
         info = montecarlo._chebyshev_fit.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
@@ -682,10 +692,12 @@ class TestKsValidate:
 
     def test_cdf_made_before_the_draw_with_one_m_check(self, monkeypatch):
         events = []
-        check_m, make_cdf, draw = montecarlo._check_m, montecarlo.analytic_smallest_cdf, montecarlo._draw
+        check_m, make_cdf = montecarlo._check_m, montecarlo.analytic_smallest_cdf
+        draw = montecarlo.sample_smallest
         monkeypatch.setattr(montecarlo, "_check_m", lambda m: events.append("m") or check_m(m))
         monkeypatch.setattr(montecarlo, "analytic_smallest_cdf",
                             lambda *args: events.append("cdf") or make_cdf(*args))
-        monkeypatch.setattr(montecarlo, "_draw", lambda *args: events.append("draw") or draw(*args))
+        monkeypatch.setattr(montecarlo, "sample_smallest",
+                            lambda *args: events.append("draw") or draw(*args))
         ks_validate(0, 5, 1000, seed=1, m=30)
         assert events == ["cdf", "m", "draw"]

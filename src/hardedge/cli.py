@@ -6,7 +6,8 @@ numeric cells.  The front end parses and prints; the library checks every
 value.  Exit codes:
 
     0  success
-    1  usage error (unknown flags, missing arguments, --a abc)
+    1  usage error (unknown flags, missing arguments, --a abc, an --output
+       that cannot be written)
     2  domain error: every refused value, including a number in --s,
        --s-grid or --n-list that does not parse
     3  numeric error (a computation failed internally)
@@ -71,8 +72,12 @@ def _emit(args, meta: dict, header: list, rows: list) -> None:
         lines.append(",".join(_fmt(cell) for cell in row))
     text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"hardedge: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            raise SystemExit(1) from None
     else:
         sys.stdout.write(text)
 

@@ -170,14 +170,13 @@ def mehler_heine_residual(a, n, z) -> float:
     return abs(scaled - bessel_entire(a, z) + bessel_entire(a - 2.0, z) / (2.0 * n))
 
 
-def kernel_expansion_rate(a, n_list, c, axis=None) -> ExpansionReport:
+def kernel_expansion_rate(a, n_list, c, axis) -> ExpansionReport:
     """Worst kernel_expansion_residual over all (x, y) pairs of a mesh axis
-    (default: 9 points on [0, 8]; at most MAX_NODES, as in kernel_matrix)
-    per order, with the fitted decay slope (expected near -2): one
-    kernel_matrix per order, against the limit kernel and hat_j_a assembled
-    once on the axis."""
+    (at most MAX_NODES points, as in kernel_matrix) per order, with the
+    fitted decay slope (expected near -2): one kernel_matrix per order,
+    against the limit kernel and hat_j_a assembled once on the axis."""
     c = float(c)
-    axis = np.linspace(0.0, 8.0, 9) if axis is None else np.asarray(axis, dtype=float)
+    axis = np.asarray(axis, dtype=float)
     spec, orders = bessel_spec(a), _check_orders(n_list)
     [(limit, hat_j)] = _kernel_blocks(spec, [axis[None]])
     limit, correction = limit[0], np.outer(hat_j[0], hat_j[0])

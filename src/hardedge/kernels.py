@@ -64,45 +64,45 @@ from .specfun import (MAX_ORDER, S_MAX, _binomials, _laguerre_pass, _laguerre_we
 # accurate to O(|x-y|^2) by symmetry.
 NEAR_DIAGONAL_RTOL = 1e-6
 
-_FAMILIES = ("bessel", "finite")
-
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Identifies one kernel: the limit family, or an order-n family member.
+    """Identifies one kernel: the limit family when n is None, else an
+    order-n family member; family is read off n.
 
     For the finite family the hard-edge change of variables is X = rho * x
     with rho = scale = (1 - (a+c)/(2n)) / (4n).  c is always a number: the
     plain hard-edge scaling rho = 1/(4n) is the member c = -a (a + (-a) is
-    0.0 exactly), which finite_spec stores when given no c, and c = 0 is
-    the optimally tuned member.
+    0.0 exactly), which is stored when no c is given, and c = 0 is the
+    optimally tuned member.
     """
 
     a: float
-    family: str
     n: int | None = None
     c: float | None = None
 
     def __post_init__(self):
         require_order(self.a)
-        if self.family not in _FAMILIES:
-            raise DomainError(f"unknown kernel family {self.family!r}")
-        if self.family == "finite":
-            if self.n is None:
-                raise DomainError("finite kernel needs an order n")
-            # frozen: store an integral float such as 5.0 as the int 5, and
-            # the plain scaling as the member c = -a
-            object.__setattr__(self, "n", _require_integer(self.n, "order n", 1, MAX_ORDER))
-            object.__setattr__(self, "c", -self.a if self.c is None else self.c)
-            if not math.isfinite(self.c):
-                raise DomainError(f"scaling parameter c must be finite, got {self.c!r}")
-            if self.scale <= 0.0:
-                raise DomainError(
-                    f"scaling (1 - (a+c)/(2n))/(4n) must stay positive, got a={self.a!r}, "
-                    f"n={self.n!r}, c={self.c!r}"
-                )
-        elif self.n is not None or self.c is not None:
-            raise DomainError("limit kernel takes neither n nor c")
+        if self.n is None:
+            if self.c is not None:
+                raise DomainError("limit kernel takes no c")
+            return
+        # frozen: store an integral float such as 5.0 as the int 5, and
+        # the plain scaling as the member c = -a
+        object.__setattr__(self, "n", _require_integer(self.n, "order n", 1, MAX_ORDER))
+        object.__setattr__(self, "c", -self.a if self.c is None else self.c)
+        if not math.isfinite(self.c):
+            raise DomainError(f"scaling parameter c must be finite, got {self.c!r}")
+        if self.scale <= 0.0:
+            raise DomainError(
+                f"scaling (1 - (a+c)/(2n))/(4n) must stay positive, got a={self.a!r}, "
+                f"n={self.n!r}, c={self.c!r}"
+            )
+
+    @property
+    def family(self) -> str:
+        """"bessel" for the limit family, "finite" for an order-n member."""
+        return "bessel" if self.n is None else "finite"
 
     @property
     def scale(self) -> float:
@@ -114,12 +114,14 @@ class KernelSpec:
 
 def bessel_spec(a) -> KernelSpec:
     """Spec for the hard-edge limit kernel with parameter a."""
-    return KernelSpec(a=float(a), family="bessel")
+    return KernelSpec(a=float(a))
 
 
 def finite_spec(a, n, c=None) -> KernelSpec:
     """Spec for the order-n kernel; c=None selects the plain scaling, c = -a."""
-    return KernelSpec(a=float(a), family="finite", n=n, c=None if c is None else float(c))
+    if n is None:
+        raise DomainError("finite kernel needs an order n")
+    return KernelSpec(a=float(a), n=n, c=None if c is None else float(c))
 
 
 def _near_diagonal(x: float, y: float) -> bool:

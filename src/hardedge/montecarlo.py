@@ -36,8 +36,10 @@ variates: one Philox, re-keyed at counter 0 for each sample, and one
 stacked solve per block, in which each sample stops on its own.  So sample
 i is the same whatever the count or the block size.
 
-ks_validate runs the whole check: it refuses a count below MIN_KS_COUNT
-before the first draw, then evaluates the analytic CDF on the sorted
+sample_smallest refuses a count above MAX_SAMPLE_COUNT before the first
+draw.  ks_validate runs the whole check: it refuses a count below
+MIN_KS_COUNT or above MAX_SAMPLE_COUNT before the CDF is made and the
+first draw, then evaluates the analytic CDF on the sorted
 sample in one call, with values equal bit for bit to ks_compare's one call
 per sample.  At integer a that CDF is one Chebyshev interpolant of 1 - det
 on [0, L], and exactly 1 past L.  A process holds one interpolant per
@@ -62,6 +64,10 @@ from .specfun import S_MAX, _require_integer
 
 MAX_SAMPLER_ORDER = 200
 MIN_KS_COUNT = 1000
+
+# Largest sample drawn: ks_validate(1, 20, ...) peaked at 80 bytes a
+# sample at 2 * 10^5 samples (tracemalloc), so at about 0.8 GB here.
+MAX_SAMPLE_COUNT = 10 ** 7
 
 # Variates that one block of samples draws and solves at once: 512 kB per
 # (B, 2n - 1) array of their squares; 1680 samples at n = 20, 164 at
@@ -96,7 +102,6 @@ class SampleBatch:
 
     a: int
     n: int
-    count: int
     seed: int
     values: np.ndarray
 
@@ -187,10 +192,10 @@ def _sample_block(a: int, n: int, seed: int, start: int, stop: int) -> np.ndarra
 
 def _sampler_arguments(a, n, count, seed) -> tuple:
     """(a, n, count, seed) as the ints sample_smallest draws with, each checked
-    in that order."""
+    in that order; count in [1, MAX_SAMPLE_COUNT]."""
     return (_require_integer(a, "sampler order a", 0),
             _require_integer(n, "sampler order n", 1, MAX_SAMPLER_ORDER),
-            _require_integer(count, "count", 1),
+            _require_integer(count, "count", 1, MAX_SAMPLE_COUNT),
             _require_integer(seed, "seed", 0, 2 ** 64 - 1))
 
 
@@ -205,7 +210,7 @@ def sample_smallest(a, n, count, seed) -> SampleBatch:
         index = int(np.argmin(positive))
         raise NumericError(f"sampler produced eigenvalue {values[index]} for sample {index} "
                            f"(a={a}, n={n}, seed={seed})")
-    return SampleBatch(a=a, n=n, count=count, seed=seed, values=values)
+    return SampleBatch(a=a, n=n, seed=seed, values=values)
 
 
 def _check_ks_count(count) -> None:
@@ -245,7 +250,8 @@ def ks_validate(a, n, count, seed, m=DEFAULT_NODES) -> tuple[float, bool]:
     at (a, n, m), built when the process makes its first CDF at that key,
     else one batch of determinants.  Every argument is checked before the
     first draw: count against the KS floor, then the sampler's arguments,
-    then m, when the CDF is made."""
+    count against MAX_SAMPLE_COUNT among them, then m, when the CDF is
+    made."""
     _check_ks_count(count)
     arguments = _sampler_arguments(a, n, count, seed)
     cdf = analytic_smallest_cdf(a, n, m)

@@ -38,14 +38,6 @@ class QuadratureRule:
     s: float
     a: float
 
-    @property
-    def m(self) -> int:
-        return self.nodes.size
-
-    def integrate(self, values) -> float:
-        """Apply the rule to integrand values sampled at the nodes."""
-        return float(self.weights @ np.asarray(values, dtype=float))
-
 
 def _refuse(ok: np.ndarray, error: type, message: str, ends: list) -> None:
     """Raise error(message) at the first row of ok, shape (S, ...), that is

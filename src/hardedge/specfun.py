@@ -428,12 +428,6 @@ def _step_table(a: float, block: int) -> tuple:
     return tuple(zip(k.astype(float).tolist(), (k + a + 1.0).tolist()))
 
 
-def _step_blocks(n: int, a: float):
-    """The _step_table entries of degrees k < n, block by block."""
-    return (_step_table(a, start // _BLOCK_ROWS)[:n - start]
-            for start in range(0, n, _BLOCK_ROWS))
-
-
 def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
     """One pass of the normalized recurrence (module docstring) to degree n.
 
@@ -449,7 +443,7 @@ def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
     argument was batched: each degree forms d_{k+1} = (k d_k - t p_k)/(k+a+1)
     and p_{k+1} = p_k + d_{k+1}, and total = ((0 + w_0 p_0 p_0) + w_1 p_1 p_1) + ...
     On a float that is a loop with weights or one without, each reading k
-    and k+a+1 from the _step_blocks of its (n, a), with no test per degree
+    and k+a+1 from the _step_table blocks of its a, with no test per degree
     (about 28 us at n = 400 without weights, 52 us with them).  On an
     ndarray that is five in-place ufunc calls per degree, p_k going into
     row k of a block buffer.  Per block, two array operations form the
@@ -461,16 +455,16 @@ def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
     """
     if not isinstance(t, np.ndarray):
         p_prev, p, d, total = 0.0, 1.0, 0.0, 0.0
-        blocks = _step_blocks(n, a)
-        if weights is None:
-            for table in blocks:
+        if weights is not None:
+            weights = iter(weights[:n].tolist())  # Python floats keep the loop fast
+        for start in range(0, n, _BLOCK_ROWS):
+            table = _step_table(a, start // _BLOCK_ROWS)[:n - start]
+            if weights is None:
                 for k, den in table:
                     p_prev = p
                     d = (k * d - t * p) / den
                     p = p + d
-        else:
-            weights = iter(weights[:n].tolist())  # Python floats keep the loop fast
-            for table in blocks:
+            else:
                 for (k, den), w in zip(table, weights):
                     total += w * p * p
                     p_prev = p

@@ -114,7 +114,7 @@ def test_criterion_07_scaled_laguerre_rate():
 def test_criterion_08_kernel_expansion_rate():
     slopes = {}
     for c in (0.0, -1.0):
-        rep = kernel_expansion_rate(1.0, ORDERS, c)
+        rep = kernel_expansion_rate(1.0, ORDERS, c, np.linspace(0.0, 8.0, 9))
         slopes[c] = rep.fitted_slope
     ok = all(SECOND_ORDER[0] <= sl <= SECOND_ORDER[1] for sl in slopes.values())
     report(8, ok,

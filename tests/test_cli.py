@@ -141,6 +141,28 @@ class TestChecks:
         assert err.startswith("hardedge: check failed: finite-difference residual ")
         assert err.endswith(" above 1e-05\n") and err.count("\n") == 1
 
+    def test_failed_resolvent_path_exits_4(self, monkeypatch, capsys):
+        # a resolvent route off by 1e-6 fails its 1e-8 check alone; the
+        # finite difference still passes, and the table is still printed
+        log_derivative = cli.log_derivative
+
+        def skewed(spec, s, m, method="resolvent"):
+            value = log_derivative(spec, s, m, method=method)
+            return value + 1e-6 / s if method == "resolvent" else value
+
+        monkeypatch.setattr(cli, "log_derivative", skewed)
+        assert run_cli(["identity-check", "--a", "0.5", "--s", "4"]) == 4
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[1] == ("s,quadratic_form,lhs,rhs_resolvent,rhs_fd,"
+                            "residual_resolvent,residual_fd")
+        assert len(lines) == 3
+        row = dict(zip(lines[1].split(","), map(float, lines[2].split(","))))
+        assert row["residual_resolvent"] == pytest.approx(1e-6, rel=1e-6)
+        assert row["residual_fd"] <= cli.IDENTITY_TOL_FD
+        assert err == (f"hardedge: check failed: resolvent-path residual "
+                       f"{row['residual_resolvent']:.3e} above 1e-08\n")
+
     def test_failed_check_exits_4(self, tmp_path, monkeypatch):
         # synthetic first-order residual: the slope lands near -1, far from
         # the second-order acceptance window
@@ -231,14 +253,19 @@ class TestMcValidate:
         header, rows = read_table(out)
         assert rows[0][header.index("passed")] == "true"
 
-    def test_count_below_floor_fails_fast(self, monkeypatch, capsys):
-        # refused before the first draw, not after the whole batch
+    def test_count_outside_its_range_fails_fast(self, monkeypatch, capsys):
+        # refused before the law is made and before the first draw, not
+        # after the whole batch
         draws = []
         monkeypatch.setattr(montecarlo, "_sample_block", lambda *args: draws.append(args) or [1.0])
-        for n, count in (("5", "500"), ("200", "999")):
+        monkeypatch.setattr(montecarlo, "analytic_smallest_cdf", lambda *args: draws.append(args))
+        for n, count, message in (
+                ("5", "500", "KS comparison needs count >= 1000, got 500"),
+                ("200", "999", "KS comparison needs count >= 1000, got 999"),
+                ("20", "10000001", "count must be an integer in [1, 10000000], got 10000001")):
             code = run_cli(["mc-validate", "--a", "0", "--n", n, "--count", count])
             assert code == 2
-            assert "KS comparison needs count >= 1000" in capsys.readouterr().err
+            assert capsys.readouterr().err == f"hardedge: domain error: {message}\n"
         assert draws == []
 
 
@@ -337,6 +364,21 @@ class TestUsageAndErrors:
         with pytest.raises(SystemExit) as info:
             run_cli([])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("where,reason", [("missing", "No such file or directory"),
+                                              ("directory", "Is a directory")])
+    def test_unwritable_output_exits_1(self, where, reason, tmp_path):
+        # in a fresh process: one stderr line, no traceback, and no file
+        target = tmp_path / "missing" / "x.csv" if where == "missing" else tmp_path
+        env = dict(os.environ, PYTHONPATH=str(Path(hardedge.__file__).resolve().parent.parent))
+        result = subprocess.run([sys.executable, "-m", "hardedge.cli", "limit-cdf", "--a", "0",
+                                 "--s", "4", "--output", str(target)],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == f"hardedge: cannot write {target}: {reason}\n"
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_domain_error_exits_2(self, capsys):
         assert run_cli(["limit-cdf", "--a", "-2", "--s", "4"]) == 2

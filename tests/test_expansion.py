@@ -232,7 +232,7 @@ class TestRateReports:
     @pytest.mark.parametrize("report", [
         lambda orders: expansion_rate(1.0, 4.0, orders),
         lambda orders: optimal_rate(1.0, 4.0, orders),
-        lambda orders: kernel_expansion_rate(1.0, orders, 0.0),
+        lambda orders: kernel_expansion_rate(1.0, orders, 0.0, np.linspace(0.0, 8.0, 9)),
         lambda orders: rate_report(1.5, 3.0, orders, lambda n: mehler_heine_residual(1.5, n, 3.0)),
     ], ids=["expansion_rate", "optimal_rate", "kernel_expansion_rate", "mehler_heine"])
     def test_order_cap_refused_before_any_work(self, report, monkeypatch):
@@ -344,7 +344,7 @@ class TestMehlerHeine:
 
 class TestKernelExpansionRate:
     @pytest.mark.parametrize("a,c,axis", [
-        (1.0, 0.0, None),
+        (1.0, 0.0, np.linspace(0.0, 8.0, 9)),
         (1.0, -1.0, np.linspace(0.0, 8.0, 5)),
         (2.5, 3.0, np.linspace(0.0, 20.0, 17)),
         (0.0, 0.0, np.linspace(0.0, 1.0, 4)),
@@ -354,13 +354,12 @@ class TestKernelExpansionRate:
         # one kernel_matrix per order gives the pointwise residuals bit for bit
         orders = (7, 50, 100, 1000)
         report = kernel_expansion_rate(a, orders, c, axis)
-        points = np.linspace(0.0, 8.0, 9) if axis is None else axis
         expected = tuple(
-            max(abs(kernel_expansion_residual(a, n, c, x, y)) for x in points for y in points)
+            max(abs(kernel_expansion_residual(a, n, c, x, y)) for x in axis for y in axis)
             for n in orders
         )
         assert report.residuals == expected
-        assert report.s == max(points)
+        assert report.s == max(axis)
 
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_slope_window(self, c):

@@ -79,7 +79,7 @@ class TestKernelSpec:
         for a in (-0.999, -0.5, -0.0, 0.0, 1e-300, 1.0 / 3.0, 0.5, 2.0, 7.25, 101.5, 1000.0):
             for n in (1, 2, 3, 7, 20, 999, 1000, 10**6):
                 spec = finite_spec(a, n)
-                assert spec == finite_spec(a, n, c=-a) == KernelSpec(a=a, family="finite", n=n)
+                assert spec == finite_spec(a, n, c=-a) == KernelSpec(a=a, n=n)
                 assert spec.c == -a
                 assert spec.scale == finite_spec(a, n, c=-a).scale
         for a, n, s in ((0.5, 20, 4.0), (2.0, 1, 4.0), (1.0 / 3.0, 1000, 40.0)):
@@ -89,22 +89,24 @@ class TestKernelSpec:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            KernelSpec(a=-1.5, family="bessel")
+            KernelSpec(a=-1.5)
         with pytest.raises(DomainError):
-            KernelSpec(a=0.0, family="sine")
-        with pytest.raises(DomainError):
-            KernelSpec(a=0.0, family="finite", n=0)
-        with pytest.raises(DomainError):
-            KernelSpec(a=0.0, family="bessel", n=3)
+            KernelSpec(a=0.0, n=0)
+        with pytest.raises(DomainError, match="limit kernel takes no c"):
+            KernelSpec(a=0.0, c=0.5)
         with pytest.raises(DomainError):
             finite_spec(2.0, 1, c=0.0)  # tuned factor 1 - a/(2n) hits zero
         with pytest.raises(DomainError):
             bessel_spec(0.0).scale
         with pytest.raises(DomainError, match="must be finite"):
-            KernelSpec(0.5, "finite", 5, c=math.inf)
-        for n in (math.nan, math.inf, 2.5, None):
+            KernelSpec(0.5, 5, c=math.inf)
+        for n in (math.nan, math.inf, 2.5):
             with pytest.raises(DomainError):
-                KernelSpec(a=0.0, family="finite", n=n)
+                KernelSpec(a=0.0, n=n)
+        with pytest.raises(DomainError, match="finite kernel needs an order n"):
+            finite_spec(0.0, None)
+        # the family is read off n
+        assert bessel_spec(0.5).family == "bessel" and finite_spec(0.5, 5).family == "finite"
 
     @pytest.mark.parametrize("n", [10**6 + 1, 10**21])
     def test_order_cap(self, n):
@@ -116,7 +118,7 @@ class TestKernelSpec:
 
     def test_integral_float_order(self):
         # stored as an int, so the Laguerre recurrences can count with it
-        spec = KernelSpec(a=0.5, family="finite", n=5.0)
+        spec = KernelSpec(a=0.5, n=5.0)
         assert type(spec.n) is int and spec == finite_spec(0.5, 5)
         nodes = scale_rule(gauss_jacobi(10, 0.5), 4.0).nodes
         assert np.array_equal(kernel_matrix(spec, nodes), kernel_matrix(finite_spec(0.5, 5), nodes))

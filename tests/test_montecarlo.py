@@ -279,7 +279,7 @@ class TestKsCompare:
         n, count = 5, 5000
         uniform = np.random.default_rng(11).uniform(size=count)
         values = -np.log1p(-uniform) / n
-        batch = SampleBatch(a=0, n=n, count=count, seed=0, values=values)
+        batch = SampleBatch(a=0, n=n, seed=0, values=values)
         statistic, passed = ks_compare(batch, self._exponential_cdf(n))
         assert passed
         assert statistic < 1.63 / math.sqrt(count)
@@ -299,7 +299,7 @@ class TestKsCompare:
         assert statistic > 1.63 / math.sqrt(count)
 
     def test_non_finite_cdf_refused(self):
-        batch = SampleBatch(a=0, n=5, count=1000, seed=0, values=np.linspace(0.01, 1.0, 1000))
+        batch = SampleBatch(a=0, n=5, seed=0, values=np.linspace(0.01, 1.0, 1000))
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 ks_compare(batch, lambda t, bad=bad: bad)
@@ -310,15 +310,14 @@ class TestKsCompare:
             ks_compare(batch, self._exponential_cdf(3))
 
     def test_sample_is_its_own_count(self):
-        # the statistic and the KS floor read the values, not the count the
-        # batch was built with
-        values = np.sort(sample_smallest(1, 20, 1500, seed=3).values)
+        # a batch carries no count beside its values: the statistic and the
+        # KS floor read the values, in whatever order they were given
+        batch = sample_smallest(1, 20, 1500, seed=3)
+        values = np.sort(batch.values)
         cdf = analytic_smallest_cdf(1, 20)
-        expected = ks_compare(SampleBatch(a=1, n=20, count=1500, seed=3, values=values), cdf)
-        for count in (1000, 2000):
-            batch = SampleBatch(a=1, n=20, count=count, seed=3, values=values)
-            assert ks_compare(batch, cdf) == expected
-        short = SampleBatch(a=1, n=20, count=1000, seed=3, values=values[:999])
+        expected = ks_compare(batch, cdf)
+        assert ks_compare(SampleBatch(a=1, n=20, seed=3, values=values), cdf) == expected
+        short = SampleBatch(a=1, n=20, seed=3, values=values[:999])
         with pytest.raises(DomainError, match="count >= 1000, got 999"):
             ks_compare(short, cdf)
 
@@ -689,6 +688,27 @@ class TestKsValidate:
         with pytest.raises(DomainError, match=message):
             ks_validate(a, n, count, seed=seed, m=3)
         assert draws == []
+
+    def test_count_cap(self, monkeypatch):
+        # the cap is accepted up to the CDF and the first draw, each patched
+        # to fail, and one past it is refused before either
+        def fail(what):
+            def reached(*args):
+                raise RuntimeError(what)
+            return reached
+
+        monkeypatch.setattr(montecarlo, "_sample_block", fail("draw"))
+        monkeypatch.setattr(montecarlo, "analytic_smallest_cdf", fail("cdf"))
+        cap = montecarlo.MAX_SAMPLE_COUNT
+        assert cap == 10 ** 7
+        with pytest.raises(RuntimeError, match="draw"):
+            sample_smallest(1, 20, cap, seed=1)
+        with pytest.raises(RuntimeError, match="cdf"):
+            ks_validate(1, 20, cap, seed=1)
+        for run in (sample_smallest, ks_validate):
+            with pytest.raises(DomainError, match=rf"count must be an integer in \[1, {cap}\], "
+                                                  rf"got {cap + 1}$"):
+                run(1, 20, cap + 1, seed=1)
 
     def test_cdf_made_before_the_draw_with_one_m_check(self, monkeypatch):
         events = []

@@ -83,7 +83,7 @@ def test_spectral_convergence_for_analytic_integrand():
         values = []
         for m in (20, 40):
             rule = scale_rule(gauss_jacobi(m, 0.0), s)
-            values.append(rule.integrate(np.exp(-rule.nodes)))
+            values.append(float(rule.weights @ np.exp(-rule.nodes)))
         assert abs(values[0] - values[1]) < 1e-14
 
 
@@ -101,7 +101,7 @@ def test_scaled_rule_against_incomplete_gamma():
     # integral_0^s x^a e^{-x} dx = Gamma(a+1) P(a+1, s)
     a, s = 1.5, 5.0
     rule = scale_rule(gauss_jacobi(40, a), s)
-    value = rule.integrate(np.exp(-rule.nodes))
+    value = float(rule.weights @ np.exp(-rule.nodes))
     expected = math.gamma(a + 1.0) * gammainc(a + 1.0, s)
     assert value == pytest.approx(expected, rel=1e-12)
 
@@ -191,7 +191,7 @@ def test_order_beyond_reference_mass_is_refused(m):
         gauss_jacobi(m, 1e4)
     with pytest.raises(AccuracyError):
         gauss_jacobi(m, 1023.0)
-    assert gauss_jacobi(m, 1022.0).m == m
+    assert gauss_jacobi(m, 1022.0).nodes.size == m
 
 
 @pytest.mark.parametrize("nodes, weights", [([math.nan], [1.0]), ([0.5], [math.nan])],

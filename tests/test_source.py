@@ -156,6 +156,61 @@ def test_no_unused_private_helpers():
     assert unused_private_helpers({path.stem: path.read_text() for path in SOURCES}) == []
 
 
+def unread_members(library: dict, readers: dict) -> list:
+    """"module.Class.name" for each method and property (dunders aside) of a
+    class in `library` ({module: source}) that no source of `library` or
+    `readers` reads as an attribute outside the member's own definition.
+    `self.name` is a read for the class it is read in alone, and
+    `args.name`, a parsed command-line flag, is a read for none."""
+    members, reads = [], []
+    for module, source in {**readers, **library}.items():
+        tree = ast.parse(source)
+        owner = {}  # id of each attribute node -> the innermost class it is in
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                owner.update((id(inner), node.name) for inner in ast.walk(node))
+                members += [
+                    (module, node.name, item.name, item.lineno, item.end_lineno)
+                    for item in node.body if module in library
+                    and isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+        reads += [
+            (module, node.lineno, node.attr,
+             owner.get(id(node)) if getattr(node.value, "id", None) == "self" else None)
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and getattr(node.value, "id", None) != "args"
+        ]
+    return sorted(
+        f"{module}.{cls}.{name}" for module, cls, name, first, last in members
+        if not any(attr == name and at_class in (None, cls)
+                   and not (at_module == module and first <= line <= last)
+                   for at_module, line, attr, at_class in reads)
+    )
+
+
+def test_unread_members_are_found():
+    library = {
+        "a": "class Rule:\n    @property\n    def m(self):\n        return self.m\n\n"
+             "    def integrate(self, v):\n        return v\n\n"
+             "    def __call__(self):\n        pass\n\n"
+             "class Values:\n    def total(self):\n        return self.m + self.scale\n\n"
+             "    @property\n    def scale(self):\n        return 1.0\n\n"
+             "class Read:\n    def used(self):\n        pass\n\n"
+             "def main(args):\n    return args.integrate\n",
+        "b": "from .a import Values\n\nValues().total()\n",
+    }
+    readers = {"bench": "def run(rule):\n    return rule.used()\n\n"
+                        "class Own:\n    def unchecked(self):\n        pass\n"}
+    assert unread_members(library, readers) == ["a.Rule.integrate", "a.Rule.m"]
+
+
+def test_no_unread_members():
+    # a member that only the tests call is code the library keeps for no caller
+    readers = {f"perfbench.{path.stem}": path.read_text() for path in PERFBENCH.glob("*.py")}
+    assert unread_members({path.stem: path.read_text() for path in SOURCES}, readers) == []
+
+
 # The private names of fredholm that other modules may import: the one
 # evaluation entry and the s and m checks.  Every per-s value is read from
 # the records _batch returns, not through wrappers around it.

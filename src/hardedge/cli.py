@@ -7,7 +7,7 @@ value.  Exit codes:
 
     0  success
     1  usage error (unknown flags, missing arguments, --a abc, an --output
-       that cannot be written)
+       that cannot be written, checked before any computation)
     2  domain error: every refused value, including a number in --s,
        --s-grid or --n-list that does not parse
     3  numeric error (a computation failed internally)
@@ -16,6 +16,7 @@ value.  Exit codes:
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -75,11 +76,27 @@ def _emit(args, meta: dict, header: list, rows: list) -> None:
         try:
             with open(args.output, "w") as handle:
                 handle.write(text)
-        except OSError as exc:
-            print(f"hardedge: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
-            raise SystemExit(1) from None
+        except OSError as exc:  # a write can still fail after main's open (/dev/full)
+            _cannot_write(args.output, exc)
     else:
         sys.stdout.write(text)
+
+
+def _cannot_write(path, exc: OSError):
+    print(f"hardedge: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    raise SystemExit(1) from None
+
+
+def _claim_output(path) -> bool:
+    """Open path for append and close it, so that an --output that cannot be
+    written is refused (exit 1) before any computation; True if this made
+    the file."""
+    made = not os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        _cannot_write(path, exc)
+    return made
 
 
 def _meta(command, a="-", n="-", m="-", scaling="-", seed="-") -> dict:
@@ -335,6 +352,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    made = bool(args.output) and _claim_output(args.output)
+    code = _run(args)
+    if made and code in (2, 3):  # a refused run leaves no file behind
+        os.remove(args.output)
+    return code
+
+
+def _run(args) -> int:
     try:
         failures = args.handler(args)
     except NumericError as exc:

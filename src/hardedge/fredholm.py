@@ -121,7 +121,7 @@ def _batch(spec: KernelSpec, s_values, m, refine=False, resolvent=False) -> list
     time, and this replay is the one place that names the refused s.
     """
     if resolvent and spec.family != "bessel":
-        raise DomainError("resolvent_quadratic_form is defined for the limit kernel")
+        raise DomainError("the resolvent quadratic form is defined for the limit kernel only")
     m = _check_m(m)
     ms = (m, m + 10) if refine else (m,)
     per_chunk = max(1, CHUNK_ENTRIES // sum(k * k for k in ms))

@@ -36,10 +36,13 @@ was batched.  The recurrence has one body (_miller) for a float and for an
 array: only its pair loop above the orders a + 1 and nu0 forks, into a
 Python loop on a float and in-place ufunc calls on an array, and the steps
 below, the capture of j_a and j_{a+1} and the normalization are written
-once.  Against 40-digit values the pair errs by at most 2.8e-15
-relative to the envelope max(|J_nu(x)|, sqrt(2/(pi x))), x = 2 sqrt(z), at
-orders -0.9 to 50 over z in (0, 400], and by 2e-15 relative to itself past
-the turning point.
+once.  Its factors and normalization coefficients come from one cached
+table per fractional order nu0, long enough for every accepted a and z;
+the array loop loads each pair's factors into reusable 0-d operands, as
+the array Laguerre pass loads its own.  Against 40-digit values the pair
+errs by at most 2.8e-15 relative to the envelope max(|J_nu(x)|,
+sqrt(2/(pi x))), x = 2 sqrt(z), at orders -0.9 to 50 over z in (0, 400],
+and by 2e-15 relative to itself past the turning point.
 
 Laguerre polynomials come from one recurrence, in the normalized
 forward-difference form of scipy.special.eval_genlaguerre.  It carries
@@ -224,16 +227,24 @@ def _start_offset(a: float, z):
     return np.maximum(low_orders, a + 3.0 + low_orders / 3.0).astype(int) | 1
 
 
-@lru_cache(maxsize=128)
-def _recurrence_table(nu0: float, pairs: int) -> tuple:
-    """(nu0 + 2k + 1, q_k, nu0 + 2k) for k < pairs: the recurrence's factors
-    at offsets 2k + 1 and 2k, and q_k = c_{k+1} / (z c_k) for the
+# Pairs in a recurrence table: every accepted call starts at an offset no
+# higher than _start_offset(_ZERO_ORDER, Z_MAX) (207), since a >= _ZERO_ORDER
+# takes the zero route and |z| <= Z_MAX is checked first.
+_MILLER_PAIRS = _start_offset(_ZERO_ORDER, Z_MAX) // 2 + 1
+
+
+@lru_cache(maxsize=128)  # about 14 kB a table
+def _recurrence_table(nu0: float) -> tuple:
+    """(nu0 + 2k + 1, q_k, nu0 + 2k) for k < _MILLER_PAIRS: the recurrence's
+    factors at offsets 2k + 1 and 2k, and q_k = c_{k+1} / (z c_k) for the
     normalization's coefficients c_k = (nu0+2k) Gamma(nu0+k)/k! z^k, with
-    c_0 = Gamma(nu0+1)."""
+    c_0 = Gamma(nu0+1).  One table per fractional order nu0 serves every a
+    and z: _start_offset grows with both, and below _ZERO_ORDER and up to
+    Z_MAX it stays at or below 2 _MILLER_PAIRS - 1."""
     return tuple(
         (nu0 + (2 * k + 1), nu0 + 2.0 if k == 0 else
          (nu0 + (2 * k + 2)) * (nu0 + k) / ((nu0 + 2 * k) * (k + 1.0)), nu0 + 2 * k)
-        for k in range(pairs)
+        for k in range(_MILLER_PAIRS)
     )
 
 
@@ -246,25 +257,27 @@ def _miller(a: float, z) -> tuple:
     every even offset 2k, total = f_{2k} + q_k (z total) adds the
     normalization sum in Horner form, so that at offset 0,
     sum_k c_k f_{2k} = Gamma(nu0+1) total.  Orders below nu0 (a < 0) take
-    their steps after that.  Above the offsets of a + 1 and 0 (offset
-    tail) the steps go by pairs, odd then even, with no test in the loop;
-    only that loop forks, an ndarray going to _miller_pairs.  The steps
-    below tail are plain arithmetic on either, in the same operations and
-    order as the pair loops, so an element is bit-equal to its float call.
+    their steps after that.  The factors come from the one table of nu0,
+    fetched once for both branches.  Above the offsets of a + 1 and 0
+    (offset tail) the steps go by pairs, odd then even, with no test in the
+    loop; only that loop forks, an ndarray going to _miller_pairs.  The
+    steps below tail are plain arithmetic on either, in the same operations
+    and order as the pair loops, so an element is bit-equal to its float
+    call.
     """
     low = math.floor(a)
     nu0 = a - low
     tail = max(low + 1, 0) | 1
+    table = _recurrence_table(nu0)
     if isinstance(z, float):
         top = _start_offset(a, z)
-        table = _recurrence_table(nu0, top // 2 + 1)
         f_next, f, total = 0.0, _SEED, 0.0
         for nu_odd, q, nu_even in table[top // 2:tail // 2:-1]:
             f, f_next = nu_odd * f - z * f_next, f
             total = f + q * (z * total)
             f, f_next = nu_even * f - z * f_next, f
     else:
-        table, f, f_next, total = _miller_pairs(nu0, tail, z, _start_offset(a, z))
+        f, f_next, total = _miller_pairs(table, tail, z, _start_offset(a, z))
     stop = min(low, 0)
     for i in range(tail, stop - 1, -1):
         if i >= 0 and not i & 1:
@@ -280,29 +293,29 @@ def _miller(a: float, z) -> tuple:
     return lower / norm, upper / norm
 
 
-def _miller_pairs(nu0: float, tail: int, z: np.ndarray, tops: np.ndarray) -> tuple:
+def _miller_pairs(table: tuple, tail: int, z: np.ndarray, tops: np.ndarray) -> tuple:
     """_miller's pair loop on a flat ndarray z > 0 whose elements start at
-    offsets tops: (table, f, f_next, total) at offset tail, elementwise as
-    the float loop leaves them.
+    offsets tops, with the factors of table (_recurrence_table): (f, f_next,
+    total) at offset tail, elementwise as the float loop leaves them.
 
     Every element runs down from the largest start offset.  Above its own
     it stays exactly 0 (0 nu - z 0 = 0), and there it takes _SEED, so it
     starts with the values its float call starts with.  A step is three
-    ufunc calls and a Horner step three more, with the factors as 0-d
-    arrays (see _laguerre_blocks), each in the float loop's order of
-    operations.  The pairs of steps alternate two buffers, so none is
-    copied.
+    ufunc calls and a Horner step three more, each in the float loop's
+    order of operations.  The pairs of steps alternate two buffers, so none
+    is copied.
     """
     # starts[i]: how many elements start at offset i
     starts = np.bincount(tops).tolist()
-    top = len(starts) - 1
-    table = _recurrence_operands(nu0, top // 2 + 1)
     fs, nexts, totals, products = (np.zeros(z.size) for _ in range(4))
     multiply, subtract, add = np.multiply, np.subtract, np.add
-    for k in range(top // 2, tail // 2, -1):
+    # a pair's three factors enter as 0-d arrays, set exactly each pair (see
+    # _laguerre_blocks)
+    nu_odd, q, nu_even = np.empty(()), np.empty(()), np.empty(())
+    for k in range((len(starts) - 1) // 2, tail // 2, -1):
         if starts[2 * k + 1]:
             fs[tops == 2 * k + 1] = _SEED
-        nu_odd, q, nu_even = table[k]
+        nu_odd[()], q[()], nu_even[()] = table[k]
         multiply(z, nexts, nexts)
         multiply(fs, nu_odd, products)
         subtract(products, nexts, nexts)
@@ -312,18 +325,7 @@ def _miller_pairs(nu0: float, tail: int, z: np.ndarray, tops: np.ndarray) -> tup
         multiply(z, fs, fs)
         multiply(nexts, nu_even, products)
         subtract(products, fs, fs)
-    return table, fs, nexts, totals
-
-
-@lru_cache(maxsize=128)
-def _recurrence_operands(nu0: float, pairs: int) -> tuple:
-    """_recurrence_table as read-only 0-d arrays, the ufunc operands."""
-    operands = tuple(tuple(np.array(value) for value in entry)
-                     for entry in _recurrence_table(nu0, pairs))
-    for entry in operands:
-        for value in entry:
-            value.setflags(write=False)
-    return operands
+    return fs, nexts, totals
 
 
 def _rgamma(x: float) -> float:

@@ -380,6 +380,37 @@ class TestUsageAndErrors:
         assert "Traceback" not in result.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_output_is_refused_before_the_computation(self, monkeypatch, tmp_path,
+                                                                  capsys):
+        monkeypatch.setattr(cli, "ks_validate", lambda *args, **kwargs: pytest.fail("computed"))
+        target = tmp_path / "missing" / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            run_cli(["mc-validate", "--a", "1", "--n", "20", "--count", "100000",
+                     "--output", str(target)])
+        assert info.value.code == 1
+        assert capsys.readouterr().err == (
+            f"hardedge: cannot write {target}: No such file or directory\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_after_the_open_exits_1(self, capsys):
+        # /dev/full opens, and the write fails: _emit's own refusal
+        with pytest.raises(SystemExit) as info:
+            run_cli(["limit-cdf", "--a", "0", "--s", "4", "--m", "40", "--output", "/dev/full"])
+        assert info.value.code == 1
+        assert capsys.readouterr().err == (
+            "hardedge: cannot write /dev/full: No space left on device\n")
+
+    def test_refused_run_leaves_no_new_file(self, tmp_path, capsys):
+        target = tmp_path / "x.csv"
+        assert run_cli(["limit-cdf", "--a", "0", "--s", "2000", "--output", str(target)]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_run_keeps_an_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "x.csv"
+        target.write_bytes(b"kept\n")
+        assert run_cli(["limit-cdf", "--a", "0", "--s", "2000", "--output", str(target)]) == 2
+        assert target.read_bytes() == b"kept\n"
+
     def test_domain_error_exits_2(self, capsys):
         assert run_cli(["limit-cdf", "--a", "-2", "--s", "4"]) == 2
         assert run_cli(["limit-cdf", "--a", "0", "--s", "-4"]) == 2

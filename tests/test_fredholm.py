@@ -159,8 +159,14 @@ class TestResolventQuadraticForm:
             assert resolvent_quadratic_form(bessel_spec(2.0), s, 40) > 0.0
 
     def test_limit_family_only(self):
-        with pytest.raises(DomainError):
-            resolvent_quadratic_form(finite_spec(1.0, 10), 2.0, 40)
+        # the refusal names the quantity, whichever function asked for it
+        spec = finite_spec(1.0, 10)
+        for evaluate in (lambda: resolvent_quadratic_form(spec, 2.0, 40),
+                         lambda: log_derivative(spec, 2.0, 40, method="resolvent")):
+            with pytest.raises(DomainError) as info:
+                evaluate()
+            assert str(info.value) == ("the resolvent quadratic form is defined for the "
+                                       "limit kernel only")
 
     @pytest.mark.parametrize("a", [100.0, 150.0])
     def test_underflow_refused(self, a):

@@ -14,7 +14,8 @@ from hardedge import (
 )
 from hardedge.quadrature import gauss_jacobi, scale_rule
 from hardedge.specfun import (_BLOCK_ENTRIES, _BLOCK_ROWS, _ZERO_ORDER, _binomials,
-                              _laguerre_pass, _laguerre_weights, _rgamma, _step_table)
+                              _laguerre_pass, _laguerre_weights, _recurrence_table, _rgamma,
+                              _step_table)
 
 
 def bessel_series_oracle(a, z, terms=400, dps=60):
@@ -200,12 +201,15 @@ class TestBesselPair:
             ref = bessel_series_oracle(nu, z)
             assert abs(value - ref) <= 1e-13 * abs(ref), (nu, z)
 
-    @pytest.mark.parametrize("a", [-2.0, -0.9, -0.5, 0.0, 0.5, 1.0, 3.0, 7.25, 50.0, 120.5, 177.0])
+    @pytest.mark.parametrize("a", [-2.0, -0.9, -0.5, 0.0, 0.5, 1.0, 3.0, 7.25, 50.0, 120.5, 177.0,
+                                   177.99])
     def test_batching_does_not_change_a_bit(self, a):
         # an element of a mixed array, whose others start the recurrence
         # higher or lower or take the series, equals its lone float call;
         # the orders include long steps below the pair loop (7.25, 120.5,
-        # 177 < _ZERO_ORDER) and steps that cross offset 0 (a < 0)
+        # 177 < _ZERO_ORDER), steps that cross offset 0 (a < 0), and the
+        # highest start below _ZERO_ORDER (177.99 at z = 400), which reads
+        # the last entry of its recurrence table
         z = np.array([3.0, 400.0, 1e-9, -2.0, 0.0, 0.7, 57.5, 1.0, 1e-300, 12.25, 399.0])
         for order in (z, z[::-1], z.reshape(11, 1)):
             pair = bessel_pair(a, order)
@@ -213,6 +217,19 @@ class TestBesselPair:
                                         pair[1].ravel().tolist()):
                 assert (lower, upper) == bessel_pair(a, zi), (a, zi)
                 assert lower == bessel_entire(a, zi)
+
+    def test_one_table_per_fractional_order(self):
+        # the recurrence's constants are cached by the fractional order
+        # alone: float and array calls over many z and integer parts at
+        # three fractional orders leave three tables
+        _recurrence_table.cache_clear()
+        z = np.geomspace(1e-6, 400.0, 60)
+        for fraction in (0.0, 0.25, 0.5):
+            for a in (fraction - 1.0, fraction + 3.0, fraction + 40.0):
+                bessel_pair(a, z)
+                for zi in z[::7].tolist():
+                    bessel_pair(a, zi)
+        assert _recurrence_table.cache_info().currsize == 3
 
     def test_one_recurrence_gives_both_orders(self):
         # j_{a+1} of the pair at a is j_a of the pair at a + 1, to rounding

@@ -40,12 +40,13 @@ kernel_matrix is the one kernel entry: one factor routine, _factors, gives
 the factors of both families over a node vector, and _offdiag forms the
 entries from them.  kernel_expansion_residual takes the same two routines
 on the floats of one (x, y) pair, where a one-node array pass would cost
-forty to fifty times the float loop (see specfun).  A kernel matrix
-costs one recurrence over its nodes, of j_a and j_{a+1} (limit family) or
-of the Laguerre polynomials (order-n family), plus one midpoint per
-unordered node pair inside the near-diagonal window.  A stack of node
-vectors, one rule per s of a batch, costs the same one pass over all of
-its nodes and yields a stack of matrices.
+about forty times the float loop (38 times at n = 50, 47 at n = 400; see
+specfun).  A kernel matrix costs one recurrence over its nodes, of j_a
+and j_{a+1} (limit family) or of the Laguerre polynomials (order-n
+family), plus one midpoint per unordered node pair inside the
+near-diagonal window.  A stack of node vectors, one rule per s of a
+batch, costs the same one pass over all of its nodes and yields a stack
+of matrices.
 """
 
 import math

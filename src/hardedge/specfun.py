@@ -38,42 +38,48 @@ Python loop on a float and in-place ufunc calls on an array, and the steps
 below, the capture of j_a and j_{a+1} and the normalization are written
 once.  Its factors and normalization coefficients come from one cached
 table per fractional order nu0, long enough for every accepted a and z;
-the array loop loads each pair's factors into reusable 0-d operands, as
-the array Laguerre pass loads its own.  Against 40-digit values the pair
-errs by at most 2.8e-15 relative to the envelope max(|J_nu(x)|,
-sqrt(2/(pi x))), x = 2 sqrt(z), at orders -0.9 to 50 over z in (0, 400],
-and by 2e-15 relative to itself past the turning point.
+the array loop loads each pair's factors into reusable 0-d operands.
+Against 40-digit values the pair errs by at most 2.8e-15 relative to the
+envelope max(|J_nu(x)|, sqrt(2/(pi x))), x = 2 sqrt(z), at orders -0.9
+to 50 over z in (0, 400], and by 2e-15 relative to itself past the
+turning point.
 
 Laguerre polynomials come from one recurrence, in the normalized
 forward-difference form of scipy.special.eval_genlaguerre.  It carries
-p_k = L_k^a(t) / binom(k+a, k) and d_k = p_k - p_{k-1}:
+p_k = L_k^a(t) / binom(k+a, k) and d_k = p_k - p_{k-1}, with the step
+coefficients alpha_k = k / den_k and beta_k = 1 / den_k, den_k = k+a+1:
 
-    p_0 = 1,  d_0 = 0,  d_{k+1} = (k d_k - t p_k) / (k+a+1),  p_{k+1} = p_k + d_{k+1}.
+    p_0 = 1,  d_0 = 0,  d_{k+1} = alpha_k d_k - (beta_k t) p_k,  p_{k+1} = p_k + d_{k+1}.
+
+Scaling t by beta_k first keeps the step in range wherever p_{k+1} is:
+p_10000(1420) = 1.85e304 at a = 1/2, where t p_k would overflow.
 
 One pass yields L_{n-1}^a and L_n^a, and also what the order-n kernel needs:
 L_n^{a-1} = binom(n+a, n) (a/(n+a) p_{n-1} + d_n), without the cancelling
 difference L_n^a - L_{n-1}^a, and the sum of squares sum_{k<n} w_k p_k^2 with
 w_k = binom(k+a, k) / Gamma(a+1), so that k!/Gamma(k+a+1) L_k^a(t)^2 = w_k p_k^2.
 
-On a float the pass is a plain Python loop, kept for the pair residual of
-the kernels.  It tests nothing per degree: one loop without weights and
-one with them read the pairs (float(k), (k + a) + 1.0) from a step table
-per order a and block of 128 degrees, so no int becomes a float in the
-loop; 128 tables (about 1.8 MB) are cached.  At n = 50 the loop takes
-about 4.7 us, where the array branch on one node takes about 200 us, and
-at n = 400 about 28 us against 1.5 ms: a ufunc call per operation costs
-more than the arithmetic (medians of 31 rounds, Intel Xeon, Python 3.11,
-numpy 2.4).  On an array, which is where a Nystrom assembly spends its
-time, it runs in place: five ufunc calls per degree into preallocated
-buffers, every operand an array (k and k+a+1 as 0-d arrays), with p_k
-written into the rows of a block of degrees.  The squares w_k p_k^2 are
-formed once per block, and the block is added to the running total by one
-reduction that visits the degrees in order k = 0, 1, 2, ..., so both
-branches round identically and every value is bit-equal to the plain
-loop.  numpy keeps that order only while a row has more than one entry;
-at a single node it would sum pairwise, so a one-node pass accumulates
-its column instead.  A pass that leaves the double range is refused with
-AccuracyError.
+Both branches read (alpha_k, beta_k) from one cached step table per order
+a and block of 128 degrees, formed from the int k, so no int becomes a
+float in a loop; 128 tables (about 2 MB) are cached.  On a float the pass
+is a plain Python loop, kept for the pair residual of the kernels: five
+float operations a degree and no test, in one loop without weights and
+one with them.  At n = 50 it takes about 3.5 us, where the array branch
+on one node takes about 130 us, and at n = 400 about 26 us against
+1.2 ms: a ufunc call per operation costs more than the arithmetic
+(medians of 31 rounds, Intel Xeon, Python 3.11, numpy 2.4).  On an
+array, which is where a Nystrom assembly spends its time, it runs in
+place: (d_k, p_k) are the two rows of one buffer row per degree, and
+(alpha_k, beta_k t) the two rows of a coefficient row filled once per
+block of degrees, so that a degree is three ufunc calls, one multiply of
+the two stacked rows, one subtract and one add, every operand an array.
+The squares w_k p_k^2 are formed once per block, and the block is added
+to the running total by one reduction that visits the degrees in order
+k = 0, 1, 2, ..., so both branches round identically and every value is
+bit-equal to the plain loop.  numpy keeps that order only while a row has
+more than one entry; at a single node it would sum pairwise, so a
+one-node pass accumulates its column instead.  A pass that leaves the
+double range is refused with AccuracyError.
 
 1/Gamma comes from math.gamma (_rgamma), so the library runs on numpy alone
 and loads no scipy.
@@ -309,8 +315,8 @@ def _miller_pairs(table: tuple, tail: int, z: np.ndarray, tops: np.ndarray) -> t
     starts = np.bincount(tops).tolist()
     fs, nexts, totals, products = (np.zeros(z.size) for _ in range(4))
     multiply, subtract, add = np.multiply, np.subtract, np.add
-    # a pair's three factors enter as 0-d arrays, set exactly each pair (see
-    # _laguerre_blocks)
+    # a pair's three factors enter as 0-d arrays, set exactly each pair: a
+    # ufunc would convert a Python scalar operand again on every call
     nu_odd, q, nu_even = np.empty(()), np.empty(()), np.empty(())
     for k in range((len(starts) - 1) // 2, tail // 2, -1):
         if starts[2 * k + 1]:
@@ -413,21 +419,29 @@ def _laguerre_weights(n: int, a: float) -> np.ndarray:
     return _binomials(n, a) * _rgamma(a + 1.0)
 
 
-# The ndarray pass writes p_k into the rows of a block buffer of at most
-# _BLOCK_ROWS degrees and _BLOCK_ENTRIES entries (a few hundred kB, so the
-# squares of a block are formed while its rows are still in cache).
+# Degrees per step table, and the most per block of the ndarray pass.  A
+# block of that pass holds (d_k, p_k) and (alpha_k, beta_k t) for each of
+# its degrees; _block_rows sizes it by the doubles its buffers may hold.
 _BLOCK_ROWS = 128
-_BLOCK_ENTRIES = 1 << 15
+_BLOCK_ENTRIES = 1 << 14
+_MIN_ROWS = 32
+_MAX_ENTRIES = 1 << 17
 
 
-@lru_cache(maxsize=128)  # about 14 kB a block
+@lru_cache(maxsize=128)  # about 16 kB a block
 def _step_table(a: float, block: int) -> tuple:
-    """(float(k), (k + a) + 1.0) for the degrees k of one block of
-    _BLOCK_ROWS, block * _BLOCK_ROWS on, as a tuple: the float pass's
-    constants, the denominator formed from the int k as the array branch
-    forms it (at a = 1/3, k + (a + 1.0) would differ)."""
+    """The step coefficients (alpha_k, beta_k) = (k / den_k, 1 / den_k),
+    den_k = (k + a) + 1.0, for the degrees k of one block of _BLOCK_ROWS,
+    block * _BLOCK_ROWS on: (pairs, alphas, betas), a tuple of float pairs
+    for the float pass and two read-only arrays of the same doubles for
+    the ndarray pass.  den_k is formed from the int k, as the reference
+    loop of the tests forms it (at a = 1/3, k + (a + 1.0) would differ)."""
     k = np.arange(block * _BLOCK_ROWS, (block + 1) * _BLOCK_ROWS)
-    return tuple(zip(k.astype(float).tolist(), (k + a + 1.0).tolist()))
+    den = k + a + 1.0
+    alphas, betas = k / den, 1.0 / den
+    alphas.setflags(write=False)
+    betas.setflags(write=False)
+    return tuple(zip(alphas.tolist(), betas.tolist())), alphas, betas
 
 
 def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
@@ -442,35 +456,30 @@ def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
     every later degree, so p_n and the total decide.
 
     Both branches round identically, so a value does not depend on how its
-    argument was batched: each degree forms d_{k+1} = (k d_k - t p_k)/(k+a+1)
+    argument was batched: each degree forms d_{k+1} = alpha_k d_k - (beta_k t) p_k
     and p_{k+1} = p_k + d_{k+1}, and total = ((0 + w_0 p_0 p_0) + w_1 p_1 p_1) + ...
-    On a float that is a loop with weights or one without, each reading k
-    and k+a+1 from the _step_table blocks of its a, with no test per degree
-    (about 28 us at n = 400 without weights, 52 us with them).  On an
-    ndarray that is five in-place ufunc calls per degree, p_k going into
-    row k of a block buffer.  Per block, two array operations form the
-    squares (w_k p_k) p_k and one reduction adds them to the running total,
-    which heads the block, so the degrees are summed in order.  numpy
-    reduces that axis row by row only while a row has more than one entry
-    (a single entry would be summed pairwise), so a one-node pass
-    accumulates its column instead.
+    On a float that is a loop with weights or one without, each reading
+    (alpha_k, beta_k) from the _step_table blocks of its a: five float
+    operations a degree and no test (about 26 us at n = 400 without
+    weights, 59 us with them).  On an ndarray it is _laguerre_blocks, three
+    in-place ufunc calls a degree.
     """
     if not isinstance(t, np.ndarray):
         p_prev, p, d, total = 0.0, 1.0, 0.0, 0.0
         if weights is not None:
             weights = iter(weights[:n].tolist())  # Python floats keep the loop fast
         for start in range(0, n, _BLOCK_ROWS):
-            table = _step_table(a, start // _BLOCK_ROWS)[:n - start]
+            table = _step_table(a, start // _BLOCK_ROWS)[0][:n - start]
             if weights is None:
-                for k, den in table:
+                for alpha, beta in table:
                     p_prev = p
-                    d = (k * d - t * p) / den
+                    d = alpha * d - beta * t * p
                     p = p + d
             else:
-                for (k, den), w in zip(table, weights):
+                for (alpha, beta), w in zip(table, weights):
                     total += w * p * p
                     p_prev = p
-                    d = (k * d - t * p) / den
+                    d = alpha * d - beta * t * p
                     p = p + d
         finite = math.isfinite(p) and math.isfinite(total)
     else:
@@ -484,36 +493,76 @@ def _laguerre_pass(n: int, a: float, t, weights=None, rows=None):
     return p_prev, p, d, total
 
 
+def _block_rows(n: int, size: int) -> int:
+    """Degrees per block of the ndarray pass to degree n over size nodes.
+
+    A power of two, so that a block lies within one step table: the most
+    rows, up to _BLOCK_ROWS, whose (rows + 1, 2, size) buffer holds at
+    most _BLOCK_ENTRIES doubles (128 kB); where that is fewer than
+    _MIN_ROWS, _MIN_ROWS or as many as _MAX_ENTRIES doubles (1 MB) hold;
+    never more than n, and at least 1.  Under 128 kB, glibc serves a
+    buffer from the heap, where it is reused from pass to pass; above it,
+    a pass may map fresh pages and fault on them (blocks of 128 degrees,
+    227 kB at 110 nodes, took 78 minor faults per finite_cdf(0.5, 1000, s)
+    call, against none).  So the 110 nodes of a finite_cdf determinant (m
+    and m + 10) get blocks of 64 degrees, and up to 63 nodes get 128.  The
+    fill of a block and its squares cost a few ufunc calls whatever its
+    length, which a block of fewer than 32 degrees no longer amortizes:
+    from 249 nodes on, blocks keep 32 degrees in buffers over 128 kB, and
+    from 1986 on, fewer in buffers of at most 1 MB.
+    """
+    row = 2 * max(size, 1)
+    rows = _BLOCK_ENTRIES // row - 1
+    if rows < _MIN_ROWS:
+        rows = min(_MIN_ROWS, _MAX_ENTRIES // row - 1)
+    return max(1, min(n, _BLOCK_ROWS, 1 << (max(rows, 1).bit_length() - 1)))
+
+
 def _laguerre_blocks(n: int, a: float, t: np.ndarray, weights, rows):
-    """The ndarray branch of _laguerre_pass; every buffer row has t's shape."""
-    block = max(1, min(n, _BLOCK_ROWS, _BLOCK_ENTRIES // max(t.size, 1)))
-    ps = np.empty((block + 1,) + t.shape)
-    ps[0] = 1.0
-    p_rows = list(ps)  # row views, built once
-    d = np.zeros(t.shape)
-    tp = np.empty(t.shape)
+    """The ndarray branch of _laguerre_pass; every buffer row has t's shape.
+
+    steps[i] holds (d_k, p_k) for the degree k = start + i of a block and
+    coefficients[i] holds (alpha_k, beta_k t), filled once per block from
+    the step table, so a degree is one multiply of those two (2, ...) rows
+    into steps[i + 1], giving (alpha_k d_k, (beta_k t) p_k), one subtract
+    into d_{k+1} and one add into p_{k+1}: three ufunc calls, every operand
+    a row view built once per pass.  Per block, two array operations form
+    the squares (w_k p_k) p_k in the coefficient buffer and one reduction
+    adds them to the running total, which heads the block, so the degrees
+    are summed in order.  numpy reduces that axis row by row only while a
+    row has more than one entry (a single entry would be summed pairwise),
+    so a one-node pass accumulates its column instead.
+    """
+    block = _block_rows(n, t.size)
+    across = (None,) * t.ndim  # a block's coefficient column, broadcast over t
+    steps = np.empty((block + 1, 2) + t.shape)
+    coefficients = np.empty((block, 2) + t.shape)
+    step_rows, coefficient_rows = list(steps), list(coefficients)  # views, built once
+    halves = list(steps.reshape((2 * block + 2,) + t.shape))
+    d_rows, p_rows = halves[0::2], halves[1::2]
+    d_rows[0].fill(0.0)
+    p_rows[0].fill(1.0)
     total = np.zeros(t.shape)
     if weights is not None:
-        weights = weights[:n].reshape((n,) + (1,) * t.ndim)
-        squares = np.empty_like(ps)
-    multiply, subtract, divide, add = np.multiply, np.subtract, np.divide, np.add
-    # k and k+a+1 enter as 0-d arrays, set exactly each degree: a ufunc
-    # would convert a Python scalar operand again on every call
-    k_op, den_op = np.empty(()), np.empty(())
+        weights = weights[(slice(n),) + across]
+        # a block's squares go where its coefficients were
+        squares = coefficients.reshape((2 * block,) + t.shape)
+    multiply, subtract, add = np.multiply, np.subtract, np.add
     count = 0
     for start in range(0, n, block):
         if start:
-            ps[0] = ps[count]  # p_start, the previous block's last row
+            steps[0] = steps[count]  # (d_start, p_start), the previous block's last row
         count = min(block, n - start)
-        for k, p, p_next in zip(range(start, start + count), p_rows, p_rows[1:]):
-            k_op[()] = k
-            den_op[()] = k + a + 1.0
-            multiply(d, k_op, d)
-            multiply(t, p, tp)
-            subtract(d, tp, d)
-            divide(d, den_op, d)
-            add(p, d, p_next)
-        block_rows = ps[:count]
+        _, alphas, betas = _step_table(a, start // _BLOCK_ROWS)
+        degrees = (slice(start % _BLOCK_ROWS, start % _BLOCK_ROWS + count),) + across
+        coefficients[:count, 0] = alphas[degrees]
+        multiply(betas[degrees], t, coefficients[:count, 1])
+        for coefficient, step, step_next, d_next, p, p_next in zip(
+                coefficient_rows[:count], step_rows, step_rows[1:], d_rows[1:], p_rows, p_rows[1:]):
+            multiply(coefficient, step, step_next)  # (alpha_k d_k, (beta_k t) p_k)
+            subtract(d_next, p_next, d_next)
+            add(p, d_next, p_next)
+        block_rows = steps[:count, 1]
         if weights is not None:
             running = squares[:count + 1]
             running[0] = total
@@ -527,7 +576,7 @@ def _laguerre_blocks(n: int, a: float, t: np.ndarray, weights, rows):
                 total[...] = running[-1]
         if rows is not None:
             rows[start:start + count] = block_rows
-    return (ps[count - 1] if n else np.zeros(t.shape)), ps[count], d, total
+    return (p_rows[count - 1] if n else np.zeros(t.shape)), p_rows[count], d_rows[count], total
 
 
 def laguerre(n, a, x):

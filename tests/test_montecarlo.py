@@ -493,8 +493,8 @@ class TestBatchedCdf:
         pytest.param(400, 1, [1e-3, 420.0, 840.0], AccuracyError,
                      id="400-1-420.0-AccuracyError"),
         pytest.param(1, 20, [1e-3, math.nan, math.nan], DomainError, id="1-20-nan-DomainError"),
-        # a negative determinant at s = 800 before the s gate at t = 3
-        pytest.param(0.5, 200, [1.0, 3.0], NumericError, id="0.5-200-1.0-NumericError"),
+        # a negative determinant at s = 1040 before the s gate at t = 3
+        pytest.param(0.5, 200, [1.3, 3.0], NumericError, id="0.5-200-1.3-NumericError"),
     ])
     def test_refused_t_keeps_the_scalar_refusal(self, a, n, t, error):
         # the first t in input order that is refused alone raises its refusal

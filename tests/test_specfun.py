@@ -13,9 +13,8 @@ from hardedge import (
     laguerre,
 )
 from hardedge.quadrature import gauss_jacobi, scale_rule
-from hardedge.specfun import (_BLOCK_ENTRIES, _BLOCK_ROWS, _ZERO_ORDER, _binomials,
-                              _laguerre_pass, _laguerre_weights, _recurrence_table, _rgamma,
-                              _step_table)
+from hardedge.specfun import (_BLOCK_ROWS, _ZERO_ORDER, _binomials, _block_rows, _laguerre_pass,
+                              _laguerre_weights, _recurrence_table, _rgamma, _step_table)
 
 
 def bessel_series_oracle(a, z, terms=400, dps=60):
@@ -384,8 +383,9 @@ class TestLaguerre:
 
 
 def reference_pass(n, a, t, weights=None, rows=None):
-    """The recurrence as one loop of fresh-array operations, eight per degree
-    with weights; both branches of _laguerre_pass must equal it bit for bit."""
+    """The recurrence as one loop of fresh-array operations, its step
+    coefficients formed in the loop; both branches of _laguerre_pass must
+    equal it bit for bit."""
     one = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
     p_prev, p, d, total = 0.0 * one, one, 0.0 * one, 0.0 * one
     if weights is not None:
@@ -396,7 +396,8 @@ def reference_pass(n, a, t, weights=None, rows=None):
         if rows is not None:
             rows[k] = p
         p_prev = p
-        d = (k * d - t * p) / (k + a + 1.0)
+        den = k + a + 1.0
+        d = k / den * d - 1.0 / den * t * p  # alpha_k d_k - (beta_k t) p_k
         p = p + d
     return p_prev, p, d, total
 
@@ -414,7 +415,7 @@ class TestLaguerrePass:
         # (k + a) + 1 differs from k + (a + 1) (k = 2, 3, 7, ...), so the pass
         # must form it as the loop does
         t = np.random.default_rng(19).uniform(0.0, 4.0, shape)
-        block = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // max(t.size, 1)))
+        block = _block_rows(1000, t.size)
 
         def outputs(run, n, x):
             weights = _laguerre_weights(n, a) if mode == "weights" else None
@@ -439,43 +440,75 @@ class TestLaguerrePass:
     @pytest.mark.parametrize("a", [-0.5, 1 / 3, 7.25])
     @pytest.mark.parametrize("n", [3 * _BLOCK_ROWS + 5, 1000])
     def test_float_pass_across_step_tables(self, n, a, weighted):
-        # the float pass reads k and (k + a) + 1 from one table per block of
+        # the float pass reads (alpha_k, beta_k) from one table per block of
         # _BLOCK_ROWS degrees, the last one cut short; across all of them it
-        # equals the reference loop bit for bit (at a = 1/3, k + (a + 1)
-        # would not)
+        # equals the reference loop bit for bit (at a = 1/3, a denominator
+        # k + (a + 1) would not)
         weights = _laguerre_weights(n, a) if weighted else None
         for t in (0.3, 1.7, 4.0):
             assert _laguerre_pass(n, a, t, weights) == reference_pass(n, a, t, weights), t
 
     def test_step_tables_are_immutable_tuples(self):
-        # one cached table serves every later float pass at its a, so neither
-        # it nor an entry can be changed; each denominator is (k + a) + 1
+        # one cached table serves every later pass at its a, so neither its
+        # float pairs nor its arrays can be changed; each entry is
+        # (alpha_k, beta_k) = (k / den_k, 1 / den_k), den_k = (k + a) + 1,
+        # and the arrays hold the same doubles
         a, block = 1 / 3, 2
-        table = _step_table(a, block)
+        pairs, alphas, betas = table = _step_table(a, block)
         assert _step_table(a, block) is table
-        assert type(table) is tuple and len(table) == _BLOCK_ROWS
-        assert all(type(entry) is tuple for entry in table)
+        assert type(pairs) is tuple and len(pairs) == _BLOCK_ROWS
+        assert all(type(entry) is tuple for entry in pairs)
         degrees = range(block * _BLOCK_ROWS, (block + 1) * _BLOCK_ROWS)
-        assert table == tuple((float(k), k + a + 1.0) for k in degrees)
-        assert all(type(value) is float for entry in table for value in entry)
+        assert pairs == tuple((k / (k + a + 1.0), 1.0 / (k + a + 1.0)) for k in degrees)
+        assert all(type(value) is float for entry in pairs for value in entry)
+        for column in (alphas, betas):
+            assert column.shape == (_BLOCK_ROWS,) and not column.flags.writeable
+        assert list(zip(alphas.tolist(), betas.tolist())) == list(pairs)
 
     def test_ufunc_operands_are_arrays(self, monkeypatch):
-        # the array pass hands every ufunc arrays (k and k+a+1 as 0-d ones):
-        # numpy would convert a Python scalar operand again on every call
+        # a degree of the array pass is three ufunc calls: one multiply of two
+        # (2, nodes) arrays, (alpha_k, beta_k t) by (d_k, p_k), one subtract
+        # and one add.  Every other call is made once per block (the beta_k t
+        # fill and the squares), no divide is made, and every operand is an
+        # array with at least one axis: numpy would convert a Python scalar or
+        # wrap a 0-d operand again on every call
         calls = []
 
-        def recording(ufunc):
-            def call(*args, **kwargs):
-                calls.append(args)
-                return ufunc(*args, **kwargs)
-            return call
+        class Recording:
+            def __init__(self, name, ufunc):
+                self.name, self.ufunc = name, ufunc
 
-        for name in ("multiply", "subtract", "divide"):
-            monkeypatch.setattr(np, name, recording(getattr(np, name)))
-        t = np.linspace(0.1, 4.0, 110)
-        _laguerre_pass(300, 0.5, t, _laguerre_weights(300, 0.5))
-        assert len(calls) >= 4 * 300  # two multiplies, a subtract, a divide per degree
-        assert [type(x) for args in calls for x in args if not isinstance(x, np.ndarray)] == []
+            def __call__(self, *args, **kwargs):
+                calls.append((self.name, args))
+                return self.ufunc(*args, **kwargs)
+
+            def __getattr__(self, attribute):  # reduce and accumulate
+                return getattr(self.ufunc, attribute)
+
+        n, t = 300, np.linspace(0.1, 4.0, 110)
+        weights = _laguerre_weights(n, 0.5)
+        blocks = -(-n // _block_rows(n, t.size))
+        _laguerre_pass(n, 0.5, t, weights)  # the step tables are built
+        for name in ("multiply", "subtract", "add", "divide"):
+            monkeypatch.setattr(np, name, Recording(name, getattr(np, name)))
+        _laguerre_pass(n, 0.5, t, weights)
+        stacked = [args for name, args in calls
+                   if name == "multiply" and all(np.shape(x) == (2, t.size) for x in args)]
+        names = [name for name, _ in calls]
+        assert len(stacked) == n and all(len(args) == 3 for args in stacked)
+        assert names.count("multiply") == n + 3 * blocks
+        assert names.count("subtract") == names.count("add") == n
+        assert names.count("divide") == 0
+        assert all(isinstance(x, np.ndarray) and x.ndim for _, args in calls for x in args)
+
+    @pytest.mark.parametrize("nodes,limit", [(60, 128), (110, 128), (248, 128), (1100, 1024),
+                                             (3300, 1024)])
+    def test_block_buffers_stay_small(self, nodes, limit):
+        # up to 248 nodes (110 are those of a finite_cdf determinant) a block
+        # buffer stays under glibc's 128 kB mmap threshold, and beyond them
+        # under 1 MB; p_n is a row of the buffer
+        _, p, _, _ = _laguerre_pass(1000, 0.5, np.linspace(0.1, 4.0, nodes))
+        assert p.base.nbytes < limit * 1024
 
     def test_high_degree_finite(self):
         # 10^4 degrees run through many block boundaries; the float and the
@@ -486,17 +519,22 @@ class TestLaguerrePass:
         assert all(math.isfinite(value) for value in single)
         assert [float(value[0]) for value in batched] == list(single)
 
-    @pytest.mark.parametrize("k,a,x", [(10000, 200.0, 1.0), (10000, 0.5, 1400.0)])
+    @pytest.mark.parametrize("k,a,x", [(10000, 200.0, 1.0), (10000, 0.5, 1400.0),
+                                       (10000, 0.5, 1420.0)])
     def test_high_degree_against_mpmath(self, k, a, x):
         # p_k = L_k^a / binom(k+a, k): binom(k+a, k) overflows at (10^4, 200),
-        # and p_k(1400) is near e^{700}, yet the normalized pass stays in range
+        # and p_k(1400) is near e^{700}, yet the normalized pass stays in range;
+        # p_k(1420) = 1.85e304 is in range too, where t p_k would not be (the
+        # step forms (beta_k t) p_k), on the float and the one-node array branch
         with mp.workdps(40):
             ref = float(mp.laguerre(k, a, x) / mp.binomial(k + a, k))
         assert _laguerre_pass(k, a, x)[1] == pytest.approx(ref, rel=1e-12)
+        assert _laguerre_pass(k, a, np.array([x]))[1][0] == pytest.approx(ref, rel=1e-12)
 
-    @pytest.mark.parametrize("k,x", [(10000, 30000.0), (3000, 20000.0), (10000, 1420.0)])
+    @pytest.mark.parametrize("k,x", [(10000, 30000.0), (3000, 20000.0), (10000, 1440.0)])
     def test_recurrence_overflow_is_refused(self, k, x):
-        # p_k(x) leaves the double range; no nan is returned on either branch
+        # p_k(x) leaves the double range (p_10000(1440) is -5.5e308); no nan
+        # is returned on either branch
         with pytest.raises(AccuracyError):
             _laguerre_pass(k, 0.5, x)
         with pytest.raises(AccuracyError):

@@ -30,11 +30,14 @@ alpha = 1e-6 between the two, beside the one-sample tests against the
 determinants and the closed forms.  Restricted to integer a, where that
 reference exists; the model itself holds at every real a > -1.
 
-Each sample draws from its own counter-based Philox stream keyed by (seed,
-sample index).  The samples are drawn in blocks of at most BLOCK_VARIATES
-variates: one Philox, re-keyed at counter 0 for each sample, and one
-stacked solve per block, in which each sample stops on its own.  So sample
-i is the same whatever the count or the block size.
+The samples of one call draw from one counter-based Philox stream (Salmon
+et al., SC11), keyed by (seed, 0) at counter 0 and read in C order: 2n - 1
+Gamma variates a sample, the diagonal top down then the entries above it.
+They are drawn in blocks of at most BLOCK_VARIATES variates, one
+standard_gamma call and one stacked solve per block, in which each sample
+stops on its own.  standard_gamma reads the stream in order, so sample i
+is the same whatever the count or the block size, and a shorter sample is
+a prefix of a longer one.
 
 sample_smallest refuses a count above MAX_SAMPLE_COUNT before the first
 draw.  ks_validate runs the whole check: it refuses a count below
@@ -66,13 +69,15 @@ MAX_SAMPLER_ORDER = 200
 MIN_KS_COUNT = 1000
 
 # Largest sample drawn: ks_validate(1, 20, ...) peaked at 80 bytes a
-# sample at 2 * 10^5 samples (tracemalloc), so at about 0.8 GB here.
+# sample at 2 * 10^5 and at 10^6 samples (tracemalloc), so at about 0.8 GB
+# here.  The sorted sample and its CDF values set the peak, not the draw.
 MAX_SAMPLE_COUNT = 10 ** 7
 
-# Variates that one block of samples draws and solves at once: 512 kB per
-# (B, 2n - 1) array of their squares; 1680 samples at n = 20, 164 at
-# n = MAX_SAMPLER_ORDER.  Below a few hundred samples each numpy call of
-# the solve costs about as much as at 1000, so a block should be wide.
+# Variates that one block of samples draws and solves at once, which bounds
+# memory and the width of the solve, not the stream: 512 kB per (B, 2n - 1)
+# array of their squares; 1680 samples at n = 20, 164 at n = MAX_SAMPLER_ORDER.
+# Below a few hundred samples each numpy call of the solve costs about as
+# much as at 1000, so a block should be wide.
 BLOCK_VARIATES = 2 ** 16
 
 # A Newton step below this fraction of x ends a sample's solve.  Newton
@@ -98,7 +103,9 @@ NEGLIGIBLE_SURVIVAL = 2.0 ** -54
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Smallest-eigenvalue samples (unscaled) with their generation recipe."""
+    """Smallest-eigenvalue samples (unscaled) with their generation recipe:
+    values are the first samples of the (a, n) model on the one stream that
+    seed keys (see the module docstring)."""
 
     a: int
     n: int
@@ -163,31 +170,13 @@ def _smallest_eigenvalues(squares: np.ndarray) -> np.ndarray:
     return values
 
 
-def _sample_block(a: int, n: int, seed: int, start: int, stop: int) -> np.ndarray:
-    """Smallest eigenvalues of samples start, ..., stop - 1.
-
-    Sample i draws the squares of its bidiagonal entries, the diagonal
-    top down then the entries above it, with one call on the Philox stream
-    keyed by (seed, i) at counter 0, which is the stream of a new Philox
-    with that key.
-    """
-    bits = np.random.Philox(key=0)
-    rng = np.random.Generator(bits)
-    zero = np.zeros(4, dtype=np.uint64)
-    key = np.array([seed, 0], dtype=np.uint64)
-    # one state for the block: setting bits.state copies the key out, so
-    # writing the next index into it re-keys the stream
-    state = {
-        "bit_generator": "Philox", "state": {"counter": zero, "key": key},
-        "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    shapes = np.concatenate([np.arange(a + n, a, -1), np.arange(n - 1, 0, -1)], dtype=float)
-    squares = np.empty((stop - start, 2 * n - 1))
-    for index, out in zip(range(start, stop), squares):
-        key[1] = index
-        bits.state = state
-        rng.standard_gamma(shapes, out=out)
-    return _smallest_eigenvalues(squares)
+# rng is not annotated: np.random in a signature would import numpy.random
+# with the package, not at the first draw
+def _sample_block(rng, shapes: np.ndarray, rows: int) -> np.ndarray:
+    """Smallest eigenvalues of the next `rows` samples on rng's stream: one
+    standard_gamma call draws the squares of their bidiagonal entries, at
+    shapes, a row each."""
+    return _smallest_eigenvalues(rng.standard_gamma(shapes, size=(rows, shapes.size)))
 
 
 def _sampler_arguments(a, n, count, seed) -> tuple:
@@ -202,8 +191,10 @@ def _sampler_arguments(a, n, count, seed) -> tuple:
 def sample_smallest(a, n, count, seed) -> SampleBatch:
     """Draw `count` independent smallest eigenvalues of the (n, a) ensemble."""
     a, n, count, seed = _sampler_arguments(a, n, count, seed)
-    block = BLOCK_VARIATES // (2 * n - 1)
-    values = np.concatenate([_sample_block(a, n, seed, start, min(start + block, count))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    shapes = np.concatenate([np.arange(a + n, a, -1), np.arange(n - 1, 0, -1)], dtype=float)
+    block = BLOCK_VARIATES // shapes.size
+    values = np.concatenate([_sample_block(rng, shapes, min(block, count - start))
                              for start in range(0, count, block)])
     positive = values > 0.0  # and not nan
     if not positive.all():

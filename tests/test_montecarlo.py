@@ -103,13 +103,12 @@ def _gaussian_sample(a, n, seed, index):
 
 def _reference_stack(a, n, seed, count):
     """The squared entries of the bidiagonals of samples 0, ..., count - 1,
-    one row each, the diagonal top down then the entries above it, every row
-    from a new Philox and Generator."""
+    one row each, the diagonal top down then the entries above it: one
+    standard_gamma call over (count, 2n - 1) on a new Philox keyed (seed, 0)."""
     shapes = np.array([a + n - k for k in range(n)] + [n - 1 - k for k in range(n - 1)],
                       dtype=float)
-    return np.array([
-        np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        .standard_gamma(shapes) for i in range(count)])
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    return rng.standard_gamma(shapes, size=(count, shapes.size))
 
 
 def _block_size(a, n):
@@ -119,10 +118,10 @@ def _block_size(a, n):
 class TestBlockSampler:
     @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
     @pytest.mark.parametrize("a,n", [(0, 1), (0, 5), (1, 20), (3, 7), (2, 200)])
-    def test_equals_the_per_sample_reference(self, a, n, seed):
+    def test_equals_the_one_stream_reference(self, a, n, seed):
         # the whole first block and the one sample after it; the reference
-        # draws each sample alone and solves them in one stack, which equals
-        # each row solved alone (test_row_alone_equals_the_row_in_a_stack).
+        # draws them all in one call and solves them in one stack, which
+        # equals each row solved alone (test_row_alone_equals_the_row_in_a_stack).
         # Shorter counts give prefixes (test_prefix_of_a_longer_sample)
         counts = sorted({1, _block_size(a, n) + 1, 1000})
         reference = montecarlo._smallest_eigenvalues(
@@ -143,6 +142,19 @@ class TestBlockSampler:
         longer = sample_smallest(a, n, 2 * block + 3, 8).values.tolist()
         for count in (1, block - 1, block, block + 1, 2 * block + 2):
             assert sample_smallest(a, n, count, 8).values.tolist() == longer[:count]
+
+    @pytest.mark.parametrize("a,n", [(0, 1), (1, 20), (2, 200)])
+    def test_block_size_is_outside_the_stream(self, a, n, monkeypatch):
+        # blocks of one, two and three rows draw the same ten values as one block
+        draw, blocks = montecarlo._sample_block, []
+        values = sample_smallest(a, n, 10, 5).values.tolist()
+        monkeypatch.setattr(montecarlo, "_sample_block",
+                            lambda *args: blocks.append(args[2]) or draw(*args))
+        for rows, expected in [(1, [1] * 10), (2, [2] * 5), (3, [3, 3, 3, 1])]:
+            blocks.clear()
+            monkeypatch.setattr(montecarlo, "BLOCK_VARIATES", rows * (2 * n - 1))
+            assert sample_smallest(a, n, 10, 5).values.tolist() == values
+            assert blocks == expected
 
     @pytest.mark.parametrize("a", [0, 1, 3])
     def test_order_one_is_the_drawn_square(self, a):
@@ -670,7 +682,7 @@ class TestKsValidate:
         assert draws == []
         # and the patched function is the one that draws: one block of both samples
         sample_smallest(0, 200, 2, seed=1)
-        assert [args[3:] for args in draws] == [(0, 2)]
+        assert [args[2] for args in draws] == [2]
 
     @pytest.mark.parametrize("a,n,count,seed,message", [
         (0.5, 5, 999, 1, "KS comparison needs count >= 1000"),

@@ -23,12 +23,21 @@ the Theory of Bessel Functions, 1944, ch. 5)
 normalizes it; below nu0 (a < 0) the recurrence continues.  No square root
 of z and no power z^{-a/2} is formed.  Downward, the recurrence follows the
 minimal solution J_nu and damps the rest (Gautschi, SIAM Rev. 9 (1967) 24).
-Routes, by argument:
+An order a < -1 whose j_a(0) = 1/Gamma(a+1) leaves the double range (below
+a = -172.09, but near the integers) is refused with AccuracyError before
+any route.  Routes, by argument:
 
-    z <= 0                                  the series (all terms one sign)
+    z <= 0                                  the series
     z < a^2/5 at an integer order a <= -2   the series (the recurrence cancels)
     a >= 178                                0.0 (|j_a| < 2^-1075)
     otherwise                               the recurrence
+
+The series is one term recurrence, t_k = t_{k-1} (-z) / (k (a+k)), from
+t_0 = 1/Gamma(a+1), or from t_n = (-z)^n / n! at an integer order a = -n,
+whose earlier terms sit on poles of 1/Gamma: 0.0 once that running product
+underflows, so that no order takes more than 1700 steps (at |z| = 400).
+A series or a recurrence pair that leaves the double range is refused
+with AccuracyError.
 
 Each element starts at an order chosen from a and its own z, so an
 element of an array is bit-equal to the float call at its z, however it
@@ -90,7 +99,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, NumericError
+from .errors import AccuracyError, DomainError
 
 # Largest |z| accepted by bessel_entire.
 Z_MAX = 400.0
@@ -136,11 +145,15 @@ def _require_integer(x, what: str, low: int, high=None) -> int:
 def bessel_entire(a, z):
     """The entire function j_a(z) = sum_k (-1)^k z^k / (k! Gamma(a+k+1)).
 
-    Equals z^{-a/2} J_a(2 sqrt(z)) for z > 0 and is defined for all real z
-    and all real orders a (series terms sitting on Gamma poles vanish).
+    Equals z^{-a/2} J_a(2 sqrt(z)) for z > 0 and is an entire function of z
+    at every real order a (series terms sitting on Gamma poles vanish).
     z may be a scalar (a float is returned) or an array (an array of the
     same shape is returned).  Refuses |z| > Z_MAX, elementwise, rather than
-    return silently degraded values.  The first value of bessel_pair.
+    return silently degraded values, and refuses with AccuracyError an
+    order a < -1 whose j_a(0) = 1/Gamma(a+1) leaves the double range (below
+    a = -172.09, but near the integers) and a value that leaves it.  A
+    value that underflows is 0.0: at a >= 178, and at a negative integer
+    order -n once (-z)^n / n! does.  The first value of bessel_pair.
     """
     return bessel_pair(a, z)[0]
 
@@ -149,13 +162,16 @@ def bessel_pair(a, z):
     """(j_a(z), j_{a+1}(z)) from one backward recurrence (module docstring).
 
     z may be a scalar (floats are returned) or an array (two arrays of its
-    shape are returned), refused as bessel_entire refuses it.  A value does
-    not depend on how its z was batched: each is bit-equal to the float
-    call at that z.
+    shape are returned).  Arguments and orders are refused as bessel_entire
+    refuses them, and an array is refused whole if one of its pairs is.  A
+    value does not depend on how its z was batched: each is bit-equal to
+    the float call at that z.
     """
     a = float(a)
     if not math.isfinite(a):
         raise DomainError(f"bessel_entire requires a finite order, got a={a!r}")
+    if a < -1.0 and math.isinf(_rgamma(a + 1.0)):
+        raise AccuracyError(f"j_a(0) = 1/Gamma(a+1) leaves the double range at a={a!r}")
     if not isinstance(z, float):
         z = np.asarray(z, dtype=float)
         if z.ndim:
@@ -176,11 +192,12 @@ def _bessel_pair_array(a: float, z: np.ndarray) -> tuple:
     series = flat < bound if bound else flat <= 0.0
     pair = np.zeros(flat.size), np.zeros(flat.size)
     if a < _ZERO_ORDER and not series.all():
-        if series.any():
-            taken = np.flatnonzero(~series)
-            pair[0][taken], pair[1][taken] = _miller(a, flat[taken])
-        else:  # a kernel assembly: every z > 0
-            pair = _miller(a, flat)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused in _miller
+            if series.any():
+                taken = np.flatnonzero(~series)
+                pair[0][taken], pair[1][taken] = _miller(a, flat[taken])
+            else:  # a kernel assembly: every z > 0
+                pair = _miller(a, flat)
     for index in np.flatnonzero(series).tolist():  # each by its float call
         pair[0][index], pair[1][index] = bessel_pair(a, float(flat[index]))
     return pair[0].reshape(z.shape), pair[1].reshape(z.shape)
@@ -203,9 +220,12 @@ def _series_bound(a: float) -> float:
     which below the turning point, 2 sqrt(z) < n, is the solution that the
     recurrence continued below order 0 loses to cancellation: relative
     errors of 4e-7 at (n, z) = (10, 1) and 2e-6 at (20, 20).  Up to
-    z = n^2/5 the series is accurate to 1e-15 for n <= 20 (its terms
-    cancel like e^{2 sqrt(z)}), and from there on the recurrence is, to
-    6e-15.  Elsewhere the bound is 0.
+    z = n^2/5 the series' terms cancel like e^{2 sqrt(z)}: against 50-digit
+    values at random z below the bound, it errs by at most 5e-14 relative
+    for n <= 20 (mean 9e-16, 1140 points) and 4e-10 for n = 21..44, where
+    z < min(n^2/5, Z_MAX) (mean 3e-12, 960 points), most near the bound.
+    From n = 45 on, every accepted z is below it.  Above it the recurrence
+    is accurate to 6e-15 for n <= 20.  Elsewhere the bound is 0.
     """
     return 0.2 * a * a if a <= -2.0 and a.is_integer() else 0.0
 
@@ -296,7 +316,10 @@ def _miller(a: float, z) -> tuple:
             break
         f, f_next = (nu0 + i) * f - z * f_next, f
     norm = math.gamma(nu0 + 1.0) * total
-    return lower / norm, upper / norm
+    lower, upper = lower / norm, upper / norm
+    if a < -1.0 and not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise AccuracyError(f"j_a(z) leaves the double range at a={a!r}")
+    return lower, upper
 
 
 def _miller_pairs(table: tuple, tail: int, z: np.ndarray, tops: np.ndarray) -> tuple:
@@ -364,34 +387,33 @@ def _rgamma(x: float) -> float:
 
 
 def _bessel_series(a: float, z: float) -> float:
-    # First index from which the term recurrence is pole-free (a + k + 1 >= 1).
-    k0 = max(0, int(math.ceil(-a)) + 1)
-    total = 0.0
-    zk = 1.0
-    factorial = 1.0
-    sign = 1.0
-    for k in range(k0):
-        # 1/Gamma vanishes at the poles a + k + 1 = 0, -1, -2, ...
-        total += sign * zk * _rgamma(a + k + 1.0) / factorial
-        zk *= z
-        factorial *= k + 1.0
-        sign = -sign
-    term = sign * zk * _rgamma(a + k0 + 1.0) / factorial
-    k = k0
-    consecutive_small = 0
-    while True:
-        total += term
-        if abs(term) < 1e-17 * max(abs(total), 1e-300):
-            consecutive_small += 1
-            if consecutive_small >= 3:
-                return total
-        else:
-            consecutive_small = 0
-        # Gamma(a+k+2) = (a+k+1) Gamma(a+k+1); k0 keeps a+k+1 >= 1 here
-        term *= -z / ((k + 1.0) * (a + k + 1.0))
+    """j_a(z) as the sum of the terms t_k = t_{k-1} (-z) / (k (a+k)).
+
+    The sum starts at t_0 = 1/Gamma(a+1), or at a negative integer order
+    a = -n at t_n = (-z)^n / n!, since every earlier term sits on a pole of
+    1/Gamma.  That start is a running product, and one that underflows makes
+    the value 0.0; no later factor is a pole.  The sum stops at the first t_k
+    with a + k > 0, a factor of at most 1/2 and |t_k| <= 1e-17 |sum|: every
+    later factor is smaller, so the tail is below |t_k|.  There is no
+    iteration cap: the factors tend to 0, and an inf or nan ends the loop
+    as well.  A sum that leaves the double range is refused with
+    AccuracyError.
+    """
+    k = -int(a) if a < 0.0 and a.is_integer() else 0
+    term = _rgamma(a + k + 1.0)  # 1.0 at a = -k
+    for i in range(1, k + 1):
+        term *= -z / i
+        if term == 0.0:
+            return 0.0
+    total, step = term, 1.0
+    while abs(step) > 0.5 or a + k <= 0.0 or abs(term) > 1e-17 * abs(total):
         k += 1
-        if k > 1000:
-            raise NumericError(f"bessel_entire series stalled at a={a!r}, z={z!r}")
+        step = -z / (k * (a + k))
+        term *= step
+        total += term
+    if not math.isfinite(total):
+        raise AccuracyError(f"j_a(z) leaves the double range at a={a!r}, z={z!r}")
+    return total
 
 
 @lru_cache(maxsize=128)

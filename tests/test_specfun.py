@@ -121,6 +121,65 @@ class TestBesselEntire:
             assert math.isfinite(value)
             assert abs(value - ref) <= 1e-12 * abs(ref), (a, z)
 
+    @pytest.mark.parametrize("n,z", [(171, 100.0), (172, 400.0), (500, 100.0)])
+    def test_negative_integer_orders_past_the_factorial_range(self, n, z):
+        # the series starts at (-z)^n / n!, one running product, where separate
+        # z^k and k! products overflow from k = 171; the reference is
+        # j_{-n}(z) = (-z)^n j_n(z), since the series oracle's 400 terms
+        # cannot reach order -500
+        with mp.workdps(50):
+            x = mp.mpf(z)
+            ref = float((-x) ** n * mp.besselj(n, 2 * mp.sqrt(x)) * x ** (-mp.mpf(n) / 2))
+        for value in (bessel_entire(-n, z), bessel_entire(-n, np.array([z, 1.0]))[0]):
+            assert abs(value - ref) <= 1e-13 * abs(ref), (n, z)
+
+    @pytest.mark.parametrize("a,z", [(-1001.0, 1e-3), (-1e7, 1.0), (-1e300, 1.0)])
+    def test_underflowed_start_gives_zero(self, a, z):
+        # (-z)^n / n! underflows within a few hundred factors, so the value is
+        # 0.0 however large n is
+        assert bessel_entire(a, z) == 0.0
+        assert bessel_entire(a, np.array([z, 2.0])).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("a,z", [(-300.5, 1.0), (-190.5, 400.0), (-250.5, 0.01),
+                                     (-1e7 + 0.5, 1.0), (-1e15 + 0.5, 1.0), (-172.5, -1.0),
+                                     (-171.5, 400.0)])
+    def test_orders_out_of_range_are_refused(self, a, z):
+        # 1/Gamma(a+1) = j_a(0) leaves the double range below a = -172.09,
+        # but near the integers, and at (-171.5, 400) the recurrence's pair
+        # does: each is refused, as a float call and as an array call
+        with pytest.raises(AccuracyError):
+            bessel_pair(a, z)
+        with pytest.raises(AccuracyError):
+            bessel_pair(a, np.array([z, 2.0]))
+
+    @pytest.mark.parametrize("a", [-171.9, -171.5, -170.5])
+    def test_right_or_refused_at_the_range_edge(self, a):
+        # at the edge of the accepted orders a value is right, or refused
+        # where it, or a series term or a recurrence value before it, leaves
+        # the double range
+        for z in (-400.0, -100.0, 100.0, 400.0):
+            for nu in (a, a + 1.0):
+                try:
+                    value = bessel_entire(nu, z)
+                except AccuracyError:
+                    continue
+                with mp.workdps(40):
+                    ref = mp.hyp0f1(mp.mpf(nu) + 1, -z) * mp.rgamma(mp.mpf(nu) + 1)
+                assert abs(value - ref) <= 1e-13 * abs(ref), (nu, z)
+
+    def test_every_order_is_finite_or_refused(self):
+        # no pair is inf or nan, and none raises but AccuracyError, as float
+        # calls, one-element arrays and one array of every z
+        z = [-400.0, -1.0, 0.0, 1e-3, 1.0, 100.0, 400.0]
+        for a in (-1e15 + 0.5, -1e300, -1e7, -2000.5, -1001.0, -500.0, -300.5, -190.5, -172.5,
+                  -171.0, -170.5, -45.0, -20.0, -2.5):
+            for argument in z + [np.array([zi]) for zi in z] + [np.array(z)]:
+                try:
+                    pair = bessel_pair(a, argument)
+                except AccuracyError:
+                    continue
+                assert all(np.isfinite(value).all() for value in pair), (a, argument)
+
     def test_array_shapes(self):
         z = np.linspace(0.0, 30.0, 12).reshape(3, 4)
         values = bessel_entire(0.5, z)
